@@ -8,11 +8,13 @@ from .bell import (
     ChshSettings,
     MerminSettings,
     chsh_operator,
+    chsh_operator_norm,
     chsh_square_identity_residual,
     chsh_zeta,
     max_violation,
     mermin_lambda3,
     mermin_operator,
+    mermin_operator_norm,
     mermin_square_closed_form,
 )
 from .errors import (

@@ -5,8 +5,10 @@ A'(B - B') on the tensor product; the three-qubit operator is the four-term
 combination A B'C' + A'B C' + A'B'C - A B C.  Closed forms for the squares
 and their largest eigenvalues are provided on the restricted measurement
 geometries where they were derived, and refuse other inputs instead of
-extrapolating.  Brute-force matrix algebra is the ground truth every closed
-form is checked against.
+extrapolating.  The operator norms chsh_operator_norm and
+mermin_operator_norm hold for every setting and need no matrix at all.
+Brute-force matrix algebra is the ground truth every closed form is checked
+against.
 """
 
 from __future__ import annotations
@@ -272,9 +274,11 @@ def mermin_lambda3(settings: MerminSettings) -> float:
     geometry: 4 (1 + k1 k2 + k1 k3 + k2 k3), where k_i is the magnitude of
     the cross product of particle i's two effective directions.
 
-    Requires every measurement direction and every boost direction to lie
-    in the xy-plane, which makes all three single-particle commutators
-    proportional to sigma_z so the three terms commute.
+    The three commutator terms of mermin_square_closed_form commute for
+    every setting, so the formula itself holds everywhere (see
+    mermin_operator_norm).  This validator still requires every measurement
+    direction and every boost direction to lie in the xy-plane, the
+    geometry it was derived on.
     """
     dirs = (settings.a, settings.a_prime, settings.b, settings.b_prime,
             settings.c, settings.c_prime)
@@ -298,3 +302,45 @@ def max_violation(matrix) -> float:
     over all states."""
     eigenvalues, _ = hermitian_eigensystem(matrix)
     return float(np.max(np.abs(eigenvalues)))
+
+
+def _cross_norm(n, m) -> float:
+    """|n x m| for two 3-vectors, on their float components."""
+    n0, n1, n2 = n.tolist()
+    m0, m1, m2 = m.tolist()
+    x = n1 * m2 - n2 * m1
+    y = n2 * m0 - n0 * m2
+    z = n0 * m1 - n1 * m0
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def chsh_operator_norm(settings: ChshSettings) -> float:
+    """max |<B>| of the two-qubit operator, for any directions and boosts:
+    2 sqrt(1 + |u| |v|) with u = a x a' and v = b x b' over the effective
+    directions.
+
+    [A,A'] = 2i u.sigma, so B^2 = 4 I + 4 (u.sigma) (x) (v.sigma), whose
+    largest eigenvalue is 4 (1 + |u| |v|) (Landau, Phys. Lett. A 120, 54,
+    1987).  Equals max_violation(chsh_operator(settings)).
+    """
+    a, ap, b, bp = settings.effective_directions()
+    return 2.0 * math.sqrt(1.0 + _cross_norm(a, ap) * _cross_norm(b, bp))
+
+
+def mermin_operator_norm(settings: MerminSettings) -> float:
+    """max |<B>| of the three-qubit operator, for any directions and boosts:
+    2 sqrt(1 + k1 k2 + k1 k3 + k2 k3) with k_i the cross-product magnitude
+    of particle i's two effective directions.
+
+    With u_i the cross product of particle i's effective directions, the
+    square is B^2 = 4 I + 4 (u1.sigma)(u2.sigma) I + 4 (u1.sigma) I
+    (u3.sigma) + 4 I (u2.sigma)(u3.sigma).  The three terms commute and
+    u_i.sigma has eigenvalues +/-k_i, so the largest eigenvalue of B^2
+    takes all three signs equal.  Equals
+    max_violation(mermin_operator(settings)).
+    """
+    a, ap, b, bp, c, cp = settings.effective_directions()
+    k1 = _cross_norm(a, ap)
+    k2 = _cross_norm(b, bp)
+    k3 = _cross_norm(c, cp)
+    return 2.0 * math.sqrt(1.0 + k1 * k2 + k1 * k3 + k2 * k3)

@@ -190,7 +190,7 @@ def _custom_sweep_row(kind: str, beta: float, label: str, custom: dict,
 
 
 def _cmd_sweep(args) -> int:
-    if not (0.0 <= args.beta_min <= args.beta_max <= 1.0) or args.beta_step <= 0.0:
+    if not (0.0 <= args.beta_min <= args.beta_max <= 1.0) or not args.beta_step > 0.0:
         raise UsageError("need 0 <= beta-min <= beta-max <= 1 and beta-step > 0")
     kind = SCENARIO_NAMES[args.scenario]
     custom = (_load_settings_file(args.settings, _particles(kind))
@@ -216,7 +216,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.tolerance <= 0.0:
+    if not args.tolerance > 0.0:
         raise UsageError("tolerance must be > 0")
     checks = run_all_checks(tolerance=args.tolerance, seed=args.seed)
     rows = [{"check": c.check, "status": c.status, "residual": c.residual,

@@ -13,6 +13,7 @@ arguments, so values can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -33,6 +34,10 @@ OFF_DIAGONAL_TARGET = 1e-14
 #: converges in well under ten sweeps, so exhausting this signals a bug.
 SWEEP_BUDGET = 100
 
+#: Off-diagonal entries below the smallest normal double are left in place:
+#: they cannot matter against the threshold, and the phase division
+#: overflows on them.
+_SMALLEST_NORMAL = sys.float_info.min
 _STATE_NORM_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-12
 
@@ -139,7 +144,7 @@ def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
             for q in range(p + 1, n):
                 apq = a[p, q]
                 mag = abs(apq)
-                if mag == 0.0:
+                if mag < _SMALLEST_NORMAL:
                     continue
                 phase = apq / mag
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)

@@ -33,19 +33,21 @@ def unit3(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.size != 3:
         raise ValueError(f"expected 3 components, got {v.size}")
-    if abs(float(v @ v) - 1.0) > UNIT_NORM_TOL:
+    if not abs(float(v @ v) - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"not a unit vector: |v|^2 = {float(v @ v)!r}")
     return v
 
 
 def normalized3(vector) -> np.ndarray:
-    """Scale an arbitrary nonzero 3-vector to unit length."""
+    """Scale an arbitrary nonzero, finite 3-vector to unit length."""
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.size != 3:
         raise ValueError(f"expected 3 components, got {v.size}")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot normalize a vector of norm {norm!r}")
     return v / norm
 
 

@@ -8,6 +8,11 @@ of the winning bracket, cycling over angles until a full pass improves the
 objective by less than the refinement tolerance.  Restart streams are
 seeded independently, so results are bit-reproducible and the best value
 is non-decreasing in the number of restarts.
+
+The operator_norm objective is scored in closed form from the effective
+directions (chsh_operator_norm, mermin_operator_norm), so no operator is
+built and no eigensolve runs per evaluation; the state_expectation
+objective still builds the operator.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import ChshSettings, MerminSettings, chsh_operator, max_violation, mermin_operator
+from .bell import (
+    ChshSettings,
+    MerminSettings,
+    chsh_operator,
+    chsh_operator_norm,
+    mermin_operator,
+    mermin_operator_norm,
+)
 from .errors import DomainError
 from .linalg import expectation
 from .observables import Boost
@@ -168,10 +180,9 @@ def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = N
         state = phi_plus()
 
     def score(settings: ChshSettings) -> float:
-        operator = chsh_operator(settings)
         if state is None:
-            return max_violation(operator)
-        return abs(expectation(state, operator))
+            return chsh_operator_norm(settings)
+        return abs(expectation(state, chsh_operator(settings)))
 
     if frozen_settings is not None:
         return frozen_settings, score(frozen_settings)
@@ -207,10 +218,9 @@ def optimize_mermin(boost_directions, beta: float, config: SearchConfig | None =
         state = ghz_plus()
 
     def score(settings: MerminSettings) -> float:
-        operator = mermin_operator(settings)
         if state is None:
-            return max_violation(operator)
-        return abs(expectation(state, operator))
+            return mermin_operator_norm(settings)
+        return abs(expectation(state, mermin_operator(settings)))
 
     if frozen_settings is not None:
         return frozen_settings, score(frozen_settings)

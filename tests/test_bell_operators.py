@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import max_abs, random_unit, random_xy
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
     chsh_operator,
+    chsh_operator_norm,
     chsh_square_identity_residual,
     chsh_terms,
     chsh_zeta,
@@ -17,6 +20,7 @@ from relbell.bell import (
     max_violation,
     mermin_lambda3,
     mermin_operator,
+    mermin_operator_norm,
     mermin_square_closed_form,
     mermin_square_swapped_legs,
     mermin_terms,
@@ -339,3 +343,61 @@ def test_commutator_antisymmetry():
     m1 = observable_matrix(random_unit(rng), Boost(X, 0.3))
     m2 = observable_matrix(random_unit(rng), Boost(X, 0.3))
     assert max_abs(commutator(m1, m2) + commutator(m2, m1)) == 0.0
+
+
+# Property tests of the matrix-free operator norms over the whole domain:
+# free directions, free boost directions and per-particle speeds.
+_NORM_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                          database=None)
+_unit_vectors = st.builds(
+    lambda theta, phi: np.array([math.sin(theta) * math.cos(phi),
+                                 math.sin(theta) * math.sin(phi),
+                                 math.cos(theta)]),
+    st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+_boosts = st.builds(Boost, _unit_vectors, st.floats(0.0, 0.99))
+
+
+def _spectral_norms(operator):
+    lapack = float(np.max(np.abs(np.linalg.eigvalsh(operator))))
+    return max_violation(operator), lapack
+
+
+@_NORM_SETTINGS
+@given(st.lists(_unit_vectors, min_size=4, max_size=4),
+       st.lists(_boosts, min_size=2, max_size=2))
+def test_chsh_operator_norm_matches_spectrum(directions, boosts):
+    settings_ = ChshSettings(*directions, *boosts)
+    closed = chsh_operator_norm(settings_)
+    jacobi, lapack = _spectral_norms(chsh_operator(settings_))
+    assert abs(closed - jacobi) < 1e-12
+    assert abs(closed - lapack) < 1e-12
+    assert 2.0 - 1e-12 <= closed <= ROOT8 + 1e-12
+
+
+@_NORM_SETTINGS
+@given(st.lists(_unit_vectors, min_size=6, max_size=6),
+       st.lists(_boosts, min_size=3, max_size=3))
+def test_mermin_operator_norm_matches_spectrum(directions, boosts):
+    settings_ = MerminSettings(*directions, *boosts)
+    closed = mermin_operator_norm(settings_)
+    jacobi, lapack = _spectral_norms(mermin_operator(settings_))
+    assert abs(closed - jacobi) < 1e-12
+    assert abs(closed - lapack) < 1e-12
+    assert 2.0 - 1e-12 <= closed <= 4.0 + 1e-12
+
+
+def test_operator_norms_extend_restricted_closed_forms():
+    rng = np.random.default_rng(29)
+    for beta in (0.0, 0.3, 0.9):
+        settings_ = _random_chsh_xy(rng, beta)
+        assert abs(chsh_operator_norm(settings_)
+                   - math.sqrt(chsh_zeta(settings_))) < 1e-12
+    for _ in range(10):
+        settings_ = _random_mermin(rng, in_plane=True)
+        assert abs(mermin_operator_norm(settings_)
+                   - math.sqrt(mermin_lambda3(settings_))) < 1e-12
+    assert abs(chsh_operator_norm(chsh_collinear_settings(0.0)) - ROOT8) < 1e-15
+    assert abs(mermin_operator_norm(mermin_collinear_settings(0.7)) - 4.0) < 1e-12
+    boost = Boost(X, 0.5)
+    collapsed = ChshSettings(Y, Y, Z, Z, boost, boost)
+    assert chsh_operator_norm(collapsed) == 2.0

@@ -89,6 +89,8 @@ def test_sweep_argument_validation(tmp_path):
                  "--beta-max", "0.2"]) == 2
     assert main(["sweep", "--scenario", "chsh-collinear",
                  "--beta-step", "0"]) == 2
+    assert main(["sweep", "--scenario", "chsh-collinear",
+                 "--beta-step", "nan"]) == 2
     assert main(["sweep", "--scenario", "unknown"]) == 2
 
 
@@ -138,6 +140,7 @@ def test_verify_fails_at_absurd_tolerance(tmp_path):
     rows = _rows_from_csv(out)
     assert any(row["status"] == "FAIL" for row in rows)
     assert main(["verify", "--tolerance", "0"]) == 2
+    assert main(["verify", "--tolerance", "nan"]) == 2
 
 
 def test_optimize_chsh(tmp_path):
@@ -289,6 +292,33 @@ def test_sweep_with_settings_file(tmp_path):
         assert row["closed_form"] == pytest.approx(epsilon2(row["beta"]),
                                                    abs=1e-12)
         assert abs(row["closed_form"] - row["numeric_max"]) < 1e-10
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"],
+    ["sample", "--scenario", "chsh-collinear", "--shots", "10"],
+])
+@pytest.mark.parametrize("field", ["direction", "boost"])
+def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
+                                                 field):
+    config = {
+        "a": [1.0, 0.0, 0.0],
+        "a_prime": [0.0, 1.0, 0.0],
+        "b": [1.0, -1.0, 0.0],
+        "b_prime": [1.0, 1.0, 0.0],
+        "boosts": [
+            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
+            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
+        ],
+    }
+    if field == "direction":
+        config["a"] = [math.nan, 0.0, 0.0]
+    else:
+        config["boosts"][1]["direction"] = [math.inf, 0.0, 0.0]
+    settings_path = tmp_path / "settings.json"
+    settings_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(command + ["--settings", str(settings_path)]) == 2
+    assert "invalid settings file" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

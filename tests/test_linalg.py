@@ -87,6 +87,19 @@ def test_eigensystem_unit_direction_spectrum():
         assert abs(w[0] + 1.0) < 1e-12 and abs(w[1] - 1.0) < 1e-12
 
 
+def test_eigensystem_subnormal_off_diagonal():
+    # 1 / 1e-310 overflows, so the phase of such an entry cannot be taken;
+    # the entry is far below the stopping threshold and is left in place
+    # while the normal-sized entry is rotated away.
+    m = np.array([[1.0, 0.5, 1e-310j],
+                  [0.5, 2.0, 0.0],
+                  [-1e-310j, 0.0, 3.0]])
+    w, v = hermitian_eigensystem(m)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+    assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-14)
+    assert max_abs(v @ np.diag(w) @ v.conj().T - m) < 1e-14
+
+
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -118,6 +118,18 @@ def test_unit3_and_normalized3():
         normalized3([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit3_and_normalized3_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="not a unit vector"):
+        unit3([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalized3([bad, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        Boost(np.array([bad, 0.0, 0.0]), 0.5)
+    with pytest.raises(DomainError):
+        Boost(X, bad)
+
+
 def test_degenerate_denominator_raises(monkeypatch):
     # The guard cannot fire for representable beta < 1 (the smallest
     # denominator is ~1.5e-8 at the largest double below 1), so raise the

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relbell.bell import chsh_operator, max_violation, mermin_operator
 from relbell.errors import DomainError
 from relbell.scenarios import (
     X_AXIS,
@@ -96,6 +97,24 @@ def test_mermin_xy_center_of_mass():
     _, value = optimize_mermin(com_boosts(), 0.6, config)
     assert value >= epsilon3_com(0.6) - 1e-6
     assert value <= 4.0 + 1e-9
+
+
+@pytest.mark.parametrize("config", [FAST_XY, FAST_FREE], ids=["xy", "free"])
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_chsh_value_is_brute_force_norm(config, beta):
+    # The objective is scored in closed form; the returned value must still
+    # be the Jacobi spectrum of the returned settings.
+    tilted = np.array([0.6, 0.0, 0.8])
+    settings, value = optimize_chsh((X_AXIS, tilted), beta, config)
+    assert abs(value - max_violation(chsh_operator(settings))) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [FAST_XY, FAST_FREE], ids=["xy", "free"])
+@pytest.mark.parametrize("boosts", ["collinear", "com"])
+def test_mermin_value_is_brute_force_norm(config, boosts):
+    directions = (X_AXIS,) * 3 if boosts == "collinear" else com_boosts()
+    settings, value = optimize_mermin(directions, 0.6, config)
+    assert abs(value - max_violation(mermin_operator(settings))) <= 1e-12
 
 
 def test_frozen_settings_zero_dimensional_search():

@@ -7,15 +7,17 @@ __version__ = "0.1.0"
 from .bell import (
     ChshSettings,
     MerminSettings,
+    Settings,
+    bell_operator,
+    bell_terms,
     chsh_operator,
-    chsh_operator_norm,
     chsh_square_identity_residual,
     chsh_zeta,
     max_violation,
     mermin_lambda3,
     mermin_operator,
-    mermin_operator_norm,
     mermin_square_closed_form,
+    operator_norm,
 )
 from .errors import (
     BellToolkitError,

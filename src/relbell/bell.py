@@ -1,116 +1,106 @@
 """Two- and three-qubit Bell operators built from boosted spin observables.
 
-The two-qubit operator combines four +/-1 observables as A(B + B') +
-A'(B - B') on the tensor product; the three-qubit operator is the four-term
-combination A B'C' + A'B C' + A'B'C - A B C.  Closed forms for the squares
-and their largest eigenvalues are provided on the restricted measurement
-geometries where they were derived, and refuse other inputs instead of
-extrapolating.  The operator norms chsh_operator_norm and
-mermin_operator_norm hold for every setting and need no matrix at all.
-Brute-force matrix algebra is the ground truth every closed form is checked
-against.
+One Settings class holds two directions and a boost per particle; what the
+particle count fixes (operator, sign table, matched state, closed-form
+square peak) lives in the FAMILIES table at the end of this module.  The
+two-qubit operator is A(B + B') + A'(B - B'); the three-qubit operator is
+the four-term combination A B'C' + A'B C' + A'B'C - A B C.  Closed forms
+for the squares and their largest eigenvalues are provided on the
+restricted measurement geometries where they were derived, and refuse
+other inputs instead of extrapolating.  operator_norm holds for every
+setting and needs no matrix at all.  Brute-force matrix algebra is the
+ground truth every closed form is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainRestriction
+from .errors import DomainError, DomainRestriction
 from .linalg import IDENTITY_2, SIGMA_Z, hermitian_eigensystem, kron, kron3
 from .observables import (
     XY_PLANE_TOL,
     Boost,
-    effective_direction,
+    boost_denominator_sq,
+    boost_map,
     observable_matrix,
     unit3,
 )
+from .states import ghz_plus, phi_plus
+
+#: Names of the directions, in Settings order: (d, d') per particle.
+DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
 
 
 @dataclass(frozen=True, eq=False)
-class ChshSettings:
-    """Four measurement directions plus the two particle boosts."""
+class Settings:
+    """Two measurement directions and one boost per particle, for 2 or 3
+    particles: directions runs a, a', b, b' (then c, c').  Each direction is
+    validated by unit3 once, here."""
 
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
-    boost1: Boost
-    boost2: Boost
+    directions: tuple
+    boosts: tuple
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, unit3(getattr(self, name)))
+        boosts = tuple(self.boosts)
+        if len(boosts) not in FAMILIES or len(self.directions) != 2 * len(boosts):
+            raise DomainError(
+                "settings need 2 or 3 boosts and two directions per particle, "
+                f"got {len(self.directions)} directions and {len(boosts)} boosts")
+        object.__setattr__(self, "directions",
+                           tuple(unit3(d) for d in self.directions))
+        object.__setattr__(self, "boosts", boosts)
 
-    def prime_swapped(self) -> "ChshSettings":
-        """Exchange primed and unprimed directions on both particles."""
-        return ChshSettings(self.a_prime, self.a, self.b_prime, self.b,
-                            self.boost1, self.boost2)
+    @property
+    def n_particles(self) -> int:
+        return len(self.boosts)
 
-    def effective_directions(self):
-        return (effective_direction(self.a, self.boost1),
-                effective_direction(self.a_prime, self.boost1),
-                effective_direction(self.b, self.boost2),
-                effective_direction(self.b_prime, self.boost2))
+    @property
+    def family(self) -> "Family":
+        return FAMILIES[self.n_particles]
 
-    def effective_observables(self):
-        """The four 2x2 observables, each built under its particle's boost."""
-        return (observable_matrix(self.a, self.boost1),
-                observable_matrix(self.a_prime, self.boost1),
-                observable_matrix(self.b, self.boost2),
-                observable_matrix(self.b_prime, self.boost2))
+    def prime_swapped(self) -> "Settings":
+        """Exchange primed and unprimed directions on every particle."""
+        d = self.directions
+        return Settings(tuple(d[i ^ 1] for i in range(len(d))), self.boosts)
 
-
-@dataclass(frozen=True, eq=False)
-class MerminSettings:
-    """Six measurement directions plus the three particle boosts."""
-
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
-    c: np.ndarray
-    c_prime: np.ndarray
-    boost1: Boost
-    boost2: Boost
-    boost3: Boost
-
-    def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime", "c", "c_prime"):
-            object.__setattr__(self, name, unit3(getattr(self, name)))
-
-    def prime_swapped(self) -> "MerminSettings":
-        """Exchange primed and unprimed directions on all three particles."""
-        return MerminSettings(self.a_prime, self.a, self.b_prime, self.b,
-                              self.c_prime, self.c,
-                              self.boost1, self.boost2, self.boost3)
-
-    def direction_pairs(self):
-        return ((self.a, self.a_prime, self.boost1),
-                (self.b, self.b_prime, self.boost2),
-                (self.c, self.c_prime, self.boost3))
+    def _boosted(self):
+        """Each direction with its particle's boost."""
+        return zip(self.directions, (b for b in self.boosts for _ in range(2)))
 
     def effective_directions(self):
-        return (effective_direction(self.a, self.boost1),
-                effective_direction(self.a_prime, self.boost1),
-                effective_direction(self.b, self.boost2),
-                effective_direction(self.b_prime, self.boost2),
-                effective_direction(self.c, self.boost3),
-                effective_direction(self.c_prime, self.boost3))
+        return tuple(boost_map(d, boost) for d, boost in self._boosted())
 
     def effective_observables(self):
-        return (observable_matrix(self.a, self.boost1),
-                observable_matrix(self.a_prime, self.boost1),
-                observable_matrix(self.b, self.boost2),
-                observable_matrix(self.b_prime, self.boost2),
-                observable_matrix(self.c, self.boost3),
-                observable_matrix(self.c_prime, self.boost3))
+        """The 2x2 observables, each built under its particle's boost."""
+        return tuple(observable_matrix(d, boost) for d, boost in self._boosted())
+
+
+def ChshSettings(a, a_prime, b, b_prime, boost1: Boost, boost2: Boost) -> Settings:
+    """Two-particle Settings from positional directions and boosts."""
+    return Settings((a, a_prime, b, b_prime), (boost1, boost2))
+
+
+def MerminSettings(a, a_prime, b, b_prime, c, c_prime,
+                   boost1: Boost, boost2: Boost, boost3: Boost) -> Settings:
+    """Three-particle Settings from positional directions and boosts."""
+    return Settings((a, a_prime, b, b_prime, c, c_prime), (boost1, boost2, boost3))
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
+
+
+def _commutators(settings: Settings):
+    """[D, D'] of each particle's two effective observables."""
+    obs = settings.effective_observables()
+    return tuple(commutator(obs[i], obs[i + 1]) for i in range(0, len(obs), 2))
 
 
 def _xy_angle(v) -> float:
@@ -118,10 +108,6 @@ def _xy_angle(v) -> float:
     # sines of angle differences are ever consumed, so the branch choice
     # cannot leak into results.
     return math.atan2(v[1], v[0])
-
-
-def _boost_factor(v, beta: float) -> float:
-    return 1.0 + beta * beta * (v[0] * v[0] - 1.0)
 
 
 def _is_xy(v) -> bool:
@@ -133,34 +119,46 @@ def _is_x_collinear(boost: Boost) -> bool:
     return abs(d[1]) <= XY_PLANE_TOL and abs(d[2]) <= XY_PLANE_TOL
 
 
-def _chsh_in_plane_collinear(s: ChshSettings) -> bool:
-    return (all(_is_xy(v) for v in (s.a, s.a_prime, s.b, s.b_prime))
-            and _is_x_collinear(s.boost1) and _is_x_collinear(s.boost2)
-            and abs(s.boost1.beta - s.boost2.beta) <= 1e-15)
+def _chsh_in_plane(settings: Settings):
+    """(1 - beta^2, sin(phi_a - phi_a'), sin(phi_b - phi_b'), prod_v D_v)
+    for xy-plane directions under x boosts at a common speed, else None."""
+    a, a_prime, b, b_prime = settings.directions
+    boost1, boost2 = settings.boosts
+    if not (all(_is_xy(v) for v in settings.directions)
+            and _is_x_collinear(boost1) and _is_x_collinear(boost2)
+            and abs(boost1.beta - boost2.beta) <= 1e-15):
+        return None
+    beta = boost1.beta
+    denom = 1.0
+    for v in settings.directions:
+        denom *= boost_denominator_sq(v[0], beta)
+    return (1.0 - beta * beta, math.sin(_xy_angle(a) - _xy_angle(a_prime)),
+            math.sin(_xy_angle(b) - _xy_angle(b_prime)), denom)
 
 
-def chsh_operator(settings: ChshSettings) -> np.ndarray:
+def chsh_operator(settings: Settings) -> np.ndarray:
     """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B')."""
     a, ap, b, bp = settings.effective_observables()
     return kron(a, b + bp) + kron(ap, b - bp)
 
 
-def chsh_terms(settings: ChshSettings):
-    """Per-setting decomposition of the two-qubit operator.
+def bell_terms(settings: Settings):
+    """Per-setting decomposition of the Bell operator.
 
-    Returns (label, sign, observables) for the four setting combinations;
-    the signed Kronecker sum reproduces chsh_operator.
+    Returns (label, sign, observables) for each term of the sign table; the
+    signed Kronecker sum reproduces the operator.
     """
-    a, ap, b, bp = settings.effective_observables()
-    return [
-        ("ab", 1, (a, b)),
-        ("ab'", 1, (a, bp)),
-        ("a'b", 1, (ap, b)),
-        ("a'b'", -1, (ap, bp)),
-    ]
+    obs = settings.effective_observables()
+    return [(label, sign, tuple(obs[i] for i in picks))
+            for label, sign, picks in settings.family.terms]
 
 
-def chsh_square_identity_residual(settings: ChshSettings) -> float:
+def mermin_terms(settings: Settings):
+    """bell_terms of three-particle settings."""
+    return bell_terms(settings)
+
+
+def chsh_square_identity_residual(settings: Settings) -> float:
     """Max-entry residual between the squared operator and its closed forms.
 
     The generic form 4 I - [A,A'] (x) [B,B'] (built from the effective
@@ -173,64 +171,49 @@ def chsh_square_identity_residual(settings: ChshSettings) -> float:
 
     is compared as well, and the larger residual is returned.
     """
-    a, ap, b, bp = settings.effective_observables()
-    op = kron(a, b + bp) + kron(ap, b - bp)
+    op = chsh_operator(settings)
     square = op @ op
     identity4 = np.eye(4, dtype=complex)
-    generic = 4.0 * identity4 - kron(commutator(a, ap), commutator(b, bp))
+    com_a, com_b = _commutators(settings)
+    generic = 4.0 * identity4 - kron(com_a, com_b)
     residual = float(np.max(np.abs(square - generic)))
-    if _chsh_in_plane_collinear(settings):
-        beta = settings.boost1.beta
-        sin_a = math.sin(_xy_angle(settings.a) - _xy_angle(settings.a_prime))
-        sin_b = math.sin(_xy_angle(settings.b) - _xy_angle(settings.b_prime))
-        denom = 1.0
-        for v in (settings.a, settings.a_prime, settings.b, settings.b_prime):
-            denom *= _boost_factor(v, beta)
-        coeff = (1.0 - beta * beta) * sin_a * sin_b / math.sqrt(denom)
+    in_plane = _chsh_in_plane(settings)
+    if in_plane is not None:
+        shrink_sq, sin_a, sin_b, denom = in_plane
+        coeff = shrink_sq * sin_a * sin_b / math.sqrt(denom)
         reduced = 4.0 * (identity4 + coeff * kron(SIGMA_Z, SIGMA_Z))
         residual = max(residual, float(np.max(np.abs(square - reduced))))
     return residual
 
 
-def chsh_zeta(settings: ChshSettings) -> float:
+def chsh_zeta(settings: Settings) -> float:
     """Largest eigenvalue of the squared two-qubit operator, in closed form.
 
     Valid only for xy-plane directions with both particles boosted along x
     at a common speed; anything else raises DomainRestriction.  The value
     always lies in [4, 8].
     """
-    if not _chsh_in_plane_collinear(settings):
+    in_plane = _chsh_in_plane(settings)
+    if in_plane is None:
         raise DomainRestriction(
             "closed form requires xy-plane directions and collinear x boosts "
             "with a common speed")
-    beta = settings.boost1.beta
-    sin_a = math.sin(_xy_angle(settings.a) - _xy_angle(settings.a_prime))
-    sin_b = math.sin(_xy_angle(settings.b) - _xy_angle(settings.b_prime))
-    denom = 1.0
-    for v in (settings.a, settings.a_prime, settings.b, settings.b_prime):
-        denom *= _boost_factor(v, beta)
-    return 4.0 * (1.0 + (1.0 - beta * beta) * abs(sin_a * sin_b) / math.sqrt(denom))
+    shrink_sq, sin_a, sin_b, denom = in_plane
+    return 4.0 * (1.0 + shrink_sq * abs(sin_a * sin_b) / math.sqrt(denom))
 
 
-def mermin_operator(settings: MerminSettings) -> np.ndarray:
-    """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C."""
-    a, ap, b, bp, c, cp = settings.effective_observables()
-    return (kron3(a, bp, cp) + kron3(ap, b, cp)
-            + kron3(ap, bp, c) - kron3(a, b, c))
+def mermin_operator(settings: Settings) -> np.ndarray:
+    """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C,
+    summed term by term in sign-table order."""
+    (_, _, first), *rest = bell_terms(settings)
+    total = kron3(*first)
+    for _, sign, observables in rest:
+        term = kron3(*observables)
+        total = total + term if sign > 0 else total - term
+    return total
 
 
-def mermin_terms(settings: MerminSettings):
-    """Per-setting decomposition of the three-qubit operator."""
-    a, ap, b, bp, c, cp = settings.effective_observables()
-    return [
-        ("ab'c'", 1, (a, bp, cp)),
-        ("a'bc'", 1, (ap, b, cp)),
-        ("a'b'c", 1, (ap, bp, c)),
-        ("abc", -1, (a, b, c)),
-    ]
-
-
-def mermin_square_closed_form(settings: MerminSettings) -> np.ndarray:
+def mermin_square_closed_form(settings: Settings) -> np.ndarray:
     """Closed form of the squared three-qubit operator:
 
         4 I - [A,A'](x)[B,B'](x)I - [A,A'](x)I(x)[C,C'] - I(x)[B,B'](x)[C,C']
@@ -240,61 +223,55 @@ def mermin_square_closed_form(settings: MerminSettings) -> np.ndarray:
     squaring to machine precision; the verify command also scores the
     alternative placement that swaps the last two terms, which does not.
     """
-    a, ap, b, bp, c, cp = settings.effective_observables()
-    com_a = commutator(a, ap)
-    com_b = commutator(b, bp)
-    com_c = commutator(c, cp)
-    identity8 = np.eye(8, dtype=complex)
-    return (4.0 * identity8
+    com_a, com_b, com_c = _commutators(settings)
+    return (4.0 * np.eye(8, dtype=complex)
             - kron3(com_a, com_b, IDENTITY_2)
             - kron3(com_a, IDENTITY_2, com_c)
             - kron3(IDENTITY_2, com_b, com_c))
 
 
-def mermin_square_swapped_legs(settings: MerminSettings) -> np.ndarray:
+def mermin_square_swapped_legs(settings: Settings) -> np.ndarray:
     """Variant of the closed-form square with the (A,C) commutator pair on
     qubits (2,3) and the (B,C) pair on qubits (1,3).
 
     Kept so the verify command can measure its disagreement with the
     brute-force square; it is not a valid identity.
     """
-    a, ap, b, bp, c, cp = settings.effective_observables()
-    com_a = commutator(a, ap)
-    com_b = commutator(b, bp)
-    com_c = commutator(c, cp)
-    identity8 = np.eye(8, dtype=complex)
-    return (4.0 * identity8
+    com_a, com_b, com_c = _commutators(settings)
+    return (4.0 * np.eye(8, dtype=complex)
             - kron3(com_a, com_b, IDENTITY_2)
             - kron3(IDENTITY_2, com_a, com_c)
             - kron3(com_b, IDENTITY_2, com_c))
 
 
-def mermin_lambda3(settings: MerminSettings) -> float:
+def _one_plus_pair_products(kappas) -> float:
+    """1 + sum over pairs i < j of k_i k_j, summed in the order 12, 13, 23."""
+    total = 1.0
+    for k_i, k_j in itertools.combinations(kappas, 2):
+        total += k_i * k_j
+    return total
+
+
+def mermin_lambda3(settings: Settings) -> float:
     """Largest eigenvalue of the squared three-qubit operator for coplanar
     geometry: 4 (1 + k1 k2 + k1 k3 + k2 k3), where k_i is the magnitude of
     the cross product of particle i's two effective directions.
 
     The three commutator terms of mermin_square_closed_form commute for
     every setting, so the formula itself holds everywhere (see
-    mermin_operator_norm).  This validator still requires every measurement
+    operator_norm).  This validator still requires every measurement
     direction and every boost direction to lie in the xy-plane, the
     geometry it was derived on.
     """
-    dirs = (settings.a, settings.a_prime, settings.b, settings.b_prime,
-            settings.c, settings.c_prime)
-    boosts = (settings.boost1, settings.boost2, settings.boost3)
-    if not (all(_is_xy(v) for v in dirs)
-            and all(_is_xy(bst.direction) for bst in boosts)):
+    if not (all(_is_xy(v) for v in settings.directions)
+            and all(_is_xy(bst.direction) for bst in settings.boosts)):
         raise DomainRestriction(
             "closed form requires all directions and boost directions "
             "in the xy-plane")
-    kappas = []
-    for d, d_prime, boost in settings.direction_pairs():
-        n1 = effective_direction(d, boost)
-        n2 = effective_direction(d_prime, boost)
-        kappas.append(float(np.linalg.norm(np.cross(n1, n2))))
-    k1, k2, k3 = kappas
-    return 4.0 * (1.0 + k1 * k2 + k1 * k3 + k2 * k3)
+    n = settings.effective_directions()
+    kappas = [float(np.linalg.norm(np.cross(n[i], n[i + 1])))
+              for i in range(0, len(n), 2)]
+    return 4.0 * _one_plus_pair_products(kappas)
 
 
 def max_violation(matrix) -> float:
@@ -314,33 +291,59 @@ def _cross_norm(n, m) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-def chsh_operator_norm(settings: ChshSettings) -> float:
-    """max |<B>| of the two-qubit operator, for any directions and boosts:
-    2 sqrt(1 + |u| |v|) with u = a x a' and v = b x b' over the effective
-    directions.
+def operator_norm(settings: Settings) -> float:
+    """max |<B>| of the Bell operator, for any directions and boosts:
+    2 sqrt(1 + sum_{i<j} k_i k_j) with k_i the cross-product magnitude of
+    particle i's two effective directions.
 
-    [A,A'] = 2i u.sigma, so B^2 = 4 I + 4 (u.sigma) (x) (v.sigma), whose
-    largest eigenvalue is 4 (1 + |u| |v|) (Landau, Phys. Lett. A 120, 54,
-    1987).  Equals max_violation(chsh_operator(settings)).
+    With u_i that cross product, [D_i, D_i'] = 2i u_i.sigma, so the square
+    is 4 I plus 4 (u_i.sigma)(u_j.sigma) on every particle pair i < j.
+    Those terms commute and u_i.sigma has eigenvalues +/-k_i, so the largest
+    eigenvalue of B^2 takes all signs equal: 4 (1 + |u||v|) for two qubits
+    (Landau, Phys. Lett. A 120, 54, 1987) and 4 (1 + k1 k2 + k1 k3 + k2 k3)
+    for three.  Equals max_violation(bell_operator(settings)).
     """
-    a, ap, b, bp = settings.effective_directions()
-    return 2.0 * math.sqrt(1.0 + _cross_norm(a, ap) * _cross_norm(b, bp))
+    n = settings.effective_directions()
+    kappas = [_cross_norm(n[i], n[i + 1]) for i in range(0, len(n), 2)]
+    return 2.0 * math.sqrt(_one_plus_pair_products(kappas))
 
 
-def mermin_operator_norm(settings: MerminSettings) -> float:
-    """max |<B>| of the three-qubit operator, for any directions and boosts:
-    2 sqrt(1 + k1 k2 + k1 k3 + k2 k3) with k_i the cross-product magnitude
-    of particle i's two effective directions.
+def bell_operator(settings: Settings) -> np.ndarray:
+    """The Bell operator of the settings' family (chsh_operator or
+    mermin_operator)."""
+    return settings.family.operator(settings)
 
-    With u_i the cross product of particle i's effective directions, the
-    square is B^2 = 4 I + 4 (u1.sigma)(u2.sigma) I + 4 (u1.sigma) I
-    (u3.sigma) + 4 I (u2.sigma)(u3.sigma).  The three terms commute and
-    u_i.sigma has eigenvalues +/-k_i, so the largest eigenvalue of B^2
-    takes all three signs equal.  Equals
-    max_violation(mermin_operator(settings)).
-    """
-    a, ap, b, bp, c, cp = settings.effective_directions()
-    k1 = _cross_norm(a, ap)
-    k2 = _cross_norm(b, bp)
-    k3 = _cross_norm(c, cp)
-    return 2.0 * math.sqrt(1.0 + k1 * k2 + k1 * k3 + k2 * k3)
+
+@dataclass(frozen=True)
+class Family:
+    """What the particle count fixes: the operator's name, its sign table of
+    (label, sign, observable indices) terms (first sign +1), the matched
+    maximally entangled state, and the closed-form largest eigenvalue of its
+    square (DomainRestriction off its domain)."""
+
+    name: str
+    terms: tuple
+    state: Callable[[], np.ndarray]
+    operator: Callable[[Settings], np.ndarray]
+    square_peak: Callable[[Settings], float]
+
+
+def _sign_table(*terms):
+    """(label, sign, observable indices) from (label, sign): the i-th factor
+    of a label picks particle i's primed observable when it carries a prime."""
+    return tuple(
+        (label, sign, tuple(2 * i + factor.endswith("'")
+                            for i, factor in enumerate(re.findall("[a-z]'?", label))))
+        for label, sign in terms)
+
+
+# The operators are looked up by module attribute at call time, so a
+# wrapper installed on relbell.bell.chsh_operator sees every call.
+FAMILIES = {
+    2: Family("chsh",
+              _sign_table(("ab", 1), ("ab'", 1), ("a'b", 1), ("a'b'", -1)),
+              phi_plus, lambda s: chsh_operator(s), chsh_zeta),
+    3: Family("mermin",
+              _sign_table(("ab'c'", 1), ("a'bc'", 1), ("a'b'c", 1), ("abc", -1)),
+              ghz_plus, lambda s: mermin_operator(s), mermin_lambda3),
+}

@@ -7,7 +7,8 @@ scenario's closed-form and numeric violation curves over a beta grid,
 ``sample`` runs a shot-level Monte Carlo experiment.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
-I/O failure.  Re-running a command with identical arguments and seed
+I/O failure, 4 internal failure (such as the eigensolver not converging).
+Re-running a command with identical arguments and seed
 produces byte-identical data output (the JSON meta timestamp is excluded
 via --no-meta-time).
 """
@@ -18,28 +19,27 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .bell import ChshSettings, MerminSettings, chsh_operator, chsh_terms, chsh_zeta, \
-    max_violation, mermin_lambda3, mermin_operator, mermin_terms
-from .errors import BellToolkitError, DomainRestriction
-from .linalg import expectation
+from .bell import DIRECTION_NAMES, Settings, bell_terms
+from .errors import BellToolkitError, DomainRestriction, NoConvergence
 from .observables import Boost, normalized3
 from .sampling import estimate_bell, exact_bell, joint_distribution, sample
 from .scenarios import BETA_GRID_STEP, Scenario, X_AXIS, com_boosts, \
-    scenario_curve, scenario_settings
+    scenario_curve, scenario_settings, settings_curve
 from .search import SearchConfig, optimize_chsh, optimize_mermin
-from .states import ghz_plus, phi_plus
 from .verify import FAIL, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 SCENARIO_NAMES = {
     "chsh-collinear": "chsh_collinear",
@@ -124,18 +124,14 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
     return betas
 
 
-def _particles(kind: str) -> int:
-    return 2 if kind == "chsh_collinear" else 3
-
-
-def _load_settings_file(path: str, n_particles: int) -> dict:
-    keys = ["a", "a_prime", "b", "b_prime"]
-    if n_particles == 3:
-        keys += ["c", "c_prime"]
+def _load_settings_file(path: str, kind: str) -> dict:
+    """Read a settings file for as many particles as scenario ``kind`` has."""
+    n_particles = scenario_settings(Scenario(kind, 0.0)).n_particles
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        directions = {key: normalized3(data[key]) for key in keys}
+        directions = [normalized3(data[key])
+                      for key in DIRECTION_NAMES[:2 * n_particles]]
         boosts = data["boosts"]
         if len(boosts) != n_particles:
             raise ValueError(f"expected {n_particles} boosts, got {len(boosts)}")
@@ -147,66 +143,43 @@ def _load_settings_file(path: str, n_particles: int) -> dict:
             "boost_betas": boost_betas}
 
 
-def _settings_from_custom(custom: dict, n_particles: int,
-                          beta_override: float | None, prime_swap: bool):
+def _settings_from_custom(custom: dict, beta_override: float | None,
+                          prime_swap: bool) -> Settings:
     betas = custom["boost_betas"] if beta_override is None \
-        else [beta_override] * n_particles
+        else [beta_override] * len(custom["boost_betas"])
     boosts = [Boost(d, b) for d, b in zip(custom["boost_dirs"], betas)]
-    d = custom["directions"]
-    if n_particles == 2:
-        settings = ChshSettings(d["a"], d["a_prime"], d["b"], d["b_prime"], *boosts)
-    else:
-        settings = MerminSettings(d["a"], d["a_prime"], d["b"], d["b_prime"],
-                                  d["c"], d["c_prime"], *boosts)
+    settings = Settings(custom["directions"], boosts)
     return settings.prime_swapped() if prime_swap else settings
 
 
-def _custom_sweep_row(kind: str, beta: float, label: str, custom: dict,
-                      prime_swap: bool) -> dict:
-    row = {"beta": beta, "scenario": label, "closed_form": None,
-           "numeric_max": None, "state_expectation": None, "residual": None}
+def _custom_sweep_values(beta: float, custom: dict, prime_swap: bool) -> tuple:
+    """(closed_form, numeric_max, state_expectation, residual) of a settings
+    file at the grid speed; all None at beta = 1, where no matrix exists and
+    a file has no closed-form curve."""
     if beta >= 1.0:
-        return row
-    settings = _settings_from_custom(custom, _particles(kind), beta, prime_swap)
-    if kind == "chsh_collinear":
-        operator = chsh_operator(settings)
-        state = phi_plus()
-        try:
-            row["closed_form"] = float(np.sqrt(chsh_zeta(settings)))
-        except DomainRestriction:
-            pass
-    else:
-        operator = mermin_operator(settings)
-        state = ghz_plus()
-        try:
-            row["closed_form"] = float(np.sqrt(mermin_lambda3(settings)))
-        except DomainRestriction:
-            pass
-    row["numeric_max"] = max_violation(operator)
-    row["state_expectation"] = expectation(state, operator)
-    if row["closed_form"] is not None:
-        row["residual"] = abs(row["closed_form"] - row["numeric_max"])
-    return row
+        return None, None, None, None
+    settings = _settings_from_custom(custom, beta, prime_swap)
+    try:
+        closed = float(np.sqrt(settings.family.square_peak(settings)))
+    except DomainRestriction:
+        closed = None
+    return (closed, *settings_curve(settings, closed))
 
 
 def _cmd_sweep(args) -> int:
     if not (0.0 <= args.beta_min <= args.beta_max <= 1.0) or not args.beta_step > 0.0:
         raise UsageError("need 0 <= beta-min <= beta-max <= 1 and beta-step > 0")
     kind = SCENARIO_NAMES[args.scenario]
-    custom = (_load_settings_file(args.settings, _particles(kind))
-              if args.settings else None)
+    custom = _load_settings_file(args.settings, kind) if args.settings else None
     rows = []
     for beta in _beta_grid(args.beta_min, args.beta_max, args.beta_step):
-        if custom is not None:
-            rows.append(_custom_sweep_row(kind, beta, args.scenario, custom,
-                                          args.prime_swap))
-            continue
-        result = scenario_curve(Scenario(kind, beta, args.prime_swap))
-        rows.append({"beta": result.beta, "scenario": args.scenario,
-                     "closed_form": result.closed_form,
-                     "numeric_max": result.numeric_max,
-                     "state_expectation": result.state_expectation,
-                     "residual": result.residual_closed_numeric})
+        if custom is None:
+            result = scenario_curve(Scenario(kind, beta, args.prime_swap))
+            values = (result.closed_form, result.numeric_max,
+                      result.state_expectation, result.residual_closed_numeric)
+        else:
+            values = _custom_sweep_values(beta, custom, args.prime_swap)
+        rows.append(dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values))))
     meta = _meta(args, "sweep", {"scenario": args.scenario,
                                  "beta_min": args.beta_min,
                                  "beta_max": args.beta_max,
@@ -216,8 +189,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.tolerance > 0.0:
-        raise UsageError("tolerance must be > 0")
+    if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
+        raise UsageError("tolerance must be finite and > 0")
     checks = run_all_checks(tolerance=args.tolerance, seed=args.seed)
     rows = [{"check": c.check, "status": c.status, "residual": c.residual,
              "tolerance": c.tolerance, "detail": c.detail} for c in checks]
@@ -228,40 +201,31 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if any(c.status == FAIL for c in checks) else EXIT_OK
 
 
-def _direction_columns(names) -> list[str]:
-    return [f"{name}_{axis}" for name in names for axis in "xyz"]
-
-
 def _cmd_optimize(args) -> int:
     if not 0.0 <= args.beta < 1.0:
         raise UsageError(f"optimization requires 0 <= beta < 1, got {args.beta}")
-    three = args.three
-    if args.boost == "com" and not three:
+    if args.boost == "com" and not args.three:
         raise UsageError("the center-of-mass boost geometry needs --three")
     constraint = {"xy": "xy_plane", "free": "free_sphere"}[args.constraint]
     objective = {"norm": "operator_norm", "state": "state_expectation"}[args.objective]
     config = SearchConfig(constraint=constraint, restarts=args.restarts,
                           grid_points_per_angle=args.grid_points,
                           seed=args.seed, objective=objective)
-    if three:
-        boost_dirs = com_boosts() if args.boost == "com" else (X_AXIS,) * 3
-        settings, value = optimize_mermin(boost_dirs, args.beta, config)
-        names = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
-        vectors = (settings.a, settings.a_prime, settings.b, settings.b_prime,
-                   settings.c, settings.c_prime)
-        mode = "mermin"
+    if args.boost == "com":
+        boost_dirs = com_boosts()
     else:
-        settings, value = optimize_chsh((X_AXIS, X_AXIS), args.beta, config)
-        names = ("a", "a_prime", "b", "b_prime")
-        vectors = (settings.a, settings.a_prime, settings.b, settings.b_prime)
-        mode = "chsh"
-    row = {"mode": mode, "beta": args.beta, "constraint": args.constraint,
-           "objective": args.objective, "boost": args.boost, "value": value}
-    for name, vector in zip(names, vectors):
+        boost_dirs = (X_AXIS,) * (3 if args.three else 2)
+    optimize = optimize_mermin if args.three else optimize_chsh
+    settings, value = optimize(boost_dirs, args.beta, config)
+    names = DIRECTION_NAMES[:len(settings.directions)]
+    row = {"mode": settings.family.name, "beta": args.beta,
+           "constraint": args.constraint, "objective": args.objective,
+           "boost": args.boost, "value": value}
+    for name, vector in zip(names, settings.directions):
         for axis, component in zip("xyz", vector):
             row[f"{name}_{axis}"] = float(component)
     columns = ["mode", "beta", "constraint", "objective", "boost", "value"]
-    columns += _direction_columns(names)
+    columns += [f"{name}_{axis}" for name in names for axis in "xyz"]
     meta = _meta(args, "optimize", {"restarts": args.restarts,
                                     "grid_points": args.grid_points})
     return _emit(args, columns, rows=[row], meta=meta)
@@ -279,24 +243,18 @@ def _cmd_sample(args) -> int:
     if args.shots < 1:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
     kind = SCENARIO_NAMES[args.scenario]
-    n_particles = _particles(kind)
     if args.settings:
-        custom = _load_settings_file(args.settings, n_particles)
-        settings = _settings_from_custom(custom, n_particles, args.beta,
-                                         args.prime_swap)
+        custom = _load_settings_file(args.settings, kind)
+        settings = _settings_from_custom(custom, args.beta, args.prime_swap)
     else:
         beta = 0.0 if args.beta is None else args.beta
         if not 0.0 <= beta < 1.0:
             raise UsageError(f"sampling requires 0 <= beta < 1, got {beta}")
         settings = scenario_settings(Scenario(kind, beta, args.prime_swap))
-    if n_particles == 2:
-        state = phi_plus()
-        terms = chsh_terms(settings)
-    else:
-        state = ghz_plus()
-        terms = mermin_terms(settings)
+    state = settings.family.state()
+    terms = bell_terms(settings)
 
-    count_cols = _count_columns(n_particles)
+    count_cols = _count_columns(settings.n_particles)
     rows = []
     records = []
     distributions = []
@@ -399,6 +357,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NoConvergence as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BellToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,6 +71,24 @@ class Boost:
         object.__setattr__(self, "beta", beta)
 
 
+def require_unit_interval(beta: float) -> None:
+    """Reject a speed outside [0, 1]; closed forms admit the beta = 1 endpoint."""
+    if not 0.0 <= beta <= 1.0:
+        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+
+
+def boost_denominator_sq(along: float, beta: float) -> float:
+    """1 + beta^2 (along^2 - 1), the squared normalization of the boost map
+    for a unit direction with component ``along`` on the boost direction;
+    raises DegenerateObservable at or below DENOMINATOR_FLOOR squared."""
+    denom_sq = 1.0 + beta * beta * (along * along - 1.0)
+    if denom_sq <= DENOMINATOR_FLOOR * DENOMINATOR_FLOOR:
+        raise DegenerateObservable(
+            f"normalization denominator {math.sqrt(max(denom_sq, 0.0)):g} "
+            f"at or below {DENOMINATOR_FLOOR:g}")
+    return denom_sq
+
+
 def effective_direction(a, boost: Boost) -> np.ndarray:
     """Unit direction actually measured on the boosted particle.
 
@@ -80,17 +98,17 @@ def effective_direction(a, boost: Boost) -> np.ndarray:
     Raises DegenerateObservable when the denominator underflows
     DENOMINATOR_FLOOR.
     """
-    a = unit3(a)
+    return boost_map(unit3(a), boost)
+
+
+def boost_map(a: np.ndarray, boost: Boost) -> np.ndarray:
+    """effective_direction of a direction that unit3 has already validated."""
     if boost.beta == 0.0:
         return a.copy()
     along = float(boost.direction @ a)
     parallel = along * boost.direction
     perpendicular = a - parallel
-    denom_sq = 1.0 + boost.beta * boost.beta * (along * along - 1.0)
-    if denom_sq <= DENOMINATOR_FLOOR * DENOMINATOR_FLOOR:
-        raise DegenerateObservable(
-            f"normalization denominator {math.sqrt(max(denom_sq, 0.0)):g} "
-            f"at or below {DENOMINATOR_FLOOR:g}")
+    denom_sq = boost_denominator_sq(along, boost.beta)
     shrink = math.sqrt(1.0 - boost.beta * boost.beta)
     return (shrink * perpendicular + parallel) / math.sqrt(denom_sq)
 

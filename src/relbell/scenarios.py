@@ -18,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    ChshSettings,
-    MerminSettings,
-    chsh_operator,
-    max_violation,
-    mermin_operator,
-)
+from .bell import Settings, bell_operator, max_violation
 from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost
-from .states import ghz_plus, phi_plus
+from .observables import Boost, require_unit_interval
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -45,11 +38,6 @@ SCENARIO_KINDS = ("chsh_collinear", "mermin_collinear", "mermin_center_of_mass")
 BETA_GRID_STEP = 0.01
 
 
-def _require_unit_interval(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
-
-
 def epsilon2(beta: float) -> float:
     """Peak two-qubit Bell value under collinear boosts:
 
@@ -58,7 +46,7 @@ def epsilon2(beta: float) -> float:
     continuous and strictly decreasing from 2 sqrt(2) at beta = 0 to the
     classical bound 2 at beta = 1.
     """
-    _require_unit_interval(beta)
+    require_unit_interval(beta)
     g = math.sqrt(max(1.0 - beta * beta, 0.0))
     return 2.0 * (1.0 + g) / math.sqrt(2.0 - beta * beta)
 
@@ -70,7 +58,7 @@ def lambda_com(beta: float) -> float:
         4 (1 + 8 g / sqrt(d) + 16 (1 - beta^2) / d),
         g = sqrt(1 - beta^2),  d = (4 - beta^2)(4 - 3 beta^2).
     """
-    _require_unit_interval(beta)
+    require_unit_interval(beta)
     g = math.sqrt(max(1.0 - beta * beta, 0.0))
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
     return 4.0 * (1.0 + 8.0 * g / math.sqrt(d) + 16.0 * (1.0 - beta * beta) / d)
@@ -83,7 +71,7 @@ def epsilon3_com(beta: float) -> float:
 
     the square root of lambda_com; 4 at beta = 0 and 2 at beta = 1.
     """
-    _require_unit_interval(beta)
+    require_unit_interval(beta)
     g = math.sqrt(max(1.0 - beta * beta, 0.0))
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
     return 2.0 * (1.0 + 4.0 * g / math.sqrt(d))
@@ -101,32 +89,32 @@ def com_boosts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, e3
 
 
-def chsh_collinear_settings(beta: float, prime_swap: bool = False) -> ChshSettings:
-    """The standard two-qubit settings with both particles boosted along x."""
-    boost = Boost(X_AXIS, beta)
-    settings = ChshSettings(CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME, boost, boost)
+def _fixed_settings(directions, boost_directions, beta: float,
+                    prime_swap: bool) -> Settings:
+    """Fixed directions with one boost per particle at a common speed."""
+    settings = Settings(directions, [Boost(e, beta) for e in boost_directions])
     return settings.prime_swapped() if prime_swap else settings
 
 
-def mermin_collinear_settings(beta: float, prime_swap: bool = False) -> MerminSettings:
+def chsh_collinear_settings(beta: float, prime_swap: bool = False) -> Settings:
+    """The standard two-qubit settings with both particles boosted along x."""
+    return _fixed_settings((CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME),
+                           (X_AXIS,) * 2, beta, prime_swap)
+
+
+def mermin_collinear_settings(beta: float, prime_swap: bool = False) -> Settings:
     """y/x settings on every particle, all boosted along x.
 
     With prime_swap the unprimed directions become x and the primed ones y;
     both assignments are first class because only the swapped one gives a
     nonzero expectation on the GHZ state (see the verify command).
     """
-    boost = Boost(X_AXIS, beta)
-    settings = MerminSettings(Y_AXIS, X_AXIS, Y_AXIS, X_AXIS, Y_AXIS, X_AXIS,
-                              boost, boost, boost)
-    return settings.prime_swapped() if prime_swap else settings
+    return _fixed_settings((Y_AXIS, X_AXIS) * 3, (X_AXIS,) * 3, beta, prime_swap)
 
 
-def mermin_com_settings(beta: float, prime_swap: bool = False) -> MerminSettings:
+def mermin_com_settings(beta: float, prime_swap: bool = False) -> Settings:
     """y/x settings on every particle under the center-of-mass boosts."""
-    e1, e2, e3 = com_boosts()
-    settings = MerminSettings(Y_AXIS, X_AXIS, Y_AXIS, X_AXIS, Y_AXIS, X_AXIS,
-                              Boost(e1, beta), Boost(e2, beta), Boost(e3, beta))
-    return settings.prime_swapped() if prime_swap else settings
+    return _fixed_settings((Y_AXIS, X_AXIS) * 3, com_boosts(), beta, prime_swap)
 
 
 def com_setting_observables(beta: float):
@@ -154,7 +142,7 @@ def com_closed_form_directions(beta: float) -> dict[str, np.ndarray]:
     alternative 3 + g, whose norm drifts from 1 for beta > 0.  The verify
     command reports which candidate matches.
     """
-    _require_unit_interval(beta)
+    require_unit_interval(beta)
     g = math.sqrt(max(1.0 - beta * beta, 0.0))
     unprimed_denom = 2.0 * math.sqrt(4.0 - beta * beta)
     primed_denom = 2.0 * math.sqrt(4.0 - 3.0 * beta * beta)
@@ -187,7 +175,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise DomainError(f"unknown scenario kind {self.kind!r}")
-        _require_unit_interval(self.beta)
+        require_unit_interval(self.beta)
 
 
 @dataclass(frozen=True)
@@ -227,7 +215,7 @@ def scenario_closed_form(kind: str, beta: float) -> float:
     if kind == "mermin_collinear":
         # The coplanar peak is 4 (1 + k1 k2 + k1 k3 + k2 k3) with every
         # kappa equal to 1 for the y/x settings, independent of beta.
-        _require_unit_interval(beta)
+        require_unit_interval(beta)
         return 4.0
     if kind == "mermin_center_of_mass":
         return epsilon3_com(beta)
@@ -241,19 +229,20 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
     if scenario.beta >= 1.0:
         return ScenarioResult(scenario.kind, scenario.beta, scenario.prime_swap,
                               closed, None, None, None, None, None)
-    settings = scenario_settings(scenario)
-    if scenario.kind == "chsh_collinear":
-        operator = chsh_operator(settings)
-        state = phi_plus()
-    else:
-        operator = mermin_operator(settings)
-        state = ghz_plus()
-    numeric = max_violation(operator)
-    state_exp = expectation(state, operator)
+    numeric, state_exp, residual = settings_curve(scenario_settings(scenario), closed)
     return ScenarioResult(
         scenario.kind, scenario.beta, scenario.prime_swap,
-        closed, numeric, state_exp,
-        abs(closed - numeric),
+        closed, numeric, state_exp, residual,
         abs(closed - abs(state_exp)),
         abs(numeric - abs(state_exp)),
     )
+
+
+def settings_curve(settings: Settings, closed: float | None):
+    """(numeric operator norm, matched-state expectation, |closed - numeric|)
+    of the settings' Bell operator; the residual is None without a closed
+    form."""
+    operator = bell_operator(settings)
+    numeric = max_violation(operator)
+    residual = None if closed is None else abs(closed - numeric)
+    return numeric, expectation(settings.family.state(), operator), residual

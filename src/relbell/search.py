@@ -9,10 +9,11 @@ objective by less than the refinement tolerance.  Restart streams are
 seeded independently, so results are bit-reproducible and the best value
 is non-decreasing in the number of restarts.
 
-The operator_norm objective is scored in closed form from the effective
-directions (chsh_operator_norm, mermin_operator_norm), so no operator is
-built and no eigensolve runs per evaluation; the state_expectation
-objective still builds the operator.
+One optimizer body serves two and three particles; optimize_chsh and
+optimize_mermin pin the particle count.  The operator_norm objective is
+scored in closed form from the effective directions (bell.operator_norm),
+so no operator is built and no eigensolve runs per evaluation; the
+state_expectation objective still builds the operator.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    ChshSettings,
-    MerminSettings,
-    chsh_operator,
-    chsh_operator_norm,
-    mermin_operator,
-    mermin_operator_norm,
-)
+from .bell import FAMILIES, Settings, bell_operator, operator_norm
 from .errors import DomainError
 from .linalg import expectation
 from .observables import Boost
-from .states import ghz_plus, phi_plus
 
 CONSTRAINTS = ("xy_plane", "free_sphere")
 OBJECTIVES = ("operator_norm", "state_expectation")
@@ -82,10 +75,6 @@ def _directions_from_angles(angles: np.ndarray, constraint: str) -> list[np.ndar
                               sin_t * math.sin(phi),
                               math.cos(theta)]))
     return dirs
-
-
-def _angles_per_direction(constraint: str) -> int:
-    return 1 if constraint == "xy_plane" else 2
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float):
@@ -157,13 +146,39 @@ def _improve_coordinate(objective, x, k, offset, grid, spacing, xtol, current):
     return out, best_v
 
 
-def _check_beta(beta: float) -> None:
+def _optimize(n_particles: int, boost_directions, beta: float,
+              config: SearchConfig | None, frozen_settings: Settings | None):
+    config = config if config is not None else SearchConfig()
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"optimization requires 0 <= beta < 1, got {beta!r}")
 
+    if config.objective == "operator_norm":
+        score = operator_norm
+    else:
+        state = FAMILIES[n_particles].state()
+
+        def score(settings: Settings) -> float:
+            return abs(expectation(state, bell_operator(settings)))
+
+    if frozen_settings is not None:
+        return frozen_settings, score(frozen_settings)
+
+    boosts = tuple(Boost(d, beta) for d in boost_directions)
+    if len(boosts) != n_particles:
+        raise DomainError(f"expected exactly {n_particles} boost directions")
+    angles_per_direction = 1 if config.constraint == "xy_plane" else 2
+
+    def build(angles: np.ndarray) -> Settings:
+        return Settings(_directions_from_angles(angles, config.constraint), boosts)
+
+    angles, value = _maximize_over_angles(lambda ang: score(build(ang)),
+                                          2 * n_particles * angles_per_direction,
+                                          config)
+    return build(angles), value
+
 
 def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = None,
-                  frozen_settings: ChshSettings | None = None):
+                  frozen_settings: Settings | None = None):
     """Maximize the two-qubit Bell value over the four directions at fixed
     boosts and speed.
 
@@ -171,70 +186,15 @@ def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = N
     value).  With frozen_settings the search space is empty and the
     objective is simply evaluated there (boost arguments are ignored).
     """
-    config = config if config is not None else SearchConfig()
-    _check_beta(beta)
-
-    if config.objective == "operator_norm":
-        state = None
-    else:
-        state = phi_plus()
-
-    def score(settings: ChshSettings) -> float:
-        if state is None:
-            return chsh_operator_norm(settings)
-        return abs(expectation(state, chsh_operator(settings)))
-
-    if frozen_settings is not None:
-        return frozen_settings, score(frozen_settings)
-
-    boosts = tuple(Boost(d, beta) for d in boost_directions)
-    if len(boosts) != 2:
-        raise DomainError("expected exactly two boost directions")
-    per = _angles_per_direction(config.constraint)
-
-    def build(angles: np.ndarray) -> ChshSettings:
-        d = _directions_from_angles(angles, config.constraint)
-        return ChshSettings(d[0], d[1], d[2], d[3], boosts[0], boosts[1])
-
-    angles, value = _maximize_over_angles(lambda ang: score(build(ang)),
-                                          4 * per, config)
-    return build(angles), value
+    return _optimize(2, boost_directions, beta, config, frozen_settings)
 
 
 def optimize_mermin(boost_directions, beta: float, config: SearchConfig | None = None,
-                    frozen_settings: MerminSettings | None = None):
+                    frozen_settings: Settings | None = None):
     """Maximize the three-qubit Bell value over the six directions at fixed
     boosts and speed.
 
     boost_directions is a triple of unit 3-vectors.  Returns (settings,
     value); frozen_settings short-circuits the search as in optimize_chsh.
     """
-    config = config if config is not None else SearchConfig()
-    _check_beta(beta)
-
-    if config.objective == "operator_norm":
-        state = None
-    else:
-        state = ghz_plus()
-
-    def score(settings: MerminSettings) -> float:
-        if state is None:
-            return mermin_operator_norm(settings)
-        return abs(expectation(state, mermin_operator(settings)))
-
-    if frozen_settings is not None:
-        return frozen_settings, score(frozen_settings)
-
-    boosts = tuple(Boost(d, beta) for d in boost_directions)
-    if len(boosts) != 3:
-        raise DomainError("expected exactly three boost directions")
-    per = _angles_per_direction(config.constraint)
-
-    def build(angles: np.ndarray) -> MerminSettings:
-        d = _directions_from_angles(angles, config.constraint)
-        return MerminSettings(d[0], d[1], d[2], d[3], d[4], d[5],
-                              boosts[0], boosts[1], boosts[2])
-
-    angles, value = _maximize_over_angles(lambda ang: score(build(ang)),
-                                          6 * per, config)
-    return build(angles), value
+    return _optimize(3, boost_directions, beta, config, frozen_settings)

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObservable, DomainError, DomainRestriction
+from .errors import DomainRestriction
 from .linalg import state_vector
-from .observables import DENOMINATOR_FLOOR, XY_PLANE_TOL, unit3
+from .observables import (
+    XY_PLANE_TOL,
+    boost_denominator_sq,
+    require_unit_interval,
+    unit3,
+)
 
 
 def phi_plus() -> np.ndarray:
@@ -66,24 +71,15 @@ def named_state(label: str) -> NamedState:
     return NamedState(label, state_vector(vec))
 
 
-def _require_xy(*vectors) -> None:
+def _xy_directions(beta: float, *vectors) -> list[np.ndarray]:
+    """Validate unit xy-plane directions and a speed in [0, 1]."""
+    vectors = [unit3(v) for v in vectors]
     for v in vectors:
         if abs(v[2]) > XY_PLANE_TOL:
             raise DomainRestriction(
                 f"direction {v} leaves the xy-plane; the closed form is not valid there")
-
-
-def _require_unit_interval(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
-
-
-def _boost_factor(v, beta: float) -> float:
-    d = 1.0 + beta * beta * (v[0] * v[0] - 1.0)
-    if d <= DENOMINATOR_FLOOR * DENOMINATOR_FLOOR:
-        raise DegenerateObservable(
-            f"boost factor {d:g} underflows at beta = {beta!r}")
-    return d
+    require_unit_interval(beta)
+    return vectors
 
 
 def phi_plus_correlator_closed_form(a, b, beta: float) -> float:
@@ -96,12 +92,10 @@ def phi_plus_correlator_closed_form(a, b, beta: float) -> float:
     Admits beta = 1 as a continuous limit (no matrices are built), though
     directions with v_x = 0 degenerate exactly there.
     """
-    a = unit3(a)
-    b = unit3(b)
-    _require_xy(a, b)
-    _require_unit_interval(beta)
+    a, b = _xy_directions(beta, a, b)
     numerator = a[0] * b[0] - (1.0 - beta * beta) * a[1] * b[1]
-    return numerator / math.sqrt(_boost_factor(a, beta) * _boost_factor(b, beta))
+    return numerator / math.sqrt(boost_denominator_sq(a[0], beta)
+                                  * boost_denominator_sq(b[0], beta))
 
 
 def ghz_offdiagonal_closed_form(a, b, c, beta: float) -> complex:
@@ -110,15 +104,11 @@ def ghz_offdiagonal_closed_form(a, b, c, beta: float) -> complex:
 
         (v_x + i sqrt(1 - beta^2) v_y) / sqrt(1 + beta^2 (v_x^2 - 1)).
     """
-    a = unit3(a)
-    b = unit3(b)
-    c = unit3(c)
-    _require_xy(a, b, c)
-    _require_unit_interval(beta)
+    a, b, c = _xy_directions(beta, a, b, c)
     shrink = math.sqrt(max(1.0 - beta * beta, 0.0))
     out = 1.0 + 0.0j
     for v in (a, b, c):
-        out *= (v[0] + 1.0j * shrink * v[1]) / math.sqrt(_boost_factor(v, beta))
+        out *= (v[0] + 1.0j * shrink * v[1]) / math.sqrt(boost_denominator_sq(v[0], beta))
     return out
 
 
@@ -131,13 +121,10 @@ def ghz_correlator_closed_form(a, b, c, beta: float) -> float:
 
     Equals the real part of ghz_offdiagonal_closed_form.
     """
-    a = unit3(a)
-    b = unit3(b)
-    c = unit3(c)
-    _require_xy(a, b, c)
-    _require_unit_interval(beta)
+    a, b, c = _xy_directions(beta, a, b, c)
     g = 1.0 - beta * beta
     numerator = (a[0] * b[0] * c[0]
                  - g * (a[1] * b[0] * c[1] + a[1] * b[1] * c[0] + a[0] * b[1] * c[1]))
-    denom = (_boost_factor(a, beta) * _boost_factor(b, beta) * _boost_factor(c, beta))
+    denom = (boost_denominator_sq(a[0], beta) * boost_denominator_sq(b[0], beta)
+             * boost_denominator_sq(c[0], beta))
     return numerator / math.sqrt(denom)

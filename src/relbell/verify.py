@@ -15,20 +15,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
+    ChshSettings,
+    MerminSettings,
+    Settings,
     chsh_operator,
     chsh_square_identity_residual,
     chsh_zeta,
-    ChshSettings,
     max_violation,
     mermin_lambda3,
     mermin_operator,
     mermin_square_closed_form,
     mermin_square_swapped_legs,
-    MerminSettings,
 )
 from .linalg import expectation, hermitian_eigensystem, kron3
-from .observables import Boost, effective_direction, observable_matrix, unit3
+from .observables import (
+    Boost,
+    boost_denominator_sq,
+    effective_direction,
+    observable_matrix,
+    unit3,
+)
 from .scenarios import (
+    X_AXIS,
     chsh_collinear_settings,
     com_closed_form_directions,
     com_setting_observables,
@@ -54,8 +62,6 @@ ERRATUM = "ERRATUM"
 BETA_SAMPLES = (0.0, 0.3, 0.6, 0.9, 0.99)
 #: Sweep grid for the curve checks (beta = 1 only where no matrices are built).
 BETA_GRID = tuple(round(0.01 * i, 2) for i in range(100))
-
-X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ def _random_xy(rng) -> np.ndarray:
     return np.array([math.cos(t), math.sin(t), 0.0])
 
 
-def _random_chsh(rng, in_plane: bool) -> ChshSettings:
+def _random_chsh(rng, in_plane: bool) -> Settings:
     if in_plane:
         beta = rng.uniform(0.0, 0.99)
         boost = Boost(X_AXIS, beta)
@@ -102,7 +108,7 @@ def _random_chsh(rng, in_plane: bool) -> ChshSettings:
                         Boost(_random_unit(rng), rng.uniform(0.0, 0.99)))
 
 
-def _random_mermin(rng, in_plane: bool) -> MerminSettings:
+def _random_mermin(rng, in_plane: bool) -> Settings:
     if in_plane:
         boosts = [Boost(_random_xy(rng), rng.uniform(0.0, 0.99)) for _ in range(3)]
         dirs = [_random_xy(rng) for _ in range(6)]
@@ -160,10 +166,9 @@ def _check_chsh_zeta_eigenstates(tolerance, seed):
             operator = chsh_operator(settings)
             square = operator @ operator
             peak = chsh_zeta(settings)
-            sin_a = math.sin(math.atan2(settings.a[1], settings.a[0])
-                             - math.atan2(settings.a_prime[1], settings.a_prime[0]))
-            sin_b = math.sin(math.atan2(settings.b[1], settings.b[0])
-                             - math.atan2(settings.b_prime[1], settings.b_prime[0]))
+            a, a_prime, b, b_prime = settings.directions
+            sin_a = math.sin(math.atan2(a[1], a[0]) - math.atan2(a_prime[1], a_prime[0]))
+            sin_b = math.sin(math.atan2(b[1], b[0]) - math.atan2(b_prime[1], b_prime[0]))
             indices = (0, 3) if sin_a * sin_b >= 0.0 else (1, 2)
             for index in indices:
                 basis = np.zeros(4, dtype=complex)
@@ -216,7 +221,7 @@ def _check_phi_correlator_z_term(seed):
     a = np.array([0.0, 0.0, 1.0])
     matrix = expectation(phi_plus(), np.kron(observable_matrix(a, boost),
                                              observable_matrix(a, boost)))
-    factor = 1.0 + beta * beta * (a[0] * a[0] - 1.0)
+    factor = boost_denominator_sq(a[0], beta)
     unit_coefficient = (a[2] * a[2]) / factor
     shrunk_coefficient = (1.0 - beta * beta) * (a[2] * a[2]) / factor
     return _erratum(

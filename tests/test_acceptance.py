@@ -13,9 +13,9 @@ from helpers import max_abs, random_unit, random_xy
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
+    bell_terms,
     chsh_operator,
     chsh_square_identity_residual,
-    chsh_terms,
     chsh_zeta,
     max_violation,
     mermin_lambda3,
@@ -123,10 +123,9 @@ def test_criterion_04_squared_peak_matches_spectrum():
         peak = chsh_zeta(settings)
         top = hermitian_eigensystem(square)[0][-1]
         worst_peak = max(worst_peak, abs(top - peak))
-        sin_a = math.sin(math.atan2(settings.a[1], settings.a[0])
-                         - math.atan2(settings.a_prime[1], settings.a_prime[0]))
-        sin_b = math.sin(math.atan2(settings.b[1], settings.b[0])
-                         - math.atan2(settings.b_prime[1], settings.b_prime[0]))
+        a, a_prime, b, b_prime = settings.directions
+        sin_a = math.sin(math.atan2(a[1], a[0]) - math.atan2(a_prime[1], a_prime[0]))
+        sin_b = math.sin(math.atan2(b[1], b[0]) - math.atan2(b_prime[1], b_prime[0]))
         indices = (0, 3) if sin_a * sin_b >= 0.0 else (1, 2)
         for index in indices:
             basis = np.zeros(4, dtype=complex)
@@ -267,7 +266,7 @@ def test_criterion_10_monte_carlo():
     shots = 10 ** 6
 
     settings = chsh_collinear_settings(0.0)
-    terms = chsh_terms(settings)
+    terms = bell_terms(settings)
     signs = [sign for _, sign, _ in terms]
     state = phi_plus()
     dists = [joint_distribution(state, obs) for _, _, obs in terms]

@@ -11,21 +11,22 @@ from helpers import max_abs, random_unit, random_xy
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
+    Settings,
+    bell_operator,
+    bell_terms,
     chsh_operator,
-    chsh_operator_norm,
     chsh_square_identity_residual,
-    chsh_terms,
     chsh_zeta,
     commutator,
     max_violation,
     mermin_lambda3,
     mermin_operator,
-    mermin_operator_norm,
     mermin_square_closed_form,
     mermin_square_swapped_legs,
     mermin_terms,
+    operator_norm,
 )
-from relbell.errors import DomainRestriction
+from relbell.errors import DomainError, DomainRestriction
 from relbell.linalg import SIGMA_Z, hermitian_eigensystem, kron, kron3
 from relbell.observables import Boost, observable_matrix
 from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
@@ -36,6 +37,9 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 ROOT8 = 2.0 * math.sqrt(2.0)
+#: Particle count -> (Kronecker product of that many factors, max |<B>| bound).
+PRODUCT = {2: kron, 3: kron3}
+BOUND = {2: ROOT8, 3: 4.0}
 
 
 def _random_chsh_xy(rng, beta):
@@ -49,6 +53,12 @@ def _random_chsh_free(rng):
                         random_unit(rng),
                         Boost(random_unit(rng), rng.uniform(0.0, 0.99)),
                         Boost(random_unit(rng), rng.uniform(0.0, 0.99)))
+
+
+def _random_free(rng, n_particles):
+    return Settings([random_unit(rng) for _ in range(2 * n_particles)],
+                    [Boost(random_unit(rng), rng.uniform(0.0, 0.99))
+                     for _ in range(n_particles)])
 
 
 def _random_mermin(rng, in_plane):
@@ -80,13 +90,48 @@ def test_chsh_operator_boosted_peak():
     assert abs(max_violation(operator) - expected) < 1e-12
 
 
-def test_chsh_terms_reassemble_operator():
+@pytest.mark.parametrize("n_particles", [2, 3])
+def test_terms_reassemble_operator(n_particles):
     rng = np.random.default_rng(11)
-    settings = _random_chsh_free(rng)
-    total = np.zeros((4, 4), dtype=complex)
-    for _, sign, (oa, ob) in chsh_terms(settings):
-        total += sign * kron(oa, ob)
-    assert max_abs(total - chsh_operator(settings)) < 1e-14
+    settings = _random_free(rng, n_particles)
+    dim = 2 ** n_particles
+    total = np.zeros((dim, dim), dtype=complex)
+    for _, sign, observables in bell_terms(settings):
+        total += sign * PRODUCT[n_particles](*observables)
+    assert max_abs(total - bell_operator(settings)) < 1e-14
+
+
+def test_term_labels():
+    rng = np.random.default_rng(12)
+    labels = [label for label, _, _ in bell_terms(_random_free(rng, 2))]
+    assert labels == ["ab", "ab'", "a'b", "a'b'"]
+    settings = _random_free(rng, 3)
+    a, ap, b, bp, c, cp = settings.effective_observables()
+    expected = [("ab'c'", 1, (a, bp, cp)), ("a'bc'", 1, (ap, b, cp)),
+                ("a'b'c", 1, (ap, bp, c)), ("abc", -1, (a, b, c))]
+    for (label, sign, observables), want in zip(mermin_terms(settings), expected):
+        assert (label, sign) == want[:2]
+        assert all(np.array_equal(o, w) for o, w in zip(observables, want[2]))
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+def test_prime_swapped_is_an_involution(n_particles):
+    settings = _random_free(np.random.default_rng(30), n_particles)
+    swapped = settings.prime_swapped()
+    twice = swapped.prime_swapped()
+    for i, direction in enumerate(settings.directions):
+        assert np.array_equal(swapped.directions[i ^ 1], direction)
+        assert np.array_equal(twice.directions[i], direction)
+    assert all(x is y for x, y in zip(twice.boosts, settings.boosts))
+    assert twice.n_particles == n_particles
+
+
+@pytest.mark.parametrize("n_directions, n_boosts",
+                         [(4, 3), (6, 2), (5, 2), (2, 1), (8, 4), (0, 0)])
+def test_settings_rejects_particle_counts(n_directions, n_boosts):
+    boost = Boost(X, 0.3)
+    with pytest.raises(DomainError):
+        Settings((X,) * n_directions, (boost,) * n_boosts)
 
 
 def test_chsh_square_identity_random_xy():
@@ -111,8 +156,9 @@ def test_chsh_square_rest_frame_cross_product_form():
         settings = ChshSettings(random_xy(rng), random_xy(rng), random_xy(rng),
                                 random_xy(rng), boost, boost)
         operator = chsh_operator(settings)
-        cross_a = np.cross(settings.a, settings.a_prime)
-        cross_b = np.cross(settings.b, settings.b_prime)
+        a, a_prime, b, b_prime = settings.directions
+        cross_a = np.cross(a, a_prime)
+        cross_b = np.cross(b, b_prime)
         sin_a, sin_b = np.linalg.norm(cross_a), np.linalg.norm(cross_b)
         rhs = 4.0 * np.eye(4, dtype=complex)
         if sin_a > 1e-12 and sin_b > 1e-12:
@@ -174,10 +220,9 @@ def test_chsh_zeta_degenerate_eigenstates():
         operator = chsh_operator(settings)
         square = operator @ operator
         zeta = chsh_zeta(settings)
-        sin_a = math.sin(math.atan2(settings.a[1], settings.a[0])
-                         - math.atan2(settings.a_prime[1], settings.a_prime[0]))
-        sin_b = math.sin(math.atan2(settings.b[1], settings.b[0])
-                         - math.atan2(settings.b_prime[1], settings.b_prime[0]))
+        a, a_prime, b, b_prime = settings.directions
+        sin_a = math.sin(math.atan2(a[1], a[0]) - math.atan2(a_prime[1], a_prime[0]))
+        sin_b = math.sin(math.atan2(b[1], b[0]) - math.atan2(b_prime[1], b_prime[0]))
         indices = (0, 3) if sin_a * sin_b >= 0.0 else (1, 2)
         for index in indices:
             basis = np.zeros(4, dtype=complex)
@@ -207,15 +252,6 @@ def test_mermin_operator_collapsed_settings():
     assert max_abs(operator - 2.0 * kron3(single, single, single)) < 1e-13
     w, _ = hermitian_eigensystem(operator)
     assert abs(w[0] + 2.0) < 1e-12 and abs(w[-1] - 2.0) < 1e-12
-
-
-def test_mermin_terms_reassemble_operator():
-    rng = np.random.default_rng(22)
-    settings = _random_mermin(rng, in_plane=False)
-    total = np.zeros((8, 8), dtype=complex)
-    for _, sign, (oa, ob, oc) in mermin_terms(settings):
-        total += sign * kron3(oa, ob, oc)
-    assert max_abs(total - mermin_operator(settings)) < 1e-14
 
 
 def test_mermin_square_closed_form_random():
@@ -362,42 +398,33 @@ def _spectral_norms(operator):
     return max_violation(operator), lapack
 
 
+@pytest.mark.parametrize("n_particles", [2, 3])
 @_NORM_SETTINGS
-@given(st.lists(_unit_vectors, min_size=4, max_size=4),
-       st.lists(_boosts, min_size=2, max_size=2))
-def test_chsh_operator_norm_matches_spectrum(directions, boosts):
-    settings_ = ChshSettings(*directions, *boosts)
-    closed = chsh_operator_norm(settings_)
-    jacobi, lapack = _spectral_norms(chsh_operator(settings_))
+@given(data=st.data())
+def test_operator_norm_matches_spectrum(n_particles, data):
+    directions = data.draw(st.lists(_unit_vectors, min_size=2 * n_particles,
+                                    max_size=2 * n_particles))
+    boosts = data.draw(st.lists(_boosts, min_size=n_particles, max_size=n_particles))
+    settings_ = Settings(directions, boosts)
+    closed = operator_norm(settings_)
+    jacobi, lapack = _spectral_norms(bell_operator(settings_))
     assert abs(closed - jacobi) < 1e-12
     assert abs(closed - lapack) < 1e-12
-    assert 2.0 - 1e-12 <= closed <= ROOT8 + 1e-12
-
-
-@_NORM_SETTINGS
-@given(st.lists(_unit_vectors, min_size=6, max_size=6),
-       st.lists(_boosts, min_size=3, max_size=3))
-def test_mermin_operator_norm_matches_spectrum(directions, boosts):
-    settings_ = MerminSettings(*directions, *boosts)
-    closed = mermin_operator_norm(settings_)
-    jacobi, lapack = _spectral_norms(mermin_operator(settings_))
-    assert abs(closed - jacobi) < 1e-12
-    assert abs(closed - lapack) < 1e-12
-    assert 2.0 - 1e-12 <= closed <= 4.0 + 1e-12
+    assert 2.0 - 1e-12 <= closed <= BOUND[n_particles] + 1e-12
 
 
 def test_operator_norms_extend_restricted_closed_forms():
     rng = np.random.default_rng(29)
     for beta in (0.0, 0.3, 0.9):
         settings_ = _random_chsh_xy(rng, beta)
-        assert abs(chsh_operator_norm(settings_)
+        assert abs(operator_norm(settings_)
                    - math.sqrt(chsh_zeta(settings_))) < 1e-12
     for _ in range(10):
         settings_ = _random_mermin(rng, in_plane=True)
-        assert abs(mermin_operator_norm(settings_)
+        assert abs(operator_norm(settings_)
                    - math.sqrt(mermin_lambda3(settings_))) < 1e-12
-    assert abs(chsh_operator_norm(chsh_collinear_settings(0.0)) - ROOT8) < 1e-15
-    assert abs(mermin_operator_norm(mermin_collinear_settings(0.7)) - 4.0) < 1e-12
+    assert abs(operator_norm(chsh_collinear_settings(0.0)) - ROOT8) < 1e-15
+    assert abs(operator_norm(mermin_collinear_settings(0.7)) - 4.0) < 1e-12
     boost = Boost(X, 0.5)
     collapsed = ChshSettings(Y, Y, Z, Z, boost, boost)
-    assert chsh_operator_norm(collapsed) == 2.0
+    assert operator_norm(collapsed) == 2.0

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import relbell.bell
 from relbell.cli import main
+from relbell.errors import NoConvergence
 from relbell.scenarios import epsilon2, epsilon3_com
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -94,6 +96,15 @@ def test_sweep_argument_validation(tmp_path):
     assert main(["sweep", "--scenario", "unknown"]) == 2
 
 
+def test_eigensolver_failure_is_internal_error(monkeypatch, capsys):
+    def no_convergence(matrix):
+        raise NoConvergence("sweep budget exhausted")
+
+    monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", no_convergence)
+    assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 4
+    assert "sweep budget exhausted" in capsys.readouterr().err
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     code = main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5",
                  "--output", str(tmp_path / "missing-dir" / "out.csv")])
@@ -141,6 +152,7 @@ def test_verify_fails_at_absurd_tolerance(tmp_path):
     assert any(row["status"] == "FAIL" for row in rows)
     assert main(["verify", "--tolerance", "0"]) == 2
     assert main(["verify", "--tolerance", "nan"]) == 2
+    assert main(["verify", "--tolerance", "inf"]) == 2
 
 
 def test_optimize_chsh(tmp_path):

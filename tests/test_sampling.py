@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from relbell.bell import chsh_terms, mermin_terms
+from relbell.bell import bell_terms, mermin_terms
 from relbell.errors import (
     DimensionMismatch,
     DomainError,
@@ -51,7 +51,7 @@ def test_joint_distribution_normalization_and_correlator():
     rng = np.random.default_rng(41)
     settings = chsh_collinear_settings(0.6)
     state = phi_plus()
-    for _, _, observables in chsh_terms(settings):
+    for _, _, observables in bell_terms(settings):
         dist = joint_distribution(state, observables)
         assert abs(float(dist.probabilities.sum()) - 1.0) < 1e-12
         product = kron(observables[0], observables[1])
@@ -141,7 +141,7 @@ def test_sample_rejects_zero_shots():
 
 def test_estimate_bell_exact_rest_frame():
     settings = chsh_collinear_settings(0.0)
-    terms = chsh_terms(settings)
+    terms = bell_terms(settings)
     dists = [joint_distribution(phi_plus(), obs) for _, _, obs in terms]
     signs = [sign for _, sign, _ in terms]
     assert exact_bell(dists, signs) == pytest.approx(ROOT8, abs=1e-12)
@@ -149,7 +149,7 @@ def test_estimate_bell_exact_rest_frame():
 
 def test_estimate_bell_statistical_gate():
     settings = chsh_collinear_settings(0.0)
-    terms = chsh_terms(settings)
+    terms = bell_terms(settings)
     state = phi_plus()
     records = []
     signs = []
@@ -166,7 +166,7 @@ def test_estimate_bell_statistical_gate():
 
 def test_estimate_shrinks_with_shots():
     settings = chsh_collinear_settings(0.3)
-    terms = chsh_terms(settings)
+    terms = bell_terms(settings)
     state = phi_plus()
     signs = [sign for _, sign, _ in terms]
     dists = [joint_distribution(state, obs) for _, _, obs in terms]

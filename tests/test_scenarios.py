@@ -168,11 +168,11 @@ def test_scenario_validation():
 
 def test_collinear_settings_constructors():
     settings = chsh_collinear_settings(0.4)
-    assert settings.boost1.beta == 0.4
-    assert np.array_equal(settings.boost1.direction, np.array([1.0, 0.0, 0.0]))
+    assert settings.boosts[0].beta == 0.4
+    assert np.array_equal(settings.boosts[0].direction, np.array([1.0, 0.0, 0.0]))
     swapped = mermin_collinear_settings(0.4, prime_swap=True)
-    assert np.array_equal(swapped.a, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(swapped.a_prime, np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(swapped.directions[0], np.array([1.0, 0.0, 0.0]))
+    assert np.array_equal(swapped.directions[1], np.array([0.0, 1.0, 0.0]))
 
 
 def test_com_ghz_expectation_tracks_curve():

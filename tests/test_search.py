@@ -48,9 +48,8 @@ def test_seeded_determinism():
     first_settings, first_value = optimize_chsh((X_AXIS, X_AXIS), 0.3, FAST_XY)
     second_settings, second_value = optimize_chsh((X_AXIS, X_AXIS), 0.3, FAST_XY)
     assert first_value == second_value
-    for name in ("a", "a_prime", "b", "b_prime"):
-        assert np.array_equal(getattr(first_settings, name),
-                              getattr(second_settings, name))
+    for first, second in zip(first_settings.directions, second_settings.directions):
+        assert np.array_equal(first, second)
 
 
 def test_monotone_in_restarts():

@@ -54,7 +54,7 @@ class Settings:
                 "settings need 2 or 3 boosts and two directions per particle, "
                 f"got {len(self.directions)} directions and {len(boosts)} boosts")
         object.__setattr__(self, "directions",
-                           tuple(unit3(d) for d in self.directions))
+                           tuple([unit3(d) for d in self.directions]))
         object.__setattr__(self, "boosts", boosts)
 
     @property
@@ -68,18 +68,16 @@ class Settings:
     def prime_swapped(self) -> "Settings":
         """Exchange primed and unprimed directions on every particle."""
         d = self.directions
-        return Settings(tuple(d[i ^ 1] for i in range(len(d))), self.boosts)
-
-    def _boosted(self):
-        """Each direction with its particle's boost."""
-        return zip(self.directions, (b for b in self.boosts for _ in range(2)))
+        return Settings(tuple([d[i ^ 1] for i in range(len(d))]), self.boosts)
 
     def effective_directions(self):
-        return tuple(boost_map(d, boost) for d, boost in self._boosted())
+        return tuple([boost_map(d, self.boosts[i // 2])
+                      for i, d in enumerate(self.directions)])
 
     def effective_observables(self):
         """The 2x2 observables, each built under its particle's boost."""
-        return tuple(observable_matrix(d, boost) for d, boost in self._boosted())
+        return tuple([observable_matrix(d, self.boosts[i // 2])
+                      for i, d in enumerate(self.directions)])
 
 
 def ChshSettings(a, a_prime, b, b_prime, boost1: Boost, boost2: Boost) -> Settings:
@@ -100,7 +98,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _commutators(settings: Settings):
     """[D, D'] of each particle's two effective observables."""
     obs = settings.effective_observables()
-    return tuple(commutator(obs[i], obs[i + 1]) for i in range(0, len(obs), 2))
+    return [commutator(obs[i], obs[i + 1]) for i in range(0, len(obs), 2)]
 
 
 def _xy_angle(v) -> float:
@@ -136,10 +134,15 @@ def _chsh_in_plane(settings: Settings):
             math.sin(_xy_angle(b) - _xy_angle(b_prime)), denom)
 
 
+def _chsh(a, ap, b, bp) -> np.ndarray:
+    # Factored form: the signed sum of the four terms rounds differently and
+    # would change the last bits of sweep output.
+    return kron(a, b + bp) + kron(ap, b - bp)
+
+
 def chsh_operator(settings: Settings) -> np.ndarray:
     """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B')."""
-    a, ap, b, bp = settings.effective_observables()
-    return kron(a, b + bp) + kron(ap, b - bp)
+    return _chsh(*settings.effective_observables())
 
 
 def bell_terms(settings: Settings):
@@ -149,7 +152,7 @@ def bell_terms(settings: Settings):
     signed Kronecker sum reproduces the operator.
     """
     obs = settings.effective_observables()
-    return [(label, sign, tuple(obs[i] for i in picks))
+    return [(label, sign, tuple([obs[i] for i in picks]))
             for label, sign, picks in settings.family.terms]
 
 
@@ -171,11 +174,11 @@ def chsh_square_identity_residual(settings: Settings) -> float:
 
     is compared as well, and the larger residual is returned.
     """
-    op = chsh_operator(settings)
+    a, ap, b, bp = settings.effective_observables()
+    op = _chsh(a, ap, b, bp)
     square = op @ op
     identity4 = np.eye(4, dtype=complex)
-    com_a, com_b = _commutators(settings)
-    generic = 4.0 * identity4 - kron(com_a, com_b)
+    generic = 4.0 * identity4 - kron(commutator(a, ap), commutator(b, bp))
     residual = float(np.max(np.abs(square - generic)))
     in_plane = _chsh_in_plane(settings)
     if in_plane is not None:

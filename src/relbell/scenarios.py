@@ -89,17 +89,16 @@ def com_boosts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, e3
 
 
-def _fixed_settings(directions, boost_directions, beta: float,
-                    prime_swap: bool) -> Settings:
-    """Fixed directions with one boost per particle at a common speed."""
-    settings = Settings(directions, [Boost(e, beta) for e in boost_directions])
+def _fixed_settings(directions, boosts, prime_swap: bool) -> Settings:
+    """Settings with the named directions, prime-swapped on request."""
+    settings = Settings(directions, boosts)
     return settings.prime_swapped() if prime_swap else settings
 
 
 def chsh_collinear_settings(beta: float, prime_swap: bool = False) -> Settings:
     """The standard two-qubit settings with both particles boosted along x."""
     return _fixed_settings((CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME),
-                           (X_AXIS,) * 2, beta, prime_swap)
+                           (Boost(X_AXIS, beta),) * 2, prime_swap)
 
 
 def mermin_collinear_settings(beta: float, prime_swap: bool = False) -> Settings:
@@ -109,12 +108,13 @@ def mermin_collinear_settings(beta: float, prime_swap: bool = False) -> Settings
     both assignments are first class because only the swapped one gives a
     nonzero expectation on the GHZ state (see the verify command).
     """
-    return _fixed_settings((Y_AXIS, X_AXIS) * 3, (X_AXIS,) * 3, beta, prime_swap)
+    return _fixed_settings((Y_AXIS, X_AXIS) * 3, (Boost(X_AXIS, beta),) * 3, prime_swap)
 
 
 def mermin_com_settings(beta: float, prime_swap: bool = False) -> Settings:
     """y/x settings on every particle under the center-of-mass boosts."""
-    return _fixed_settings((Y_AXIS, X_AXIS) * 3, com_boosts(), beta, prime_swap)
+    return _fixed_settings((Y_AXIS, X_AXIS) * 3,
+                           [Boost(e, beta) for e in com_boosts()], prime_swap)
 
 
 def com_setting_observables(beta: float):

@@ -37,7 +37,8 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 ROOT8 = 2.0 * math.sqrt(2.0)
-#: Particle count -> (Kronecker product of that many factors, max |<B>| bound).
+#: Per particle count: the Kronecker product of that many factors, and the
+#: largest attainable |<B>|.
 PRODUCT = {2: kron, 3: kron3}
 BOUND = {2: ROOT8, 3: 4.0}
 

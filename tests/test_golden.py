@@ -47,6 +47,19 @@ def _cases() -> dict[str, list[str]]:
         cases[f"sample-{name}"] = ["sample", "--scenario", scenario,
                                    "--shots", "10000", "--seed", "4",
                                    "--prime-swap", "--settings", path]
+    # More than one Philox shot block; the swapped collinear Mermin scenario
+    # has zero-probability outcomes.
+    cases["sample-multiblock-chsh-collinear"] = [
+        "sample", "--scenario", "chsh-collinear", "--beta", "0.9",
+        "--shots", "65537", "--seed", "7"]
+    cases["sample-multiblock-mermin-com"] = [
+        "sample", "--scenario", "mermin-com", "--beta", "0.37",
+        "--shots", "200003", "--seed", "12"]
+    cases["sample-multiblock-mermin-collinear"] = [
+        "sample", "--scenario", "mermin-collinear", "--shots", "131073", "--seed", "3"]
+    cases["sample-multiblock-mermin-collinear-swap"] = [
+        "sample", "--scenario", "mermin-collinear", "--prime-swap",
+        "--shots", "131073", "--seed", "3"]
     small = ["--restarts", "2", "--grid-points", "8", "--seed", "5"]
     cases["optimize-2-xy"] = ["optimize", "--beta", "0.5", "--constraint", "xy", *small]
     cases["optimize-2-free"] = ["optimize", "--beta", "0.5", "--constraint", "free", *small]

@@ -18,8 +18,10 @@ from numpy.random import Generator, Philox
 from .errors import DimensionMismatch, DomainError, InvalidObservable, MissingSetting
 from .linalg import IDENTITY_2, expectation, hermitian_eigensystem, is_hermitian, state_vector
 
-#: Shots drawn per counter block; blocks are independent and merge by
-#: adding counts, so the split is unobservable in the results.
+#: Shots drawn per counter block.  The block size is part of the stream
+#: definition: block b draws its shots from counter (0, 0, 0, b), so changing
+#: it changes the counts.  Blocks are independent and merge by adding counts,
+#: so the order in which they are processed does not matter.
 BLOCK_SHOTS = 1 << 16
 
 _SPECTRUM_TOL = 1e-10
@@ -70,6 +72,8 @@ class ShotRecord:
     def __post_init__(self):
         if int(self.counts.sum()) != self.shots:
             raise ValueError("counts do not sum to the number of shots")
+        if self.counts.min() < 0:
+            raise ValueError("counts must be non-negative")
 
     @property
     def n_particles(self) -> int:
@@ -142,21 +146,27 @@ def sample(distribution: OutcomeDistribution, shots: int, seed: int,
     (distribution, shots, seed, setting_index).
 
     Inverse-CDF sampling over a Philox stream keyed by (seed,
-    setting_index); the counter's top word is the block index, so block
-    boundaries never change the counts.
+    setting_index); the counter's top word is the block index, so the
+    counts are fixed by (seed, setting_index, BLOCK_SHOTS) and do not depend
+    on the order in which blocks are processed.  A draw u in [0, 1) lands on
+    outcome #{k < size - 1 : cdf[k] <= u}.  Since u < cdf[k] is monotone in
+    k, even where rounding lifts an entry of the cumulative sum above 1, the
+    outcomes up to k take exactly the draws below cdf[k]: each block adds
+    those counts into a running vector, and its differences are the counts.
     """
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots!r}")
     cdf = np.cumsum(distribution.probabilities)
-    cdf[-1] = 1.0
-    counts = np.zeros(distribution.probabilities.size, dtype=np.int64)
+    key = np.array([seed, setting_index], dtype=np.uint64)
+    below = np.zeros(cdf.size, dtype=np.int64)
+    below[-1] = shots
     for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
         block_shots = min(BLOCK_SHOTS, shots - start)
-        gen = Generator(Philox(key=[seed, setting_index], counter=[0, 0, 0, block]))
+        gen = Generator(Philox(key=key, counter=[0, 0, 0, block]))
         draws = gen.random(block_shots)
-        indices = np.searchsorted(cdf, draws, side="right")
-        counts += np.bincount(indices, minlength=counts.size)
-    return ShotRecord(label, counts, shots)
+        for k in range(cdf.size - 1):
+            below[k] += np.count_nonzero(draws < cdf[k])
+    return ShotRecord(label, np.diff(below, prepend=0), shots)
 
 
 def estimate_bell(records, signs) -> tuple[float, float]:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,20 @@ def test_sample_usage_errors():
     assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10",
                  "--beta", "1.0"]) == 2
     assert main(["sample", "--shots", "10", "--seed", "-1"]) == 2
+
+
+def test_sample_adjacent_seeds_above_2_63(tmp_path):
+    counts = []
+    for seed in (2 ** 63, 2 ** 63 + 1):
+        out = tmp_path / f"{seed}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--scenario", "chsh-collinear", "--shots", "1000",
+                         "--seed", str(seed), "--output", str(out),
+                         "--no-meta-time"]) == 0
+        counts.append([[row[key] for key in row if key.startswith("n_")]
+                       for row in _rows_from_csv(out)])
+    assert counts[0] != counts[1]
 
 
 def test_sample_with_settings_file(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from relbell.bell import bell_terms, mermin_terms
@@ -16,6 +18,7 @@ from relbell.errors import (
 from relbell.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, expectation, kron, kron3
 from relbell.sampling import (
     BLOCK_SHOTS,
+    OutcomeDistribution,
     ShotRecord,
     estimate_bell,
     exact_bell,
@@ -133,6 +136,115 @@ def test_sample_block_merge_matches_manual_streams():
     assert np.array_equal(record.counts, manual)
 
 
+def _reference_counts(probabilities, shots, key, reverse=False):
+    """Per-draw searchsorted/bincount over the block streams of ``sample``,
+    with the blocks visited in order or in reverse."""
+    cdf = np.cumsum(probabilities)
+    cdf[-1] = 1.0
+    blocks = list(enumerate(range(0, shots, BLOCK_SHOTS)))
+    counts = np.zeros(cdf.size, dtype=np.int64)
+    for block, start in reversed(blocks) if reverse else blocks:
+        gen = Generator(Philox(key=key, counter=[0, 0, 0, block]))
+        draws = gen.random(min(BLOCK_SHOTS, shots - start))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"),
+                              minlength=cdf.size)
+    return counts
+
+
+@st.composite
+def _probabilities(draw):
+    """4- or 8-outcome distributions: general weights with zero entries,
+    point masses, and sums a few ulps above 1 ahead of a zero last entry,
+    so that the cumulative sum passes 1 before its last entry."""
+    size = draw(st.sampled_from([4, 8]))
+    kind = draw(st.sampled_from(["weights", "point", "tail"]))
+    if kind == "point":
+        probabilities = np.zeros(size)
+        probabilities[draw(st.integers(0, size - 1))] = 1.0
+        return probabilities
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+                            min_size=size, max_size=size)
+                   .filter(lambda w: sum(w[:-1]) > 0.0))
+    probabilities = np.array(weights)
+    if kind == "tail":
+        probabilities[-1] = 0.0
+    probabilities /= probabilities.sum()
+    if kind == "tail":
+        top = int(np.argmax(probabilities))
+        ulps = draw(st.integers(1, 64))
+        while np.cumsum(probabilities)[-2] <= 1.0:
+            for _ in range(ulps):
+                probabilities[top] = np.nextafter(probabilities[top], 2.0)
+    return probabilities
+
+
+_SHOTS = st.one_of(
+    st.sampled_from([1, BLOCK_SHOTS - 1, BLOCK_SHOTS, BLOCK_SHOTS + 1,
+                     3 * BLOCK_SHOTS + 17]),
+    st.integers(1, 4 * BLOCK_SHOTS))
+
+
+_SEEDS = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(2 ** 63, 2 ** 64 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(probabilities=_probabilities(), shots=_SHOTS, seed=_SEEDS,
+       setting_index=st.integers(0, 7))
+def test_sample_matches_searchsorted_reference(probabilities, shots, seed,
+                                               setting_index):
+    size = probabilities.size
+    dist = OutcomeDistribution(size.bit_length() - 1, probabilities)
+    record = sample(dist, shots, seed=seed, setting_index=setting_index)
+    key = np.array([seed, setting_index], dtype=np.uint64)
+    assert np.array_equal(record.counts, _reference_counts(probabilities, shots, key))
+    assert record.counts.min() >= 0
+
+
+def test_sample_cdf_tail_above_one():
+    probabilities = np.array([0.5, 0.5 + 1e-13, 0.0, 0.0])
+    assert np.cumsum(probabilities)[1] > 1.0
+    shots = 2 * BLOCK_SHOTS + 3
+    record = sample(OutcomeDistribution(2, probabilities), shots, seed=13)
+    key = np.array([13, 0], dtype=np.uint64)
+    assert np.array_equal(record.counts, _reference_counts(probabilities, shots, key))
+    assert record.counts[2] == record.counts[3] == 0
+
+
+def test_sample_blocks_merge_in_reverse_order():
+    settings_ = mermin_collinear_settings(0.3)
+    _, _, observables = mermin_terms(settings_)[2]
+    dist = joint_distribution(ghz_plus(), observables)
+    shots = 3 * BLOCK_SHOTS + 101
+    record = sample(dist, shots, seed=21, setting_index=2)
+    key = np.array([21, 2], dtype=np.uint64)
+    reverse = _reference_counts(dist.probabilities, shots, key, reverse=True)
+    assert np.array_equal(record.counts, reverse)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 53 + 1, 2 ** 62 + 3,
+                                  2 ** 63 - 1])
+def test_sample_key_below_2_63_matches_list_key(seed):
+    # Seeds below 2**63 keep the stream they had when the key was a list.
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    shots = BLOCK_SHOTS + 7
+    record = sample(dist, shots, seed=seed, setting_index=3)
+    assert np.array_equal(record.counts,
+                          _reference_counts(dist.probabilities, shots, [seed, 3]))
+
+
+def test_sample_seeds_above_2_63_are_distinct():
+    # A list key would pass through float64 and merge neighbouring seeds.
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    counts = [sample(dist, 1000, seed=seed).counts
+              for seed in (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1)]
+    for i in range(len(counts)):
+        for j in range(i):
+            assert not np.array_equal(counts[i], counts[j])
+    key = np.array([2 ** 64 - 1, 0], dtype=np.uint64)
+    assert np.array_equal(counts[-1],
+                          _reference_counts(dist.probabilities, 1000, key))
+
+
 def test_sample_rejects_zero_shots():
     dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_Z])
     with pytest.raises(DomainError):
@@ -221,3 +333,5 @@ def test_mermin_swapped_sampling_is_deterministic_minus_four():
 def test_shot_record_validation():
     with pytest.raises(ValueError):
         ShotRecord("x", np.array([1, 2, 3, 4]), 11)
+    with pytest.raises(ValueError):
+        ShotRecord("x", np.array([6, -1, 3, 2]), 10)

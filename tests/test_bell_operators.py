@@ -414,6 +414,22 @@ def test_operator_norm_matches_spectrum(n_particles, data):
     assert 2.0 - 1e-12 <= closed <= BOUND[n_particles] + 1e-12
 
 
+@pytest.mark.parametrize("n_particles", [2, 3])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_effective_observables_match_observable_matrix(n_particles, data):
+    # Bit identity, not closeness: the operators, and with them every golden
+    # output, are built from effective_observables.
+    directions = data.draw(st.lists(_unit_vectors, min_size=2 * n_particles,
+                                    max_size=2 * n_particles))
+    boosts = data.draw(st.lists(st.builds(Boost, _unit_vectors, st.floats(0.0, 0.999)),
+                                min_size=n_particles, max_size=n_particles))
+    observables = Settings(directions, boosts).effective_observables()
+    for index, direction in enumerate(directions):
+        assert np.array_equal(observables[index],
+                              observable_matrix(direction, boosts[index // 2]))
+
+
 def test_operator_norms_extend_restricted_closed_forms():
     rng = np.random.default_rng(29)
     for beta in (0.0, 0.3, 0.9):

@@ -51,5 +51,5 @@ from .scenarios import (
     scenario_curve,
 )
 from .search import SearchConfig, optimize_chsh, optimize_mermin
-from .states import ghz_minus, ghz_plus, named_state, phi_plus
+from .states import ghz_minus, ghz_plus, phi_plus
 from .verify import CheckResult, run_all_checks

@@ -29,7 +29,7 @@ from .observables import (
     Boost,
     boost_denominator_sq,
     boost_map,
-    observable_matrix,
+    direction_matrix,
     unit3,
 )
 from .states import ghz_plus, phi_plus
@@ -76,8 +76,7 @@ class Settings:
 
     def effective_observables(self):
         """The 2x2 observables, each built under its particle's boost."""
-        return tuple([observable_matrix(d, self.boosts[i // 2])
-                      for i, d in enumerate(self.directions)])
+        return tuple([direction_matrix(n) for n in self.effective_directions()])
 
 
 def ChshSettings(a, a_prime, b, b_prime, boost1: Boost, boost2: Boost) -> Settings:

@@ -113,7 +113,11 @@ MAX_SWEEP_ROWS = 100001
 
 
 def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int((hi - lo) / step + 1e-9)
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
+        raise UsageError(f"beta-step {step} produces too many rows "
+                         f"(limit {MAX_SWEEP_ROWS})")
+    count = int(span)
     if count + 1 > MAX_SWEEP_ROWS:
         raise UsageError(
             f"beta-step {step} produces {count + 1} rows "
@@ -169,6 +173,8 @@ def _custom_sweep_values(beta: float, custom: dict, prime_swap: bool) -> tuple:
 def _cmd_sweep(args) -> int:
     if not (0.0 <= args.beta_min <= args.beta_max <= 1.0) or not args.beta_step > 0.0:
         raise UsageError("need 0 <= beta-min <= beta-max <= 1 and beta-step > 0")
+    if not math.isfinite(args.beta_step):
+        raise UsageError(f"beta-step must be finite, got {args.beta_step}")
     kind = SCENARIO_NAMES[args.scenario]
     custom = _load_settings_file(args.settings, kind) if args.settings else None
     rows = []

@@ -55,11 +55,6 @@ def is_hermitian(matrix, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def is_identity(matrix, tol: float = HERMITICITY_TOL) -> bool:
-    m = as_operator(matrix)
-    return bool(np.max(np.abs(m - np.eye(m.shape[0]))) <= tol)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; the result dimension is the product of the inputs'."""
     return np.kron(as_operator(a), as_operator(b))

@@ -7,6 +7,11 @@ the component of ``a`` parallel to ``e`` is kept, the perpendicular
 component is scaled by sqrt(1 - beta^2), and the result is renormalized.
 At beta = 0 the map is the identity, and directions parallel or
 perpendicular to ``e`` are fixed points at every speed below 1.
+
+Each input is validated once, where it enters: Boost checks its direction
+and speed, and effective_direction and observable_matrix check ``a`` with
+unit3.  boost_map and direction_matrix trust their input; bell.Settings
+validates its directions once and builds its observables through them.
 """
 
 from __future__ import annotations
@@ -113,16 +118,17 @@ def boost_map(a: np.ndarray, boost: Boost) -> np.ndarray:
     return (shrink * perpendicular + parallel) / math.sqrt(denom_sq)
 
 
-def direction_matrix(n) -> np.ndarray:
-    """The 2x2 observable measuring spin along the unit direction ``n``."""
-    n = unit3(n)
+def direction_matrix(n: np.ndarray) -> np.ndarray:
+    """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
+    that boost_map has already produced; ``n`` is not validated again."""
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 
 def observable_matrix(a, boost: Boost) -> np.ndarray:
     """2x2 boosted spin observable: Hermitian, traceless, squares to I.
 
-    Equals direction_matrix(effective_direction(a, boost)); at beta = 0 it
-    reduces to the ordinary spin observable along ``a``.
+    The validating entry for a single direction: effective_direction checks
+    ``a`` with unit3, then direction_matrix builds the matrix.  At beta = 0
+    it reduces to the ordinary spin observable along ``a``.
     """
     return direction_matrix(effective_direction(a, boost))

@@ -122,10 +122,9 @@ def com_setting_observables(beta: float):
     settings under the center-of-mass boosts.
 
     Particle 1 yields exactly y and x (its settings are perpendicular and
-    antiparallel to its boost); particles 2 and 3 rotate with beta.
+    antiparallel to its boost); particles 2 and 3 rotate with beta.  Boost
+    rejects beta outside [0, 1).
     """
-    if not 0.0 <= beta < 1.0:
-        raise DomainError(f"matrix-free directions require 0 <= beta < 1, got {beta!r}")
     return mermin_com_settings(beta).effective_directions()
 
 

@@ -147,11 +147,8 @@ def _improve_coordinate(objective, x, k, offset, grid, spacing, xtol, current):
 
 
 def _optimize(n_particles: int, boost_directions, beta: float,
-              config: SearchConfig | None, frozen_settings: Settings | None):
+              config: SearchConfig | None):
     config = config if config is not None else SearchConfig()
-    if not 0.0 <= beta < 1.0:
-        raise DomainError(f"optimization requires 0 <= beta < 1, got {beta!r}")
-
     if config.objective == "operator_norm":
         score = operator_norm
     else:
@@ -159,9 +156,6 @@ def _optimize(n_particles: int, boost_directions, beta: float,
 
         def score(settings: Settings) -> float:
             return abs(expectation(state, bell_operator(settings)))
-
-    if frozen_settings is not None:
-        return frozen_settings, score(frozen_settings)
 
     boosts = tuple(Boost(d, beta) for d in boost_directions)
     if len(boosts) != n_particles:
@@ -177,24 +171,21 @@ def _optimize(n_particles: int, boost_directions, beta: float,
     return build(angles), value
 
 
-def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = None,
-                  frozen_settings: Settings | None = None):
+def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = None):
     """Maximize the two-qubit Bell value over the four directions at fixed
     boosts and speed.
 
     boost_directions is a pair of unit 3-vectors.  Returns (settings,
-    value).  With frozen_settings the search space is empty and the
-    objective is simply evaluated there (boost arguments are ignored).
+    value).
     """
-    return _optimize(2, boost_directions, beta, config, frozen_settings)
+    return _optimize(2, boost_directions, beta, config)
 
 
-def optimize_mermin(boost_directions, beta: float, config: SearchConfig | None = None,
-                    frozen_settings: Settings | None = None):
+def optimize_mermin(boost_directions, beta: float, config: SearchConfig | None = None):
     """Maximize the three-qubit Bell value over the six directions at fixed
     boosts and speed.
 
     boost_directions is a triple of unit 3-vectors.  Returns (settings,
-    value); frozen_settings short-circuits the search as in optimize_chsh.
+    value).
     """
-    return _optimize(3, boost_directions, beta, config, frozen_settings)
+    return _optimize(3, boost_directions, beta, config)

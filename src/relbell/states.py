@@ -10,12 +10,10 @@ the pair correlator below is gated to the xy-plane where no z-term arises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainRestriction
-from .linalg import state_vector
 from .observables import (
     XY_PLANE_TOL,
     boost_denominator_sq,
@@ -53,22 +51,6 @@ def basis_state(bits: str) -> np.ndarray:
     v = np.zeros(2 ** len(bits), dtype=complex)
     v[int(bits, 2)] = 1.0
     return v
-
-
-@dataclass(frozen=True, eq=False)
-class NamedState:
-    label: str
-    vector: np.ndarray
-
-
-def named_state(label: str) -> NamedState:
-    """Resolve 'phi_plus', 'ghz_plus', 'ghz_minus' or a basis bitstring."""
-    builders = {"phi_plus": phi_plus, "ghz_plus": ghz_plus, "ghz_minus": ghz_minus}
-    if label in builders:
-        vec = builders[label]()
-    else:
-        vec = basis_state(label)
-    return NamedState(label, state_vector(vec))
 
 
 def _xy_directions(beta: float, *vectors) -> list[np.ndarray]:

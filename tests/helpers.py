@@ -1,18 +1,10 @@
 """Shared helpers for the test suite."""
 
-import math
-
 import numpy as np
 
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_xy(rng):
-    t = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([math.cos(t), math.sin(t), 0.0])
+# The verify battery's own draws, so test streams match its inputs.
+from relbell.verify import _random_unit as random_unit  # noqa: F401
+from relbell.verify import _random_xy as random_xy  # noqa: F401
 
 
 def random_hermitian(rng, dim):

@@ -415,7 +415,7 @@ def test_operator_norm_matches_spectrum(n_particles, data):
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_effective_observables_match_observable_matrix(n_particles, data):
     # Bit identity, not closeness: the operators, and with them every golden

@@ -94,6 +94,10 @@ def test_sweep_argument_validation(tmp_path):
                  "--beta-step", "0"]) == 2
     assert main(["sweep", "--scenario", "chsh-collinear",
                  "--beta-step", "nan"]) == 2
+    assert main(["sweep", "--scenario", "chsh-collinear",
+                 "--beta-step", "inf"]) == 2
+    assert main(["sweep", "--scenario", "chsh-collinear",
+                 "--beta-step", "5e-324"]) == 2
     assert main(["sweep", "--scenario", "unknown"]) == 2
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relbell.linalg as linalg
 from helpers import max_abs, random_hermitian, random_unit
@@ -16,7 +18,6 @@ from relbell.linalg import (
     expectation,
     hermitian_eigensystem,
     is_hermitian,
-    is_identity,
     kron,
     kron3,
     state_vector,
@@ -100,6 +101,39 @@ def test_eigensystem_subnormal_off_diagonal():
     assert max_abs(v @ np.diag(w) @ v.conj().T - m) < 1e-14
 
 
+@st.composite
+def _hermitian_spectra(draw):
+    """(matrix, kind): U diag(w) U^dag for a seeded random unitary U, with a
+    generic, degenerate (at most three distinct levels) or clustered
+    (gaps of 1e-10) spectrum w, scaled down, as is, or up to large norm."""
+    dim = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(("generic", "degenerate", "clustered")))
+    if kind == "generic":
+        w = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+    elif kind == "degenerate":
+        levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+        w = [levels[i % len(levels)] for i in range(dim)]
+    else:
+        center = draw(st.floats(-1.0, 1.0))
+        w = [center + 1e-10 * i for i in range(dim)]
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    m = (q * (scale * np.array(w))) @ q.conj().T
+    return 0.5 * (m + m.conj().T), kind
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_hermitian_spectra())
+def test_eigensystem_matches_lapack(case):
+    m, kind = case
+    w, v = hermitian_eigensystem(m)
+    norm = max(1.0, float(np.linalg.norm(m, 2)))
+    assert max_abs(w - np.linalg.eigvalsh(m)) <= 1e-12 * norm, kind
+    assert max_abs(v.conj().T @ v - np.eye(len(m))) < 1e-11, kind
+
+
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -149,8 +183,6 @@ def test_expectation_flags_imaginary_residue():
 def test_predicates():
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert is_identity(np.eye(8))
-    assert not is_identity(SIGMA_Z)
 
 
 def test_state_vector_validation():

@@ -1,16 +1,21 @@
 """Boosted-observable tests: effective directions and their 2x2 matrices."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import relbell.observables as observables
 from helpers import max_abs, random_unit
 from relbell.errors import DegenerateObservable, DomainError
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
+    DENOMINATOR_FLOOR,
     Boost,
+    boost_denominator_sq,
     effective_direction,
     normalized3,
     observable_matrix,
@@ -19,6 +24,23 @@ from relbell.observables import (
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
+
+_PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                              database=None)
+_unit_vectors = st.builds(
+    lambda theta, phi: np.array([math.sin(theta) * math.cos(phi),
+                                 math.sin(theta) * math.sin(phi),
+                                 math.cos(theta)]),
+    st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+def _preimage(target, boost):
+    """Inverse of the boost map: divide the perpendicular component by
+    sqrt(1 - beta^2) and renormalize."""
+    shrink = math.sqrt(1.0 - boost.beta ** 2)
+    along = float(boost.direction @ target)
+    preimage = along * boost.direction + (target - along * boost.direction) / shrink
+    return preimage / np.linalg.norm(preimage)
 
 
 def test_parallel_direction_is_fixed_point():
@@ -73,11 +95,35 @@ def test_direction_map_is_onto():
     for _ in range(200):
         target = random_unit(rng)
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.99))
-        shrink = math.sqrt(1.0 - boost.beta ** 2)
-        along = float(boost.direction @ target)
-        preimage = along * boost.direction + (target - along * boost.direction) / shrink
-        preimage /= np.linalg.norm(preimage)
-        assert max_abs(effective_direction(preimage, boost) - target) < 1e-10
+        assert max_abs(effective_direction(_preimage(target, boost), boost)
+                       - target) < 1e-10
+
+
+@_PROPERTY_SETTINGS
+@given(a=_unit_vectors, e=_unit_vectors, beta=st.floats(0.0, 0.999))
+def test_effective_direction_is_unit_and_invertible(a, e, beta):
+    boost = Boost(e, beta)
+    n = effective_direction(a, boost)
+    assert abs(float(n @ n) - 1.0) <= 1e-12
+    assert max_abs(_preimage(n, boost) - a) <= 1e-12
+
+
+@_PROPERTY_SETTINGS
+@given(along=st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-8, 1e-8)),
+       beta=st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
+       floor=st.one_of(st.just(DENOMINATOR_FLOOR), st.floats(0.0, 1.0)))
+# Exactly at the floor: 1 - 0.625^2 = 0.609375 = 0.7806247497997998^2 in floats.
+@example(along=0.0, beta=0.625, floor=0.7806247497997998)
+def test_degenerate_exactly_at_or_below_floor(along, beta, floor):
+    # beta = 1 is admitted here, as in the closed forms: at the default floor
+    # no representable beta < 1 degenerates.
+    denom_sq = 1.0 + beta * beta * (along * along - 1.0)
+    with mock.patch.object(observables, "DENOMINATOR_FLOOR", floor):
+        if denom_sq <= floor * floor:
+            with pytest.raises(DegenerateObservable):
+                boost_denominator_sq(along, beta)
+        else:
+            assert boost_denominator_sq(along, beta) == denom_sq
 
 
 def test_observable_matrix_examples():

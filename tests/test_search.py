@@ -12,7 +12,6 @@ from relbell.scenarios import (
     com_boosts,
     epsilon2,
     epsilon3_com,
-    mermin_collinear_settings,
 )
 from relbell.search import SearchConfig, optimize_chsh, optimize_mermin
 
@@ -114,14 +113,6 @@ def test_mermin_value_is_brute_force_norm(config, boosts):
     directions = (X_AXIS,) * 3 if boosts == "collinear" else com_boosts()
     settings, value = optimize_mermin(directions, 0.6, config)
     assert abs(value - max_violation(mermin_operator(settings))) <= 1e-12
-
-
-def test_frozen_settings_zero_dimensional_search():
-    frozen = mermin_collinear_settings(0.9)
-    settings, value = optimize_mermin((X_AXIS,) * 3, 0.9, FAST_XY,
-                                      frozen_settings=frozen)
-    assert settings is frozen
-    assert abs(value - 4.0) < 1e-10
 
 
 def test_state_expectation_objective():

@@ -19,7 +19,6 @@ from relbell.states import (
     ghz_minus,
     ghz_offdiagonal_closed_form,
     ghz_plus,
-    named_state,
     phi_plus,
     phi_plus_correlator_closed_form,
 )
@@ -39,12 +38,6 @@ def test_state_constructors():
         basis_state("0")
     with pytest.raises(ValueError):
         basis_state("01a")
-
-
-def test_named_state():
-    assert named_state("phi_plus").vector[3] == pytest.approx(1.0 / math.sqrt(2.0))
-    assert named_state("ghz_minus").vector[7] == pytest.approx(-1.0 / math.sqrt(2.0))
-    assert named_state("010").vector[2] == 1.0
 
 
 def test_phi_correlator_examples():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_abs, random_unit, random_xy
+from helpers import max_abs, random_unit, random_xy, unit_vectors
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
@@ -386,12 +386,7 @@ def test_commutator_antisymmetry():
 # free directions, free boost directions and per-particle speeds.
 _NORM_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                           database=None)
-_unit_vectors = st.builds(
-    lambda theta, phi: np.array([math.sin(theta) * math.cos(phi),
-                                 math.sin(theta) * math.sin(phi),
-                                 math.cos(theta)]),
-    st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
-_boosts = st.builds(Boost, _unit_vectors, st.floats(0.0, 0.99))
+_boosts = st.builds(Boost, unit_vectors, st.floats(0.0, 0.99))
 
 
 def _spectral_norms(operator):
@@ -403,7 +398,7 @@ def _spectral_norms(operator):
 @_NORM_SETTINGS
 @given(data=st.data())
 def test_operator_norm_matches_spectrum(n_particles, data):
-    directions = data.draw(st.lists(_unit_vectors, min_size=2 * n_particles,
+    directions = data.draw(st.lists(unit_vectors, min_size=2 * n_particles,
                                     max_size=2 * n_particles))
     boosts = data.draw(st.lists(_boosts, min_size=n_particles, max_size=n_particles))
     settings_ = Settings(directions, boosts)
@@ -420,9 +415,9 @@ def test_operator_norm_matches_spectrum(n_particles, data):
 def test_effective_observables_match_observable_matrix(n_particles, data):
     # Bit identity, not closeness: the operators, and with them every golden
     # output, are built from effective_observables.
-    directions = data.draw(st.lists(_unit_vectors, min_size=2 * n_particles,
+    directions = data.draw(st.lists(unit_vectors, min_size=2 * n_particles,
                                     max_size=2 * n_particles))
-    boosts = data.draw(st.lists(st.builds(Boost, _unit_vectors, st.floats(0.0, 0.999)),
+    boosts = data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, 0.999)),
                                 min_size=n_particles, max_size=n_particles))
     observables = Settings(directions, boosts).effective_observables()
     for index, direction in enumerate(directions):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import max_abs, random_unit
+from helpers import max_abs, random_unit, unit_vectors
 from relbell.errors import DegenerateObservable, DomainError
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
@@ -27,11 +27,6 @@ Y = np.array([0.0, 1.0, 0.0])
 
 _PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                               database=None)
-_unit_vectors = st.builds(
-    lambda theta, phi: np.array([math.sin(theta) * math.cos(phi),
-                                 math.sin(theta) * math.sin(phi),
-                                 math.cos(theta)]),
-    st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
 
 
 def _preimage(target, boost):
@@ -100,7 +95,7 @@ def test_direction_map_is_onto():
 
 
 @_PROPERTY_SETTINGS
-@given(a=_unit_vectors, e=_unit_vectors, beta=st.floats(0.0, 0.999))
+@given(a=unit_vectors, e=unit_vectors, beta=st.floats(0.0, 0.999))
 def test_effective_direction_is_unit_and_invertible(a, e, beta):
     boost = Boost(e, beta)
     n = effective_direction(a, boost)

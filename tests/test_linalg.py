@@ -45,6 +45,39 @@ def test_kron_associativity_exact():
         assert np.array_equal(kron3(a, b, c), kron(kron(a, b), c))
 
 
+#: Real parts of 2x2 entries: exact zeros, and magnitudes from 1e-100 to
+#: 1e100, so a three-factor product neither overflows nor loses its zeros.
+_entries = st.one_of(st.just(0.0),
+                     st.builds(lambda m, e: m * 10.0 ** e,
+                               st.floats(-1.0, 1.0), st.integers(-100, 100)))
+
+
+@st.composite
+def _hermitian_2x2(draw):
+    d0, d1, re, im = (draw(_entries) for _ in range(4))
+    return np.array([[d0, complex(re, im)], [complex(re, -im), d1]])
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=_hermitian_2x2(), b=_hermitian_2x2(), c=_hermitian_2x2())
+def test_kron_is_bit_identical_to_numpy(a, b, c):
+    # Bit identity, not closeness: every operator, and with it every golden
+    # output, is assembled by kron and kron3.
+    ab = np.kron(a, b)
+    assert _same_bits(kron(a, b), ab)
+    assert _same_bits(kron3(a, b, c), np.kron(ab, c))
+    assert _same_bits(kron(ab, c), np.kron(ab, c))
+    assert _same_bits(kron(c, ab), np.kron(c, ab))
+    # joint_distribution starts its projector product from a 1x1 identity.
+    one = np.array([[1.0]], dtype=complex)
+    assert _same_bits(kron(one, a), np.kron(one, a))
+    assert _same_bits(kron(kron(one, a), b), np.kron(np.kron(one, a), b))
+
+
 def test_eigensystem_sigma_z():
     w, v = hermitian_eigensystem(SIGMA_Z)
     assert np.allclose(w, [-1.0, 1.0], atol=1e-14)

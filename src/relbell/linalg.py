@@ -5,6 +5,9 @@ are one-dimensional ``complex128`` arrays of unit norm.  The eigensolver is
 a cyclic Jacobi iteration implemented directly on the Hermitian matrix, so
 spectra do not depend on any external solver.  At dimension 8 and below
 robustness matters more than speed, which is what the Jacobi scheme buys.
+Kronecker products are one broadcast multiplication, bit-identical to
+``np.kron`` but without its generic axis handling; every Kronecker product
+in the package goes through kron and kron3.
 
 All operations are pure functions of their inputs and never mutate their
 arguments, so values can be shared freely between concurrent tasks.
@@ -55,14 +58,24 @@ def is_hermitian(matrix, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The broadcast np.kron itself evaluates, without its generic axis
+    # bookkeeping: each entry is one product a[i, k] * b[j, l], so the bits
+    # are np.kron's.
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; the result dimension is the product of the inputs'."""
-    return np.kron(as_operator(a), as_operator(b))
+    """Kronecker product of two square matrices; the result dimension is the
+    product of the inputs'.  Computed as one broadcast product, bit-identical
+    to np.kron."""
+    return _kron(as_operator(a), as_operator(b))
 
 
 def kron3(a, b, c) -> np.ndarray:
     """Three-factor Kronecker product, associating left to right."""
-    return np.kron(np.kron(as_operator(a), as_operator(b)), as_operator(c))
+    return _kron(_kron(as_operator(a), as_operator(b)), as_operator(c))
 
 
 def state_vector(amplitudes) -> np.ndarray:

@@ -16,7 +16,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, DomainError, InvalidObservable, MissingSetting
-from .linalg import IDENTITY_2, expectation, hermitian_eigensystem, is_hermitian, state_vector
+from .linalg import (
+    IDENTITY_2,
+    expectation,
+    hermitian_eigensystem,
+    is_hermitian,
+    kron,
+    state_vector,
+)
 
 #: Shots drawn per counter block.  The block size is part of the stream
 #: definition: block b draws its shots from counter (0, 0, 0, b), so changing
@@ -127,7 +134,7 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
         projector = np.array([[1.0]], dtype=complex)
         for particle in range(n):
             factor = 0.5 * (IDENTITY_2 + signs[index, particle] * observables[particle])
-            projector = np.kron(projector, factor)
+            projector = kron(projector, factor)
         probabilities[index] = expectation(vec, projector)
 
     if probabilities.min() < _NEGATIVE_PROBABILITY_TOL:

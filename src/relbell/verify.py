@@ -27,7 +27,7 @@ from .bell import (
     mermin_square_closed_form,
     mermin_square_swapped_legs,
 )
-from .linalg import expectation, hermitian_eigensystem, kron3
+from .linalg import expectation, hermitian_eigensystem, kron, kron3
 from .observables import (
     Boost,
     boost_denominator_sq,
@@ -206,8 +206,8 @@ def _check_phi_correlator(tolerance, seed):
             a = _random_xy(rng)
             b = _random_xy(rng)
             closed = phi_plus_correlator_closed_form(a, b, beta)
-            matrix = expectation(state, np.kron(observable_matrix(a, boost),
-                                                observable_matrix(b, boost)))
+            matrix = expectation(state, kron(observable_matrix(a, boost),
+                                             observable_matrix(b, boost)))
             residual = max(residual, abs(closed - matrix))
     return _conformance(
         "pair-correlator-closed-form", residual, tolerance,
@@ -219,8 +219,8 @@ def _check_phi_correlator_z_term(seed):
     beta = 0.6
     boost = Boost(X_AXIS, beta)
     a = np.array([0.0, 0.0, 1.0])
-    matrix = expectation(phi_plus(), np.kron(observable_matrix(a, boost),
-                                             observable_matrix(a, boost)))
+    matrix = expectation(phi_plus(), kron(observable_matrix(a, boost),
+                                          observable_matrix(a, boost)))
     factor = boost_denominator_sq(a[0], beta)
     unit_coefficient = (a[2] * a[2]) / factor
     shrunk_coefficient = (1.0 - beta * beta) * (a[2] * a[2]) / factor

@@ -1,6 +1,8 @@
 """Kernel tests: Kronecker products, the Jacobi eigensolver, expectations."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,29 @@ def test_kron_is_bit_identical_to_numpy(a, b, c):
     one = np.array([[1.0]], dtype=complex)
     assert _same_bits(kron(one, a), np.kron(one, a))
     assert _same_bits(kron(kron(one, a), b), np.kron(np.kron(one, a), b))
+
+
+def _numpy_kron_calls(path):
+    """Line numbers of np.kron / numpy.kron references and numpy kron imports."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+              and any(alias.name == "kron" for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_linalg_calls_numpy_kron():
+    # kron and kron3 are the package's one Kronecker kernel: the fast path
+    # stays the only path, and tracing them sees every product.
+    package = Path(linalg.__file__).parent
+    offenders = {path.name: _numpy_kron_calls(path)
+                 for path in sorted(package.glob("*.py")) if path.name != "linalg.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
 def test_eigensystem_sigma_z():

@@ -283,14 +283,21 @@ def max_violation(matrix) -> float:
     return float(np.max(np.abs(eigenvalues)))
 
 
-def _cross_norm(n, m) -> float:
-    """|n x m| for two 3-vectors, on their float components."""
+def cross_norm(n, m) -> float:
+    """|n x m| for two 3-vectors, on their float components: k_i of a
+    particle whose effective directions are n and m."""
     n0, n1, n2 = n.tolist()
     m0, m1, m2 = m.tolist()
     x = n1 * m2 - n2 * m1
     y = n2 * m0 - n0 * m2
     z = n0 * m1 - n1 * m0
     return math.sqrt(x * x + y * y + z * z)
+
+
+def norm_from_kappas(kappas) -> float:
+    """2 sqrt(1 + sum_{i<j} k_i k_j), the operator norm from each particle's
+    cross_norm k_i, listed in particle order."""
+    return 2.0 * math.sqrt(_one_plus_pair_products(kappas))
 
 
 def operator_norm(settings: Settings) -> float:
@@ -306,8 +313,7 @@ def operator_norm(settings: Settings) -> float:
     for three.  Equals max_violation(bell_operator(settings)).
     """
     n = settings.effective_directions()
-    kappas = [_cross_norm(n[i], n[i + 1]) for i in range(0, len(n), 2)]
-    return 2.0 * math.sqrt(_one_plus_pair_products(kappas))
+    return norm_from_kappas([cross_norm(n[i], n[i + 1]) for i in range(0, len(n), 2)])
 
 
 def bell_operator(settings: Settings) -> np.ndarray:

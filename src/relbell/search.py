@@ -11,9 +11,16 @@ is non-decreasing in the number of restarts.
 
 One optimizer body serves two and three particles; optimize_chsh and
 optimize_mermin pin the particle count.  The operator_norm objective is
-scored in closed form from the effective directions (bell.operator_norm),
-so no operator is built and no eigensolve runs per evaluation; the
-state_expectation objective still builds the operator.
+scored in closed form from the effective directions, so no operator is
+built and no eigensolve runs per evaluation.  A coordinate step moves one
+angle of one particle, so the objective keeps, per particle, the last angle
+slice it saw with that particle's effective directions and k_i, and
+recomputes only the particles whose slice changed.  A recomputed particle
+goes through the same unit3 check and boost_map (with its
+DegenerateObservable floor) as a Settings would, and the k_i are combined
+by the same bell.norm_from_kappas, so every value is bit-identical to
+operator_norm of the built settings.  The state_expectation objective still
+builds the settings and the operator per evaluation.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import FAMILIES, Settings, bell_operator, operator_norm
+from .bell import FAMILIES, Settings, bell_operator, cross_norm, norm_from_kappas
 from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost
+from .observables import Boost, boost_map, unit3
 
 CONSTRAINTS = ("xy_plane", "free_sphere")
 OBJECTIVES = ("operator_norm", "state_expectation")
@@ -146,28 +153,52 @@ def _improve_coordinate(objective, x, k, offset, grid, spacing, xtol, current):
     return out, best_v
 
 
+def _angles_per_particle(constraint: str) -> int:
+    """Angles of one particle's two directions: one per direction in the
+    xy-plane, polar and azimuth on the free sphere."""
+    return 2 if constraint == "xy_plane" else 4
+
+
+def _norm_objective(boosts, constraint: str):
+    """Angles -> operator_norm of the settings they build, recomputing only
+    the particles whose angle slice changed since the previous call."""
+    width = _angles_per_particle(constraint)
+    # Per particle: (angle bytes, effective directions, k_i) of its last slice.
+    cache = [(None, None, 0.0)] * len(boosts)
+
+    def objective(angles: np.ndarray) -> float:
+        for i, boost in enumerate(boosts):
+            part = angles[i * width:(i + 1) * width]
+            key = part.tobytes()
+            if key != cache[i][0]:
+                n = tuple([boost_map(unit3(d), boost)
+                           for d in _directions_from_angles(part, constraint)])
+                cache[i] = (key, n, cross_norm(*n))
+        return norm_from_kappas([kappa for _, _, kappa in cache])
+
+    return objective
+
+
 def _optimize(n_particles: int, boost_directions, beta: float,
               config: SearchConfig | None):
     config = config if config is not None else SearchConfig()
-    if config.objective == "operator_norm":
-        score = operator_norm
-    else:
-        state = FAMILIES[n_particles].state()
-
-        def score(settings: Settings) -> float:
-            return abs(expectation(state, bell_operator(settings)))
-
     boosts = tuple(Boost(d, beta) for d in boost_directions)
     if len(boosts) != n_particles:
         raise DomainError(f"expected exactly {n_particles} boost directions")
-    angles_per_direction = 1 if config.constraint == "xy_plane" else 2
 
     def build(angles: np.ndarray) -> Settings:
         return Settings(_directions_from_angles(angles, config.constraint), boosts)
 
-    angles, value = _maximize_over_angles(lambda ang: score(build(ang)),
-                                          2 * n_particles * angles_per_direction,
-                                          config)
+    if config.objective == "operator_norm":
+        objective = _norm_objective(boosts, config.constraint)
+    else:
+        state = FAMILIES[n_particles].state()
+
+        def objective(angles: np.ndarray) -> float:
+            return abs(expectation(state, bell_operator(build(angles))))
+
+    angles, value = _maximize_over_angles(
+        objective, n_particles * _angles_per_particle(config.constraint), config)
     return build(angles), value
 
 

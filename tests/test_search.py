@@ -4,16 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relbell.bell import chsh_operator, max_violation, mermin_operator
+from helpers import unit_vectors
+from relbell.bell import Settings, chsh_operator, max_violation, mermin_operator, \
+    operator_norm
 from relbell.errors import DomainError
+from relbell.observables import Boost
 from relbell.scenarios import (
     X_AXIS,
     com_boosts,
     epsilon2,
     epsilon3_com,
 )
-from relbell.search import SearchConfig, optimize_chsh, optimize_mermin
+from relbell.search import (
+    CONSTRAINTS,
+    SearchConfig,
+    _directions_from_angles,
+    _norm_objective,
+    optimize_chsh,
+    optimize_mermin,
+)
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -122,3 +134,27 @@ def test_state_expectation_objective():
                           objective="state_expectation")
     _, value = optimize_chsh((X_AXIS, X_AXIS), 0.0, config)
     assert abs(value - ROOT8) < 1e-4
+
+
+_angles = st.floats(-2.0 * math.pi, 4.0 * math.pi)
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_norm_objective_cache_is_bit_identical(n_particles, constraint, data):
+    # Along a walk of single-coordinate moves, as coordinate ascent makes,
+    # the per-particle cache must give exactly operator_norm of the settings
+    # the angles build: the optimizer's returned value is one of these.
+    boosts = tuple(data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, 0.99)),
+                                      min_size=n_particles, max_size=n_particles)))
+    width = n_particles * (2 if constraint == "xy_plane" else 4)
+    angles = np.array(data.draw(st.lists(_angles, min_size=width, max_size=width)))
+    moves = data.draw(st.lists(st.tuples(st.integers(0, width - 1), _angles),
+                               min_size=1, max_size=30))
+    objective = _norm_objective(boosts, constraint)
+    for k, t in [(0, angles[0])] + moves:
+        angles[k] = t
+        built = Settings(_directions_from_angles(angles, constraint), boosts)
+        assert objective(angles) == operator_norm(built)

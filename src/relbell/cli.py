@@ -114,14 +114,13 @@ MAX_SWEEP_ROWS = 100001
 
 def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
     span = (hi - lo) / step + 1e-9
-    if not math.isfinite(span):
-        raise UsageError(f"beta-step {step} produces too many rows "
-                         f"(limit {MAX_SWEEP_ROWS})")
-    count = int(span)
-    if count + 1 > MAX_SWEEP_ROWS:
+    # int(span) + 1 rows; an infinite span (a subnormal step) fails here too,
+    # and the message names the limit, never the count, which can have
+    # hundreds of digits.
+    if not span < MAX_SWEEP_ROWS:
         raise UsageError(
-            f"beta-step {step} produces {count + 1} rows "
-            f"(limit {MAX_SWEEP_ROWS})")
+            f"beta-step {step} produces more rows than the limit of {MAX_SWEEP_ROWS}")
+    count = int(span)
     betas = [min(lo + i * step, hi) for i in range(count + 1)]
     if betas[-1] < hi - 1e-12:
         betas.append(hi)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import relbell.bell
-from relbell.cli import main
+from relbell.cli import MAX_SWEEP_ROWS, main
 from relbell.errors import NoConvergence
 from relbell.scenarios import epsilon2, epsilon3_com
 
@@ -237,6 +237,16 @@ def test_sample_rerun_is_byte_identical(tmp_path):
 def test_sweep_row_cap():
     assert main(["sweep", "--scenario", "chsh-collinear",
                  "--beta-step", "1e-7"]) == 2
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324", "1e-7"])
+def test_sweep_row_cap_message_names_the_limit(capsys, step):
+    # The row count of a tiny step can have hundreds of digits; the message
+    # reports the limit instead, whether the count is finite or not.
+    assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", step]) == 2
+    err = capsys.readouterr().err
+    assert f"limit of {MAX_SWEEP_ROWS}" in err
+    assert len(err) < 100
 
 
 def test_sample_usage_errors():

@@ -7,7 +7,13 @@ scenario's closed-form and numeric violation curves over a beta grid,
 ``sample`` runs a shot-level Monte Carlo experiment.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
-I/O failure, 4 internal failure (such as the eigensolver not converging).
+I/O failure, 4 internal failure.  The commands build every observable and
+operator themselves, so an eigensolver that does not converge
+(NoConvergence), a non-Hermitian operator (NotHermitian) or an invalid
+observable (InvalidObservable) is a failure of the program's own
+invariants and exits 4 with "internal error:"; input the program refuses,
+such as a bad settings file or a degenerate observable at a requested
+speed, exits 2.
 Re-running a command with identical arguments and seed
 produces byte-identical data output (the JSON meta timestamp is excluded
 via --no-meta-time).
@@ -27,7 +33,8 @@ import numpy as np
 
 from . import __version__
 from .bell import DIRECTION_NAMES, Settings, bell_terms
-from .errors import BellToolkitError, DomainRestriction, NoConvergence
+from .errors import BellToolkitError, DomainRestriction, InvalidObservable, \
+    NoConvergence, NotHermitian
 from .observables import Boost, normalized3
 from .sampling import estimate_bell, exact_bell, joint_distribution, sample
 from .scenarios import BETA_GRID_STEP, Scenario, X_AXIS, com_boosts, \
@@ -54,6 +61,10 @@ VERIFY_COLUMNS = ("check", "status", "residual", "tolerance", "detail")
 
 class UsageError(Exception):
     """Invalid command-line input; maps to exit code 2."""
+
+
+#: Failures of invariants on matrices the commands built themselves; exit 4.
+INTERNAL_ERRORS = (NoConvergence, NotHermitian, InvalidObservable)
 
 
 def _format_cell(value) -> str:
@@ -362,7 +373,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NoConvergence as exc:
+    except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BellToolkitError as exc:

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import relbell.bell
+import relbell.observables
+import relbell.sampling
 from relbell.cli import MAX_SWEEP_ROWS, main
-from relbell.errors import NoConvergence
+from relbell.errors import DegenerateObservable, InvalidObservable, NoConvergence, \
+    NotHermitian
 from relbell.scenarios import epsilon2, epsilon3_com
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -108,6 +111,34 @@ def test_eigensolver_failure_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", no_convergence)
     assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 4
     assert "sweep budget exhausted" in capsys.readouterr().err
+
+
+def test_non_hermitian_operator_is_internal_error(monkeypatch, capsys):
+    def not_hermitian(matrix):
+        raise NotHermitian("matrix is not Hermitian")
+
+    monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", not_hermitian)
+    assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 4
+    assert capsys.readouterr().err == "internal error: matrix is not Hermitian\n"
+
+
+def test_invalid_observable_is_internal_error(monkeypatch, capsys):
+    def invalid(observable):
+        raise InvalidObservable("observable spectrum is not {-1, +1}")
+
+    monkeypatch.setattr(relbell.sampling, "_check_observable", invalid)
+    assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: observable spectrum")
+
+
+def test_degenerate_observable_stays_usage_error(monkeypatch, capsys):
+    # The floor refuses a requested speed, not an internal invariant.
+    def degenerate(along, beta):
+        raise DegenerateObservable("normalization denominator at or below 1e-09")
+
+    monkeypatch.setattr(relbell.observables, "boost_denominator_sq", degenerate)
+    assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: normalization denominator")
 
 
 def test_unwritable_output_is_io_error(tmp_path):

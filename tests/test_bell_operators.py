@@ -389,6 +389,33 @@ _NORM_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
 _boosts = st.builds(Boost, unit_vectors, st.floats(0.0, 0.99))
 
 
+def _free_settings(n_particles):
+    """Settings over free directions and free boosts with beta in [0, 0.99]."""
+    return st.builds(Settings,
+                     st.lists(unit_vectors, min_size=2 * n_particles,
+                              max_size=2 * n_particles),
+                     st.lists(_boosts, min_size=n_particles, max_size=n_particles))
+
+
+# The fixed-seed loops above check the same identities on 200 draws each;
+# these search the whole domain, including its edges (beta = 0, poles).
+_SQUARE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                            database=None)
+
+
+@_SQUARE_SETTINGS
+@given(settings_=_free_settings(2))
+def test_chsh_square_identity_property(settings_):
+    assert chsh_square_identity_residual(settings_) < 1e-12
+
+
+@_SQUARE_SETTINGS
+@given(settings_=_free_settings(3))
+def test_mermin_square_closed_form_property(settings_):
+    operator = mermin_operator(settings_)
+    assert max_abs(operator @ operator - mermin_square_closed_form(settings_)) < 1e-12
+
+
 def _spectral_norms(operator):
     lapack = float(np.max(np.abs(np.linalg.eigvalsh(operator))))
     return max_violation(operator), lapack

@@ -11,10 +11,10 @@ import pytest
 import relbell.bell
 import relbell.observables
 import relbell.sampling
-from relbell.cli import MAX_SWEEP_ROWS, main
+from relbell.cli import MAX_SWEEP_ROWS, SCENARIO_NAMES, main
 from relbell.errors import DegenerateObservable, InvalidObservable, NoConvergence, \
     NotHermitian
-from relbell.scenarios import epsilon2, epsilon3_com
+from relbell.scenarios import SCENARIO_KINDS, epsilon2, epsilon3_com
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -364,6 +364,41 @@ def test_sweep_with_settings_file(tmp_path):
         assert row["closed_form"] == pytest.approx(epsilon2(row["beta"]),
                                                    abs=1e-12)
         assert abs(row["closed_form"] - row["numeric_max"]) < 1e-10
+
+
+def test_scenario_names_map_onto_kinds_in_order():
+    # perfbench picks scenario kinds by index, so their order is pinned.
+    assert SCENARIO_KINDS == ("chsh_collinear", "mermin_collinear",
+                              "mermin_center_of_mass")
+    assert tuple(SCENARIO_NAMES.values()) == SCENARIO_KINDS
+
+
+@pytest.mark.parametrize("swap", [[], ["--prime-swap"]])
+def test_settings_file_sweep_matches_named_scenario(tmp_path, swap):
+    # A file holding mermin-collinear's own settings (y unprimed, x primed,
+    # x boosts) must give the named scenario's rows below beta = 1.
+    config = {name: [0.0, 1.0, 0.0] for name in ("a", "b", "c")}
+    config.update({f"{name}_prime": [1.0, 0.0, 0.0] for name in "abc"})
+    config["boosts"] = [{"direction": [1.0, 0.0, 0.0], "beta": 0.0}] * 3
+    settings_path = tmp_path / "settings.json"
+    settings_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["sweep", "--scenario", "mermin-collinear", "--beta-step", "0.001",
+            "--no-meta-time", *swap]
+    named_out, file_out = tmp_path / "named.csv", tmp_path / "file.csv"
+    assert main(argv + ["--output", str(named_out)]) == 0
+    assert main(argv + ["--settings", str(settings_path),
+                        "--output", str(file_out)]) == 0
+    named, from_file = _rows_from_csv(named_out), _rows_from_csv(file_out)
+    assert len(named) == len(from_file) == 1001
+    values = ("closed_form", "numeric_max", "state_expectation", "residual")
+    for named_row, file_row in zip(named[:-1], from_file[:-1]):
+        assert float(named_row["beta"]) < 1.0
+        assert named_row == file_row
+        assert all(named_row[col] for col in values)
+    # beta = 1: the named row keeps its closed form only; a file has none
+    assert named[-1]["beta"] == from_file[-1]["beta"] == "1"
+    assert [named[-1][col] for col in values] == ["4", "", "", ""]
+    assert [from_file[-1][col] for col in values] == ["", "", "", ""]
 
 
 @pytest.mark.parametrize("command", [

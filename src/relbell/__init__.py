@@ -44,12 +44,11 @@ from .scenarios import (
     Scenario,
     ScenarioResult,
     com_boosts,
-    com_setting_observables,
     epsilon2,
     epsilon3_com,
     lambda_com,
     scenario_curve,
 )
 from .search import SearchConfig, optimize_chsh, optimize_mermin
-from .states import ghz_minus, ghz_plus, phi_plus
+from .states import ghz_plus, phi_plus
 from .verify import CheckResult, run_all_checks

@@ -7,13 +7,12 @@ scenario's closed-form and numeric violation curves over a beta grid,
 ``sample`` runs a shot-level Monte Carlo experiment.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
-I/O failure, 4 internal failure.  The commands build every observable and
-operator themselves, so an eigensolver that does not converge
-(NoConvergence), a non-Hermitian operator (NotHermitian) or an invalid
-observable (InvalidObservable) is a failure of the program's own
-invariants and exits 4 with "internal error:"; input the program refuses,
-such as a bad settings file or a degenerate observable at a requested
-speed, exits 2.
+I/O failure, 4 internal failure.  The commands build every observable,
+operator and shot record themselves, so NoConvergence, NotHermitian,
+InvalidObservable, DimensionMismatch and MissingSetting are failures of
+the program's own invariants and exit 4 with "internal error:"; input the
+program refuses, such as a bad settings file or a degenerate observable at
+a requested speed, exits 2.
 Re-running a command with identical arguments and seed
 produces byte-identical data output (the JSON meta timestamp is excluded
 via --no-meta-time).
@@ -33,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from .bell import DIRECTION_NAMES, Settings, bell_terms
-from .errors import BellToolkitError, DomainRestriction, InvalidObservable, \
-    NoConvergence, NotHermitian
+from .errors import BellToolkitError, DimensionMismatch, DomainRestriction, \
+    InvalidObservable, MissingSetting, NoConvergence, NotHermitian
 from .observables import Boost, normalized3
 from .sampling import estimate_bell, exact_bell, joint_distribution, sample
-from .scenarios import BETA_GRID_STEP, Scenario, X_AXIS, com_boosts, \
-    scenario_curve, scenario_settings, settings_curve
+from .scenarios import BETA_GRID_STEP, SCENARIOS, Scenario, ScenarioResult, \
+    X_AXIS, com_boosts, scenario_curve, settings_curve
 from .search import SearchConfig, optimize_chsh, optimize_mermin
 from .verify import FAIL, run_all_checks
 
@@ -63,8 +62,10 @@ class UsageError(Exception):
     """Invalid command-line input; maps to exit code 2."""
 
 
-#: Failures of invariants on matrices the commands built themselves; exit 4.
-INTERNAL_ERRORS = (NoConvergence, NotHermitian, InvalidObservable)
+#: Failures of invariants on matrices and shot records the commands built
+#: themselves; exit 4.
+INTERNAL_ERRORS = (NoConvergence, NotHermitian, InvalidObservable,
+                   DimensionMismatch, MissingSetting)
 
 
 def _format_cell(value) -> str:
@@ -140,7 +141,8 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
 
 def _load_settings_file(path: str, kind: str) -> dict:
     """Read a settings file for as many particles as scenario ``kind`` has."""
-    n_particles = scenario_settings(Scenario(kind, 0.0)).n_particles
+    build_settings, _ = SCENARIOS[kind]
+    n_particles = build_settings(0.0).n_particles
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -166,18 +168,17 @@ def _settings_from_custom(custom: dict, beta_override: float | None,
     return settings.prime_swapped() if prime_swap else settings
 
 
-def _custom_sweep_values(beta: float, custom: dict, prime_swap: bool) -> tuple:
-    """(closed_form, numeric_max, state_expectation, residual) of a settings
-    file at the grid speed; all None at beta = 1, where no matrix exists and
-    a file has no closed-form curve."""
+def _custom_sweep_values(beta: float, custom: dict, prime_swap: bool) -> ScenarioResult:
+    """The sweep sample of a settings file at the grid speed; all None at
+    beta = 1, where no matrix exists and a file has no closed-form curve."""
     if beta >= 1.0:
-        return None, None, None, None
+        return ScenarioResult(None, None, None, None)
     settings = _settings_from_custom(custom, beta, prime_swap)
     try:
         closed = float(np.sqrt(settings.family.square_peak(settings)))
     except DomainRestriction:
         closed = None
-    return (closed, *settings_curve(settings, closed))
+    return settings_curve(settings, closed)
 
 
 def _cmd_sweep(args) -> int:
@@ -190,9 +191,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for beta in _beta_grid(args.beta_min, args.beta_max, args.beta_step):
         if custom is None:
-            result = scenario_curve(Scenario(kind, beta, args.prime_swap))
-            values = (result.closed_form, result.numeric_max,
-                      result.state_expectation, result.residual_closed_numeric)
+            values = scenario_curve(Scenario(kind, beta, args.prime_swap))
         else:
             values = _custom_sweep_values(beta, custom, args.prime_swap)
         rows.append(dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values))))
@@ -266,7 +265,8 @@ def _cmd_sample(args) -> int:
         beta = 0.0 if args.beta is None else args.beta
         if not 0.0 <= beta < 1.0:
             raise UsageError(f"sampling requires 0 <= beta < 1, got {beta}")
-        settings = scenario_settings(Scenario(kind, beta, args.prime_swap))
+        build_settings, _ = SCENARIOS[kind]
+        settings = build_settings(beta, args.prime_swap)
     state = settings.family.state()
     terms = bell_terms(settings)
 
@@ -307,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--seed", type=int, default=0, metavar="U64")
-    common.add_argument("--tolerance", type=float, default=1e-9)
     common.add_argument("--no-meta-time", action="store_true",
                         help="omit the timestamp from JSON meta (for golden files)")
 
@@ -328,8 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", metavar="FILE",
                    help="JSON settings file overriding the named directions")
 
-    sub.add_parser("verify", parents=[common],
-                   help="run every closed-form-vs-brute-force check")
+    p = sub.add_parser("verify", parents=[common],
+                       help="run every closed-form-vs-brute-force check")
+    p.add_argument("--tolerance", type=float, default=1e-9)
 
     p = sub.add_parser("optimize", parents=[common],
                        help="search measurement settings for the peak violation")

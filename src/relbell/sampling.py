@@ -60,13 +60,6 @@ class OutcomeDistribution:
         products = self.outcome_signs().prod(axis=1)
         return float(np.dot(self.probabilities, products))
 
-    def marginal(self, particle: int) -> np.ndarray:
-        """[p(+1), p(-1)] for a single particle."""
-        signs = self.outcome_signs()[:, particle]
-        p_plus = float(self.probabilities[signs == 1].sum())
-        p_minus = float(self.probabilities[signs == -1].sum())
-        return np.array([p_plus, p_minus])
-
 
 @dataclass(frozen=True, eq=False)
 class ShotRecord:

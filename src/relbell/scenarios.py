@@ -7,14 +7,17 @@ y (unprimed) and x (primed) on every particle.  In the center-of-mass
 geometry the three boost directions lie in the xy-plane at mutual angles
 of 2 pi / 3.
 
-Closed-form peak values are continuous on [0, 1] including the beta = 1
-endpoint; matrix-backed quantities exist for beta < 1 only.
+SCENARIOS maps each named kind to its settings builder and closed-form
+peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; the
+matrix-backed fields of a sweep sample (ScenarioResult) exist for beta < 1
+only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +34,6 @@ CHSH_A = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
 CHSH_A_PRIME = np.array([-1.0, -1.0, 0.0]) / math.sqrt(2.0)
 CHSH_B = Y_AXIS
 CHSH_B_PRIME = X_AXIS
-
-SCENARIO_KINDS = ("chsh_collinear", "mermin_collinear", "mermin_center_of_mass")
 
 #: Default sweep grid spacing over beta in [0, 1].
 BETA_GRID_STEP = 0.01
@@ -117,17 +118,6 @@ def mermin_com_settings(beta: float, prime_swap: bool = False) -> Settings:
                            [Boost(e, beta) for e in com_boosts()], prime_swap)
 
 
-def com_setting_observables(beta: float):
-    """The six effective directions (a, a', b, b', c, c') of the y/x
-    settings under the center-of-mass boosts.
-
-    Particle 1 yields exactly y and x (its settings are perpendicular and
-    antiparallel to its boost); particles 2 and 3 rotate with beta.  Boost
-    rejects beta outside [0, 1).
-    """
-    return mermin_com_settings(beta).effective_directions()
-
-
 def com_closed_form_directions(beta: float) -> dict[str, np.ndarray]:
     """Closed-form candidates for the center-of-mass effective directions.
 
@@ -158,6 +148,22 @@ def com_closed_form_directions(beta: float) -> dict[str, np.ndarray]:
     }
 
 
+def _mermin_collinear_peak(beta: float) -> float:
+    # The coplanar peak is 4 (1 + k1 k2 + k1 k3 + k2 k3) with every
+    # kappa equal to 1 for the y/x settings, independent of beta.
+    require_unit_interval(beta)
+    return 4.0
+
+
+#: Scenario kind -> (settings builder, closed-form peak at speed beta).
+SCENARIOS = {
+    "chsh_collinear": (chsh_collinear_settings, epsilon2),
+    "mermin_collinear": (mermin_collinear_settings, _mermin_collinear_peak),
+    "mermin_center_of_mass": (mermin_com_settings, epsilon3_com),
+}
+SCENARIO_KINDS = tuple(SCENARIOS)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named configuration at one boost speed.
@@ -172,76 +178,40 @@ class Scenario:
     prime_swap: bool = False
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in SCENARIOS:
             raise DomainError(f"unknown scenario kind {self.kind!r}")
         require_unit_interval(self.beta)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """One sweep sample: closed form versus numeric spectrum versus state
-    expectation, with their pairwise residuals.
+    expectation, with |closed_form - numeric_max|.
 
-    Numeric fields are None at beta = 1, where only the closed form exists.
-    residual_closed_state and residual_numeric_state compare against the
-    magnitude of the state expectation.
+    Numeric fields are None at beta = 1, where no matrix exists; the closed
+    form and the residual are None for settings without a closed form.
     """
 
-    kind: str
-    beta: float
-    prime_swap: bool
-    closed_form: float
+    closed_form: float | None
     numeric_max: float | None
     state_expectation: float | None
     residual_closed_numeric: float | None
-    residual_closed_state: float | None
-    residual_numeric_state: float | None
-
-
-def scenario_settings(scenario: Scenario):
-    """Build the settings object for a scenario (requires beta < 1)."""
-    if scenario.kind == "chsh_collinear":
-        return chsh_collinear_settings(scenario.beta, scenario.prime_swap)
-    if scenario.kind == "mermin_collinear":
-        return mermin_collinear_settings(scenario.beta, scenario.prime_swap)
-    return mermin_com_settings(scenario.beta, scenario.prime_swap)
-
-
-def scenario_closed_form(kind: str, beta: float) -> float:
-    """The closed-form peak Bell value for a scenario kind at speed beta."""
-    if kind == "chsh_collinear":
-        return epsilon2(beta)
-    if kind == "mermin_collinear":
-        # The coplanar peak is 4 (1 + k1 k2 + k1 k3 + k2 k3) with every
-        # kappa equal to 1 for the y/x settings, independent of beta.
-        require_unit_interval(beta)
-        return 4.0
-    if kind == "mermin_center_of_mass":
-        return epsilon3_com(beta)
-    raise DomainError(f"unknown scenario kind {kind!r}")
 
 
 def scenario_curve(scenario: Scenario) -> ScenarioResult:
     """Evaluate one sweep sample: closed form, numeric operator norm, and
     the expectation on the matched entangled state."""
-    closed = scenario_closed_form(scenario.kind, scenario.beta)
+    build_settings, peak = SCENARIOS[scenario.kind]
+    closed = peak(scenario.beta)
     if scenario.beta >= 1.0:
-        return ScenarioResult(scenario.kind, scenario.beta, scenario.prime_swap,
-                              closed, None, None, None, None, None)
-    numeric, state_exp, residual = settings_curve(scenario_settings(scenario), closed)
-    return ScenarioResult(
-        scenario.kind, scenario.beta, scenario.prime_swap,
-        closed, numeric, state_exp, residual,
-        abs(closed - abs(state_exp)),
-        abs(numeric - abs(state_exp)),
-    )
+        return ScenarioResult(closed, None, None, None)
+    return settings_curve(build_settings(scenario.beta, scenario.prime_swap), closed)
 
 
-def settings_curve(settings: Settings, closed: float | None):
-    """(numeric operator norm, matched-state expectation, |closed - numeric|)
-    of the settings' Bell operator; the residual is None without a closed
-    form."""
+def settings_curve(settings: Settings, closed: float | None) -> ScenarioResult:
+    """The sweep sample of the settings' Bell operator against the closed
+    form ``closed``; the residual is None without a closed form."""
     operator = bell_operator(settings)
     numeric = max_violation(operator)
     residual = None if closed is None else abs(closed - numeric)
-    return numeric, expectation(settings.family.state(), operator), residual
+    return ScenarioResult(closed, numeric,
+                          expectation(settings.family.state(), operator), residual)

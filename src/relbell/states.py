@@ -36,23 +36,6 @@ def ghz_plus() -> np.ndarray:
     return v
 
 
-def ghz_minus() -> np.ndarray:
-    """The three-qubit state (|000> - |111>)/sqrt(2)."""
-    v = np.zeros(8, dtype=complex)
-    v[0] = 1.0 / math.sqrt(2.0)
-    v[7] = -1.0 / math.sqrt(2.0)
-    return v
-
-
-def basis_state(bits: str) -> np.ndarray:
-    """Computational basis state |bits> for a 2- or 3-bit string."""
-    if len(bits) not in (2, 3) or any(ch not in "01" for ch in bits):
-        raise ValueError(f"expected a 2- or 3-bit string of 0/1, got {bits!r}")
-    v = np.zeros(2 ** len(bits), dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
 def _xy_directions(beta: float, *vectors) -> list[np.ndarray]:
     """Validate unit xy-plane directions and a speed in [0, 1]."""
     vectors = [unit3(v) for v in vectors]

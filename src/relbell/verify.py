@@ -39,7 +39,6 @@ from .scenarios import (
     X_AXIS,
     chsh_collinear_settings,
     com_closed_form_directions,
-    com_setting_observables,
     epsilon2,
     epsilon3_com,
     lambda_com,
@@ -394,7 +393,7 @@ def _check_com_square_consistency(tolerance, seed):
 def _check_com_unprimed_directions(tolerance, seed):
     residual = 0.0
     for beta in BETA_GRID:
-        effective = com_setting_observables(beta)
+        effective = mermin_com_settings(beta).effective_directions()
         closed = com_closed_form_directions(beta)
         residual = max(residual,
                        float(np.max(np.abs(effective[0] - closed["a"]))),
@@ -412,7 +411,7 @@ def _check_com_primed_coefficient(seed):
     worst_alt_norm = 0.0
     worst_derived = 0.0
     for beta in BETA_GRID:
-        effective = com_setting_observables(beta)
+        effective = mermin_com_settings(beta).effective_directions()
         closed = com_closed_form_directions(beta)
         worst_derived = max(worst_derived,
                             float(np.max(np.abs(effective[3] - closed["b_prime_derived"]))),

@@ -31,7 +31,6 @@ from relbell.scenarios import (
     X_AXIS,
     chsh_collinear_settings,
     com_closed_form_directions,
-    com_setting_observables,
     epsilon2,
     epsilon3_com,
     lambda_com,
@@ -200,7 +199,7 @@ def test_criterion_07_erratum_adjudications():
     # (c) derived primed coefficient matches the boost map; the alternative
     # does not normalize for beta > 0
     for beta in (0.3, 0.8, 0.99):
-        effective = com_setting_observables(beta)
+        effective = mermin_com_settings(beta).effective_directions()
         closed = com_closed_form_directions(beta)
         if max_abs(effective[3] - closed["b_prime_derived"]) > 1e-12:
             failures.append(f"derived coefficient off at beta={beta}")

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import relbell.bell
+import relbell.cli
 import relbell.observables
 import relbell.sampling
 from relbell.cli import MAX_SWEEP_ROWS, SCENARIO_NAMES, main
-from relbell.errors import DegenerateObservable, InvalidObservable, NoConvergence, \
-    NotHermitian
+from relbell.errors import DegenerateObservable, DimensionMismatch, InvalidObservable, \
+    MissingSetting, NoConvergence, NotHermitian
 from relbell.scenarios import SCENARIO_KINDS, epsilon2, epsilon3_com
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -102,6 +103,8 @@ def test_sweep_argument_validation(tmp_path):
     assert main(["sweep", "--scenario", "chsh-collinear",
                  "--beta-step", "5e-324"]) == 2
     assert main(["sweep", "--scenario", "unknown"]) == 2
+    # only verify gates on a tolerance
+    assert main(["sweep", "--scenario", "chsh-collinear", "--tolerance", "1e-6"]) == 2
 
 
 def test_eigensolver_failure_is_internal_error(monkeypatch, capsys):
@@ -113,13 +116,17 @@ def test_eigensolver_failure_is_internal_error(monkeypatch, capsys):
     assert "sweep budget exhausted" in capsys.readouterr().err
 
 
-def test_non_hermitian_operator_is_internal_error(monkeypatch, capsys):
-    def not_hermitian(matrix):
-        raise NotHermitian("matrix is not Hermitian")
+@pytest.mark.parametrize("error", [NotHermitian, DimensionMismatch],
+                         ids=lambda error: error.__name__)
+def test_non_hermitian_operator_is_internal_error(monkeypatch, capsys, error):
+    message = f"{error.__name__} in the eigensolver"
 
-    monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", not_hermitian)
+    def fail(matrix):
+        raise error(message)
+
+    monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", fail)
     assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 4
-    assert capsys.readouterr().err == "internal error: matrix is not Hermitian\n"
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 def test_invalid_observable_is_internal_error(monkeypatch, capsys):
@@ -129,6 +136,15 @@ def test_invalid_observable_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(relbell.sampling, "_check_observable", invalid)
     assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10"]) == 4
     assert capsys.readouterr().err.startswith("internal error: observable spectrum")
+    monkeypatch.undo()
+
+    # The shot records are the command's own too.
+    def missing(records, signs):
+        raise MissingSetting("3 records for 4 setting combinations")
+
+    monkeypatch.setattr(relbell.cli, "estimate_bell", missing)
+    assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: 3 records for 4")
 
 
 def test_degenerate_observable_stays_usage_error(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
+from helpers import basis_state, marginal
 from relbell.bell import bell_terms, mermin_terms
 from relbell.errors import (
     DimensionMismatch,
@@ -26,7 +27,7 @@ from relbell.sampling import (
     sample,
 )
 from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
-from relbell.states import basis_state, ghz_plus, phi_plus
+from relbell.states import ghz_plus, phi_plus
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -71,9 +72,9 @@ def test_joint_distribution_marginals():
             factors = [IDENTITY_2] * 3
             factors[particle] = 0.5 * (IDENTITY_2 + observables[particle])
             p_plus = expectation(state, kron3(*factors))
-            marginal = dist.marginal(particle)
-            assert abs(marginal[0] - p_plus) < 1e-12
-            assert abs(marginal.sum() - 1.0) < 1e-12
+            probabilities = marginal(dist, particle)
+            assert abs(probabilities[0] - p_plus) < 1e-12
+            assert abs(probabilities.sum() - 1.0) < 1e-12
 
 
 def test_joint_distribution_validation():

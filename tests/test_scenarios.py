@@ -10,17 +10,16 @@ from relbell.errors import DomainError
 from relbell.linalg import expectation, hermitian_eigensystem
 from relbell.bell import max_violation, mermin_operator
 from relbell.scenarios import (
+    SCENARIOS,
     Scenario,
     chsh_collinear_settings,
     com_boosts,
     com_closed_form_directions,
-    com_setting_observables,
     epsilon2,
     epsilon3_com,
     lambda_com,
     mermin_collinear_settings,
     mermin_com_settings,
-    scenario_closed_form,
     scenario_curve,
 )
 from relbell.states import ghz_plus
@@ -77,7 +76,7 @@ def test_com_boosts_geometry():
 
 
 def test_com_setting_observables_rest_frame():
-    a, a_prime, b, b_prime, c, c_prime = com_setting_observables(0.0)
+    a, a_prime, b, b_prime, c, c_prime = mermin_com_settings(0.0).effective_directions()
     y = np.array([0.0, 1.0, 0.0])
     x = np.array([1.0, 0.0, 0.0])
     for unprimed in (a, b, c):
@@ -87,7 +86,7 @@ def test_com_setting_observables_rest_frame():
 
 
 def test_com_setting_observables_boosted():
-    a, a_prime, b, b_prime, c, c_prime = com_setting_observables(0.8)
+    a, a_prime, b, b_prime, c, c_prime = mermin_com_settings(0.8).effective_directions()
     # particle 1 settings are fixed points
     assert np.array_equal(a, np.array([0.0, 1.0, 0.0]))
     assert np.array_equal(a_prime, np.array([1.0, 0.0, 0.0]))
@@ -102,12 +101,12 @@ def test_com_setting_observables_boosted():
 
 def test_com_setting_observables_domain():
     with pytest.raises(DomainError):
-        com_setting_observables(1.0)
+        mermin_com_settings(1.0).effective_directions()
 
 
 def test_com_closed_form_directions():
     for beta in (0.0, 0.3, 0.8, 0.99):
-        effective = com_setting_observables(beta)
+        effective = mermin_com_settings(beta).effective_directions()
         closed = com_closed_form_directions(beta)
         assert max_abs(effective[2] - closed["b"]) < 1e-12
         assert max_abs(effective[4] - closed["c"]) < 1e-12
@@ -121,9 +120,13 @@ def test_com_closed_form_directions():
 
 
 def test_scenario_closed_forms():
-    assert scenario_closed_form("chsh_collinear", 0.25) == epsilon2(0.25)
-    assert scenario_closed_form("mermin_collinear", 0.7) == 4.0
-    assert scenario_closed_form("mermin_center_of_mass", 0.7) == epsilon3_com(0.7)
+    def closed_form(kind, beta):
+        _, peak = SCENARIOS[kind]
+        return peak(beta)
+
+    assert closed_form("chsh_collinear", 0.25) == epsilon2(0.25)
+    assert closed_form("mermin_collinear", 0.7) == 4.0
+    assert closed_form("mermin_center_of_mass", 0.7) == epsilon3_com(0.7)
 
 
 def test_scenario_curve_chsh_rest():
@@ -137,10 +140,11 @@ def test_scenario_curve_chsh_rest():
 def test_scenario_curve_mermin_prime_swap():
     result = scenario_curve(Scenario("mermin_collinear", 0.7, prime_swap=True))
     assert abs(abs(result.state_expectation) - 4.0) < 1e-10
-    assert result.residual_closed_state < 1e-10
+    assert abs(result.closed_form - abs(result.state_expectation)) < 1e-10
     as_given = scenario_curve(Scenario("mermin_collinear", 0.7))
     assert abs(as_given.state_expectation) < 1e-12
-    assert abs(as_given.residual_closed_state - 4.0) < 1e-10
+    residual_closed_state = abs(as_given.closed_form - abs(as_given.state_expectation))
+    assert abs(residual_closed_state - 4.0) < 1e-10
 
 
 def test_scenario_curve_center_of_mass():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_xy
+from helpers import basis_state, ghz_minus, random_xy
 from relbell.errors import (
     DegenerateObservable,
     DomainError,
@@ -14,9 +14,7 @@ from relbell.errors import (
 from relbell.linalg import expectation, kron, kron3
 from relbell.observables import Boost, observable_matrix
 from relbell.states import (
-    basis_state,
     ghz_correlator_closed_form,
-    ghz_minus,
     ghz_offdiagonal_closed_form,
     ghz_plus,
     phi_plus,

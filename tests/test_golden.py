@@ -47,6 +47,19 @@ def _cases() -> dict[str, list[str]]:
         cases[f"sample-{name}"] = ["sample", "--scenario", scenario,
                                    "--shots", "10000", "--seed", "4",
                                    "--prime-swap", "--settings", path]
+    # Sweeps over several blocks of grid rows, some starting above 0 or
+    # ending below 1, so block edges fall inside the grid.
+    cases["sweep-blocks-mermin-com-swap"] = [
+        "sweep", "--scenario", "mermin-com", "--prime-swap", "--beta-step", "0.003"]
+    cases["sweep-blocks-chsh-collinear-interior"] = [
+        "sweep", "--scenario", "chsh-collinear", "--beta-min", "0.05",
+        "--beta-max", "0.95", "--beta-step", "0.007"]
+    cases["sweep-blocks-settings3_free"] = [
+        "sweep", "--scenario", "mermin-com", "--beta-min", "0.2",
+        "--beta-step", "0.004", "--settings", SETTINGS["settings3_free"]]
+    cases["sweep-blocks-settings2_inplane-swap"] = [
+        "sweep", "--scenario", "chsh-collinear", "--beta-max", "0.9",
+        "--beta-step", "0.006", "--prime-swap", "--settings", SETTINGS["settings2_inplane"]]
     # More than one Philox shot block; the swapped collinear Mermin scenario
     # has zero-probability outcomes.
     cases["sample-multiblock-chsh-collinear"] = [

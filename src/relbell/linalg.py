@@ -58,24 +58,33 @@ def is_hermitian(matrix, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _as_operators(matrices) -> np.ndarray:
+    """Coerce the input to a square complex matrix or a stack of them."""
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The broadcast np.kron itself evaluates, without its generic axis
-    # bookkeeping: each entry is one product a[i, k] * b[j, l], so the bits
-    # are np.kron's.
-    n, m = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    # bookkeeping: each entry is one product a[..., i, k] * b[..., j, l], so
+    # the bits are np.kron's, row by row of a stack.
+    n, m = a.shape[-1], b.shape[-1]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (n * m, n * m))
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices; the result dimension is the
     product of the inputs'.  Computed as one broadcast product, bit-identical
-    to np.kron."""
-    return _kron(as_operator(a), as_operator(b))
+    to np.kron.  Stacks of matrices along leading axes multiply pairwise."""
+    return _kron(_as_operators(a), _as_operators(b))
 
 
 def kron3(a, b, c) -> np.ndarray:
     """Three-factor Kronecker product, associating left to right."""
-    return _kron(_kron(as_operator(a), as_operator(b)), as_operator(c))
+    return _kron(_kron(_as_operators(a), _as_operators(b)), _as_operators(c))
 
 
 def state_vector(amplitudes) -> np.ndarray:

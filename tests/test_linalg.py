@@ -78,6 +78,17 @@ def test_kron_is_bit_identical_to_numpy(a, b, c):
     one = np.array([[1.0]], dtype=complex)
     assert _same_bits(kron(one, a), np.kron(one, a))
     assert _same_bits(kron(kron(one, a), b), np.kron(np.kron(one, a), b))
+    # Stacks along a leading axis, as a sweep grid builds its operators:
+    # every row carries np.kron's bits of its own factors, and a single
+    # matrix broadcasts against a stack.
+    x, y, z = np.stack([a, b, c]), np.stack([b, c, a]), np.stack([c, a, b])
+    stacked2, stacked3 = kron(x, y), kron3(x, y, z)
+    assert stacked2.shape == (3, 4, 4) and stacked3.shape == (3, 8, 8)
+    for r in range(3):
+        assert _same_bits(stacked2[r], np.kron(x[r], y[r]))
+        assert _same_bits(stacked3[r], np.kron(np.kron(x[r], y[r]), z[r]))
+        assert _same_bits(kron(a, y)[r], np.kron(a, y[r]))
+    assert kron(x[:0], y[:0]).shape == (0, 4, 4)
 
 
 def _numpy_kron_calls(path):

@@ -71,8 +71,9 @@ class Settings:
         return Settings(tuple([d[i ^ 1] for i in range(len(d))]), self.boosts)
 
     def effective_directions(self):
-        return tuple([boost_map(d, self.boosts[i // 2])
-                      for i, d in enumerate(self.directions)])
+        boosts = [boost for boost in self.boosts for _ in range(2)]
+        return tuple([boost_map(d, b.direction, b.beta)
+                      for d, b in zip(self.directions, boosts)])
 
     def effective_observables(self):
         """The 2x2 observables, each built under its particle's boost."""
@@ -144,6 +145,11 @@ def chsh_operator(settings: Settings) -> np.ndarray:
     return _chsh(*settings.effective_observables())
 
 
+def _mermin(a, ap, b, bp, c, cp) -> np.ndarray:
+    # The sign table's terms, summed term by term in table order.
+    return kron3(a, bp, cp) + kron3(ap, b, cp) + kron3(ap, bp, c) - kron3(a, b, c)
+
+
 def bell_terms(settings: Settings):
     """Per-setting decomposition of the Bell operator.
 
@@ -207,12 +213,7 @@ def chsh_zeta(settings: Settings) -> float:
 def mermin_operator(settings: Settings) -> np.ndarray:
     """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C,
     summed term by term in sign-table order."""
-    (_, _, first), *rest = bell_terms(settings)
-    total = kron3(*first)
-    for _, sign, observables in rest:
-        term = kron3(*observables)
-        total = total + term if sign > 0 else total - term
-    return total
+    return _mermin(*settings.effective_observables())
 
 
 def mermin_square_closed_form(settings: Settings) -> np.ndarray:
@@ -322,17 +323,27 @@ def bell_operator(settings: Settings) -> np.ndarray:
     return settings.family.operator(settings)
 
 
+def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
+    """The Bell operators of the settings with every particle boosted at each
+    speed of betas (all below 1) instead of its own, stacked on a leading
+    axis: row r is bell_operator of the settings at betas[r], bit for bit."""
+    axes = np.array([boost.direction for boost in settings.boosts for _ in range(2)])
+    n = boost_map(np.array(settings.directions), axes, np.asarray(betas, dtype=float))
+    return settings.family.assemble(*direction_matrix(n.swapaxes(0, 1)))
+
+
 @dataclass(frozen=True)
 class Family:
     """What the particle count fixes: the operator's name, its sign table of
     (label, sign, observable indices) terms (first sign +1), the matched
-    maximally entangled state, and the closed-form largest eigenvalue of its
-    square (DomainRestriction off its domain)."""
+    maximally entangled state, the operator, its assembly from the (stacked)
+    observables, and the closed-form largest eigenvalue of its square."""
 
     name: str
     terms: tuple
     state: Callable[[], np.ndarray]
     operator: Callable[[Settings], np.ndarray]
+    assemble: Callable[..., np.ndarray]
     square_peak: Callable[[Settings], float]
 
 
@@ -350,8 +361,8 @@ def _sign_table(*terms):
 FAMILIES = {
     2: Family("chsh",
               _sign_table(("ab", 1), ("ab'", 1), ("a'b", 1), ("a'b'", -1)),
-              phi_plus, lambda s: chsh_operator(s), chsh_zeta),
+              phi_plus, lambda s: chsh_operator(s), _chsh, chsh_zeta),
     3: Family("mermin",
               _sign_table(("ab'c'", 1), ("a'bc'", 1), ("a'b'c", 1), ("abc", -1)),
-              ghz_plus, lambda s: mermin_operator(s), mermin_lambda3),
+              ghz_plus, lambda s: mermin_operator(s), _mermin, mermin_lambda3),
 }

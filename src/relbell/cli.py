@@ -32,12 +32,11 @@ import numpy as np
 
 from . import __version__
 from .bell import DIRECTION_NAMES, Settings, bell_terms
-from .errors import BellToolkitError, DimensionMismatch, DomainRestriction, \
-    InvalidObservable, MissingSetting, NoConvergence, NotHermitian
+from .errors import BellToolkitError, DimensionMismatch, InvalidObservable, \
+    MissingSetting, NoConvergence, NotHermitian
 from .observables import Boost, normalized3
 from .sampling import estimate_bell, exact_bell, joint_distribution, sample
-from .scenarios import BETA_GRID_STEP, SCENARIOS, Scenario, ScenarioResult, \
-    X_AXIS, com_boosts, scenario_curve, settings_curve
+from .scenarios import BETA_GRID_STEP, SCENARIOS, X_AXIS, com_boosts, sweep
 from .search import SearchConfig, optimize_chsh, optimize_mermin
 from .verify import FAIL, run_all_checks
 
@@ -168,33 +167,20 @@ def _settings_from_custom(custom: dict, beta_override: float | None,
     return settings.prime_swapped() if prime_swap else settings
 
 
-def _custom_sweep_values(beta: float, custom: dict, prime_swap: bool) -> ScenarioResult:
-    """The sweep sample of a settings file at the grid speed; all None at
-    beta = 1, where no matrix exists and a file has no closed-form curve."""
-    if beta >= 1.0:
-        return ScenarioResult(None, None, None, None)
-    settings = _settings_from_custom(custom, beta, prime_swap)
-    try:
-        closed = float(np.sqrt(settings.family.square_peak(settings)))
-    except DomainRestriction:
-        closed = None
-    return settings_curve(settings, closed)
-
-
 def _cmd_sweep(args) -> int:
     if not (0.0 <= args.beta_min <= args.beta_max <= 1.0) or not args.beta_step > 0.0:
         raise UsageError("need 0 <= beta-min <= beta-max <= 1 and beta-step > 0")
     if not math.isfinite(args.beta_step):
         raise UsageError(f"beta-step must be finite, got {args.beta_step}")
     kind = SCENARIO_NAMES[args.scenario]
-    custom = _load_settings_file(args.settings, kind) if args.settings else None
-    rows = []
-    for beta in _beta_grid(args.beta_min, args.beta_max, args.beta_step):
-        if custom is None:
-            values = scenario_curve(Scenario(kind, beta, args.prime_swap))
-        else:
-            values = _custom_sweep_values(beta, custom, args.prime_swap)
-        rows.append(dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values))))
+    build_settings, peak = SCENARIOS[kind]
+    settings = build_settings(0.0, args.prime_swap)
+    if args.settings:  # no closed-form curve: sweep falls back on the square peak
+        custom = _load_settings_file(args.settings, kind)
+        settings, peak = _settings_from_custom(custom, 0.0, args.prime_swap), None
+    betas = _beta_grid(args.beta_min, args.beta_max, args.beta_step)
+    rows = [dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values)))
+            for beta, values in zip(betas, sweep(settings, betas, peak))]
     meta = _meta(args, "sweep", {"scenario": args.scenario,
                                  "beta_min": args.beta_min,
                                  "beta_max": args.beta_max,

@@ -103,25 +103,36 @@ def effective_direction(a, boost: Boost) -> np.ndarray:
     Raises DegenerateObservable when the denominator underflows
     DENOMINATOR_FLOOR.
     """
-    return boost_map(unit3(a), boost)
+    return boost_map(unit3(a), boost.direction, boost.beta)
 
 
-def boost_map(a: np.ndarray, boost: Boost) -> np.ndarray:
-    """effective_direction of a direction that unit3 has already validated."""
-    if boost.beta == 0.0:
+def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
+    """effective_direction of ``a``, already checked by unit3, under a boost
+    along ``e`` at speed beta.  Over a sweep grid ``a`` and ``e`` are (D, 3)
+    and beta holds R speeds: each row of the (R, D, 3) result takes a single
+    map's arithmetic, rows at beta = 0 copy ``a``, and the floor is checked
+    in row-major order, as a row-by-row build meets it."""
+    if grid := np.ndim(beta) == 1:
+        along = np.array([float(e_d @ a_d) for e_d, a_d in zip(e, a)])[:, None]
+        denom_sq = np.reshape([boost_denominator_sq(x, b) for b in beta.tolist()
+                               for x in along[:, 0].tolist()], (-1, len(a), 1))
+        beta = beta[:, None, None]
+    elif beta == 0.0:
         return a.copy()
-    along = float(boost.direction @ a)
-    parallel = along * boost.direction
-    perpendicular = a - parallel
-    denom_sq = boost_denominator_sq(along, boost.beta)
-    shrink = math.sqrt(1.0 - boost.beta * boost.beta)
-    return (shrink * perpendicular + parallel) / math.sqrt(denom_sq)
+    else:
+        along = float(e @ a)
+        denom_sq = boost_denominator_sq(along, beta)
+    parallel = along * e
+    shrink = np.sqrt(1.0 - beta * beta)
+    n = (shrink * (a - parallel) + parallel) / np.sqrt(denom_sq)
+    return np.where(beta == 0.0, a, n) if grid else n
 
 
 def direction_matrix(n: np.ndarray) -> np.ndarray:
     """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
-    that boost_map has already produced; ``n`` is not validated again."""
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+    that boost_map has already produced, or a stack (..., 3) of them."""
+    x, y, z = (n[..., k, None, None] for k in range(3))
+    return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
 def observable_matrix(a, boost: Boost) -> np.ndarray:

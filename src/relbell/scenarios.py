@@ -10,7 +10,7 @@ of 2 pi / 3.
 SCENARIOS maps each named kind to its settings builder and closed-form
 peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; the
 matrix-backed fields of a sweep sample (ScenarioResult) exist for beta < 1
-only.
+only.  sweep builds a block of rows' operators at once, one eigensolve a row.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bell import Settings, bell_operator, max_violation
-from .errors import DomainError
+from .bell import Settings, bell_operator_grid, max_violation
+from .errors import DomainError, DomainRestriction
 from .linalg import expectation
 from .observables import Boost, require_unit_interval
 
@@ -37,6 +37,8 @@ CHSH_B_PRIME = X_AXIS
 
 #: Default sweep grid spacing over beta in [0, 1].
 BETA_GRID_STEP = 0.01
+#: Rows whose operators sweep builds at once; bounds its memory at any step.
+SWEEP_BLOCK_ROWS = 64
 
 
 def epsilon2(beta: float) -> float:
@@ -201,17 +203,37 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
     """Evaluate one sweep sample: closed form, numeric operator norm, and
     the expectation on the matched entangled state."""
     build_settings, peak = SCENARIOS[scenario.kind]
-    closed = peak(scenario.beta)
-    if scenario.beta >= 1.0:
-        return ScenarioResult(closed, None, None, None)
-    return settings_curve(build_settings(scenario.beta, scenario.prime_swap), closed)
+    return next(sweep(build_settings(0.0, scenario.prime_swap), [scenario.beta], peak))
 
 
-def settings_curve(settings: Settings, closed: float | None) -> ScenarioResult:
-    """The sweep sample of the settings' Bell operator against the closed
-    form ``closed``; the residual is None without a closed form."""
-    operator = bell_operator(settings)
-    numeric = max_violation(operator)
-    residual = None if closed is None else abs(closed - numeric)
-    return ScenarioResult(closed, numeric,
-                          expectation(settings.family.state(), operator), residual)
+def _square_peak_root(settings: Settings, beta: float) -> float | None:
+    """sqrt of the family's square peak at beta; None off its domain or at 1."""
+    if beta >= 1.0:
+        return None
+    at_beta = Settings(settings.directions,
+                       [Boost(boost.direction, beta) for boost in settings.boosts])
+    try:
+        return float(np.sqrt(at_beta.family.square_peak(at_beta)))
+    except DomainRestriction:
+        return None
+
+
+def sweep(settings: Settings, betas, peak=None):
+    """Yield the sweep sample (ScenarioResult) of each speed of betas, every
+    particle of the settings boosted at that speed; peak(beta) is the closed
+    form, by default _square_peak_root.  bell_operator_grid builds the
+    operators of SWEEP_BLOCK_ROWS rows at once; each row below beta = 1 then
+    gets its own eigensolve and expectation, bit-identical row by row."""
+    state = settings.family.state()
+    for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
+        block = betas[start:start + SWEEP_BLOCK_ROWS]
+        operators = iter(bell_operator_grid(settings, [b for b in block if b < 1.0]))
+        for beta in block:
+            closed = _square_peak_root(settings, beta) if peak is None else peak(beta)
+            if beta >= 1.0:
+                yield ScenarioResult(closed, None, None, None)
+                continue
+            operator = next(operators)
+            numeric = max_violation(operator)
+            residual = None if closed is None else abs(closed - numeric)
+            yield ScenarioResult(closed, numeric, expectation(state, operator), residual)

@@ -171,7 +171,7 @@ def _norm_objective(boosts, constraint: str):
             part = angles[i * width:(i + 1) * width]
             key = part.tobytes()
             if key != cache[i][0]:
-                n = tuple([boost_map(unit3(d), boost)
+                n = tuple([boost_map(unit3(d), boost.direction, boost.beta)
                            for d in _directions_from_angles(part, constraint)])
                 cache[i] = (key, n, cross_norm(*n))
         return norm_from_kappas([kappa for _, _, kappa in cache])

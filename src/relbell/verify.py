@@ -18,6 +18,7 @@ from .bell import (
     ChshSettings,
     MerminSettings,
     Settings,
+    bell_operator_grid,
     chsh_operator,
     chsh_square_identity_residual,
     chsh_zeta,
@@ -183,9 +184,8 @@ def _check_chsh_zeta_eigenstates(tolerance, seed):
 def _check_chsh_collinear_curve(tolerance, seed):
     state = phi_plus()
     residual = 0.0
-    for beta in BETA_GRID:
-        settings = chsh_collinear_settings(beta)
-        operator = chsh_operator(settings)
+    operators = bell_operator_grid(chsh_collinear_settings(0.0), BETA_GRID)
+    for beta, operator in zip(BETA_GRID, operators):
         closed = epsilon2(beta)
         residual = max(residual, abs(closed - max_violation(operator)),
                        abs(closed - expectation(state, operator)))
@@ -371,8 +371,8 @@ def _check_mermin_collinear_invariance(tolerance, seed):
 
 def _check_com_curve(tolerance, seed):
     residual = 0.0
-    for beta in BETA_GRID:
-        operator = mermin_operator(mermin_com_settings(beta))
+    operators = bell_operator_grid(mermin_com_settings(0.0), BETA_GRID)
+    for beta, operator in zip(BETA_GRID, operators):
         top = hermitian_eigensystem(operator @ operator)[0][-1]
         residual = max(residual, abs(math.sqrt(top) - epsilon3_com(beta)))
     return _conformance(
@@ -432,9 +432,9 @@ def _check_com_primed_coefficient(seed):
 def _check_com_ghz_expectation(tolerance, seed):
     state = ghz_plus()
     residual = 0.0
-    for beta in BETA_GRID:
-        swapped = expectation(state, mermin_operator(
-            mermin_com_settings(beta, prime_swap=True)))
+    operators = bell_operator_grid(mermin_com_settings(0.0, prime_swap=True), BETA_GRID)
+    for beta, operator in zip(BETA_GRID, operators):
+        swapped = expectation(state, operator)
         residual = max(residual, abs(abs(swapped) - epsilon3_com(beta)))
     as_given = expectation(state, mermin_operator(mermin_com_settings(0.5)))
     return _conformance(

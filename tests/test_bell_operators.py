@@ -1,23 +1,27 @@
 """Bell-operator tests: assembly, square identities, closed-form peaks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relbell.observables as observables
 from helpers import max_abs, random_unit, random_xy, unit_vectors
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
     Settings,
     bell_operator,
+    bell_operator_grid,
     bell_terms,
     chsh_operator,
     chsh_square_identity_residual,
     chsh_zeta,
     commutator,
+    cross_norm,
     max_violation,
     mermin_lambda3,
     mermin_operator,
@@ -26,7 +30,7 @@ from relbell.bell import (
     mermin_terms,
     operator_norm,
 )
-from relbell.errors import DomainError, DomainRestriction
+from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_Z, hermitian_eigensystem, kron, kron3
 from relbell.observables import Boost, observable_matrix
 from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
@@ -467,3 +471,83 @@ def test_operator_norms_extend_restricted_closed_forms():
     boost = Boost(X, 0.5)
     collapsed = ChshSettings(Y, Y, Z, Z, boost, boost)
     assert operator_norm(collapsed) == 2.0
+
+
+def _draw_free(data, n_particles, max_beta=0.99):
+    """Free directions and free boosts with beta in [0, max_beta]."""
+    directions = data.draw(st.lists(unit_vectors, min_size=2 * n_particles,
+                                    max_size=2 * n_particles))
+    boosts = data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, max_beta)),
+                                min_size=n_particles, max_size=n_particles))
+    return Settings(directions, boosts)
+
+
+def _at_speed(settings_, beta):
+    return Settings(settings_.directions,
+                    [Boost(boost.direction, beta) for boost in settings_.boosts])
+
+
+#: The fastest grid speed the bit-identity test reaches.
+_TOP_SPEED = 1.0 - 2.0 ** -40
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_operator_grid_rows_are_bit_identical(n_particles, data):
+    # Bit identity, not closeness, compared as uint64 so signed zeros count:
+    # sweep rows, and with them the golden sweeps, come from the grid.
+    settings_ = _draw_free(data, n_particles)
+    if data.draw(st.booleans()):
+        settings_ = settings_.prime_swapped()
+    speeds = data.draw(st.lists(st.floats(0.0, _TOP_SPEED), min_size=1, max_size=12))
+    betas = speeds + [0.0, speeds[0], _TOP_SPEED]
+    grid = bell_operator_grid(settings_, betas)
+    assert grid.shape == (len(betas),) + (2 ** n_particles,) * 2
+    for beta, row in zip(betas, grid):
+        want = bell_operator(_at_speed(settings_, beta))
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_operator_grid_raises_like_row_by_row(n_particles, data):
+    # With a raised floor some (speed, direction) pairs degenerate.  The grid
+    # must refuse with the error a row-by-row build meets first: the first
+    # offending speed in grid order, then the first direction in Settings
+    # order (the message carries that pair's denominator).
+    settings_ = _draw_free(data, n_particles)
+    betas = data.draw(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=12))
+    floor = data.draw(st.floats(0.05, 0.95))
+    with mock.patch.object(observables, "DENOMINATOR_FLOOR", floor):
+        expected = None
+        for beta in betas:
+            try:
+                bell_operator(_at_speed(settings_, beta))
+            except DegenerateObservable as exc:
+                expected = str(exc)
+                break
+        if expected is None:
+            bell_operator_grid(settings_, betas)
+        else:
+            with pytest.raises(DegenerateObservable) as raised:
+                bell_operator_grid(settings_, betas)
+            assert str(raised.value) == expected
+
+
+def test_operator_grid_raises_at_first_row_then_first_direction():
+    # Under a floor of 0.5, a' (perpendicular to its boost) degenerates from
+    # beta = 0.866 on, a (along = 0.3) only from 0.908 on.  The first
+    # offending row, 0.88, names a'; checking a over the whole grid first
+    # would name a at 0.95 instead.
+    a = np.array([0.3, math.sqrt(0.91), 0.0])
+    settings_ = Settings((a, Y, X, X), (Boost(X, 0.0), Boost(X, 0.0)))
+    with mock.patch.object(observables, "DENOMINATOR_FLOOR", 0.5):
+        with pytest.raises(DegenerateObservable) as row_by_row:
+            for beta in (0.5, 0.88, 0.95):
+                bell_operator(_at_speed(settings_, beta))
+        with pytest.raises(DegenerateObservable) as grid:
+            bell_operator_grid(settings_, [0.5, 0.88, 0.95])
+    assert str(grid.value) == str(row_by_row.value)
+    assert str(grid.value).startswith(f"normalization denominator {math.sqrt(1 - 0.88**2):g}")

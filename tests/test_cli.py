@@ -1,9 +1,12 @@
 """End-to-end CLI tests: formats, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import relbell.bell
 import relbell.cli
 import relbell.observables
 import relbell.sampling
+import relbell.scenarios
 from relbell.cli import MAX_SWEEP_ROWS, SCENARIO_NAMES, main
 from relbell.errors import DegenerateObservable, DimensionMismatch, InvalidObservable, \
     MissingSetting, NoConvergence, NotHermitian
@@ -155,6 +159,31 @@ def test_degenerate_observable_stays_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(relbell.observables, "boost_denominator_sq", degenerate)
     assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("error: normalization denominator")
+
+
+@pytest.mark.parametrize("scenario", ["chsh-collinear", "mermin-com"])
+def test_sweep_builds_operators_per_block(monkeypatch, scenario):
+    # A sweep builds its operators a block of rows at a time and runs one
+    # eigensolve per row below beta = 1; a per-row operator build would call
+    # chsh_operator or mermin_operator once per row.
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("chsh_operator", "mermin_operator", "hermitian_eigensystem"):
+        counted(relbell.bell, name)
+    counted(relbell.scenarios, "bell_operator_grid")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--scenario", scenario, "--beta-step", "0.001"]) == 0
+    blocks = math.ceil(1001 / relbell.scenarios.SWEEP_BLOCK_ROWS)
+    assert calls == {"hermitian_eigensystem": 1000, "bell_operator_grid": blocks}
 
 
 def test_unwritable_output_is_io_error(tmp_path):

@@ -551,3 +551,30 @@ def test_operator_grid_raises_at_first_row_then_first_direction():
             bell_operator_grid(settings_, [0.5, 0.88, 0.95])
     assert str(grid.value) == str(row_by_row.value)
     assert str(grid.value).startswith(f"normalization denominator {math.sqrt(1 - 0.88**2):g}")
+
+
+def _single_qubit_marginals(vector, n_particles):
+    """The reduced density matrix of each qubit of a pure state."""
+    amplitudes = vector.reshape((2,) * n_particles)
+    marginals = []
+    for qubit in range(n_particles):
+        rows = np.moveaxis(amplitudes, qubit, 0).reshape(2, -1)
+        marginals.append(rows @ rows.conj().T)
+    return marginals
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_top_eigenvector_is_maximally_entangled(n_particles, data):
+    # The paper's claims: when both observables of every particle fail to
+    # commute (every k_i >= 0.1, which also makes the top eigenvalue
+    # simple), the state attaining the largest eigenvalue is maximally
+    # entangled; for three particles it is GHZ-class.  Either way every
+    # single-qubit marginal is I/2.
+    settings_ = _draw_free(data, n_particles)
+    n = settings_.effective_directions()
+    assume(all(cross_norm(n[i], n[i + 1]) >= 0.1 for i in range(0, len(n), 2)))
+    _, vectors = hermitian_eigensystem(bell_operator(settings_))
+    for marginal in _single_qubit_marginals(vectors[:, -1], n_particles):
+        assert max_abs(marginal - np.eye(2) / 2.0) <= 1e-12

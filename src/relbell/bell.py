@@ -327,8 +327,11 @@ def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
     """The Bell operators of the settings with every particle boosted at each
     speed of betas (all below 1) instead of its own, stacked on a leading
     axis: row r is bell_operator of the settings at betas[r], bit for bit."""
+    betas = np.asarray(betas, dtype=float)
+    if not np.all((0.0 <= betas) & (betas < 1.0)):
+        raise DomainError(f"boost speeds must satisfy 0 <= beta < 1, got {betas.tolist()}")
     axes = np.array([boost.direction for boost in settings.boosts for _ in range(2)])
-    n = boost_map(np.array(settings.directions), axes, np.asarray(betas, dtype=float))
+    n = boost_map(np.array(settings.directions), axes, betas)
     return settings.family.assemble(*direction_matrix(n.swapaxes(0, 1)))
 
 

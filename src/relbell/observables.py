@@ -108,11 +108,10 @@ def effective_direction(a, boost: Boost) -> np.ndarray:
 
 def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     """effective_direction of ``a``, already checked by unit3, under a boost
-    along ``e`` at speed beta.  Over a sweep grid ``a`` and ``e`` are (D, 3)
-    and beta holds R speeds: each row of the (R, D, 3) result takes a single
-    map's arithmetic, rows at beta = 0 copy ``a``, and the floor is checked
-    in row-major order, as a row-by-row build meets it."""
-    if grid := np.ndim(beta) == 1:
+    along ``e`` at speed beta.  Over a grid, ``a`` and ``e`` are (D, 3) and beta
+    holds R speeds: each row of the (R, D, 3) result takes one map's arithmetic,
+    beta = 0 rows copy ``a``, and the floor is checked in row-major order."""
+    if grid := isinstance(beta, np.ndarray):
         along = np.array([float(e_d @ a_d) for e_d, a_d in zip(e, a)])[:, None]
         denom_sq = np.reshape([boost_denominator_sq(x, b) for b in beta.tolist()
                                for x in along[:, 0].tolist()], (-1, len(a), 1))
@@ -131,7 +130,7 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
 def direction_matrix(n: np.ndarray) -> np.ndarray:
     """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
     that boost_map has already produced, or a stack (..., 3) of them."""
-    x, y, z = (n[..., k, None, None] for k in range(3))
+    x, y, z = np.moveaxis(n[..., None, None], -3, 0) if n.ndim > 1 else n
     return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 

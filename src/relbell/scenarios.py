@@ -219,11 +219,10 @@ def _square_peak_root(settings: Settings, beta: float) -> float | None:
 
 
 def sweep(settings: Settings, betas, peak=None):
-    """Yield the sweep sample (ScenarioResult) of each speed of betas, every
-    particle of the settings boosted at that speed; peak(beta) is the closed
-    form, by default _square_peak_root.  bell_operator_grid builds the
-    operators of SWEEP_BLOCK_ROWS rows at once; each row below beta = 1 then
-    gets its own eigensolve and expectation, bit-identical row by row."""
+    """Yield the ScenarioResult of each speed of betas, every particle boosted
+    at that speed; peak(beta) is the closed form (default _square_peak_root).
+    bell_operator_grid builds SWEEP_BLOCK_ROWS rows' operators at once; each
+    row below beta = 1 gets its own eigensolve and expectation."""
     state = settings.family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
         block = betas[start:start + SWEEP_BLOCK_ROWS]

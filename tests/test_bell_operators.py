@@ -536,6 +536,12 @@ def test_operator_grid_raises_like_row_by_row(n_particles, data):
             assert str(raised.value) == expected
 
 
+@pytest.mark.parametrize("beta", [1.0, -0.1, math.nan])
+def test_operator_grid_refuses_speeds_boost_refuses(beta):
+    with pytest.raises(DomainError):
+        bell_operator_grid(chsh_collinear_settings(0.0), [0.5, beta])
+
+
 def test_operator_grid_raises_at_first_row_then_first_direction():
     # Under a floor of 0.5, a' (perpendicular to its boost) degenerates from
     # beta = 0.866 on, a (along = 0.3) only from 0.908 on.  The first

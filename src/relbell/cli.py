@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Four commands, all emitting CSV or JSON: ``sweep`` evaluates a named
-scenario's closed-form and numeric violation curves over a beta grid,
+Four commands, all emitting CSV or JSON: ``sweep`` tabulates a named
+scenario's or a settings file's curves over a beta grid (scenarios.sweep),
 ``verify`` runs the closed-form-vs-brute-force battery and reports errata,
 ``optimize`` searches measurement settings for the peak violation, and
 ``sample`` runs a shot-level Monte Carlo experiment.

@@ -1,10 +1,19 @@
 """Shared helpers for the test suite."""
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
+from relbell.errors import NoConvergence, NotHermitian
+from relbell.linalg import (
+    HERMITICITY_TOL,
+    OFF_DIAGONAL_TARGET,
+    SWEEP_BUDGET,
+    as_operator,
+    is_hermitian,
+)
 # One copy of the random-direction draws: the verify battery's.
 from relbell.verify import _random_unit as random_unit  # noqa: F401
 from relbell.verify import _random_xy as random_xy  # noqa: F401
@@ -50,3 +59,81 @@ unit_vectors = st.builds(
                                  math.sin(theta) * math.sin(phi),
                                  math.cos(theta)]),
     st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+# The scalar cyclic Jacobi kernel, one matrix at a time, kept as the oracle
+# that the package's eigensolver must match bit for bit.
+
+_SMALLEST_NORMAL = sys.float_info.min
+
+
+def _off_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int,
+            c: float, s: float, phase: complex) -> None:
+    # Unitary R differs from the identity only in rows/columns p, q:
+    # R[p,p] = R[q,q] = c, R[p,q] = s*phase, R[q,p] = -s*conj(phase),
+    # with phase the unit phase of a[p,q].  Applies a <- R^dag a R, v <- v R.
+    s_minus = s * np.conj(phase)
+    s_plus = s * phase
+
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s_minus * col_q
+    a[:, q] = s_plus * col_p + c * col_q
+
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s_plus * row_q
+    a[q, :] = s_minus * row_p + c * row_q
+
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+    vec_p = v[:, p].copy()
+    vec_q = v[:, q].copy()
+    v[:, p] = c * vec_p - s_minus * vec_q
+    v[:, q] = s_plus * vec_p + c * vec_q
+
+
+def scalar_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of one Hermitian matrix by cyclic Jacobi
+    rotations: ``(w, v)`` with ``w`` ascending and ``v``'s columns the
+    eigenvectors."""
+    m = as_operator(matrix)
+    if not is_hermitian(m):
+        raise NotHermitian(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
+
+    n = m.shape[0]
+    a = m.astype(complex, copy=True)
+    v = np.eye(n, dtype=complex)
+    threshold = OFF_DIAGONAL_TARGET * max(1.0, float(np.linalg.norm(m)))
+
+    for _ in range(SWEEP_BUDGET):
+        if _off_norm(a) <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                mag = abs(apq)
+                if mag < _SMALLEST_NORMAL:
+                    continue
+                phase = apq / mag
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                _rotate(a, v, p, q, c, t * c, phase)
+    else:
+        if _off_norm(a) > threshold:
+            raise NoConvergence(
+                f"off-diagonal norm {_off_norm(a):g} above {threshold:g} "
+                f"after {SWEEP_BUDGET} sweeps")
+
+    w = np.diag(a).real.copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]

@@ -60,6 +60,16 @@ def _cases() -> dict[str, list[str]]:
     cases["sweep-blocks-settings2_inplane-swap"] = [
         "sweep", "--scenario", "chsh-collinear", "--beta-max", "0.9",
         "--beta-step", "0.006", "--prime-swap", "--settings", SETTINGS["settings2_inplane"]]
+    # Grids whose only block, or whose last block, holds nothing but
+    # beta = 1, where no operator is built: 65 rows at step 1/64 leave the
+    # 65th row alone in the second block.
+    cases["sweep-beta1-mermin-com"] = ["sweep", "--scenario", "mermin-com",
+                                       "--beta-min", "1"]
+    cases["sweep-beta1-settings2_free"] = [
+        "sweep", "--scenario", "chsh-collinear", "--beta-min", "1",
+        "--settings", SETTINGS["settings2_free"]]
+    cases["sweep-blocks-chsh-collinear-last-row"] = [
+        "sweep", "--scenario", "chsh-collinear", "--beta-step", "0.015625"]
     # More than one Philox shot block; the swapped collinear Mermin scenario
     # has zero-probability outcomes.
     cases["sample-multiblock-chsh-collinear"] = [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relbell.linalg as linalg
-from helpers import max_abs, random_hermitian, random_unit
+from helpers import max_abs, random_hermitian, random_unit, scalar_eigensystem
 from relbell.errors import DimensionMismatch, NoConvergence, NotHermitian
 from relbell.linalg import (
     IDENTITY_2,
@@ -201,6 +201,70 @@ def test_eigensystem_matches_lapack(case):
     norm = max(1.0, float(np.linalg.norm(m, 2)))
     assert max_abs(w - np.linalg.eigvalsh(m)) <= 1e-12 * norm, kind
     assert max_abs(v.conj().T @ v - np.eye(len(m))) < 1e-11, kind
+
+
+#: How a member of a stack is drawn: dense at one scale, dense with every
+#: entry at its own scale, with about half its off-diagonal pairs zero,
+#: already diagonal, or with about half its off-diagonal pairs subnormal.  The members of one
+#: stack therefore need different numbers of sweeps.
+_MEMBER_KINDS = ("dense", "mixed", "sparse", "diagonal", "subnormal")
+
+
+def _stack_member(rng, dim, kind):
+    scale = 10.0 ** rng.integers(-100, 101)
+    if kind == "mixed":
+        scale = 10.0 ** rng.integers(-100, 101, size=(dim, dim))
+    x = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    if kind == "sparse":
+        x = x * np.triu(rng.integers(0, 2, size=(dim, dim)))
+    elif kind == "diagonal":
+        x = np.diag(np.diag(x))
+    elif kind == "subnormal":
+        tiny = np.triu(rng.integers(0, 2, size=(dim, dim)), 1) == 1
+        x = np.where(tiny, 1e-310 * rng.normal(size=(dim, dim)), x)
+    return x + x.conj().T
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    """A (k, d, d) stack of Hermitian matrices, d = 2, 4 or 8, entries from
+    1e-100 to 1e100 (and subnormal ones), one member kind each."""
+    dim = draw(st.sampled_from((2, 4, 8)))
+    kinds = draw(st.lists(st.sampled_from(_MEMBER_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.stack([_stack_member(rng, dim, kind) for kind in kinds])
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _solve_stack(stack):
+    """(w, v) of every matrix of the stack, in stack order."""
+    return [hermitian_eigensystem(m) for m in stack]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stack=_hermitian_stacks())
+def test_eigensystem_matches_scalar_oracle(stack):
+    # Bit identity, not closeness: every sweep and verify residual, and with
+    # them the golden outputs, come from these eigenvalues.
+    for matrix, (w, v) in zip(stack, _solve_stack(stack)):
+        want_w, want_v = scalar_eigensystem(matrix)
+        assert _same_bytes(w, want_w) and _same_bytes(v, want_v)
+
+
+def test_eigensystem_stack_rejects_one_non_hermitian_member():
+    stack = np.stack([SIGMA_X, np.array([[0.0, 1.0], [0.0, 0.0]]), SIGMA_Z])
+    with pytest.raises(NotHermitian):
+        _solve_stack(stack)
+
+
+def test_eigensystem_stack_sweep_budget(monkeypatch):
+    monkeypatch.setattr(linalg, "SWEEP_BUDGET", 0)
+    with pytest.raises(NoConvergence):
+        _solve_stack(np.stack([SIGMA_Z, SIGMA_X]))
 
 
 def test_eigensystem_rejects_non_hermitian():

@@ -277,11 +277,13 @@ def mermin_lambda3(settings: Settings) -> float:
     return 4.0 * _one_plus_pair_products(kappas)
 
 
-def max_violation(matrix) -> float:
+def max_violation(matrices):
     """Largest |eigenvalue| of a Hermitian operator: the attainable |<B>|
-    over all states."""
-    eigenvalues, _ = hermitian_eigensystem(matrix)
-    return float(np.max(np.abs(eigenvalues)))
+    over all states.  A float for one matrix; for a stack (..., n, n), an
+    array (...) of one value per matrix from a single eigensolve."""
+    eigenvalues, _ = hermitian_eigensystem(matrices)
+    peaks = np.max(np.abs(eigenvalues), axis=-1)
+    return float(peaks) if peaks.ndim == 0 else peaks
 
 
 def cross_norm(n, m) -> float:

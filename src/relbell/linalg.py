@@ -5,9 +5,15 @@ are one-dimensional ``complex128`` arrays of unit norm.  The eigensolver is
 a cyclic Jacobi iteration implemented directly on the Hermitian matrix, so
 spectra do not depend on any external solver.  At dimension 8 and below
 robustness matters more than speed, which is what the Jacobi scheme buys.
-Kronecker products are one broadcast multiplication, bit-identical to
-``np.kron`` but without its generic axis handling; every Kronecker product
-in the package goes through kron and kron3.
+It takes a stack of matrices ``(..., n, n)`` and sweeps them together, a
+2-D matrix being a stack of one: each matrix stops when its own off-diagonal
+norm meets its own threshold, and each rotation touches only the matrices
+whose pivot is at least the smallest normal double, so every matrix gets the
+bits it would get alone.  One bad matrix (a non-finite entry, not Hermitian,
+an overflowing norm, no convergence) fails the whole call.  Kronecker
+products are one broadcast multiplication, bit-identical to ``np.kron`` but
+without its generic axis handling; every Kronecker product in the package
+goes through kron and kron3.
 
 All operations are pure functions of their inputs and never mutate their
 arguments, so values can be shared freely between concurrent tasks.
@@ -98,85 +104,133 @@ def state_vector(amplitudes) -> np.ndarray:
     return v
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _off_norms(av: np.ndarray, n: int, live: list[int]) -> list[float]:
+    """Frobenius norm of the off-diagonal part of each live matrix, by the
+    np.linalg.norm call one matrix's own a - diag(a) gets."""
+    off = av[live, :n]
+    diagonal = np.arange(n)
+    off[:, diagonal, diagonal] = 0.0
+    return [float(np.linalg.norm(x)) for x in off]
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int,
-            c: float, s: float, phase: complex) -> None:
-    # Unitary R differs from the identity only in rows/columns p, q:
-    # R[p,p] = R[q,q] = c, R[p,q] = s*phase, R[q,p] = -s*conj(phase),
-    # with phase the unit phase of a[p,q].  Applies a <- R^dag a R, v <- v R.
-    s_minus = s * np.conj(phase)
-    s_plus = s * phase
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s_minus * col_q
-    a[:, q] = s_plus * col_p + c * col_q
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s_plus * row_q
-    a[q, :] = s_minus * row_p + c * row_q
-
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s_minus * vec_q
-    v[:, q] = s_plus * vec_p + c * vec_q
+def _thresholds(stack: np.ndarray) -> list[float]:
+    """Each matrix's stopping threshold; NoConvergence if a Frobenius norm
+    overflows, since no rotation could then be judged converged."""
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(m)) for m in stack]
+    if not all(map(math.isfinite, norms)):
+        raise NoConvergence("Frobenius norm of a finite matrix overflows")
+    return [OFF_DIAGONAL_TARGET * max(1.0, norm) for norm in norms]
 
 
-def hermitian_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix by cyclic Jacobi
-    rotations.
+def _sweep(av: np.ndarray, n: int) -> None:
+    # One cyclic sweep over the (k, 2n, n) stack av: rows :n hold each
+    # matrix a, rows n: its accumulated rotations v, so one column update
+    # serves both.  The unitary R differs from the identity only in rows and
+    # columns p, q: R[p,p] = R[q,q] = c, R[p,q] = s*phase,
+    # R[q,p] = -s*conj(phase), with phase the unit phase of a[p,q].  Applies
+    # a <- R^dag a R, v <- v R to the matrices whose |a[p,q]| is at least the
+    # smallest normal double, entry by entry as one matrix at a time would,
+    # so every matrix gets the same bits as when solved alone.
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = av[:, p, q]
+            # np.hypot, not np.abs: the array abs rounds differently from
+            # the scalar one on complex input.
+            mag = np.hypot(apq.real, apq.imag)
+            rotating = mag >= _SMALLEST_NORMAL
+            count = np.count_nonzero(rotating)
+            if not count:
+                continue
+            sel = slice(None)
+            if count < len(rotating):
+                sel = np.flatnonzero(rotating)
+                apq, mag = apq[sel], mag[sel]
+            phase = apq / mag
+            tau = (av[sel, q, q].real - av[sel, p, p].real) / (2.0 * mag)
+            # math.hypot per element: np.hypot rounds differently from it.
+            root = np.array([math.hypot(1.0, x) for x in tau.tolist()])
+            t = np.copysign(1.0, tau) / (np.abs(tau) + root)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            s_minus = (s * np.conj(phase))[:, None]
+            s_plus = (s * phase)[:, None]
+            # c + 0j is what multiplying by the real c casts it to anyway.
+            c = c.astype(complex)[:, None]
 
-    Returns ``(w, v)`` with ``w`` sorted ascending and the columns of ``v``
-    orthonormal, satisfying ``matrix @ v[:, k] == w[k] * v[:, k]`` to the
-    sweep tolerance.  Degenerate eigenvalues receive an arbitrary
-    orthonormal basis of their eigenspace, so callers should compare
-    spectra or subspace projectors, never individual degenerate vectors.
+            col_p, col_q = av[sel, :, p], av[sel, :, q]
+            new_p = c * col_p - s_minus * col_q
+            new_q = s_plus * col_p + c * col_q
+            av[sel, :, p] = new_p
+            av[sel, :, q] = new_q
 
-    Raises NotHermitian when the input fails the hermiticity precondition
-    and NoConvergence if the sweep budget is exhausted.
+            row_p, row_q = av[sel, p, :], av[sel, q, :]
+            new_p = c * row_p - s_plus * row_q
+            new_q = s_minus * row_p + c * row_q
+            new_p[:, q] = 0.0
+            new_q[:, p] = 0.0
+            new_p.imag[:, p] = 0.0
+            new_q.imag[:, q] = 0.0
+            av[sel, p, :] = new_p
+            av[sel, q, :] = new_q
+
+
+def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian matrix, or of each matrix
+    of a stack ``(..., n, n)``, by cyclic Jacobi rotations.
+
+    Returns ``(w, v)`` of shapes ``(..., n)`` and ``(..., n, n)``: each
+    ``w`` sorted ascending and the columns of each ``v`` orthonormal,
+    satisfying ``matrix @ v[:, k] == w[k] * v[:, k]`` to the sweep
+    tolerance.  Degenerate eigenvalues receive an arbitrary orthonormal
+    basis of their eigenspace, so callers should compare spectra or
+    subspace projectors, never individual degenerate vectors.
+
+    A stack is swept as a whole, but each matrix stops at its own
+    threshold and gets the bits it would get alone; a 2-D input is a stack
+    of one, and an empty stack gives empty arrays.  The whole call raises
+    NotHermitian if any matrix has a non-finite entry or fails the
+    hermiticity precondition, and NoConvergence if any matrix's Frobenius
+    norm overflows or its sweep budget is exhausted.
     """
-    m = as_operator(matrix)
-    if not is_hermitian(m):
+    m = _as_operators(matrices)
+    n = m.shape[-1]
+    stack = m.reshape((-1, n, n))
+    if not np.isfinite(stack).all():
+        raise NotHermitian("matrix has entries that are not finite")
+    with np.errstate(over="ignore"):
+        skew = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), initial=0.0)
+    if skew > HERMITICITY_TOL:
         raise NotHermitian(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
+    thresholds = _thresholds(stack)
 
-    n = m.shape[0]
-    a = m.astype(complex, copy=True)
-    v = np.eye(n, dtype=complex)
-    threshold = OFF_DIAGONAL_TARGET * max(1.0, float(np.linalg.norm(m)))
-
+    k, diagonal = len(stack), np.arange(n)
+    av = np.zeros((k, 2 * n, n), dtype=complex)
+    av[:, :n] = stack
+    av[:, n + diagonal, diagonal] = 1.0
+    live = list(range(k))
     for _ in range(SWEEP_BUDGET):
-        if _off_norm(a) <= threshold:
+        live = [i for i, off in zip(live, _off_norms(av, n, live)) if off > thresholds[i]]
+        if not live:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag < _SMALLEST_NORMAL:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                _rotate(a, v, p, q, c, t * c, phase)
+        if len(live) == k:
+            _sweep(av, n)
+        else:
+            work = av[live]
+            _sweep(work, n)
+            av[live] = work
     else:
-        if _off_norm(a) > threshold:
-            raise NoConvergence(
-                f"off-diagonal norm {_off_norm(a):g} above {threshold:g} "
-                f"after {SWEEP_BUDGET} sweeps")
+        for i, off in zip(live, _off_norms(av, n, live)):
+            if off > thresholds[i]:
+                raise NoConvergence(f"off-diagonal norm {off:g} above {thresholds[i]:g} "
+                                    f"after {SWEEP_BUDGET} sweeps")
 
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w = av[:, diagonal, diagonal].real
+    order = np.argsort(w, axis=-1, kind="stable")
+    rows = np.arange(k)[:, None]
+    w = w[rows, order]
+    v = av[rows[:, None], n + diagonal[:, None], order[:, None, :]]
+    return w.reshape(m.shape[:-1]), v.reshape(m.shape)
 
 
 def expectation(state, matrix) -> float:

@@ -359,6 +359,12 @@ def test_max_violation_examples():
     assert abs(max_violation(chsh_operator(chsh_collinear_settings(0.0))) - ROOT8) < 1e-12
     assert abs(max_violation(mermin_operator(mermin_collinear_settings(0.0))) - 4.0) < 1e-12
     assert abs(max_violation(kron(SIGMA_Z, SIGMA_Z)) - 1.0) < 1e-15
+    # A stack gives one value per matrix, each the float of its lone solve.
+    operators = bell_operator_grid(chsh_collinear_settings(0.0), [0.0, 0.4, 0.8])
+    peaks = max_violation(operators)
+    assert peaks.shape == (3,)
+    assert peaks.tolist() == [max_violation(operator) for operator in operators]
+    assert max_violation(operators[:0]).shape == (0,)
 
 
 def test_spectral_windows_and_square_consistency():

@@ -241,8 +241,9 @@ def _same_bytes(got, want):
 
 
 def _solve_stack(stack):
-    """(w, v) of every matrix of the stack, in stack order."""
-    return [hermitian_eigensystem(m) for m in stack]
+    """(w, v) of every matrix of the stack, in stack order, from one call."""
+    w, v = hermitian_eigensystem(stack)
+    return list(zip(w, v))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -276,6 +277,56 @@ def test_eigensystem_sweep_budget(monkeypatch):
     monkeypatch.setattr(linalg, "SWEEP_BUDGET", 0)
     with pytest.raises(NoConvergence):
         hermitian_eigensystem(SIGMA_X)
+
+
+def test_eigensystem_refuses_overflowing_norm():
+    # Every entry is finite but the Frobenius norm is not, so no threshold
+    # can be set; the true eigenvalues are +/-1.414e308, not the diagonal.
+    huge = np.array([[1e308, 1e308], [1e308, -1e308]])
+    for matrices in (huge, np.stack([SIGMA_X, huge, SIGMA_Z])):
+        with pytest.raises(NoConvergence):
+            hermitian_eigensystem(matrices)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_eigensystem_refuses_non_finite_entries(bad):
+    # Refused before any arithmetic touches the entry, so no RuntimeWarning
+    # (an error in this suite) precedes the exception.
+    matrix = np.array([[1.0, bad], [bad, 2.0]])
+    for matrices in (matrix, np.stack([SIGMA_Z, matrix])):
+        with pytest.raises(NotHermitian):
+            hermitian_eigensystem(matrices)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 8, 8)])
+def test_eigensystem_empty_stack(shape):
+    w, v = hermitian_eigensystem(np.zeros(shape, dtype=complex))
+    assert w.shape == shape[:-1] and v.shape == shape
+    assert w.dtype == np.float64 and v.dtype == np.complex128
+
+
+_NUMPY_EIGENSOLVERS = ("eig", "eigh", "eigvals", "eigvalsh")
+
+
+def _numpy_eigensolver_calls(path):
+    """Line numbers of numpy.linalg eigensolver references and imports."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in _NUMPY_EIGENSOLVERS:
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+              and any(alias.name in _NUMPY_EIGENSOLVERS for alias in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_calls_a_numpy_eigensolver():
+    # The Jacobi kernel is the package's only eigensolver, so every spectrum
+    # is independent of LAPACK (LAPACK is only a test oracle).
+    package = Path(linalg.__file__).parent
+    offenders = {path.name: _numpy_eigensolver_calls(path)
+                 for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
 def test_expectation_basis():

@@ -59,17 +59,21 @@ def as_operator(matrix) -> np.ndarray:
     return m
 
 
-def is_hermitian(matrix, tol: float = HERMITICITY_TOL) -> bool:
-    m = as_operator(matrix)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def _as_operators(matrices) -> np.ndarray:
     """Coerce the input to a square complex matrix or a stack of them."""
     m = np.asarray(matrices, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
     return m
+
+
+def is_hermitian(matrices, tol: float = HERMITICITY_TOL) -> bool:
+    """Whether the matrix, or every matrix of a stack, is Hermitian within
+    tol (largest entry of M - M^dag)."""
+    m = _as_operators(matrices)
+    with np.errstate(over="ignore"):
+        skew = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)
+    return bool(skew <= tol)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,9 +202,7 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
     stack = m.reshape((-1, n, n))
     if not np.isfinite(stack).all():
         raise NotHermitian("matrix has entries that are not finite")
-    with np.errstate(over="ignore"):
-        skew = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), initial=0.0)
-    if skew > HERMITICITY_TOL:
+    if not is_hermitian(stack):
         raise NotHermitian(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
     thresholds = _thresholds(stack)
 
@@ -213,12 +215,9 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
         live = [i for i, off in zip(live, _off_norms(av, n, live)) if off > thresholds[i]]
         if not live:
             break
-        if len(live) == k:
-            _sweep(av, n)
-        else:
-            work = av[live]
-            _sweep(work, n)
-            av[live] = work
+        work = av[live]
+        _sweep(work, n)
+        av[live] = work
     else:
         for i, off in zip(live, _off_norms(av, n, live)):
             if off > thresholds[i]:

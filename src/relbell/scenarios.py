@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bell
-from .bell import Settings, bell_operator_grid
+from .bell import Settings, bell_operator_grid, max_violation
 from .errors import DomainError, DomainRestriction
 from .linalg import expectation
 from .observables import Boost, require_unit_interval
@@ -230,8 +229,7 @@ def sweep(settings: Settings, betas, peak=None):
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
         block = betas[start:start + SWEEP_BLOCK_ROWS]
         operators = bell_operator_grid(settings, [b for b in block if b < 1.0])
-        # Looked up on the module at call time, like bell's own eigensolver.
-        rows = zip(operators, bell.max_violation(operators).tolist())
+        rows = zip(operators, max_violation(operators).tolist())
         for beta in block:
             closed = _square_peak_root(settings, beta) if peak is None else peak(beta)
             if beta >= 1.0:

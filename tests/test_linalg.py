@@ -223,7 +223,7 @@ def _stack_member(rng, dim, kind):
         x = np.diag(np.diag(x))
     elif kind == "subnormal":
         tiny = np.triu(rng.integers(0, 2, size=(dim, dim)), 1) == 1
-        x = np.where(tiny, 1e-310 * rng.normal(size=(dim, dim)), x)
+        x = np.where(tiny, 1e-310 * rng.normal(size=(dim, dim)), np.triu(x))
     return x + x.conj().T
 
 
@@ -243,7 +243,7 @@ def _solve_stack(stack):
     return list(zip(w, v))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(stack=_hermitian_stacks())
 def test_eigensystem_matches_scalar_oracle(stack):
     # Bit identity, not closeness: every sweep and verify residual, and with

@@ -207,8 +207,8 @@ def test_eigensystem_matches_lapack(case):
 
 #: How a member of a stack is drawn: dense at one scale, dense with every
 #: entry at its own scale, with about half its off-diagonal pairs zero,
-#: already diagonal, or with about half its off-diagonal pairs subnormal.  The members of one
-#: stack therefore need different numbers of sweeps.
+#: already diagonal, or with about half its off-diagonal pairs subnormal.
+#: The members of one stack therefore need different numbers of sweeps.
 _MEMBER_KINDS = ("dense", "mixed", "sparse", "diagonal", "subnormal")
 
 

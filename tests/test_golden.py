@@ -32,6 +32,11 @@ SCENARIOS = ("chsh-collinear", "mermin-collinear", "mermin-com")
 def _cases() -> dict[str, list[str]]:
     """Case name -> argv, before the format and --no-meta-time are added."""
     cases = {"verify": ["verify"]}
+    # Other seeds, the largest included, so every randomized check's draws
+    # are pinned beyond the default stream.
+    for name, seed in (("verify-seed3", 3), ("verify-seed17", 17),
+                       ("verify-seed-max", 2 ** 64 - 1)):
+        cases[name] = ["verify", "--seed", str(seed)]
     for scenario in SCENARIOS:
         for swap in ([], ["--prime-swap"]):
             tag = f"{scenario}{'-swap' if swap else ''}"

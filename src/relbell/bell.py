@@ -91,13 +91,27 @@ def MerminSettings(a, a_prime, b, b_prime, c, c_prime,
     return Settings((a, a_prime, b, b_prime, c, c_prime), (boost1, boost2, boost3))
 
 
+def _observables(settings):
+    """settings.effective_observables(); for a sequence of S Settings with one
+    particle count, each observable as an (S, 2, 2) stack, built by one
+    boost_map call over their (S, D, 3) directions, row s bit for bit the
+    observable of settings[s]."""
+    if isinstance(settings, Settings):
+        return settings.effective_observables()
+    boosts = [[boost for boost in s.boosts for _ in range(2)] for s in settings]
+    n = boost_map(np.array([s.directions for s in settings]),
+                  np.array([[boost.direction for boost in row] for row in boosts]),
+                  np.array([[boost.beta for boost in row] for row in boosts]))
+    return direction_matrix(n.swapaxes(0, 1))
+
+
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _commutators(settings: Settings):
-    """[D, D'] of each particle's two effective observables."""
-    obs = settings.effective_observables()
+def _commutators(settings):
+    """[D, D'] of each particle's two effective observables (or stacks)."""
+    obs = _observables(settings)
     return [commutator(obs[i], obs[i + 1]) for i in range(0, len(obs), 2)]
 
 
@@ -140,9 +154,10 @@ def _chsh(a, ap, b, bp) -> np.ndarray:
     return kron(a, b + bp) + kron(ap, b - bp)
 
 
-def chsh_operator(settings: Settings) -> np.ndarray:
-    """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B')."""
-    return _chsh(*settings.effective_observables())
+def chsh_operator(settings) -> np.ndarray:
+    """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B'); for a sequence
+    of S Settings, the (S, 4, 4) stack of theirs."""
+    return _chsh(*_observables(settings))
 
 
 def _mermin(a, ap, b, bp, c, cp) -> np.ndarray:
@@ -166,8 +181,9 @@ def mermin_terms(settings: Settings):
     return bell_terms(settings)
 
 
-def chsh_square_identity_residual(settings: Settings) -> float:
-    """Max-entry residual between the squared operator and its closed forms.
+def chsh_square_identity_residual(settings) -> float:
+    """Max-entry residual between the squared operator and its closed forms;
+    for a sequence of Settings, the largest over them, from stacked matrices.
 
     The generic form 4 I - [A,A'] (x) [B,B'] (built from the effective
     observables) is always compared.  When all four directions lie in the
@@ -179,18 +195,22 @@ def chsh_square_identity_residual(settings: Settings) -> float:
 
     is compared as well, and the larger residual is returned.
     """
-    a, ap, b, bp = settings.effective_observables()
+    samples = [settings] if isinstance(settings, Settings) else settings
+    a, ap, b, bp = _observables(samples)
     op = _chsh(a, ap, b, bp)
     square = op @ op
     identity4 = np.eye(4, dtype=complex)
     generic = 4.0 * identity4 - kron(commutator(a, ap), commutator(b, bp))
     residual = float(np.max(np.abs(square - generic)))
-    in_plane = _chsh_in_plane(settings)
-    if in_plane is not None:
-        shrink_sq, sin_a, sin_b, denom = in_plane
-        coeff = shrink_sq * sin_a * sin_b / math.sqrt(denom)
-        reduced = 4.0 * (identity4 + coeff * kron(SIGMA_Z, SIGMA_Z))
-        residual = max(residual, float(np.max(np.abs(square - reduced))))
+    rows, coeffs = [], []
+    for row, in_plane in enumerate(map(_chsh_in_plane, samples)):
+        if in_plane is not None:
+            shrink_sq, sin_a, sin_b, denom = in_plane
+            rows.append(row)
+            coeffs.append(shrink_sq * sin_a * sin_b / math.sqrt(denom))
+    if rows:
+        reduced = 4.0 * (identity4 + np.array(coeffs)[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
+        residual = max(residual, float(np.max(np.abs(square[rows] - reduced))))
     return residual
 
 
@@ -210,13 +230,14 @@ def chsh_zeta(settings: Settings) -> float:
     return 4.0 * (1.0 + shrink_sq * abs(sin_a * sin_b) / math.sqrt(denom))
 
 
-def mermin_operator(settings: Settings) -> np.ndarray:
+def mermin_operator(settings) -> np.ndarray:
     """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C,
-    summed term by term in sign-table order."""
-    return _mermin(*settings.effective_observables())
+    summed term by term in sign-table order; for a sequence of S Settings,
+    the (S, 8, 8) stack of theirs."""
+    return _mermin(*_observables(settings))
 
 
-def mermin_square_closed_form(settings: Settings) -> np.ndarray:
+def mermin_square_closed_form(settings) -> np.ndarray:
     """Closed form of the squared three-qubit operator:
 
         4 I - [A,A'](x)[B,B'](x)I - [A,A'](x)I(x)[C,C'] - I(x)[B,B'](x)[C,C']
@@ -225,6 +246,7 @@ def mermin_square_closed_form(settings: Settings) -> np.ndarray:
     This placement follows from direct expansion and matches brute-force
     squaring to machine precision; the verify command also scores the
     alternative placement that swaps the last two terms, which does not.
+    A sequence of S Settings gives the (S, 8, 8) stack.
     """
     com_a, com_b, com_c = _commutators(settings)
     return (4.0 * np.eye(8, dtype=complex)
@@ -233,12 +255,13 @@ def mermin_square_closed_form(settings: Settings) -> np.ndarray:
             - kron3(IDENTITY_2, com_b, com_c))
 
 
-def mermin_square_swapped_legs(settings: Settings) -> np.ndarray:
+def mermin_square_swapped_legs(settings) -> np.ndarray:
     """Variant of the closed-form square with the (A,C) commutator pair on
     qubits (2,3) and the (B,C) pair on qubits (1,3).
 
     Kept so the verify command can measure its disagreement with the
-    brute-force square; it is not a valid identity.
+    brute-force square; it is not a valid identity.  A sequence of S
+    Settings gives the (S, 8, 8) stack.
     """
     com_a, com_b, com_c = _commutators(settings)
     return (4.0 * np.eye(8, dtype=complex)
@@ -271,7 +294,13 @@ def mermin_lambda3(settings: Settings) -> float:
         raise DomainRestriction(
             "closed form requires all directions and boost directions "
             "in the xy-plane")
-    n = settings.effective_directions()
+    return square_peak_from_directions(settings.effective_directions())
+
+
+def square_peak_from_directions(n) -> float:
+    """4 (1 + sum_{i<j} k_i k_j) from the effective directions n, listed in
+    Settings order, with k_i = |n_2i x n_2i+1| by np.cross and
+    np.linalg.norm: mermin_lambda3 without its domain check."""
     kappas = [float(np.linalg.norm(np.cross(n[i], n[i + 1])))
               for i in range(0, len(n), 2)]
     return 4.0 * _one_plus_pair_products(kappas)
@@ -325,15 +354,22 @@ def bell_operator(settings: Settings) -> np.ndarray:
     return settings.family.operator(settings)
 
 
-def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
-    """The Bell operators of the settings with every particle boosted at each
-    speed of betas (all below 1) instead of its own, stacked on a leading
-    axis: row r is bell_operator of the settings at betas[r], bit for bit."""
+def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
+    """The (R, D, 3) effective directions of the settings with every particle
+    boosted at each speed of betas (all below 1) instead of its own, from one
+    boost_map call: row r is effective_directions() at betas[r], bit for bit."""
     betas = np.asarray(betas, dtype=float)
     if not np.all((0.0 <= betas) & (betas < 1.0)):
         raise DomainError(f"boost speeds must satisfy 0 <= beta < 1, got {betas.tolist()}")
     axes = np.array([boost.direction for boost in settings.boosts for _ in range(2)])
-    n = boost_map(np.array(settings.directions), axes, betas)
+    return boost_map(np.array(settings.directions), axes, betas[:, None])
+
+
+def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
+    """The Bell operators of the settings with every particle boosted at each
+    speed of betas (all below 1) instead of its own, stacked on a leading
+    axis: row r is bell_operator of the settings at betas[r], bit for bit."""
+    n = effective_directions_grid(settings, betas)
     return settings.family.assemble(*direction_matrix(n.swapaxes(0, 1)))
 
 

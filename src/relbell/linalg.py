@@ -51,14 +51,6 @@ _STATE_NORM_TOL = 1e-12
 _IMAG_RESIDUE_TOL = 1e-12
 
 
-def as_operator(matrix) -> np.ndarray:
-    """Coerce the input to a square complex matrix."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _as_operators(matrices) -> np.ndarray:
     """Coerce the input to a square complex matrix or a stack of them."""
     m = np.asarray(matrices, dtype=complex)
@@ -232,19 +224,27 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
     return w.reshape(m.shape[:-1]), v.reshape(m.shape)
 
 
-def expectation(state, matrix) -> float:
-    """Expectation value <state|matrix|state> of a Hermitian matrix.
+def expectation(state, matrices):
+    """Expectation value <state|M|state> of a Hermitian matrix M: a float for
+    one matrix; for a stack (..., n, n), an array (...) of one value per
+    matrix.
 
-    The raw inner product must be real up to a 1e-12 residue; a larger
-    imaginary part means the matrix was not Hermitian and raises.
+    The products M s of a stack are one stacked matmul, but each inner
+    product stays one np.vdot per matrix: a contraction over the whole stack
+    sums in another order and changes last bits.  The raw inner product must
+    be real up to a 1e-12 residue; a larger imaginary part means the matrix
+    was not Hermitian and raises.
     """
     s = np.asarray(state, dtype=complex).reshape(-1)
-    m = as_operator(matrix)
-    if m.shape[0] != s.size:
+    m = _as_operators(matrices)
+    if m.shape[-1] != s.size:
         raise DimensionMismatch(
-            f"state dimension {s.size} does not match matrix dimension {m.shape[0]}")
-    raw = complex(np.vdot(s, m @ s))
-    if abs(raw.imag) >= _IMAG_RESIDUE_TOL:
-        raise NotHermitian(
-            f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not Hermitian")
-    return raw.real
+            f"state dimension {s.size} does not match matrix dimension {m.shape[-1]}")
+    values = []
+    for product in (m @ s).reshape(-1, s.size):
+        raw = complex(np.vdot(s, product))
+        if abs(raw.imag) >= _IMAG_RESIDUE_TOL:
+            raise NotHermitian(
+                f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not Hermitian")
+        values.append(raw.real)
+    return values[0] if m.ndim == 2 else np.reshape(values, m.shape[:-2])

@@ -108,14 +108,25 @@ def effective_direction(a, boost: Boost) -> np.ndarray:
 
 def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     """effective_direction of ``a``, already checked by unit3, under a boost
-    along ``e`` at speed beta.  Over a grid, ``a`` and ``e`` are (D, 3) and beta
-    holds R speeds: each row of the (R, D, 3) result takes one map's arithmetic,
-    beta = 0 rows copy ``a``, and the floor is checked in row-major order."""
+    along ``e`` at speed beta.
+
+    A float beta maps one 3-vector.  An array beta maps a stack: ``a`` and
+    ``e`` of shapes (..., 3) and beta of shape (...) broadcast together, as
+    (1, D, 3) directions against (R, 1) speeds do for a grid of R speeds,
+    or (S, D, 3) against (S, D) for S samples with their own axes and
+    speeds.  Each element takes one map's arithmetic bit for bit: e.a is
+    one dot product per distinct (a, e) pair, beta = 0 elements copy ``a``,
+    and the floor is checked over the broadcast in row-major order, so the
+    first degenerate element raises, as an element-by-element loop would.
+    """
     if grid := isinstance(beta, np.ndarray):
-        along = np.array([float(e_d @ a_d) for e_d, a_d in zip(e, a)])[:, None]
-        denom_sq = np.reshape([boost_denominator_sq(x, b) for b in beta.tolist()
-                               for x in along[:, 0].tolist()], (-1, len(a), 1))
-        beta = beta[:, None, None]
+        a, e = np.broadcast_arrays(a, e)
+        along = np.reshape([float(e_i @ a_i) for e_i, a_i
+                            in zip(e.reshape(-1, 3), a.reshape(-1, 3))], a.shape[:-1] + (1,))
+        beta = beta[..., None]
+        pairs = [x.ravel().tolist() for x in np.broadcast_arrays(along, beta)]
+        denom_sq = np.reshape(list(map(boost_denominator_sq, *pairs)),
+                              np.broadcast_shapes(along.shape, beta.shape))
     elif beta == 0.0:
         return a.copy()
     else:

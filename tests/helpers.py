@@ -11,7 +11,6 @@ from relbell.linalg import (
     HERMITICITY_TOL,
     OFF_DIAGONAL_TARGET,
     SWEEP_BUDGET,
-    as_operator,
     is_hermitian,
 )
 # One copy of the random-direction draws: the verify battery's.
@@ -105,7 +104,7 @@ def scalar_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of one Hermitian matrix by cyclic Jacobi
     rotations: ``(w, v)`` with ``w`` ascending and ``v``'s columns the
     eigenvectors."""
-    m = as_operator(matrix)
+    m = np.asarray(matrix, dtype=complex)
     if not is_hermitian(m):
         raise NotHermitian(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
 

@@ -110,23 +110,21 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     """effective_direction of ``a``, already checked by unit3, under a boost
     along ``e`` at speed beta.
 
-    A float beta maps one 3-vector.  An array beta maps a stack: ``a`` and
-    ``e`` of shapes (..., 3) and beta of shape (...) broadcast together, as
-    (1, D, 3) directions against (R, 1) speeds do for a grid of R speeds,
-    or (S, D, 3) against (S, D) for S samples with their own axes and
-    speeds.  Each element takes one map's arithmetic bit for bit: e.a is
-    one dot product per distinct (a, e) pair, beta = 0 elements copy ``a``,
-    and the floor is checked over the broadcast in row-major order, so the
-    first degenerate element raises, as an element-by-element loop would.
+    With an array beta the map is elementwise over a stack: ``a`` and ``e``
+    of shapes (..., 3) and beta of shape (...) broadcast together, as
+    (1, D, 3) against (R, 1) for R grid speeds, or (S, D, 3) against (S, D)
+    for S samples with their own axes and speeds.  Each element gets one
+    map's bits: e.a is one dot product per distinct (a, e) pair, beta = 0
+    copies ``a``, and the floor is checked element by element in row-major
+    order, so the first degenerate element raises.
     """
     if grid := isinstance(beta, np.ndarray):
         a, e = np.broadcast_arrays(a, e)
         along = np.reshape([float(e_i @ a_i) for e_i, a_i
                             in zip(e.reshape(-1, 3), a.reshape(-1, 3))], a.shape[:-1] + (1,))
-        beta = beta[..., None]
-        pairs = [x.ravel().tolist() for x in np.broadcast_arrays(along, beta)]
-        denom_sq = np.reshape(list(map(boost_denominator_sq, *pairs)),
-                              np.broadcast_shapes(along.shape, beta.shape))
+        along_b, beta = np.broadcast_arrays(along, beta[..., None])
+        denom_sq = np.reshape(list(map(boost_denominator_sq, along_b.ravel().tolist(),
+                                       beta.ravel().tolist())), beta.shape)
     elif beta == 0.0:
         return a.copy()
     else:

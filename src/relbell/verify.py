@@ -6,17 +6,15 @@ ERRATUM checks document formula variants that demonstrably disagree with
 brute force; they are reported with their measured disagreement and never
 gated, because the disagreement is the finding.
 
-A randomized or grid check runs in two phases.  It first draws every
-sample's inputs in a Python loop, in a fixed order of random draws, each
-input validated where it is built (Boost, Settings, unit3), and evaluates
-the closed forms, which stay scalar.  It then evaluates the whole sample set
-at once: one boost_map over the stack of directions, the Kronecker products,
-squares and products with the state as stacked matmuls, and one maximum per
-residual.  Every stacked element gets the bits of its one-sample
-computation, so the report does not depend on the batching.  Two steps stay
-per sample for that reason: each <s|M|s> is one np.vdot (expectation), and
-complex magnitudes compared as scalars keep the scalar abs, which rounds
-differently from np.abs.
+A randomized or grid check first draws its samples in a Python loop, in a
+fixed order of random draws, validating each input where it is built
+(Boost, Settings, unit3) and evaluating the scalar closed forms.  It then
+evaluates the whole sample set at once: one boost_map over the stacked
+directions, stacked Kronecker products and matmuls, one maximum per
+residual.  Each element keeps the bits of its one-sample computation, so
+the report does not depend on the batching.  For that, each <s|M|s> stays
+one np.vdot per sample (expectation), and complex differences compared one
+at a time keep the scalar abs, which rounds differently from np.abs.
 """
 
 from __future__ import annotations
@@ -143,7 +141,7 @@ def _random_chsh_xy_grid(rng) -> list[Settings]:
 def _xy_observables(rng, per_sample: int, closed_form):
     """100 samples of per_sample random xy directions at each of beta = 0,
     0.5, 0.9 under x boosts: closed_form(*directions, beta) of each, and the
-    (S, per_sample, 2, 2) stack of their observables from one boost_map."""
+    (per_sample, S, 2, 2) stack of their observables from one boost_map."""
     closed, directions, speeds = [], [], []
     for beta in (0.0, 0.5, 0.9):
         boost = Boost(X_AXIS, beta)
@@ -153,7 +151,7 @@ def _xy_observables(rng, per_sample: int, closed_form):
             directions.append([unit3(d) for d in dirs])
             speeds.append([boost.beta])
     n = boost_map(np.array(directions), X_AXIS, np.array(speeds))
-    return closed, direction_matrix(n)
+    return closed, direction_matrix(n.swapaxes(0, 1))
 
 
 def _max_abs(array) -> float:
@@ -228,7 +226,7 @@ def _check_chsh_collinear_curve(tolerance, seed):
 
 def _check_phi_correlator(tolerance, seed):
     closed, observables = _xy_observables(_rng(seed, 6), 2, phi_plus_correlator_closed_form)
-    values = expectation(phi_plus(), kron(observables[:, 0], observables[:, 1]))
+    values = expectation(phi_plus(), kron(*observables))
     return _conformance(
         "pair-correlator-closed-form", _max_abs(np.array(closed) - values), tolerance,
         "closed-form pair correlator vs matrix expectation for xy-plane "
@@ -255,7 +253,7 @@ def _check_phi_correlator_z_term(seed):
 def _check_ghz_offdiagonal(tolerance, seed):
     closed, observables = _xy_observables(_rng(seed, 8), 3, ghz_offdiagonal_closed_form)
     residual = 0.0
-    for element, operator in zip(closed, kron3(*observables.swapaxes(0, 1))):
+    for element, operator in zip(closed, kron3(*observables)):
         residual = max(residual, abs(element - operator[7, 0]),
                        abs(np.conj(operator[0, 7]) - operator[7, 0]))
     return _conformance(
@@ -272,7 +270,7 @@ def _ghz_closed_forms(a, b, c, beta):
 def _check_ghz_correlator(tolerance, seed):
     closed, observables = _xy_observables(_rng(seed, 9), 3, _ghz_closed_forms)
     correlator, offdiagonal = np.array(closed).T
-    values = expectation(ghz_plus(), kron3(*observables.swapaxes(0, 1)))
+    values = expectation(ghz_plus(), kron3(*observables))
     residual = max(_max_abs(correlator - values), _max_abs(correlator - offdiagonal))
     return _conformance(
         "ghz-correlator-closed-form", residual, tolerance,

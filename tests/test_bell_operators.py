@@ -516,6 +516,31 @@ def test_operator_grid_rows_are_bit_identical(n_particles, data):
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_settings_sequence_rows_are_bit_identical(n_particles, data):
+    # verify evaluates its samples as one stack: each row must be what one
+    # Settings alone gives, and in-plane two-qubit samples add the reduced
+    # form to the residual.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    samples = [_random_chsh_xy(rng, rng.uniform(0.0, 0.99))
+               if n_particles == 2 and data.draw(st.booleans())
+               else _draw_free(data, n_particles)
+               for _ in range(data.draw(st.integers(1, 5)))]
+    if n_particles == 2:
+        builds = (chsh_operator,)
+        assert (chsh_square_identity_residual(samples)
+                == max(map(chsh_square_identity_residual, samples)))
+    else:
+        builds = (mermin_operator, mermin_square_closed_form, mermin_square_swapped_legs)
+    for build in builds:
+        stack = build(samples)
+        assert stack.shape == (len(samples),) + (2 ** n_particles,) * 2
+        for row, sample in zip(stack, samples):
+            assert np.array_equal(row.view(np.uint64), build(sample).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_operator_grid_raises_like_row_by_row(n_particles, data):

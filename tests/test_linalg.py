@@ -361,6 +361,23 @@ def test_expectation_flags_imaginary_residue():
         expectation(state, skew)
 
 
+def test_expectation_of_a_stack_is_each_matrix_expectation():
+    # One value per matrix, bit for bit; one non-Hermitian matrix fails the
+    # whole stack.
+    rng = np.random.default_rng(8)
+    for dim in (4, 8):
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state /= np.linalg.norm(state)
+        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        values = expectation(state, stack)
+        assert values.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert values[index] == expectation(state, stack[index])
+        stack[1, 2, 0, 1] += 1.0j
+        with pytest.raises(NotHermitian):
+            expectation(state, stack)
+
+
 def test_predicates():
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -16,6 +16,7 @@ from relbell.observables import (
     DENOMINATOR_FLOOR,
     Boost,
     boost_denominator_sq,
+    boost_map,
     effective_direction,
     normalized3,
     observable_matrix,
@@ -178,3 +179,71 @@ def test_degenerate_denominator_raises(monkeypatch):
     monkeypatch.setattr(observables, "DENOMINATOR_FLOOR", 0.5)
     with pytest.raises(DegenerateObservable):
         effective_direction(Y, Boost(X, 0.9))
+
+
+def _stack(data, shape, max_beta=0.999):
+    """Unit directions and boost axes of shape shape + (3,), and speeds of
+    the given shape with exact zeros among them."""
+    size = math.prod(shape)
+    vectors = st.lists(unit_vectors, min_size=size, max_size=size)
+    speeds = st.lists(st.one_of(st.just(0.0), st.floats(0.0, max_beta)),
+                      min_size=size, max_size=size)
+    return (np.reshape(data.draw(vectors), shape + (3,)),
+            np.reshape(data.draw(vectors), shape + (3,)),
+            np.reshape(data.draw(speeds), shape))
+
+
+def _same_bits(x, y):
+    # Compared as uint64, so signed zeros count too.
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_boost_map_stack_matches_scalar_map_bit_for_bit(data):
+    # Each sample with its own axes and speeds, as verify stacks them.
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
+    a, e, beta = _stack(data, shape)
+    n = boost_map(a, e, beta)
+    assert n.shape == a.shape
+    for index in np.ndindex(shape):
+        assert _same_bits(n[index], boost_map(a[index], e[index], float(beta[index])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_boost_map_grid_broadcast_matches_scalar_map_bit_for_bit(data):
+    # bell_operator_grid's shapes: (1, D, 3) directions and axes against
+    # (R, 1) speeds.
+    rows, count = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+    a, e, _ = _stack(data, (count,))
+    betas = _stack(data, (rows,))[2]
+    n = boost_map(a[None], e[None], betas[:, None])
+    assert n.shape == (rows, count, 3)
+    for r, d in np.ndindex(rows, count):
+        assert _same_bits(n[r, d], boost_map(a[d], e[d], float(betas[r])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_boost_map_stack_raises_at_first_degenerate_element(data):
+    # Under a floor of 0.5 no speed up to 0.5 degenerates.  Two elements are
+    # made to: y against an x boost at 0.9 (denominator sqrt(0.19)) and
+    # along = 0.3 at 0.95 (sqrt(0.178725)).  The stack must name the one a
+    # scalar loop in row-major order meets first.
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6)))
+    a, e, beta = _stack(data, shape, max_beta=0.5)
+    first, second = data.draw(st.lists(st.integers(0, beta.size - 1),
+                                       min_size=2, max_size=2, unique=True))
+    a.reshape(-1, 3)[[first, second]] = [Y, [0.3, math.sqrt(0.91), 0.0]]
+    e.reshape(-1, 3)[[first, second]] = X
+    beta.reshape(-1)[[first, second]] = [0.9, 0.95]
+    with mock.patch.object(observables, "DENOMINATOR_FLOOR", 0.5):
+        with pytest.raises(DegenerateObservable) as scalar:
+            for index in np.ndindex(shape):
+                boost_map(a[index], e[index], float(beta[index]))
+        with pytest.raises(DegenerateObservable) as stacked:
+            boost_map(a, e, beta)
+    assert str(stacked.value) == str(scalar.value)
+    named = math.sqrt(0.19) if first < second else math.sqrt(0.178725)
+    assert f"{named:g}" in str(stacked.value)

@@ -9,7 +9,9 @@ for the squares and their largest eigenvalues are provided on the
 restricted measurement geometries where they were derived, and refuse
 other inputs instead of extrapolating.  operator_norm holds for every
 setting and needs no matrix at all.  Brute-force matrix algebra is the
-ground truth every closed form is checked against.
+ground truth every closed form is checked against.  The operators and the
+square forms also take a sequence of S Settings with one particle count and
+return the (S, d, d) stack of their matrices, each row bit for bit its own.
 """
 
 from __future__ import annotations
@@ -92,10 +94,9 @@ def MerminSettings(a, a_prime, b, b_prime, c, c_prime,
 
 
 def _observables(settings):
-    """settings.effective_observables(); for a sequence of S Settings with one
-    particle count, each observable as an (S, 2, 2) stack, built by one
-    boost_map call over their (S, D, 3) directions, row s bit for bit the
-    observable of settings[s]."""
+    """settings.effective_observables(); for a sequence of S Settings, each
+    observable as an (S, 2, 2) stack from one boost_map call over their
+    (S, D, 3) directions."""
     if isinstance(settings, Settings):
         return settings.effective_observables()
     boosts = [[boost for boost in s.boosts for _ in range(2)] for s in settings]
@@ -155,8 +156,7 @@ def _chsh(a, ap, b, bp) -> np.ndarray:
 
 
 def chsh_operator(settings) -> np.ndarray:
-    """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B'); for a sequence
-    of S Settings, the (S, 4, 4) stack of theirs."""
+    """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B')."""
     return _chsh(*_observables(settings))
 
 
@@ -182,8 +182,8 @@ def mermin_terms(settings: Settings):
 
 
 def chsh_square_identity_residual(settings) -> float:
-    """Max-entry residual between the squared operator and its closed forms;
-    for a sequence of Settings, the largest over them, from stacked matrices.
+    """Max-entry residual between the squared operator and its closed forms
+    (for a sequence of Settings, the largest over them).
 
     The generic form 4 I - [A,A'] (x) [B,B'] (built from the effective
     observables) is always compared.  When all four directions lie in the
@@ -232,8 +232,7 @@ def chsh_zeta(settings: Settings) -> float:
 
 def mermin_operator(settings) -> np.ndarray:
     """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C,
-    summed term by term in sign-table order; for a sequence of S Settings,
-    the (S, 8, 8) stack of theirs."""
+    summed term by term in sign-table order."""
     return _mermin(*_observables(settings))
 
 
@@ -246,7 +245,6 @@ def mermin_square_closed_form(settings) -> np.ndarray:
     This placement follows from direct expansion and matches brute-force
     squaring to machine precision; the verify command also scores the
     alternative placement that swaps the last two terms, which does not.
-    A sequence of S Settings gives the (S, 8, 8) stack.
     """
     com_a, com_b, com_c = _commutators(settings)
     return (4.0 * np.eye(8, dtype=complex)
@@ -260,8 +258,7 @@ def mermin_square_swapped_legs(settings) -> np.ndarray:
     qubits (2,3) and the (B,C) pair on qubits (1,3).
 
     Kept so the verify command can measure its disagreement with the
-    brute-force square; it is not a valid identity.  A sequence of S
-    Settings gives the (S, 8, 8) stack.
+    brute-force square; it is not a valid identity.
     """
     com_a, com_b, com_c = _commutators(settings)
     return (4.0 * np.eye(8, dtype=complex)

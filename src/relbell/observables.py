@@ -35,7 +35,9 @@ DENOMINATOR_FLOOR = 1e-9
 
 def unit3(vector) -> np.ndarray:
     """Validate a real 3-vector of unit length and return it as an array."""
-    v = np.asarray(vector, dtype=float).reshape(-1)
+    v = np.asarray(vector, dtype=float)
+    if v.ndim != 1:
+        v = v.reshape(-1)
     if v.size != 3:
         raise ValueError(f"expected 3 components, got {v.size}")
     if not abs(float(v @ v) - 1.0) <= UNIT_NORM_TOL:

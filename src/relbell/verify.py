@@ -109,13 +109,10 @@ def _random_xy(rng) -> np.ndarray:
 
 def _random_chsh(rng, in_plane: bool) -> Settings:
     if in_plane:
-        beta = rng.uniform(0.0, 0.99)
-        boost = Boost(X_AXIS, beta)
-        return Settings((_random_xy(rng), _random_xy(rng), _random_xy(rng), _random_xy(rng)),
-                        (boost, boost))
-    return Settings((_random_unit(rng), _random_unit(rng), _random_unit(rng), _random_unit(rng)),
-                    (Boost(_random_unit(rng), rng.uniform(0.0, 0.99)),
-                     Boost(_random_unit(rng), rng.uniform(0.0, 0.99))))
+        boost = Boost(X_AXIS, rng.uniform(0.0, 0.99))
+        return Settings([_random_xy(rng) for _ in range(4)], (boost, boost))
+    return Settings([_random_unit(rng) for _ in range(4)],
+                    [Boost(_random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(2)])
 
 
 def _random_mermin(rng, in_plane: bool) -> Settings:
@@ -133,8 +130,8 @@ def _random_chsh_xy_grid(rng) -> list[Settings]:
     samples = []
     for beta in BETA_SAMPLES:
         boost = Boost(X_AXIS, beta)
-        samples += [Settings((_random_xy(rng), _random_xy(rng), _random_xy(rng),
-                              _random_xy(rng)), (boost, boost)) for _ in range(40)]
+        samples += [Settings([_random_xy(rng) for _ in range(4)], (boost, boost))
+                    for _ in range(40)]
     return samples
 
 
@@ -439,24 +436,21 @@ def _check_com_ghz_expectation(tolerance, seed):
 
 def _check_observable_contracts(tolerance, seed):
     rng = _rng(seed, 20)
-    directions, axes, speeds = [], [], []
-    for _ in range(2000):
+    (directions, axes), speeds = np.empty((2, 2000, 3)), np.empty(2000)
+    for i in range(2000):
         boost = Boost(_random_unit(rng), rng.uniform(0.0, 0.999))
-        directions.append(unit3(_random_unit(rng)))
-        axes.append(boost.direction)
-        speeds.append(boost.beta)
-    matrices = direction_matrix(boost_map(np.array(directions), np.array(axes),
-                                          np.array(speeds)))
+        directions[i] = unit3(_random_unit(rng))
+        axes[i], speeds[i] = boost.direction, boost.beta
+    matrices = direction_matrix(boost_map(directions, axes, speeds))
     traces = np.trace(matrices, axis1=-2, axis2=-1).tolist()
     residual = max(_max_abs(matrices - matrices.conj().swapaxes(-1, -2)),
                    max(map(abs, traces)),
                    _max_abs(matrices @ matrices - np.eye(2)))
-    directions, axes = [], []
-    for _ in range(100):
-        directions.append(unit3(_random_unit(rng)))
-        axes.append(Boost(_random_unit(rng), 0.0).direction)
-    directions = np.array(directions)
-    zero_beta = _max_abs(boost_map(directions, np.array(axes), np.zeros(100)) - directions)
+    directions, axes = np.empty((2, 100, 3))
+    for i in range(100):
+        directions[i] = unit3(_random_unit(rng))
+        axes[i] = Boost(_random_unit(rng), 0.0).direction
+    zero_beta = _max_abs(boost_map(directions, axes, np.zeros(100)) - directions)
     return _conformance(
         "observable-contracts", max(residual, zero_beta), tolerance,
         "boosted observables are Hermitian, traceless and square to the "
@@ -465,20 +459,18 @@ def _check_observable_contracts(tolerance, seed):
 
 def _check_effective_direction_roundtrip(tolerance, seed):
     rng = _rng(seed, 21)
-    targets, preimages, axes, speeds = [], [], [], []
-    for _ in range(500):
+    (targets, preimages, axes), speeds = np.empty((3, 500, 3)), np.empty(500)
+    for i in range(500):
         target = _random_unit(rng)
         boost = Boost(_random_unit(rng), rng.uniform(0.0, 0.99))
         shrink = math.sqrt(1.0 - boost.beta ** 2)
         along = float(boost.direction @ target)
         preimage = along * boost.direction + (target - along * boost.direction) / shrink
-        targets.append(target)
-        preimages.append(unit3(preimage / np.linalg.norm(preimage)))
-        axes.append(boost.direction)
-        speeds.append(boost.beta)
-    n = boost_map(np.array(preimages), np.array(axes), np.array(speeds))
+        targets[i], preimages[i] = target, unit3(preimage / np.linalg.norm(preimage))
+        axes[i], speeds[i] = boost.direction, boost.beta
+    n = boost_map(preimages, axes, speeds)
     return _conformance(
-        "effective-direction-roundtrip", _max_abs(n - np.array(targets)), tolerance,
+        "effective-direction-roundtrip", _max_abs(n - targets), tolerance,
         "every unit direction has a preimage under the boost map (inverse "
         "scales the perpendicular component by 1/sqrt(1-beta^2))")
 

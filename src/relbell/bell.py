@@ -202,15 +202,12 @@ def chsh_square_identity_residual(settings) -> float:
     identity4 = np.eye(4, dtype=complex)
     generic = 4.0 * identity4 - kron(commutator(a, ap), commutator(b, bp))
     residual = float(np.max(np.abs(square - generic)))
-    rows, coeffs = [], []
-    for row, in_plane in enumerate(map(_chsh_in_plane, samples)):
-        if in_plane is not None:
-            shrink_sq, sin_a, sin_b, denom = in_plane
-            rows.append(row)
-            coeffs.append(shrink_sq * sin_a * sin_b / math.sqrt(denom))
-    if rows:
-        reduced = 4.0 * (identity4 + np.array(coeffs)[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
-        residual = max(residual, float(np.max(np.abs(square[rows] - reduced))))
+    in_plane = {row: x for row, x in enumerate(map(_chsh_in_plane, samples)) if x is not None}
+    if in_plane:
+        coeff = np.array([shrink_sq * sin_a * sin_b / math.sqrt(denom)
+                          for shrink_sq, sin_a, sin_b, denom in in_plane.values()])
+        reduced = 4.0 * (identity4 + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
+        residual = max(residual, float(np.max(np.abs(square[list(in_plane)] - reduced))))
     return residual
 
 

@@ -368,7 +368,7 @@ def test_expectation_of_a_stack_is_each_matrix_expectation():
     for dim in (4, 8):
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
-        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        stack = np.reshape([random_hermitian(rng, dim) for _ in range(6)], (2, 3, dim, dim))
         values = expectation(state, stack)
         assert values.shape == (2, 3)
         for index in np.ndindex(2, 3):

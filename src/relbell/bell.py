@@ -72,14 +72,11 @@ class Settings:
         d = self.directions
         return Settings(tuple([d[i ^ 1] for i in range(len(d))]), self.boosts)
 
-    def effective_directions(self):
+    def effective_directions(self) -> np.ndarray:
+        """The (D, 3) effective directions, one boost_map call per row."""
         boosts = [boost for boost in self.boosts for _ in range(2)]
-        return tuple([boost_map(d, b.direction, b.beta)
-                      for d, b in zip(self.directions, boosts)])
-
-    def effective_observables(self):
-        """The 2x2 observables, each built under its particle's boost."""
-        return tuple([direction_matrix(n) for n in self.effective_directions()])
+        return np.array([boost_map(d, b.direction, b.beta)
+                         for d, b in zip(self.directions, boosts)])
 
 
 def ChshSettings(a, a_prime, b, b_prime, boost1: Boost, boost2: Boost) -> Settings:
@@ -94,11 +91,11 @@ def MerminSettings(a, a_prime, b, b_prime, c, c_prime,
 
 
 def _observables(settings):
-    """settings.effective_observables(); for a sequence of S Settings, each
-    observable as an (S, 2, 2) stack from one boost_map call over their
-    (S, D, 3) directions."""
+    """The (D, 2, 2) effective observables of one Settings; for a sequence of
+    S Settings, the (D, S, 2, 2) stacks from one boost_map call over their
+    (S, D, 3) directions; either way from one direction_matrix call."""
     if isinstance(settings, Settings):
-        return settings.effective_observables()
+        return direction_matrix(settings.effective_directions())
     boosts = [[boost for boost in s.boosts for _ in range(2)] for s in settings]
     n = boost_map(np.array([s.directions for s in settings]),
                   np.array([[boost.direction for boost in row] for row in boosts]),
@@ -171,7 +168,7 @@ def bell_terms(settings: Settings):
     Returns (label, sign, observables) for each term of the sign table; the
     signed Kronecker sum reproduces the operator.
     """
-    obs = settings.effective_observables()
+    obs = _observables(settings)
     return [(label, sign, tuple([obs[i] for i in picks]))
             for label, sign, picks in settings.family.terms]
 
@@ -343,9 +340,9 @@ def operator_norm(settings: Settings) -> float:
 
 
 def bell_operator(settings: Settings) -> np.ndarray:
-    """The Bell operator of the settings' family (chsh_operator or
-    mermin_operator)."""
-    return settings.family.operator(settings)
+    """The Bell operator of the settings' family, assembled from their
+    effective observables."""
+    return settings.family.assemble(*_observables(settings))
 
 
 def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
@@ -371,13 +368,12 @@ def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
 class Family:
     """What the particle count fixes: the operator's name, its sign table of
     (label, sign, observable indices) terms (first sign +1), the matched
-    maximally entangled state, the operator, its assembly from the (stacked)
+    maximally entangled state, the operator's assembly from the (stacked)
     observables, and the closed-form largest eigenvalue of its square."""
 
     name: str
     terms: tuple
     state: Callable[[], np.ndarray]
-    operator: Callable[[Settings], np.ndarray]
     assemble: Callable[..., np.ndarray]
     square_peak: Callable[[Settings], float]
 
@@ -391,13 +387,11 @@ def _sign_table(*terms):
         for label, sign in terms)
 
 
-# The operators are looked up by module attribute at call time, so a
-# wrapper installed on relbell.bell.chsh_operator sees every call.
 FAMILIES = {
     2: Family("chsh",
               _sign_table(("ab", 1), ("ab'", 1), ("a'b", 1), ("a'b'", -1)),
-              phi_plus, lambda s: chsh_operator(s), _chsh, chsh_zeta),
+              phi_plus, _chsh, chsh_zeta),
     3: Family("mermin",
               _sign_table(("ab'c'", 1), ("a'bc'", 1), ("a'b'c", 1), ("abc", -1)),
-              ghz_plus, lambda s: mermin_operator(s), _mermin, mermin_lambda3),
+              ghz_plus, _mermin, mermin_lambda3),
 }

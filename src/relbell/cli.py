@@ -152,6 +152,8 @@ def _load_settings_file(path: str, kind: str) -> dict:
             raise ValueError(f"expected {n_particles} boosts, got {len(boosts)}")
         boost_dirs = [normalized3(entry["direction"]) for entry in boosts]
         boost_betas = [float(entry["beta"]) for entry in boosts]
+        if not all(0.0 <= beta < 1.0 for beta in boost_betas):
+            raise ValueError(f"boost speeds must satisfy 0 <= beta < 1, got {boost_betas}")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid settings file {path}: {exc}") from exc
     return {"directions": directions, "boost_dirs": boost_dirs,

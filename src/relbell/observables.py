@@ -50,7 +50,8 @@ def normalized3(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.size != 3:
         raise ValueError(f"expected 3 components, got {v.size}")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     if not math.isfinite(norm):
@@ -141,7 +142,7 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
 def direction_matrix(n: np.ndarray) -> np.ndarray:
     """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
     that boost_map has already produced, or a stack (..., 3) of them."""
-    x, y, z = np.moveaxis(n[..., None, None], -3, 0) if n.ndim > 1 else n
+    x, y, z = np.moveaxis(n[..., None, None], -3, 0)
     return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 

@@ -369,7 +369,7 @@ def _check_mermin_collinear_invariance(tolerance, seed):
 def _check_com_curve(tolerance, seed):
     residual = 0.0
     operators = bell_operator_grid(mermin_com_settings(0.0), BETA_GRID)
-    tops = _top_eigenvalues([operator @ operator for operator in operators])
+    tops = _top_eigenvalues(operators @ operators)
     for beta, top in zip(BETA_GRID, tops):
         residual = max(residual, abs(math.sqrt(top) - epsilon3_com(beta)))
     return _conformance(

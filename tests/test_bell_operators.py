@@ -32,7 +32,7 @@ from relbell.bell import (
 )
 from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_Z, hermitian_eigensystem, kron, kron3
-from relbell.observables import Boost, observable_matrix
+from relbell.observables import Boost, effective_direction, observable_matrix
 from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
 from relbell.states import ghz_plus
 
@@ -111,7 +111,8 @@ def test_term_labels():
     labels = [label for label, _, _ in bell_terms(_random_free(rng, 2))]
     assert labels == ["ab", "ab'", "a'b", "a'b'"]
     settings = _random_free(rng, 3)
-    a, ap, b, bp, c, cp = settings.effective_observables()
+    a, ap, b, bp, c, cp = [observable_matrix(d, settings.boosts[i // 2])
+                           for i, d in enumerate(settings.directions)]
     expected = [("ab'c'", 1, (a, bp, cp)), ("a'bc'", 1, (ap, b, cp)),
                 ("a'b'c", 1, (ap, bp, c)), ("abc", -1, (a, b, c))]
     for (label, sign, observables), want in zip(mermin_terms(settings), expected):
@@ -451,15 +452,22 @@ def test_operator_norm_matches_spectrum(n_particles, data):
 @given(data=st.data())
 def test_effective_observables_match_observable_matrix(n_particles, data):
     # Bit identity, not closeness: the operators, and with them every golden
-    # output, are built from effective_observables.
+    # output, are built from effective_directions() through one
+    # direction_matrix call.  Every observable index appears in some term.
     directions = data.draw(st.lists(unit_vectors, min_size=2 * n_particles,
                                     max_size=2 * n_particles))
     boosts = data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, 0.999)),
                                 min_size=n_particles, max_size=n_particles))
-    observables = Settings(directions, boosts).effective_observables()
-    for index, direction in enumerate(directions):
-        assert np.array_equal(observables[index],
-                              observable_matrix(direction, boosts[index // 2]))
+    settings_ = Settings(directions, boosts)
+    for row, direction, boost in zip(settings_.effective_directions(), directions,
+                                     [boost for boost in boosts for _ in range(2)]):
+        assert np.array_equal(row.view(np.uint64),
+                              effective_direction(direction, boost).view(np.uint64))
+    for (_, _, observables), (_, _, picks) in zip(bell_terms(settings_),
+                                                   settings_.family.terms):
+        for observable, index in zip(observables, picks):
+            want = observable_matrix(directions[index], boosts[index // 2])
+            assert np.array_equal(observable.view(np.uint64), want.view(np.uint64))
 
 
 def test_operator_norms_extend_restricted_closed_forms():
@@ -538,6 +546,13 @@ def test_settings_sequence_rows_are_bit_identical(n_particles, data):
         assert stack.shape == (len(samples),) + (2 ** n_particles,) * 2
         for row, sample in zip(stack, samples):
             assert np.array_equal(row.view(np.uint64), build(sample).view(np.uint64))
+    # bell_operator of a lone Settings gives the bits of its row in a stack,
+    # and of a stack of one.
+    operator = builds[0]
+    for row, sample in zip(operator(samples), samples):
+        lone = bell_operator(sample).view(np.uint64)
+        assert np.array_equal(row.view(np.uint64), lone)
+        assert np.array_equal(operator([sample])[0].view(np.uint64), lone)
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])

@@ -450,10 +450,13 @@ def test_settings_file_sweep_matches_named_scenario(tmp_path, swap):
 @pytest.mark.parametrize("command", [
     ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"],
     ["sample", "--scenario", "chsh-collinear", "--shots", "10"],
+    ["sample", "--scenario", "chsh-collinear", "--shots", "10", "--beta", "0.3"],
 ])
-@pytest.mark.parametrize("field", ["direction", "boost"])
+@pytest.mark.parametrize("field", ["direction", "boost", "speed", "overflow"])
 def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
                                                  field):
+    # A file speed is checked in the loader even when --beta replaces it, and
+    # a finite direction whose norm overflows is refused without a warning.
     config = {
         "a": [1.0, 0.0, 0.0],
         "a_prime": [0.0, 1.0, 0.0],
@@ -466,8 +469,12 @@ def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
     }
     if field == "direction":
         config["a"] = [math.nan, 0.0, 0.0]
-    else:
+    elif field == "boost":
         config["boosts"][1]["direction"] = [math.inf, 0.0, 0.0]
+    elif field == "speed":
+        config["boosts"][0]["beta"] = math.nan
+    else:
+        config["b"] = [1e308, 1e308, 0.0]
     settings_path = tmp_path / "settings.json"
     settings_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(command + ["--settings", str(settings_path)]) == 2

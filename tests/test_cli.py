@@ -481,6 +481,58 @@ def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
     assert "invalid settings file" in capsys.readouterr().err
 
 
+SETTINGS_COMMANDS = (
+    ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"],
+    ["sample", "--scenario", "chsh-collinear", "--shots", "10"],
+    ["sample", "--scenario", "chsh-collinear", "--shots", "10", "--beta", "0.3"],
+)
+
+
+def _pair_settings():
+    return {
+        "a": [1.0, 0.0, 0.0],
+        "a_prime": [0.0, 1.0, 0.0],
+        "b": [1.0, -1.0, 0.0],
+        "b_prime": [1.0, 1.0, 0.0],
+        "boosts": [
+            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
+            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", ["missing-key", "malformed-json", "missing-path",
+                                  "three-boosts", "nan-direction", "nan-speed",
+                                  "overflow-direction"])
+def test_bad_settings_file_is_one_usage_error_under_every_command(tmp_path, capsys,
+                                                                  case):
+    # sweep and sample read a settings file through one path, so each bad
+    # file exits 2 with the same message under every command.
+    config = _pair_settings()
+    if case == "missing-key":
+        del config["b_prime"]
+    elif case == "three-boosts":
+        config["boosts"].append(config["boosts"][0])
+    elif case == "nan-direction":
+        config["a"] = [math.nan, 0.0, 0.0]
+    elif case == "nan-speed":
+        config["boosts"][1]["beta"] = math.nan
+    elif case == "overflow-direction":
+        config["b"] = [1e308, 1e308, 0.0]
+    settings_path = tmp_path / "settings.json"
+    if case == "malformed-json":
+        settings_path.write_text("{not json", encoding="utf-8")
+    elif case != "missing-path":
+        settings_path.write_text(json.dumps(config), encoding="utf-8")
+    errors = []
+    for command in SETTINGS_COMMANDS:
+        assert main(command + ["--settings", str(settings_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith(f"error: invalid settings file {settings_path}: ")
+    assert errors[0].count("\n") == 1
+    assert errors == [errors[0]] * len(SETTINGS_COMMANDS)
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main([]) == 2

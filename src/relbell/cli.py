@@ -138,10 +138,9 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
     return betas
 
 
-def _load_settings_file(path: str, kind: str) -> dict:
-    """Read a settings file for as many particles as scenario ``kind`` has."""
-    build_settings, _ = SCENARIOS[kind]
-    n_particles = build_settings(0.0).n_particles
+def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Settings:
+    """Read the Settings of an n_particles settings file, every boost at speed
+    beta (None keeps the file's speeds, which are checked either way)."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -152,21 +151,24 @@ def _load_settings_file(path: str, kind: str) -> dict:
             raise ValueError(f"expected {n_particles} boosts, got {len(boosts)}")
         boost_dirs = [normalized3(entry["direction"]) for entry in boosts]
         boost_betas = [float(entry["beta"]) for entry in boosts]
-        if not all(0.0 <= beta < 1.0 for beta in boost_betas):
+        if not all(0.0 <= speed < 1.0 for speed in boost_betas):
             raise ValueError(f"boost speeds must satisfy 0 <= beta < 1, got {boost_betas}")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid settings file {path}: {exc}") from exc
-    return {"directions": directions, "boost_dirs": boost_dirs,
-            "boost_betas": boost_betas}
+    speeds = boost_betas if beta is None else [beta] * n_particles
+    return Settings(directions, [Boost(d, b) for d, b in zip(boost_dirs, speeds)])
 
 
-def _settings_from_custom(custom: dict, beta_override: float | None,
-                          prime_swap: bool) -> Settings:
-    betas = custom["boost_betas"] if beta_override is None \
-        else [beta_override] * len(custom["boost_betas"])
-    boosts = [Boost(d, b) for d, b in zip(custom["boost_dirs"], betas)]
-    settings = Settings(custom["directions"], boosts)
-    return settings.prime_swapped() if prime_swap else settings
+def _resolve_settings(args, beta: float | None) -> Settings:
+    """The Settings a sweep or sample runs: --settings FILE's, for as many
+    particles as --scenario has, or else the named scenario's; every boost at
+    speed beta (None keeps the file's speeds, 0 for a named scenario), and
+    prime-swapped under --prime-swap."""
+    build_settings, _ = SCENARIOS[SCENARIO_NAMES[args.scenario]]
+    settings = build_settings(0.0 if beta is None else beta)
+    if args.settings:
+        settings = _load_settings_file(args.settings, settings.n_particles, beta)
+    return settings.prime_swapped() if args.prime_swap else settings
 
 
 def _cmd_sweep(args) -> int:
@@ -174,12 +176,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError("need 0 <= beta-min <= beta-max <= 1 and beta-step > 0")
     if not math.isfinite(args.beta_step):
         raise UsageError(f"beta-step must be finite, got {args.beta_step}")
-    kind = SCENARIO_NAMES[args.scenario]
-    build_settings, peak = SCENARIOS[kind]
-    settings = build_settings(0.0, args.prime_swap)
-    if args.settings:  # no closed-form curve: sweep falls back on the square peak
-        custom = _load_settings_file(args.settings, kind)
-        settings, peak = _settings_from_custom(custom, 0.0, args.prime_swap), None
+    settings = _resolve_settings(args, 0.0)
+    # no closed-form curve for a settings file: sweep falls back on the square peak
+    peak = None if args.settings else SCENARIOS[SCENARIO_NAMES[args.scenario]][1]
     betas = _beta_grid(args.beta_min, args.beta_max, args.beta_step)
     rows = [dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values)))
             for beta, values in zip(betas, sweep(settings, betas, peak))]
@@ -227,11 +226,9 @@ def _cmd_optimize(args) -> int:
     for name, vector in zip(names, settings.directions):
         for axis, component in zip("xyz", vector):
             row[f"{name}_{axis}"] = float(component)
-    columns = ["mode", "beta", "constraint", "objective", "boost", "value"]
-    columns += [f"{name}_{axis}" for name in names for axis in "xyz"]
     meta = _meta(args, "optimize", {"restarts": args.restarts,
                                     "grid_points": args.grid_points})
-    return _emit(args, columns, rows=[row], meta=meta)
+    return _emit(args, list(row), rows=[row], meta=meta)
 
 
 def _count_columns(n_particles: int) -> list[str]:
@@ -245,16 +242,9 @@ def _count_columns(n_particles: int) -> list[str]:
 def _cmd_sample(args) -> int:
     if args.shots < 1:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
-    kind = SCENARIO_NAMES[args.scenario]
-    if args.settings:
-        custom = _load_settings_file(args.settings, kind)
-        settings = _settings_from_custom(custom, args.beta, args.prime_swap)
-    else:
-        beta = 0.0 if args.beta is None else args.beta
-        if not 0.0 <= beta < 1.0:
-            raise UsageError(f"sampling requires 0 <= beta < 1, got {beta}")
-        build_settings, _ = SCENARIOS[kind]
-        settings = build_settings(beta, args.prime_swap)
+    if args.beta is not None and not 0.0 <= args.beta < 1.0:
+        raise UsageError(f"sampling requires 0 <= beta < 1, got {args.beta}")
+    settings = _resolve_settings(args, args.beta)
     state = settings.family.state()
     terms = bell_terms(settings)
 
@@ -281,12 +271,10 @@ def _cmd_sample(args) -> int:
                  "shots": args.shots * len(terms), "correlator": estimate,
                  "standard_error": standard_error,
                  "exact": exact_bell(distributions, signs)})
-    columns = ["setting", "sign", "shots", "correlator", "standard_error",
-               "exact"] + count_cols
     meta = _meta(args, "sample", {"scenario": args.scenario,
                                   "shots": args.shots,
                                   "prime_swap": args.prime_swap})
-    return _emit(args, columns, rows, meta)
+    return _emit(args, list(rows[0]), rows, meta)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -93,32 +93,24 @@ def com_boosts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, e3
 
 
-def _fixed_settings(directions, boosts, prime_swap: bool) -> Settings:
-    """Settings with the named directions, prime-swapped on request."""
-    settings = Settings(directions, boosts)
-    return settings.prime_swapped() if prime_swap else settings
-
-
-def chsh_collinear_settings(beta: float, prime_swap: bool = False) -> Settings:
+def chsh_collinear_settings(beta: float) -> Settings:
     """The standard two-qubit settings with both particles boosted along x."""
-    return _fixed_settings((CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME),
-                           (Boost(X_AXIS, beta),) * 2, prime_swap)
+    return Settings((CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME), (Boost(X_AXIS, beta),) * 2)
 
 
-def mermin_collinear_settings(beta: float, prime_swap: bool = False) -> Settings:
+def mermin_collinear_settings(beta: float) -> Settings:
     """y/x settings on every particle, all boosted along x.
 
-    With prime_swap the unprimed directions become x and the primed ones y;
-    both assignments are first class because only the swapped one gives a
-    nonzero expectation on the GHZ state (see the verify command).
+    Their prime swap (Settings.prime_swapped) measures x unprimed and y
+    primed; both assignments are first class because only the swapped one
+    gives a nonzero expectation on the GHZ state (see the verify command).
     """
-    return _fixed_settings((Y_AXIS, X_AXIS) * 3, (Boost(X_AXIS, beta),) * 3, prime_swap)
+    return Settings((Y_AXIS, X_AXIS) * 3, (Boost(X_AXIS, beta),) * 3)
 
 
-def mermin_com_settings(beta: float, prime_swap: bool = False) -> Settings:
+def mermin_com_settings(beta: float) -> Settings:
     """y/x settings on every particle under the center-of-mass boosts."""
-    return _fixed_settings((Y_AXIS, X_AXIS) * 3,
-                           [Boost(e, beta) for e in com_boosts()], prime_swap)
+    return Settings((Y_AXIS, X_AXIS) * 3, [Boost(e, beta) for e in com_boosts()])
 
 
 def com_closed_form_directions(beta: float) -> dict[str, np.ndarray]:
@@ -204,7 +196,10 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
     """Evaluate one sweep sample: closed form, numeric operator norm, and
     the expectation on the matched entangled state."""
     build_settings, peak = SCENARIOS[scenario.kind]
-    return next(sweep(build_settings(0.0, scenario.prime_swap), [scenario.beta], peak))
+    settings = build_settings(0.0)
+    if scenario.prime_swap:
+        settings = settings.prime_swapped()
+    return next(sweep(settings, [scenario.beta], peak))
 
 
 def _square_peak_root(settings: Settings, beta: float) -> float | None:

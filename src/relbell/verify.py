@@ -294,7 +294,7 @@ def _check_ghz_collinear_expectation(seed):
     state = ghz_plus()
     as_given = expectation(state, mermin_operator(mermin_collinear_settings(0.5)))
     swapped = expectation(state, mermin_operator(
-        mermin_collinear_settings(0.5, prime_swap=True)))
+        mermin_collinear_settings(0.5).prime_swapped()))
     return _erratum(
         "ghz-collinear-settings-expectation", abs(abs(as_given) - 4.0),
         "the y-unprimed/x-primed assignment gives a GHZ expectation of "
@@ -423,7 +423,7 @@ def _check_com_primed_coefficient(effective):
 
 
 def _check_com_ghz_expectation(tolerance, seed):
-    operators = bell_operator_grid(mermin_com_settings(0.0, prime_swap=True), BETA_GRID)
+    operators = bell_operator_grid(mermin_com_settings(0.0).prime_swapped(), BETA_GRID)
     swapped = expectation(ghz_plus(), operators)
     residual = _max_abs(np.abs(swapped) - [epsilon3_com(beta) for beta in BETA_GRID])
     as_given = expectation(ghz_plus(), mermin_operator(mermin_com_settings(0.5)))

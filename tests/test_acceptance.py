@@ -147,7 +147,7 @@ def test_criterion_05_collinear_three_qubit_invariance():
         if abs(value - 16.0) > 1e-12:
             failures.append(f"peak {value!r} at beta={beta}")
         swapped = expectation(state, mermin_operator(
-            mermin_collinear_settings(beta, prime_swap=True)))
+            mermin_collinear_settings(beta).prime_swapped()))
         if abs(abs(swapped) - 4.0) > 1e-10:
             failures.append(f"GHZ magnitude {swapped!r} at beta={beta}")
     _report("criterion 5: collinear three-qubit invariance (peak 16, GHZ 4)",
@@ -283,7 +283,7 @@ def test_criterion_10_monte_carlo():
     if abs(estimate - exact) > 5.0 * standard_error + 1e-12:
         failures.append(f"two-qubit estimate {estimate!r} off by more than 5 SE")
 
-    swapped = mermin_collinear_settings(0.5, prime_swap=True)
+    swapped = mermin_collinear_settings(0.5).prime_swapped()
     terms3 = mermin_terms(swapped)
     signs3 = [sign for _, sign, _ in terms3]
     ghz = ghz_plus()

@@ -239,7 +239,7 @@ def test_chsh_zeta_degenerate_eigenstates():
 def test_mermin_operator_ghz_expectations():
     # Direct 8x8 computation: x-unprimed/y-primed gives the full magnitude,
     # the y-unprimed/x-primed assignment gives zero.
-    swapped = mermin_collinear_settings(0.0, prime_swap=True)
+    swapped = mermin_collinear_settings(0.0).prime_swapped()
     state = ghz_plus()
     operator = mermin_operator(swapped)
     oracle = complex(np.conj(state) @ (operator @ state)).real

@@ -33,6 +33,26 @@ def _rows_from_csv(path):
         return list(csv.DictReader(handle))
 
 
+SETTINGS_COMMANDS = (
+    ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"],
+    ["sample", "--scenario", "chsh-collinear", "--shots", "10"],
+    ["sample", "--scenario", "chsh-collinear", "--shots", "10", "--beta", "0.3"],
+)
+
+
+def _pair_settings():
+    return {
+        "a": [1.0, 0.0, 0.0],
+        "a_prime": [0.0, 1.0, 0.0],
+        "b": [1.0, -1.0, 0.0],
+        "b_prime": [1.0, 1.0, 0.0],
+        "boosts": [
+            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
+            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
+        ],
+    }
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenario", "chsh-collinear", "--beta-min", "0",
@@ -350,18 +370,8 @@ def test_sample_adjacent_seeds_above_2_63(tmp_path):
 def test_sample_with_settings_file(tmp_path):
     # The pair correlator at rest is cos(phi_a + phi_b), so these angles
     # (0, pi/2 and -pi/4, pi/4) attain the quantum maximum.
-    config = {
-        "a": [1.0, 0.0, 0.0],
-        "a_prime": [0.0, 1.0, 0.0],
-        "b": [1.0, -1.0, 0.0],
-        "b_prime": [1.0, 1.0, 0.0],
-        "boosts": [
-            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
-            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
-        ],
-    }
     settings_path = tmp_path / "settings.json"
-    settings_path.write_text(json.dumps(config), encoding="utf-8")
+    settings_path.write_text(json.dumps(_pair_settings()), encoding="utf-8")
     out = tmp_path / "sample.json"
     code = main(["sample", "--scenario", "chsh-collinear", "--shots", "4000",
                  "--seed", "2", "--settings", str(settings_path),
@@ -370,19 +380,6 @@ def test_sample_with_settings_file(tmp_path):
     rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
     # standard rest-frame optimum reached with these directions
     assert rows[-1]["exact"] == pytest.approx(ROOT8, abs=1e-12)
-
-
-def test_sample_with_bad_settings_file(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"a": [1, 0, 0]}), encoding="utf-8")
-    assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10",
-                 "--settings", str(bad)]) == 2
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text("{not json", encoding="utf-8")
-    assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10",
-                 "--settings", str(malformed)]) == 2
-    assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10",
-                 "--settings", str(tmp_path / "missing.json")]) == 2
 
 
 def test_sweep_with_settings_file(tmp_path):
@@ -447,26 +444,13 @@ def test_settings_file_sweep_matches_named_scenario(tmp_path, swap):
     assert [from_file[-1][col] for col in values] == ["", "", "", ""]
 
 
-@pytest.mark.parametrize("command", [
-    ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"],
-    ["sample", "--scenario", "chsh-collinear", "--shots", "10"],
-    ["sample", "--scenario", "chsh-collinear", "--shots", "10", "--beta", "0.3"],
-])
+@pytest.mark.parametrize("command", SETTINGS_COMMANDS)
 @pytest.mark.parametrize("field", ["direction", "boost", "speed", "overflow"])
 def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
                                                  field):
     # A file speed is checked in the loader even when --beta replaces it, and
     # a finite direction whose norm overflows is refused without a warning.
-    config = {
-        "a": [1.0, 0.0, 0.0],
-        "a_prime": [0.0, 1.0, 0.0],
-        "b": [1.0, -1.0, 0.0],
-        "b_prime": [1.0, 1.0, 0.0],
-        "boosts": [
-            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
-            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
-        ],
-    }
+    config = _pair_settings()
     if field == "direction":
         config["a"] = [math.nan, 0.0, 0.0]
     elif field == "boost":
@@ -479,26 +463,6 @@ def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
     settings_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(command + ["--settings", str(settings_path)]) == 2
     assert "invalid settings file" in capsys.readouterr().err
-
-
-SETTINGS_COMMANDS = (
-    ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"],
-    ["sample", "--scenario", "chsh-collinear", "--shots", "10"],
-    ["sample", "--scenario", "chsh-collinear", "--shots", "10", "--beta", "0.3"],
-)
-
-
-def _pair_settings():
-    return {
-        "a": [1.0, 0.0, 0.0],
-        "a_prime": [0.0, 1.0, 0.0],
-        "b": [1.0, -1.0, 0.0],
-        "b_prime": [1.0, 1.0, 0.0],
-        "boosts": [
-            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
-            {"direction": [1.0, 0.0, 0.0], "beta": 0.0},
-        ],
-    }
 
 
 @pytest.mark.parametrize("case", ["missing-key", "malformed-json", "missing-path",
@@ -531,6 +495,22 @@ def test_bad_settings_file_is_one_usage_error_under_every_command(tmp_path, caps
     assert errors[0].startswith(f"error: invalid settings file {settings_path}: ")
     assert errors[0].count("\n") == 1
     assert errors == [errors[0]] * len(SETTINGS_COMMANDS)
+
+
+@pytest.mark.parametrize("settings", [False, True], ids=["named", "settings-file"])
+@pytest.mark.parametrize("beta", ["1.0", "nan", "-0.5"])
+def test_sample_beta_out_of_range_is_one_usage_error(tmp_path, capsys, beta,
+                                                     settings):
+    # sample checks --beta once, before it picks the scenario or the file.
+    argv = ["sample", "--scenario", "chsh-collinear", "--shots", "10",
+            "--beta", beta]
+    if settings:
+        settings_path = tmp_path / "settings.json"
+        settings_path.write_text(json.dumps(_pair_settings()), encoding="utf-8")
+        argv += ["--settings", str(settings_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: sampling requires 0 <= beta < 1, got {float(beta)}\n"
 
 
 def test_help_exits_zero():

@@ -63,7 +63,7 @@ def test_joint_distribution_normalization_and_correlator():
 
 
 def test_joint_distribution_marginals():
-    settings = mermin_collinear_settings(0.5, prime_swap=True)
+    settings = mermin_collinear_settings(0.5).prime_swapped()
     state = ghz_plus()
     for _, _, observables in mermin_terms(settings):
         dist = joint_distribution(state, observables)
@@ -289,7 +289,7 @@ def test_estimate_bell_missing_setting():
 
 
 def test_mermin_swapped_sampling_is_deterministic_minus_four():
-    settings = mermin_collinear_settings(0.5, prime_swap=True)
+    settings = mermin_collinear_settings(0.5).prime_swapped()
     terms = mermin_terms(settings)
     state = ghz_plus()
     records = []

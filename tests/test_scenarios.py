@@ -174,7 +174,7 @@ def test_collinear_settings_constructors():
     settings = chsh_collinear_settings(0.4)
     assert settings.boosts[0].beta == 0.4
     assert np.array_equal(settings.boosts[0].direction, np.array([1.0, 0.0, 0.0]))
-    swapped = mermin_collinear_settings(0.4, prime_swap=True)
+    swapped = mermin_collinear_settings(0.4).prime_swapped()
     assert np.array_equal(swapped.directions[0], np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(swapped.directions[1], np.array([0.0, 1.0, 0.0]))
 
@@ -183,7 +183,7 @@ def test_com_ghz_expectation_tracks_curve():
     state = ghz_plus()
     for beta in (0.0, 0.4, 0.8):
         swapped = expectation(state, mermin_operator(
-            mermin_com_settings(beta, prime_swap=True)))
+            mermin_com_settings(beta).prime_swapped()))
         assert abs(abs(swapped) - epsilon3_com(beta)) < 1e-10
 
 

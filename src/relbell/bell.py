@@ -290,11 +290,9 @@ def mermin_lambda3(settings: Settings) -> float:
 
 def square_peak_from_directions(n) -> float:
     """4 (1 + sum_{i<j} k_i k_j) from the effective directions n, listed in
-    Settings order, with k_i = |n_2i x n_2i+1| by np.cross and
-    np.linalg.norm: mermin_lambda3 without its domain check."""
-    kappas = [float(np.linalg.norm(np.cross(n[i], n[i + 1])))
-              for i in range(0, len(n), 2)]
-    return 4.0 * _one_plus_pair_products(kappas)
+    Settings order, with the k_i of cross_norms: mermin_lambda3 without its
+    domain check."""
+    return 4.0 * _one_plus_pair_products(cross_norms(n))
 
 
 def max_violation(matrices):
@@ -317,6 +315,12 @@ def cross_norm(n, m) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
+def cross_norms(n) -> list[float]:
+    """Each particle's k_i, the cross_norm of its two effective directions,
+    from the effective directions n listed in Settings order."""
+    return [cross_norm(n[i], n[i + 1]) for i in range(0, len(n), 2)]
+
+
 def norm_from_kappas(kappas) -> float:
     """2 sqrt(1 + sum_{i<j} k_i k_j), the operator norm from each particle's
     cross_norm k_i, listed in particle order."""
@@ -335,8 +339,7 @@ def operator_norm(settings: Settings) -> float:
     (Landau, Phys. Lett. A 120, 54, 1987) and 4 (1 + k1 k2 + k1 k3 + k2 k3)
     for three.  Equals max_violation(bell_operator(settings)).
     """
-    n = settings.effective_directions()
-    return norm_from_kappas([cross_norm(n[i], n[i + 1]) for i in range(0, len(n), 2)])
+    return norm_from_kappas(cross_norms(settings.effective_directions()))
 
 
 def bell_operator(settings: Settings) -> np.ndarray:

@@ -16,6 +16,10 @@ a requested speed, exits 2.
 Re-running a command with identical arguments and seed
 produces byte-identical data output (the JSON meta timestamp is excluded
 via --no-meta-time).
+
+The verify, search and sampling modules are imported inside the one
+handler that runs them, so a command pays the start-up cost of its own
+layers only.
 """
 
 from __future__ import annotations
@@ -35,10 +39,7 @@ from .bell import DIRECTION_NAMES, Settings, bell_terms
 from .errors import BellToolkitError, DimensionMismatch, InvalidObservable, \
     MissingSetting, NoConvergence, NotHermitian
 from .observables import Boost, normalized3
-from .sampling import estimate_bell, exact_bell, joint_distribution, sample
 from .scenarios import BETA_GRID_STEP, SCENARIOS, X_AXIS, com_boosts, sweep
-from .search import SearchConfig, optimize_chsh, optimize_mermin
-from .verify import FAIL, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -191,6 +192,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import FAIL, run_all_checks
+
     if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
         raise UsageError("tolerance must be finite and > 0")
     checks = run_all_checks(tolerance=args.tolerance, seed=args.seed)
@@ -204,6 +207,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .search import SearchConfig, optimize_chsh, optimize_mermin
+
     if not 0.0 <= args.beta < 1.0:
         raise UsageError(f"optimization requires 0 <= beta < 1, got {args.beta}")
     if args.boost == "com" and not args.three:
@@ -240,6 +245,8 @@ def _count_columns(n_particles: int) -> list[str]:
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import estimate_bell, exact_bell, joint_distribution, sample
+
     if args.shots < 1:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
     if args.beta is not None and not 0.0 <= args.beta < 1.0:

@@ -59,13 +59,13 @@ def _as_operators(matrices) -> np.ndarray:
     return m
 
 
-def is_hermitian(matrices, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(matrices) -> bool:
     """Whether the matrix, or every matrix of a stack, is Hermitian within
-    tol (largest entry of M - M^dag)."""
+    HERMITICITY_TOL (largest entry of M - M^dag)."""
     m = _as_operators(matrices)
     with np.errstate(over="ignore"):
         skew = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0)
-    return bool(skew <= tol)
+    return bool(skew <= HERMITICITY_TOL)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -161,16 +161,10 @@ SCENARIO_KINDS = tuple(SCENARIOS)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named configuration at one boost speed.
-
-    prime_swap exchanges primed and unprimed settings; it exists because
-    the y/x three-qubit assignment gives a vanishing GHZ expectation while
-    the swap gives the full magnitude, and both deserve to be visible.
-    """
+    """A named configuration at one boost speed."""
 
     kind: str
     beta: float
-    prime_swap: bool = False
 
     def __post_init__(self):
         if self.kind not in SCENARIOS:
@@ -196,10 +190,7 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
     """Evaluate one sweep sample: closed form, numeric operator norm, and
     the expectation on the matched entangled state."""
     build_settings, peak = SCENARIOS[scenario.kind]
-    settings = build_settings(0.0)
-    if scenario.prime_swap:
-        settings = settings.prime_swapped()
-    return next(sweep(settings, [scenario.beta], peak))
+    return next(sweep(build_settings(0.0), [scenario.beta], peak))
 
 
 def _square_peak_root(settings: Settings, beta: float) -> float | None:

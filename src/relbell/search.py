@@ -5,7 +5,7 @@ xy-plane constraint, polar plus azimuth on the free sphere).  Each restart
 starts from a jittered grid node and runs coordinate-wise ascent: a coarse
 scan of the jittered grid along one angle, then golden-section refinement
 of the winning bracket, cycling over angles until a full pass improves the
-objective by less than the refinement tolerance.  Restart streams are
+objective by less than REFINEMENT_TOLERANCE.  Restart streams are
 seeded independently, so results are bit-reproducible and the best value
 is non-decreasing in the number of restarts.
 
@@ -14,11 +14,11 @@ optimize_mermin pin the particle count.  The operator_norm objective is
 scored in closed form from the effective directions, so no operator is
 built and no eigensolve runs per evaluation.  A coordinate step moves one
 angle of one particle, so the objective keeps, per particle, the last angle
-slice it saw with that particle's effective directions and k_i, and
-recomputes only the particles whose slice changed.  A recomputed particle
-goes through the same unit3 check and boost_map (with its
-DegenerateObservable floor) as a Settings would, and the k_i are combined
-by the same bell.norm_from_kappas, so every value is bit-identical to
+slice it saw with that particle's k_i, and recomputes only the particles
+whose slice changed.  A recomputed particle goes through the same unit3
+check and boost_map (with its DegenerateObservable floor) as a Settings
+would, its k_i is the same bell.cross_norm, and the k_i are combined by the
+same bell.norm_from_kappas, so every value is bit-identical to
 operator_norm of the built settings.  The state_expectation objective still
 builds the settings and the operator per evaluation.
 """
@@ -38,6 +38,10 @@ from .observables import Boost, boost_map, unit3
 CONSTRAINTS = ("xy_plane", "free_sphere")
 OBJECTIVES = ("operator_norm", "state_expectation")
 
+#: A restart stops after a pass over every angle that improves the objective
+#: by less than this; golden-section refinement stops at its square root.
+REFINEMENT_TOLERANCE = 1e-8
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -54,7 +58,6 @@ class SearchConfig:
     constraint: str = "xy_plane"
     restarts: int = 16
     grid_points_per_angle: int = 24
-    refinement_tolerance: float = 1e-8
     seed: int = 0
     objective: str = "operator_norm"
 
@@ -67,8 +70,6 @@ class SearchConfig:
             raise DomainError("restarts must be >= 1")
         if self.grid_points_per_angle < 2:
             raise DomainError("grid_points_per_angle must be >= 2")
-        if self.refinement_tolerance <= 0.0:
-            raise DomainError("refinement_tolerance must be > 0")
 
 
 def _directions_from_angles(angles: np.ndarray, constraint: str) -> list[np.ndarray]:
@@ -106,7 +107,7 @@ def _maximize_over_angles(objective, n_angles: int, config: SearchConfig):
     """Shared restart / coordinate-ascent loop.  objective maps an angle
     vector to a float; ties between restarts break on first-found."""
     spacing = 2.0 * math.pi / config.grid_points_per_angle
-    xtol = math.sqrt(config.refinement_tolerance)
+    xtol = math.sqrt(REFINEMENT_TOLERANCE)
     grid = spacing * np.arange(config.grid_points_per_angle)
 
     best_angles = None
@@ -122,7 +123,7 @@ def _maximize_over_angles(objective, n_angles: int, config: SearchConfig):
             for k in range(n_angles):
                 x, value = _improve_coordinate(objective, x, k, offsets[k],
                                                grid, spacing, xtol, value)
-            if value - pass_start < config.refinement_tolerance:
+            if value - pass_start < REFINEMENT_TOLERANCE:
                 break
         if value > best_value:
             best_value = value
@@ -163,18 +164,18 @@ def _norm_objective(boosts, constraint: str):
     """Angles -> operator_norm of the settings they build, recomputing only
     the particles whose angle slice changed since the previous call."""
     width = _angles_per_particle(constraint)
-    # Per particle: (angle bytes, effective directions, k_i) of its last slice.
-    cache = [(None, None, 0.0)] * len(boosts)
+    # Per particle: (angle bytes, k_i) of its last slice.
+    cache = [(None, 0.0)] * len(boosts)
 
     def objective(angles: np.ndarray) -> float:
         for i, boost in enumerate(boosts):
             part = angles[i * width:(i + 1) * width]
             key = part.tobytes()
             if key != cache[i][0]:
-                n = tuple([boost_map(unit3(d), boost.direction, boost.beta)
-                           for d in _directions_from_angles(part, constraint)])
-                cache[i] = (key, n, cross_norm(*n))
-        return norm_from_kappas([kappa for _, _, kappa in cache])
+                n = [boost_map(unit3(d), boost.direction, boost.beta)
+                     for d in _directions_from_angles(part, constraint)]
+                cache[i] = (key, cross_norm(*n))
+        return norm_from_kappas([kappa for _, kappa in cache])
 
     return objective
 

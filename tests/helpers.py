@@ -1,11 +1,15 @@
 """Shared helpers for the test suite."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import relbell
 from relbell.errors import NoConvergence, NotHermitian
 from relbell.linalg import (
     HERMITICITY_TOL,
@@ -16,6 +20,15 @@ from relbell.linalg import (
 # One copy of the random-direction draws: the verify battery's.
 from relbell.verify import _random_unit as random_unit  # noqa: F401
 from relbell.verify import _random_xy as random_xy  # noqa: F401
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a child interpreter on args, with relbell importable from the same
+    sources as in this process; stdout and stderr are captured as bytes."""
+    src = str(Path(relbell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
 
 
 def random_hermitian(rng, dim):

@@ -236,21 +236,18 @@ def test_criterion_08_observable_contracts():
 def test_criterion_09_optimizer():
     failures = []
     free_config = SearchConfig(constraint="free_sphere", restarts=2,
-                               grid_points_per_angle=8, seed=404,
-                               refinement_tolerance=1e-7)
+                               grid_points_per_angle=8, seed=404)
     for beta in (0.0, 0.5, 0.9):
         _, value = optimize_chsh((X_AXIS, X_AXIS), beta, free_config)
         if abs(value - ROOT8) > 1e-5:
             failures.append(f"free two-qubit optimum {value!r} at beta={beta}")
     mermin_config = SearchConfig(constraint="free_sphere", restarts=1,
-                                 grid_points_per_angle=8, seed=7,
-                                 refinement_tolerance=1e-6)
+                                 grid_points_per_angle=8, seed=7)
     _, value = optimize_mermin((X_AXIS,) * 3, 0.0, mermin_config)
     if abs(value - 4.0) > 1e-5:
         failures.append(f"free three-qubit optimum {value!r}")
     xy_config = SearchConfig(constraint="xy_plane", restarts=2,
-                             grid_points_per_angle=8, seed=404,
-                             refinement_tolerance=1e-7)
+                             grid_points_per_angle=8, seed=404)
     for beta in (0.0, 0.8):
         _, value = optimize_chsh((X_AXIS, X_AXIS), beta, xy_config)
         if value < epsilon2(beta) - 1e-6:

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import run_python
 import relbell.bell
 import relbell.cli
 import relbell.observables
@@ -166,7 +167,7 @@ def test_invalid_observable_is_internal_error(monkeypatch, capsys):
     def missing(records, signs):
         raise MissingSetting("3 records for 4 setting combinations")
 
-    monkeypatch.setattr(relbell.cli, "estimate_bell", missing)
+    monkeypatch.setattr(relbell.sampling, "estimate_bell", missing)
     assert main(["sample", "--scenario", "chsh-collinear", "--shots", "10"]) == 4
     assert capsys.readouterr().err.startswith("internal error: 3 records for 4")
 
@@ -516,3 +517,13 @@ def test_sample_beta_out_of_range_is_one_usage_error(tmp_path, capsys, beta,
 def test_help_exits_zero():
     assert main(["--help"]) == 0
     assert main([]) == 2
+
+
+def test_cli_import_leaves_handler_layers_unloaded():
+    # verify, search and sampling (which pulls in numpy.random) are start-up
+    # cost that only their own command pays.
+    lazy = ("relbell.verify", "relbell.search", "relbell.sampling", "numpy.random")
+    child = run_python("-c", "import sys, relbell.cli; "
+                             f"print([m for m in {lazy!r} if m in sys.modules])")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.decode().strip() == "[]"

@@ -2,7 +2,8 @@
 
 Each case runs ``relbell.cli.main`` in this process with ``--no-meta-time``
 and compares its stdout, its stderr and its exit code with the files under
-``tests/golden/``.  The corpus pins the exact bits of the current numerics on
+``tests/golden/``; one case of each command also runs as
+``python -m relbell.cli`` in a child process.  The corpus pins the exact bits of the current numerics on
 this platform and numpy build, so a refactor that claims unchanged behaviour
 is checked byte for byte.
 
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 from relbell.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -129,6 +131,17 @@ def test_golden(name):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
     err_path = GOLDEN / f"{name}.stderr"
     assert err.encode("utf-8") == (err_path.read_bytes() if err_path.exists() else b"")
+
+
+@pytest.mark.parametrize("name", ["sweep-mermin-com.csv", "verify.csv",
+                                  "optimize-2-xy.csv", "sample-chsh-collinear.csv"])
+def test_golden_entry_point(name):
+    # The command as a user runs it, in a process of its own: module imports,
+    # stdout encoding and the exit status of the real entry point.
+    child = run_python("-m", "relbell.cli", *CASES[name])
+    assert child.returncode == _expected_codes()[name]
+    assert child.stdout == (GOLDEN / name).read_bytes()
+    assert child.stderr == b""
 
 
 def _write_corpus() -> None:

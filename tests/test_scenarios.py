@@ -21,6 +21,7 @@ from relbell.scenarios import (
     mermin_collinear_settings,
     mermin_com_settings,
     scenario_curve,
+    sweep,
 )
 from relbell.states import ghz_plus
 
@@ -138,7 +139,8 @@ def test_scenario_curve_chsh_rest():
 
 
 def test_scenario_curve_mermin_prime_swap():
-    result = scenario_curve(Scenario("mermin_collinear", 0.7, prime_swap=True))
+    peak = SCENARIOS["mermin_collinear"][1]
+    result = next(sweep(mermin_collinear_settings(0.0).prime_swapped(), [0.7], peak))
     assert abs(abs(result.state_expectation) - 4.0) < 1e-10
     assert abs(result.closed_form - abs(result.state_expectation)) < 1e-10
     as_given = scenario_curve(Scenario("mermin_collinear", 0.7))

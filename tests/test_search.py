@@ -30,11 +30,9 @@ from relbell.search import (
 ROOT8 = 2.0 * math.sqrt(2.0)
 
 FAST_XY = SearchConfig(constraint="xy_plane", restarts=2,
-                       grid_points_per_angle=8, seed=404,
-                       refinement_tolerance=1e-7)
+                       grid_points_per_angle=8, seed=404)
 FAST_FREE = SearchConfig(constraint="free_sphere", restarts=2,
-                         grid_points_per_angle=8, seed=404,
-                         refinement_tolerance=1e-7)
+                         grid_points_per_angle=8, seed=404)
 
 
 def test_config_validation():
@@ -42,8 +40,6 @@ def test_config_validation():
         SearchConfig(constraint="banana")
     with pytest.raises(DomainError):
         SearchConfig(restarts=0)
-    with pytest.raises(DomainError):
-        SearchConfig(refinement_tolerance=0.0)
     with pytest.raises(DomainError):
         SearchConfig(objective="nonsense")
 
@@ -67,8 +63,7 @@ def test_monotone_in_restarts():
     values = []
     for restarts in (1, 2, 4):
         config = SearchConfig(constraint="xy_plane", restarts=restarts,
-                              grid_points_per_angle=8, seed=11,
-                              refinement_tolerance=1e-7)
+                              grid_points_per_angle=8, seed=11)
         values.append(optimize_chsh((X_AXIS, X_AXIS), 0.5, config)[1])
     assert values[0] <= values[1] <= values[2]
 
@@ -93,8 +88,7 @@ def test_chsh_xy_beats_collinear_curve():
 
 def test_mermin_free_sphere_rest_frame():
     config = SearchConfig(constraint="free_sphere", restarts=1,
-                          grid_points_per_angle=8, seed=7,
-                          refinement_tolerance=1e-6)
+                          grid_points_per_angle=8, seed=7)
     _, value = optimize_mermin((X_AXIS,) * 3, 0.0, config)
     assert abs(value - 4.0) < 1e-5
     assert value <= 4.0 + 1e-9
@@ -102,8 +96,7 @@ def test_mermin_free_sphere_rest_frame():
 
 def test_mermin_xy_center_of_mass():
     config = SearchConfig(constraint="xy_plane", restarts=2,
-                          grid_points_per_angle=8, seed=5,
-                          refinement_tolerance=1e-7)
+                          grid_points_per_angle=8, seed=5)
     _, value = optimize_mermin(com_boosts(), 0.6, config)
     assert value >= epsilon3_com(0.6) - 1e-6
     assert value <= 4.0 + 1e-9
@@ -130,7 +123,6 @@ def test_mermin_value_is_brute_force_norm(config, boosts):
 def test_state_expectation_objective():
     config = SearchConfig(constraint="xy_plane", restarts=2,
                           grid_points_per_angle=8, seed=2,
-                          refinement_tolerance=1e-7,
                           objective="state_expectation")
     _, value = optimize_chsh((X_AXIS, X_AXIS), 0.0, config)
     assert abs(value - ROOT8) < 1e-4

@@ -3,13 +3,18 @@
 Outcome tuples over n particles are indexed by n-bit integers, most
 significant bit first, with bit 0 meaning outcome +1 and bit 1 meaning -1.
 Sampling uses a counter-based generator (Philox) keyed by the seed and the
-setting index, with the counter advanced per fixed-size shot block, so a
-parallel block schedule reproduces the serial counts exactly.
+setting index, with the counter advanced per fixed-size shot block.  The
+blocks are counted on one worker per CPU available to the process, and the
+counts depend only on (seed, setting index, BLOCK_SHOTS), never on the
+worker count or the order in which blocks are counted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +40,14 @@ _SPECTRUM_TOL = 1e-10
 _NEGATIVE_PROBABILITY_TOL = -1e-15
 
 
+@functools.cache
 def _outcome_signs(n_particles: int) -> np.ndarray:
-    """(2**n, n) array of +/-1 outcome tuples in index order."""
-    signs = np.empty((2 ** n_particles, n_particles), dtype=np.int64)
-    for index in range(2 ** n_particles):
-        for particle in range(n_particles):
-            bit = (index >> (n_particles - 1 - particle)) & 1
-            signs[index, particle] = 1 - 2 * bit
+    """Read-only (2**n, n) array of +/-1 outcome tuples in index order,
+    built once per particle count."""
+    shifts = np.arange(n_particles - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(2 ** n_particles, dtype=np.int64)[:, None] >> shifts) & 1
+    signs = 1 - 2 * bits
+    signs.flags.writeable = False
     return signs
 
 
@@ -140,6 +146,14 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     return OutcomeDistribution(n, probabilities)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on, read on every call so that an affinity
+    mask set after import (taskset) is respected."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample(distribution: OutcomeDistribution, shots: int, seed: int,
            setting_index: int = 0, label: str = "") -> ShotRecord:
     """Draw shot counts from a distribution, deterministically in
@@ -153,20 +167,62 @@ def sample(distribution: OutcomeDistribution, shots: int, seed: int,
     k, even where rounding lifts an entry of the cumulative sum above 1, the
     outcomes up to k take exactly the draws below cdf[k]: each block adds
     those counts into a running vector, and its differences are the counts.
+
+    The blocks are dealt round-robin to one worker per available CPU: the
+    calling thread and, when there is more than one block and CPU, plain
+    threads that run while numpy's fill and compare loops release the GIL.
+    Each worker refills one draw buffer and one mask buffer, and adds into
+    its own row of counts; integer sums do not depend on order, so the rows
+    add up to the serial counts.  No worker outlives the call, and a
+    worker's error is raised here.
     """
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots!r}")
     cdf = np.cumsum(distribution.probabilities)
     key = np.array([seed, setting_index], dtype=np.uint64)
-    below = np.zeros(cdf.size, dtype=np.int64)
-    below[-1] = shots
-    for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
-        block_shots = min(BLOCK_SHOTS, shots - start)
-        gen = Generator(Philox(key=key, counter=[0, 0, 0, block]))
-        draws = gen.random(block_shots)
-        for k in range(cdf.size - 1):
-            below[k] += np.count_nonzero(draws < cdf[k])
-    return ShotRecord(label, np.diff(below, prepend=0), shots)
+    n_blocks = -(-shots // BLOCK_SHOTS)
+    workers = min(_worker_count(), n_blocks)
+    below = np.zeros((workers, cdf.size), dtype=np.int64)
+    buffers = np.empty((workers, min(BLOCK_SHOTS, shots)))
+    masks = np.empty(buffers.shape, dtype=bool)
+    stop = threading.Event()
+    errors = []
+
+    def count_blocks(worker: int) -> None:
+        for block in range(worker, n_blocks, workers):
+            if stop.is_set():
+                return
+            draws = buffers[worker, :min(BLOCK_SHOTS, shots - block * BLOCK_SHOTS)]
+            Generator(Philox(key=key, counter=[0, 0, 0, block])).random(out=draws)
+            mask = masks[worker, :draws.size]
+            for k in range(cdf.size - 1):
+                below[worker, k] += np.count_nonzero(np.less(draws, cdf[k], out=mask))
+
+    def run_worker(worker: int) -> None:
+        try:
+            count_blocks(worker)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=run_worker, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        count_blocks(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    counts = below.sum(axis=0)
+    counts[-1] = shots
+    return ShotRecord(label, np.diff(counts, prepend=0), shots)
 
 
 def estimate_bell(records, signs) -> tuple[float, float]:

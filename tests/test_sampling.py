@@ -1,6 +1,9 @@
 """Monte Carlo measurement tests: distributions, sampling, estimators."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from helpers import basis_state, marginal
+from relbell import sampling
 from relbell.bell import bell_terms, mermin_terms
 from relbell.errors import (
     DimensionMismatch,
@@ -217,6 +221,94 @@ def test_sample_key_below_2_63_matches_list_key(seed):
     record = sample(dist, shots, seed=seed, setting_index=3)
     assert np.array_equal(record.counts,
                           _reference_counts(dist.probabilities, shots, [seed, 3]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("shots", [1, BLOCK_SHOTS - 1, BLOCK_SHOTS,
+                                   BLOCK_SHOTS + 1, 3 * BLOCK_SHOTS + 17])
+@pytest.mark.parametrize("seed", [2 ** 63 - 5, 2 ** 63 + 5])
+def test_sample_counts_do_not_depend_on_worker_count(monkeypatch, workers,
+                                                     shots, seed):
+    # 7 workers exceed the blocks of every shot count here.
+    monkeypatch.setattr(sampling, "_worker_count", lambda: workers)
+    settings_ = mermin_collinear_settings(0.4)
+    _, _, observables = mermin_terms(settings_)[1]
+    dist = joint_distribution(ghz_plus(), observables)
+    record = sample(dist, shots, seed=seed, setting_index=1)
+    key = np.array([seed, 1], dtype=np.uint64)
+    assert np.array_equal(record.counts,
+                          _reference_counts(dist.probabilities, shots, key))
+
+
+def test_sample_workers_under_frequent_switching(monkeypatch):
+    # More workers than CPUs, each with several blocks, switched every
+    # microsecond: a row lost or counted twice would change the counts.
+    monkeypatch.setattr(sampling, "_worker_count", lambda: 7)
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    shots = 23 * BLOCK_SHOTS + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        record = sample(dist, shots, seed=13, setting_index=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(record.counts,
+                          _reference_counts(dist.probabilities, shots, [13, 2]))
+
+
+@pytest.mark.parametrize("workers, shots", [(1, 3 * BLOCK_SHOTS + 17),
+                                            (4, BLOCK_SHOTS)])
+def test_sample_one_worker_starts_no_thread(monkeypatch, workers, shots):
+    # One CPU, or a single block, runs on the calling thread alone.
+    def no_thread(*args, **kwargs):
+        raise AssertionError("sample started a thread")
+
+    monkeypatch.setattr(sampling, "_worker_count", lambda: workers)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    record = sample(dist, shots, seed=4)
+    assert np.array_equal(record.counts,
+                          _reference_counts(dist.probabilities, shots, [4, 0]))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing_block", [0, 2, 4])
+def test_sample_worker_error_reaches_caller(monkeypatch, error, failing_block):
+    # With three workers, block 0 runs on the calling thread and blocks 2
+    # and 4 on the third worker, which the caller must join and re-raise.
+    def failing_generator(bit_generator):
+        if bit_generator.state["state"]["counter"][3] == failing_block:
+            raise error(f"block {failing_block}")
+        return Generator(bit_generator)
+
+    monkeypatch.setattr(sampling, "_worker_count", lambda: 3)
+    monkeypatch.setattr(sampling, "Generator", failing_generator)
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    threads_before = threading.active_count()
+    with pytest.raises(error, match=f"block {failing_block}"):
+        sample(dist, 6 * BLOCK_SHOTS, seed=11)
+    assert threading.active_count() == threads_before
+
+
+def test_worker_count_reads_affinity_or_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert sampling._worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert sampling._worker_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sampling._worker_count() == 1
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+def test_outcome_signs_table_is_shared_and_read_only(n_particles):
+    signs = OutcomeDistribution(n_particles, np.ones(2 ** n_particles)).outcome_signs()
+    assert signs is sampling._outcome_signs(n_particles)
+    assert not signs.flags.writeable
+    assert signs.dtype == np.int64
+    expected = [[1 - 2 * int(bit) for bit in format(index, f"0{n_particles}b")]
+                for index in range(2 ** n_particles)]
+    assert signs.tolist() == expected
 
 
 def test_sample_rejects_zero_shots():

@@ -9,9 +9,10 @@ for the squares and their largest eigenvalues are provided on the
 restricted measurement geometries where they were derived, and refuse
 other inputs instead of extrapolating.  operator_norm holds for every
 setting and needs no matrix at all.  Brute-force matrix algebra is the
-ground truth every closed form is checked against.  The operators and the
-square forms also take a sequence of S Settings with one particle count and
-return the (S, d, d) stack of their matrices, each row bit for bit its own.
+ground truth every closed form is checked against.  The operators and
+effective_observables also take a sequence of S Settings with one particle
+count and return the stacks of their matrices, each row bit for bit its
+own; square_closed_form takes such stacks of observables.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def MerminSettings(a, a_prime, b, b_prime, c, c_prime,
     return Settings((a, a_prime, b, b_prime, c, c_prime), (boost1, boost2, boost3))
 
 
-def _observables(settings):
+def effective_observables(settings):
     """The (D, 2, 2) effective observables of one Settings; for a sequence of
     S Settings, the (D, S, 2, 2) stacks from one boost_map call over their
     (S, D, 3) directions; either way from one direction_matrix call."""
@@ -107,10 +108,28 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _commutators(settings):
-    """[D, D'] of each particle's two effective observables (or stacks)."""
-    obs = _observables(settings)
-    return [commutator(obs[i], obs[i + 1]) for i in range(0, len(obs), 2)]
+def square_closed_form(observables, legs=None) -> np.ndarray:
+    """The squared Bell operator from the (stacked) effective_observables:
+    4 I minus one Kronecker product per term of legs, a term listing qubit by
+    qubit the particle whose commutator [D, D'] acts there (None: identity).
+
+    The default terms put each pair i < j on qubits i and j, in the order 12,
+    13, 23: 4 I - [A,A'](x)[B,B'] for two qubits (Landau, Phys. Lett. A 120,
+    54, 1987), 4 I - [A,A'](x)[B,B'](x)I - [A,A'](x)I(x)[C,C'] - I(x)[B,B'](x)[C,C']
+    for three.  That placement follows from direct expansion and matches
+    brute-force squaring; the verify command also scores one that does not.
+    """
+    coms = [commutator(observables[i], observables[i + 1])
+            for i in range(0, len(observables), 2)]
+    n = len(coms)
+    if legs is None:
+        legs = [tuple(q if q in pair else None for q in range(n))
+                for pair in itertools.combinations(range(n), 2)]
+    product = kron if n == 2 else kron3
+    square = 4.0 * np.eye(2 ** n, dtype=complex)
+    for term in legs:
+        square = square - product(*[IDENTITY_2 if p is None else coms[p] for p in term])
+    return square
 
 
 def _xy_angle(v) -> float:
@@ -154,7 +173,7 @@ def _chsh(a, ap, b, bp) -> np.ndarray:
 
 def chsh_operator(settings) -> np.ndarray:
     """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B')."""
-    return _chsh(*_observables(settings))
+    return _chsh(*effective_observables(settings))
 
 
 def _mermin(a, ap, b, bp, c, cp) -> np.ndarray:
@@ -168,7 +187,7 @@ def bell_terms(settings: Settings):
     Returns (label, sign, observables) for each term of the sign table; the
     signed Kronecker sum reproduces the operator.
     """
-    obs = _observables(settings)
+    obs = effective_observables(settings)
     return [(label, sign, tuple([obs[i] for i in picks]))
             for label, sign, picks in settings.family.terms]
 
@@ -178,14 +197,15 @@ def mermin_terms(settings: Settings):
     return bell_terms(settings)
 
 
-def chsh_square_identity_residual(settings) -> float:
-    """Max-entry residual between the squared operator and its closed forms
-    (for a sequence of Settings, the largest over them).
+def square_identity_residual(settings) -> float:
+    """Max-entry residual between the squared Bell operator and its closed
+    forms (for a sequence of Settings of one particle count, the largest
+    over them).
 
-    The generic form 4 I - [A,A'] (x) [B,B'] (built from the effective
-    observables) is always compared.  When all four directions lie in the
-    xy-plane and both particles are boosted along x at a common speed, the
-    reduced form 4 [I + coeff sigma_z (x) sigma_z] with
+    square_closed_form of the effective observables is always compared.
+    For two particles whose four directions lie in the xy-plane, both
+    boosted along x at a common speed, the reduced form
+    4 [I + coeff sigma_z (x) sigma_z] with
 
         coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
                 / sqrt(prod_v (1 + beta^2 (v_x^2 - 1)))
@@ -193,18 +213,18 @@ def chsh_square_identity_residual(settings) -> float:
     is compared as well, and the larger residual is returned.
     """
     samples = [settings] if isinstance(settings, Settings) else settings
-    a, ap, b, bp = _observables(samples)
-    op = _chsh(a, ap, b, bp)
-    square = op @ op
-    identity4 = np.eye(4, dtype=complex)
-    generic = 4.0 * identity4 - kron(commutator(a, ap), commutator(b, bp))
-    residual = float(np.max(np.abs(square - generic)))
+    observables = effective_observables(samples)
+    operators = samples[0].family.assemble(*observables)
+    squares = operators @ operators
+    residual = float(np.max(np.abs(squares - square_closed_form(observables))))
+    if samples[0].n_particles != 2:
+        return residual
     in_plane = {row: x for row, x in enumerate(map(_chsh_in_plane, samples)) if x is not None}
     if in_plane:
         coeff = np.array([shrink_sq * sin_a * sin_b / math.sqrt(denom)
                           for shrink_sq, sin_a, sin_b, denom in in_plane.values()])
-        reduced = 4.0 * (identity4 + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
-        residual = max(residual, float(np.max(np.abs(square[list(in_plane)] - reduced))))
+        reduced = 4.0 * (np.eye(4, dtype=complex) + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
+        residual = max(residual, float(np.max(np.abs(squares[list(in_plane)] - reduced))))
     return residual
 
 
@@ -227,38 +247,7 @@ def chsh_zeta(settings: Settings) -> float:
 def mermin_operator(settings) -> np.ndarray:
     """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C,
     summed term by term in sign-table order."""
-    return _mermin(*_observables(settings))
-
-
-def mermin_square_closed_form(settings) -> np.ndarray:
-    """Closed form of the squared three-qubit operator:
-
-        4 I - [A,A'](x)[B,B'](x)I - [A,A'](x)I(x)[C,C'] - I(x)[B,B'](x)[C,C']
-
-    with the commutator pairs acting on qubit pairs (1,2), (1,3) and (2,3).
-    This placement follows from direct expansion and matches brute-force
-    squaring to machine precision; the verify command also scores the
-    alternative placement that swaps the last two terms, which does not.
-    """
-    com_a, com_b, com_c = _commutators(settings)
-    return (4.0 * np.eye(8, dtype=complex)
-            - kron3(com_a, com_b, IDENTITY_2)
-            - kron3(com_a, IDENTITY_2, com_c)
-            - kron3(IDENTITY_2, com_b, com_c))
-
-
-def mermin_square_swapped_legs(settings) -> np.ndarray:
-    """Variant of the closed-form square with the (A,C) commutator pair on
-    qubits (2,3) and the (B,C) pair on qubits (1,3).
-
-    Kept so the verify command can measure its disagreement with the
-    brute-force square; it is not a valid identity.
-    """
-    com_a, com_b, com_c = _commutators(settings)
-    return (4.0 * np.eye(8, dtype=complex)
-            - kron3(com_a, com_b, IDENTITY_2)
-            - kron3(IDENTITY_2, com_a, com_c)
-            - kron3(com_b, IDENTITY_2, com_c))
+    return _mermin(*effective_observables(settings))
 
 
 def _one_plus_pair_products(kappas) -> float:
@@ -274,8 +263,8 @@ def mermin_lambda3(settings: Settings) -> float:
     geometry: 4 (1 + k1 k2 + k1 k3 + k2 k3), where k_i is the magnitude of
     the cross product of particle i's two effective directions.
 
-    The three commutator terms of mermin_square_closed_form commute for
-    every setting, so the formula itself holds everywhere (see
+    The three commutator terms of square_closed_form commute for every
+    setting, so the formula itself holds everywhere (see
     operator_norm).  This validator still requires every measurement
     direction and every boost direction to lie in the xy-plane, the
     geometry it was derived on.
@@ -345,7 +334,7 @@ def operator_norm(settings: Settings) -> float:
 def bell_operator(settings: Settings) -> np.ndarray:
     """The Bell operator of the settings' family, assembled from their
     effective observables."""
-    return settings.family.assemble(*_observables(settings))
+    return settings.family.assemble(*effective_observables(settings))
 
 
 def effective_directions_grid(settings: Settings, betas) -> np.ndarray:

@@ -47,12 +47,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-SCENARIO_NAMES = {
-    "chsh-collinear": "chsh_collinear",
-    "mermin-collinear": "mermin_collinear",
-    "mermin-com": "mermin_center_of_mass",
-}
-
 SWEEP_COLUMNS = ("beta", "scenario", "closed_form", "numeric_max",
                  "state_expectation", "residual")
 VERIFY_COLUMNS = ("check", "status", "residual", "tolerance", "detail")
@@ -165,7 +159,7 @@ def _resolve_settings(args, beta: float | None) -> Settings:
     particles as --scenario has, or else the named scenario's; every boost at
     speed beta (None keeps the file's speeds, 0 for a named scenario), and
     prime-swapped under --prime-swap."""
-    build_settings, _ = SCENARIOS[SCENARIO_NAMES[args.scenario]]
+    build_settings, _ = SCENARIOS[args.scenario]
     settings = build_settings(0.0 if beta is None else beta)
     if args.settings:
         settings = _load_settings_file(args.settings, settings.n_particles, beta)
@@ -179,7 +173,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"beta-step must be finite, got {args.beta_step}")
     settings = _resolve_settings(args, 0.0)
     # no closed-form curve for a settings file: sweep falls back on the square peak
-    peak = None if args.settings else SCENARIOS[SCENARIO_NAMES[args.scenario]][1]
+    peak = None if args.settings else SCENARIOS[args.scenario][1]
     betas = _beta_grid(args.beta_min, args.beta_max, args.beta_step)
     rows = [dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values)))
             for beta, values in zip(betas, sweep(settings, betas, peak))]
@@ -301,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="closed-form vs numeric violation curve over beta")
-    p.add_argument("--scenario", required=True, choices=tuple(SCENARIO_NAMES))
+    p.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
     p.add_argument("--beta-min", type=float, default=0.0)
     p.add_argument("--beta-max", type=float, default=1.0)
     p.add_argument("--beta-step", type=float, default=BETA_GRID_STEP)
@@ -331,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common],
                        help="shot-level Monte Carlo Bell experiment")
     p.add_argument("--scenario", default="chsh-collinear",
-                   choices=tuple(SCENARIO_NAMES))
+                   choices=tuple(SCENARIOS))
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--prime-swap", action="store_true")

@@ -95,7 +95,7 @@ def state_vector(amplitudes) -> np.ndarray:
     if v.size not in (4, 8):
         raise DimensionMismatch(f"state must have dimension 4 or 8, got {v.size}")
     norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1.0) > _STATE_NORM_TOL:
+    if not abs(norm_sq - 1.0) <= _STATE_NORM_TOL:
         raise ValueError(f"state is not normalized: sum of |amplitude|^2 = {norm_sq!r}")
     return v
 
@@ -232,8 +232,8 @@ def expectation(state, matrices):
     The products M s of a stack are one stacked matmul, but each inner
     product stays one np.vdot per matrix: a contraction over the whole stack
     sums in another order and changes last bits.  The raw inner product must
-    be real up to a 1e-12 residue; a larger imaginary part means the matrix
-    was not Hermitian and raises.
+    be real up to a 1e-12 residue; a larger or NaN imaginary part means the
+    matrix was not Hermitian, or an entry was not finite, and raises.
     """
     s = np.asarray(state, dtype=complex).reshape(-1)
     m = _as_operators(matrices)
@@ -243,8 +243,9 @@ def expectation(state, matrices):
     values = []
     for product in (m @ s).reshape(-1, s.size):
         raw = complex(np.vdot(s, product))
-        if abs(raw.imag) >= _IMAG_RESIDUE_TOL:
+        if not abs(raw.imag) < _IMAG_RESIDUE_TOL:
             raise NotHermitian(
-                f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not Hermitian")
+                f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not "
+                "Hermitian or an entry is not finite")
         values.append(raw.real)
     return values[0] if m.ndim == 2 else np.reshape(values, m.shape[:-2])

@@ -38,6 +38,7 @@ BLOCK_SHOTS = 1 << 16
 
 _SPECTRUM_TOL = 1e-10
 _NEGATIVE_PROBABILITY_TOL = -1e-15
+_TOTAL_PROBABILITY_TOL = 1e-12
 
 
 @functools.cache
@@ -141,7 +142,7 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
             f"probability {probabilities.min():g} is negative beyond round-off")
     probabilities = np.clip(probabilities, 0.0, None)
     total = float(probabilities.sum())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= _TOTAL_PROBABILITY_TOL:
         raise InvalidObservable(f"probabilities sum to {total!r}, not 1")
     return OutcomeDistribution(n, probabilities)
 
@@ -157,7 +158,8 @@ def _worker_count() -> int:
 def sample(distribution: OutcomeDistribution, shots: int, seed: int,
            setting_index: int = 0, label: str = "") -> ShotRecord:
     """Draw shot counts from a distribution, deterministically in
-    (distribution, shots, seed, setting_index).
+    (distribution, shots, seed, setting_index); probabilities that are not
+    finite, are negative or do not sum to 1 within 1e-12 raise InvalidObservable.
 
     Inverse-CDF sampling over a Philox stream keyed by (seed,
     setting_index); the counter's top word is the block index, so the
@@ -178,7 +180,11 @@ def sample(distribution: OutcomeDistribution, shots: int, seed: int,
     """
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots!r}")
-    cdf = np.cumsum(distribution.probabilities)
+    p = distribution.probabilities
+    if not (p.min() >= 0.0 and abs(float(p.sum()) - 1.0) <= _TOTAL_PROBABILITY_TOL):
+        raise InvalidObservable(f"probabilities {p.tolist()} are not finite, non-negative "
+                                f"and summing to 1 within {_TOTAL_PROBABILITY_TOL:g}")
+    cdf = np.cumsum(p)
     key = np.array([seed, setting_index], dtype=np.uint64)
     n_blocks = -(-shots // BLOCK_SHOTS)
     workers = min(_worker_count(), n_blocks)

@@ -150,11 +150,12 @@ def _mermin_collinear_peak(beta: float) -> float:
     return 4.0
 
 
-#: Scenario kind -> (settings builder, closed-form peak at speed beta).
+#: Scenario kind, as the command line names it -> (settings builder,
+#: closed-form peak at speed beta).
 SCENARIOS = {
-    "chsh_collinear": (chsh_collinear_settings, epsilon2),
-    "mermin_collinear": (mermin_collinear_settings, _mermin_collinear_peak),
-    "mermin_center_of_mass": (mermin_com_settings, epsilon3_com),
+    "chsh-collinear": (chsh_collinear_settings, epsilon2),
+    "mermin-collinear": (mermin_collinear_settings, _mermin_collinear_peak),
+    "mermin-com": (mermin_com_settings, epsilon3_com),
 }
 SCENARIO_KINDS = tuple(SCENARIOS)
 

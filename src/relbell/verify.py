@@ -25,17 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
+    FAMILIES,
     Settings,
+    _chsh_in_plane,
     bell_operator_grid,
     chsh_operator,
-    chsh_square_identity_residual,
     chsh_zeta,
     effective_directions_grid,
+    effective_observables,
     max_violation,
-    mermin_lambda3,
     mermin_operator,
-    mermin_square_closed_form,
-    mermin_square_swapped_legs,
+    square_closed_form,
+    square_identity_residual,
     square_peak_from_directions,
 )
 from .linalg import expectation, hermitian_eigensystem, kron, kron3
@@ -73,6 +74,9 @@ ERRATUM = "ERRATUM"
 BETA_SAMPLES = (0.0, 0.3, 0.6, 0.9, 0.99)
 #: Sweep grid for the curve checks (beta = 1 only where no matrices are built).
 BETA_GRID = tuple(round(0.01 * i, 2) for i in range(100))
+#: The erratum placement of the squared three-qubit operator's commutator
+#: pairs (see square_closed_form): (A,C) on qubits (2,3), (B,C) on (1,3).
+SWAPPED_LEGS = ((0, 1, None), (None, 0, 2), (1, None, 2))
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def _check_chsh_square_generic(tolerance, seed):
     rng = _rng(seed, 1)
     samples = [_random_chsh(rng, in_plane=False) for _ in range(150)]
     return _conformance(
-        "chsh-square-generic-identity", chsh_square_identity_residual(samples), tolerance,
+        "chsh-square-generic-identity", square_identity_residual(samples), tolerance,
         "squared two-qubit operator vs 4I - [A,A'](x)[B,B'] on random "
         "directions and boosts")
 
@@ -168,7 +172,7 @@ def _check_chsh_square_in_plane(tolerance, seed):
     rng = _rng(seed, 2)
     samples = [_random_chsh(rng, in_plane=True) for _ in range(150)]
     return _conformance(
-        "chsh-square-inplane-identity", chsh_square_identity_residual(samples), tolerance,
+        "chsh-square-inplane-identity", square_identity_residual(samples), tolerance,
         "squared two-qubit operator vs the sigma_z (x) sigma_z reduced form "
         "for xy-plane settings under collinear x boosts")
 
@@ -178,13 +182,19 @@ def _top_eigenvalues(squares) -> np.ndarray:
     return hermitian_eigensystem(squares)[0][..., -1]
 
 
+def _square_peak_residual(samples) -> float:
+    """Largest |family.square_peak - top eigenvalue of the brute-force square|
+    over samples of one particle count."""
+    family = samples[0].family
+    peaks = [family.square_peak(settings) for settings in samples]
+    operators = family.assemble(*effective_observables(samples))
+    return _max_abs(_top_eigenvalues(operators @ operators) - peaks)
+
+
 def _check_chsh_zeta_spectral(tolerance, seed):
     samples = _random_chsh_xy_grid(_rng(seed, 3))
-    peaks = [chsh_zeta(settings) for settings in samples]
-    operators = chsh_operator(samples)
-    residual = _max_abs(_top_eigenvalues(operators @ operators) - peaks)
     return _conformance(
-        "chsh-square-peak-closed-form", residual, tolerance,
+        "chsh-square-peak-closed-form", _square_peak_residual(samples), tolerance,
         "closed-form largest eigenvalue of the squared operator vs the "
         "numeric spectrum")
 
@@ -194,9 +204,7 @@ def _check_chsh_zeta_eigenstates(tolerance, seed):
     peaks, indices = [], []
     for settings in samples:
         peaks.append(chsh_zeta(settings))
-        a, a_prime, b, b_prime = settings.directions
-        sin_a = math.sin(math.atan2(a[1], a[0]) - math.atan2(a_prime[1], a_prime[0]))
-        sin_b = math.sin(math.atan2(b[1], b[0]) - math.atan2(b_prime[1], b_prime[0]))
+        _, sin_a, sin_b, _ = _chsh_in_plane(settings)
         indices.append((0, 3) if sin_a * sin_b >= 0.0 else (1, 2))
     operators = chsh_operator(samples)
     squares = (operators @ operators)[:, None]
@@ -305,10 +313,8 @@ def _check_ghz_collinear_expectation(seed):
 def _check_mermin_square(tolerance, seed):
     rng = _rng(seed, 12)
     samples = [_random_mermin(rng, in_plane=False) for _ in range(150)]
-    operators = mermin_operator(samples)
-    residual = _max_abs(operators @ operators - mermin_square_closed_form(samples))
     return _conformance(
-        "mermin-square-closed-form", residual, tolerance,
+        "mermin-square-closed-form", square_identity_residual(samples), tolerance,
         "squared three-qubit operator vs the commutator closed form with "
         "pairs on qubit legs (1,2), (1,3), (2,3)")
 
@@ -316,10 +322,11 @@ def _check_mermin_square(tolerance, seed):
 def _check_mermin_square_leg_swap(seed):
     rng = _rng(seed, 13)
     samples = [_random_mermin(rng, in_plane=True) for _ in range(50)]
-    operators = mermin_operator(samples)
+    observables = effective_observables(samples)
+    operators = FAMILIES[3].assemble(*observables)
     squares = operators @ operators
-    worst = _max_abs(squares - mermin_square_swapped_legs(samples))
-    derived = _max_abs(squares - mermin_square_closed_form(samples))
+    worst = _max_abs(squares - square_closed_form(observables, SWAPPED_LEGS))
+    derived = _max_abs(squares - square_closed_form(observables))
     return _erratum(
         "mermin-square-leg-placement", worst,
         "placing the (A,C) commutator pair on qubits (2,3) and the (B,C) "
@@ -330,11 +337,8 @@ def _check_mermin_square_leg_swap(seed):
 def _check_mermin_lambda_spectral(tolerance, seed):
     rng = _rng(seed, 14)
     samples = [_random_mermin(rng, in_plane=True) for _ in range(60)]
-    peaks = [mermin_lambda3(settings) for settings in samples]
-    operators = mermin_operator(samples)
-    residual = _max_abs(_top_eigenvalues(operators @ operators) - peaks)
     return _conformance(
-        "mermin-square-peak-closed-form", residual, tolerance,
+        "mermin-square-peak-closed-form", _square_peak_residual(samples), tolerance,
         "coplanar closed-form largest eigenvalue 4(1 + k1k2 + k1k3 + k2k3) "
         "vs the numeric spectrum of the brute-force square")
 

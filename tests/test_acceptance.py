@@ -15,13 +15,12 @@ from relbell.bell import (
     MerminSettings,
     bell_terms,
     chsh_operator,
-    chsh_square_identity_residual,
     chsh_zeta,
     max_violation,
     mermin_lambda3,
     mermin_operator,
-    mermin_square_closed_form,
     mermin_terms,
+    square_identity_residual,
 )
 from relbell.cli import main
 from relbell.linalg import expectation, hermitian_eigensystem
@@ -94,16 +93,12 @@ def test_criterion_03_square_identities():
     rng = np.random.default_rng(1003)
     chsh_worst = 0.0
     for _ in range(1000):
-        chsh_worst = max(chsh_worst,
-                         chsh_square_identity_residual(_draw_chsh_xy(rng)))
+        chsh_worst = max(chsh_worst, square_identity_residual(_draw_chsh_xy(rng)))
     if chsh_worst > 1e-12:
         failures.append(f"two-qubit square residual {chsh_worst:g}")
     mermin_worst = 0.0
     for _ in range(1000):
-        settings = _draw_mermin_free(rng)
-        operator = mermin_operator(settings)
-        mermin_worst = max(mermin_worst, max_abs(
-            operator @ operator - mermin_square_closed_form(settings)))
+        mermin_worst = max(mermin_worst, square_identity_residual(_draw_mermin_free(rng)))
     if mermin_worst > 1e-12:
         failures.append(f"three-qubit square residual {mermin_worst:g}")
     _report("criterion 3: square identities on 1000 random settings each",

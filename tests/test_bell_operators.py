@@ -1,5 +1,6 @@
 """Bell-operator tests: assembly, square identities, closed-form peaks."""
 
+import functools
 import math
 from unittest import mock
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relbell.bell as bell
 import relbell.observables as observables
+import relbell.verify as verify
 from helpers import max_abs, random_unit, random_xy, unit_vectors
 from relbell.bell import (
     ChshSettings,
@@ -18,23 +21,24 @@ from relbell.bell import (
     bell_operator_grid,
     bell_terms,
     chsh_operator,
-    chsh_square_identity_residual,
     chsh_zeta,
     commutator,
     cross_norm,
+    effective_observables,
     max_violation,
     mermin_lambda3,
     mermin_operator,
-    mermin_square_closed_form,
-    mermin_square_swapped_legs,
     mermin_terms,
     operator_norm,
+    square_closed_form,
+    square_identity_residual,
 )
 from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_Z, hermitian_eigensystem, kron, kron3
 from relbell.observables import Boost, effective_direction, observable_matrix
 from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
 from relbell.states import ghz_plus
+from relbell.verify import SWAPPED_LEGS
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -144,13 +148,13 @@ def test_chsh_square_identity_random_xy():
     rng = np.random.default_rng(12)
     for _ in range(200):
         settings = _random_chsh_xy(rng, rng.uniform(0.0, 0.99))
-        assert chsh_square_identity_residual(settings) < 1e-12
+        assert square_identity_residual(settings) < 1e-12
 
 
 def test_chsh_square_identity_free_settings():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        assert chsh_square_identity_residual(_random_chsh_free(rng)) < 1e-12
+        assert square_identity_residual(_random_chsh_free(rng)) < 1e-12
 
 
 def test_chsh_square_rest_frame_cross_product_form():
@@ -181,7 +185,7 @@ def test_chsh_square_commuting_settings_is_4i():
                             random_xy(np.random.default_rng(17)), boost, boost)
     operator = chsh_operator(settings)
     assert max_abs(operator @ operator - 4.0 * np.eye(4)) < 1e-12
-    assert chsh_square_identity_residual(settings) < 1e-12
+    assert square_identity_residual(settings) < 1e-12
 
 
 def test_chsh_zeta_values():
@@ -265,7 +269,8 @@ def test_mermin_square_closed_form_random():
     for _ in range(200):
         settings = _random_mermin(rng, in_plane=False)
         operator = mermin_operator(settings)
-        residual = max_abs(operator @ operator - mermin_square_closed_form(settings))
+        residual = max_abs(operator @ operator
+                           - square_closed_form(effective_observables(settings)))
         assert residual < 1e-12
 
 
@@ -274,14 +279,14 @@ def test_mermin_square_commuting_settings_is_4i():
     a, b, c = random_unit(rng), random_unit(rng), random_unit(rng)
     boost = Boost(X, 0.5)
     settings = MerminSettings(a, a, b, b, c, c, boost, boost, boost)
-    closed = mermin_square_closed_form(settings)
+    closed = square_closed_form(effective_observables(settings))
     assert np.array_equal(closed, 4.0 * np.eye(8, dtype=complex))
 
 
 def test_mermin_square_peak_is_16():
     for beta in (0.0, 0.5, 0.9):
         settings = mermin_collinear_settings(beta)
-        w, _ = hermitian_eigensystem(mermin_square_closed_form(settings))
+        w, _ = hermitian_eigensystem(square_closed_form(effective_observables(settings)))
         assert abs(w[-1] - 16.0) < 1e-12
 
 
@@ -296,8 +301,27 @@ def test_mermin_square_leg_placement():
     settings = MerminSettings(*dirs, boost, boost, boost)
     operator = mermin_operator(settings)
     square = operator @ operator
-    assert max_abs(square - mermin_square_closed_form(settings)) < 1e-12
-    assert max_abs(square - mermin_square_swapped_legs(settings)) > 0.1
+    observables_ = effective_observables(settings)
+    assert max_abs(square - square_closed_form(observables_)) < 1e-12
+    assert max_abs(square - square_closed_form(observables_, SWAPPED_LEGS)) > 0.1
+
+
+@pytest.mark.parametrize("name, run", [
+    ("mermin-square-closed-form", lambda: verify._check_mermin_square(1e-9, 0)),
+    ("mermin-square-leg-placement", lambda: verify._check_mermin_square_leg_swap(0)),
+])
+def test_verify_square_checks_build_observables_once(monkeypatch, name, run):
+    # Each 3-qubit square check builds its stacked observables once and
+    # takes the operators and every square form from them.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return observables.boost_map(*args)
+
+    monkeypatch.setattr(bell, "boost_map", counted)
+    assert run().check == name
+    assert len(calls) == 1
 
 
 def test_mermin_lambda3_values():
@@ -414,17 +438,14 @@ _SQUARE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                             database=None)
 
 
+@pytest.mark.parametrize("n_particles", [2, 3])
 @_SQUARE_SETTINGS
-@given(settings_=_free_settings(2))
-def test_chsh_square_identity_property(settings_):
-    assert chsh_square_identity_residual(settings_) < 1e-12
-
-
-@_SQUARE_SETTINGS
-@given(settings_=_free_settings(3))
-def test_mermin_square_closed_form_property(settings_):
-    operator = mermin_operator(settings_)
-    assert max_abs(operator @ operator - mermin_square_closed_form(settings_)) < 1e-12
+@given(data=st.data())
+def test_square_closed_form_property(n_particles, data):
+    settings_ = data.draw(_free_settings(n_particles))
+    operator = bell_operator(settings_)
+    closed = square_closed_form(effective_observables(settings_))
+    assert max_abs(operator @ operator - closed) < 1e-12
 
 
 def _spectral_norms(operator):
@@ -535,12 +556,15 @@ def test_settings_sequence_rows_are_bit_identical(n_particles, data):
                if n_particles == 2 and data.draw(st.booleans())
                else _draw_free(data, n_particles)
                for _ in range(data.draw(st.integers(1, 5)))]
-    if n_particles == 2:
-        builds = (chsh_operator,)
-        assert (chsh_square_identity_residual(samples)
-                == max(map(chsh_square_identity_residual, samples)))
-    else:
-        builds = (mermin_operator, mermin_square_closed_form, mermin_square_swapped_legs)
+    assert (square_identity_residual(samples)
+            == max(map(square_identity_residual, samples)))
+
+    def square(settings_, legs=None):
+        return square_closed_form(effective_observables(settings_), legs)
+
+    builds = [chsh_operator if n_particles == 2 else mermin_operator, square]
+    if n_particles == 3:
+        builds.append(functools.partial(square, legs=SWAPPED_LEGS))
     for build in builds:
         stack = build(samples)
         assert stack.shape == (len(samples),) + (2 ** n_particles,) * 2

@@ -361,6 +361,15 @@ def test_expectation_flags_imaginary_residue():
         expectation(state, skew)
 
 
+def test_expectation_rejects_nan_input():
+    # A NaN product has a NaN imaginary part, which must fail the residue
+    # check instead of passing through as a NaN expectation.
+    with pytest.raises(NotHermitian):
+        expectation(np.array([math.nan, 0.0, 0.0, 0.0]), np.eye(4))
+    with pytest.raises(NotHermitian):
+        expectation(phi_plus(), np.diag([math.nan, 0.0, 0.0, 0.0]))
+
+
 def test_expectation_of_a_stack_is_each_matrix_expectation():
     # One value per matrix, bit for bit; one non-Hermitian matrix fails the
     # whole stack.
@@ -390,3 +399,11 @@ def test_state_vector_validation():
         state_vector(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         state_vector(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        state_vector([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not normalized"):
+        state_vector([1.0, 0.0, 0.0, bad * 1j, 0.0, 0.0, 0.0, 0.0])

@@ -92,6 +92,13 @@ def test_joint_distribution_validation():
         joint_distribution(2.0 * phi_plus(), [SIGMA_Z, SIGMA_Z])
 
 
+def test_joint_distribution_rejects_nan_state():
+    # A NaN amplitude used to give all-NaN probabilities, which sample
+    # turned into counts.
+    with pytest.raises(ValueError, match="not normalized"):
+        joint_distribution([math.nan, 0.0, 0.0, 0.0], [SIGMA_Z, SIGMA_Z])
+
+
 def test_sample_point_mass():
     dist = joint_distribution(basis_state("00"), [SIGMA_Z, SIGMA_Z])
     record = sample(dist, 1000, seed=1)
@@ -315,6 +322,21 @@ def test_sample_rejects_zero_shots():
     dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_Z])
     with pytest.raises(DomainError):
         sample(dist, 0, seed=0)
+
+
+@pytest.mark.parametrize("probabilities", [
+    [0.7, 0.7, 0.7, 0.7],
+    [0.5, 0.5 - 2e-12, 0.0, 0.0],
+    [math.nan, 0.0, 0.0, 1.0],
+    [math.inf, 0.0, 0.0, 0.0],
+    [-0.25, 0.25, 0.0, 1.0],
+    [0.25, 0.25, 0.25, 0.25, 0.0, 0.0, -1e-300, 0.0],
+])
+def test_sample_rejects_invalid_probabilities(probabilities):
+    dist = OutcomeDistribution(len(probabilities).bit_length() - 1,
+                               np.array(probabilities))
+    with pytest.raises(InvalidObservable):
+        sample(dist, 1000, seed=1)
 
 
 def test_estimate_bell_exact_rest_frame():

@@ -125,13 +125,13 @@ def test_scenario_closed_forms():
         _, peak = SCENARIOS[kind]
         return peak(beta)
 
-    assert closed_form("chsh_collinear", 0.25) == epsilon2(0.25)
-    assert closed_form("mermin_collinear", 0.7) == 4.0
-    assert closed_form("mermin_center_of_mass", 0.7) == epsilon3_com(0.7)
+    assert closed_form("chsh-collinear", 0.25) == epsilon2(0.25)
+    assert closed_form("mermin-collinear", 0.7) == 4.0
+    assert closed_form("mermin-com", 0.7) == epsilon3_com(0.7)
 
 
 def test_scenario_curve_chsh_rest():
-    result = scenario_curve(Scenario("chsh_collinear", 0.0))
+    result = scenario_curve(Scenario("chsh-collinear", 0.0))
     assert abs(result.closed_form - ROOT8) < 1e-12
     assert abs(result.numeric_max - ROOT8) < 1e-10
     assert result.residual_closed_numeric < 1e-10
@@ -139,18 +139,18 @@ def test_scenario_curve_chsh_rest():
 
 
 def test_scenario_curve_mermin_prime_swap():
-    peak = SCENARIOS["mermin_collinear"][1]
+    peak = SCENARIOS["mermin-collinear"][1]
     result = next(sweep(mermin_collinear_settings(0.0).prime_swapped(), [0.7], peak))
     assert abs(abs(result.state_expectation) - 4.0) < 1e-10
     assert abs(result.closed_form - abs(result.state_expectation)) < 1e-10
-    as_given = scenario_curve(Scenario("mermin_collinear", 0.7))
+    as_given = scenario_curve(Scenario("mermin-collinear", 0.7))
     assert abs(as_given.state_expectation) < 1e-12
     residual_closed_state = abs(as_given.closed_form - abs(as_given.state_expectation))
     assert abs(residual_closed_state - 4.0) < 1e-10
 
 
 def test_scenario_curve_center_of_mass():
-    result = scenario_curve(Scenario("mermin_center_of_mass", 0.6))
+    result = scenario_curve(Scenario("mermin-com", 0.6))
     assert abs(result.numeric_max - epsilon3_com(0.6)) < 1e-10
     operator = mermin_operator(mermin_com_settings(0.6))
     top = hermitian_eigensystem(operator @ operator)[0][-1]
@@ -158,7 +158,7 @@ def test_scenario_curve_center_of_mass():
 
 
 def test_scenario_curve_at_beta_one():
-    result = scenario_curve(Scenario("chsh_collinear", 1.0))
+    result = scenario_curve(Scenario("chsh-collinear", 1.0))
     assert result.closed_form == 2.0
     assert result.numeric_max is None
     assert result.state_expectation is None
@@ -169,7 +169,7 @@ def test_scenario_validation():
     with pytest.raises(DomainError):
         Scenario("nonsense", 0.5)
     with pytest.raises(DomainError):
-        Scenario("chsh_collinear", 1.5)
+        Scenario("chsh-collinear", 1.5)
 
 
 def test_collinear_settings_constructors():

@@ -210,22 +210,23 @@ def square_identity_residual(settings) -> float:
         coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
                 / sqrt(prod_v (1 + beta^2 (v_x^2 - 1)))
 
-    is compared as well, and the larger residual is returned.
+    is compared as well, and the larger residual is returned.  A NaN in
+    either comparison makes the residual NaN.
     """
     samples = [settings] if isinstance(settings, Settings) else settings
     observables = effective_observables(samples)
     operators = samples[0].family.assemble(*observables)
     squares = operators @ operators
-    residual = float(np.max(np.abs(squares - square_closed_form(observables))))
+    residuals = np.abs(squares - square_closed_form(observables))
     if samples[0].n_particles != 2:
-        return residual
+        return float(np.max(residuals))
     in_plane = {row: x for row, x in enumerate(map(_chsh_in_plane, samples)) if x is not None}
     if in_plane:
         coeff = np.array([shrink_sq * sin_a * sin_b / math.sqrt(denom)
                           for shrink_sq, sin_a, sin_b, denom in in_plane.values()])
         reduced = 4.0 * (np.eye(4, dtype=complex) + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
-        residual = max(residual, float(np.max(np.abs(squares[list(in_plane)] - reduced))))
-    return residual
+        residuals = np.concatenate([residuals, np.abs(squares[list(in_plane)] - reduced)])
+    return float(np.max(residuals))
 
 
 def chsh_zeta(settings: Settings) -> float:

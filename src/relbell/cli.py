@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -49,6 +50,7 @@ EXIT_INTERNAL = 4
 
 SWEEP_COLUMNS = ("beta", "scenario", "closed_form", "numeric_max",
                  "state_expectation", "residual")
+#: The fields of verify.CheckResult, in order: one row per CheckResult.
 VERIFY_COLUMNS = ("check", "status", "residual", "tolerance", "detail")
 
 
@@ -191,8 +193,7 @@ def _cmd_verify(args) -> int:
     if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
         raise UsageError("tolerance must be finite and > 0")
     checks = run_all_checks(tolerance=args.tolerance, seed=args.seed)
-    rows = [{"check": c.check, "status": c.status, "residual": c.residual,
-             "tolerance": c.tolerance, "detail": c.detail} for c in checks]
+    rows = [dataclasses.asdict(c) for c in checks]
     meta = _meta(args, "verify", {"tolerance": args.tolerance})
     code = _emit(args, VERIFY_COLUMNS, rows, meta)
     if code != EXIT_OK:

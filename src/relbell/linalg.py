@@ -231,21 +231,23 @@ def expectation(state, matrices):
 
     The products M s of a stack are one stacked matmul, but each inner
     product stays one np.vdot per matrix: a contraction over the whole stack
-    sums in another order and changes last bits.  The raw inner product must
-    be real up to a 1e-12 residue; a larger or NaN imaginary part means the
-    matrix was not Hermitian, or an entry was not finite, and raises.
+    sums in another order and changes last bits.  A state or matrix entry
+    that is not finite raises NotHermitian before any product is taken.  The
+    raw inner product must be real up to a 1e-12 residue; a larger or NaN
+    imaginary part means the matrix was not Hermitian, and raises.
     """
     s = np.asarray(state, dtype=complex).reshape(-1)
     m = _as_operators(matrices)
     if m.shape[-1] != s.size:
         raise DimensionMismatch(
             f"state dimension {s.size} does not match matrix dimension {m.shape[-1]}")
+    if not (np.isfinite(s).all() and np.isfinite(m).all()):
+        raise NotHermitian("<s|M|s> of a state or matrix with an entry that is not finite")
     values = []
     for product in (m @ s).reshape(-1, s.size):
         raw = complex(np.vdot(s, product))
         if not abs(raw.imag) < _IMAG_RESIDUE_TOL:
             raise NotHermitian(
-                f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not "
-                "Hermitian or an entry is not finite")
+                f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not Hermitian")
         values.append(raw.real)
     return values[0] if m.ndim == 2 else np.reshape(values, m.shape[:-2])

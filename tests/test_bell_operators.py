@@ -9,9 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import relbell.bell as bell
 import relbell.observables as observables
-import relbell.verify as verify
 from helpers import max_abs, random_unit, random_xy, unit_vectors
 from relbell.bell import (
     ChshSettings,
@@ -304,24 +302,6 @@ def test_mermin_square_leg_placement():
     observables_ = effective_observables(settings)
     assert max_abs(square - square_closed_form(observables_)) < 1e-12
     assert max_abs(square - square_closed_form(observables_, SWAPPED_LEGS)) > 0.1
-
-
-@pytest.mark.parametrize("name, run", [
-    ("mermin-square-closed-form", lambda: verify._check_mermin_square(1e-9, 0)),
-    ("mermin-square-leg-placement", lambda: verify._check_mermin_square_leg_swap(0)),
-])
-def test_verify_square_checks_build_observables_once(monkeypatch, name, run):
-    # Each 3-qubit square check builds its stacked observables once and
-    # takes the operators and every square form from them.
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return observables.boost_map(*args)
-
-    monkeypatch.setattr(bell, "boost_map", counted)
-    assert run().check == name
-    assert len(calls) == 1
 
 
 def test_mermin_lambda3_values():

@@ -370,6 +370,15 @@ def test_expectation_rejects_nan_input():
         expectation(phi_plus(), np.diag([math.nan, 0.0, 0.0, 0.0]))
 
 
+def test_expectation_rejects_infinite_input_before_the_product():
+    # inf * 0 in the product would warn (an error in this suite) before the
+    # residue check could raise.
+    with pytest.raises(NotHermitian):
+        expectation(np.array([math.inf, 0.0, 0.0, 0.0]), np.eye(4))
+    with pytest.raises(NotHermitian):
+        expectation(phi_plus(), np.diag([math.inf, 0.0, 0.0, 0.0]))
+
+
 def test_expectation_of_a_stack_is_each_matrix_expectation():
     # One value per matrix, bit for bit; one non-Hermitian matrix fails the
     # whole stack.

@@ -231,16 +231,8 @@ def _cmd_optimize(args) -> int:
     return _emit(args, list(row), rows=[row], meta=meta)
 
 
-def _count_columns(n_particles: int) -> list[str]:
-    labels = []
-    for index in range(2 ** n_particles):
-        bits = format(index, f"0{n_particles}b")
-        labels.append("n_" + bits.replace("0", "p").replace("1", "m"))
-    return labels
-
-
 def _cmd_sample(args) -> int:
-    from .sampling import estimate_bell, exact_bell, joint_distribution, sample
+    from .sampling import estimate_bell, exact_bell, joint_distribution, outcome_labels, sample
 
     if args.shots < 1:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
@@ -250,7 +242,7 @@ def _cmd_sample(args) -> int:
     state = settings.family.state()
     terms = bell_terms(settings)
 
-    count_cols = _count_columns(settings.n_particles)
+    count_cols = outcome_labels(settings.n_particles)
     rows = []
     records = []
     distributions = []

@@ -9,11 +9,14 @@ It takes a stack of matrices ``(..., n, n)`` and sweeps them together, a
 2-D matrix being a stack of one: each matrix stops when its own off-diagonal
 norm meets its own threshold, and each rotation touches only the matrices
 whose pivot is at least the smallest normal double, so every matrix gets the
-bits it would get alone.  One bad matrix (a non-finite entry, not Hermitian,
-an overflowing norm, no convergence) fails the whole call.  Kronecker
-products are one broadcast multiplication, bit-identical to ``np.kron`` but
-without its generic axis handling; every Kronecker product in the package
-goes through kron and kron3.
+bits it would get alone.  The stop rule takes every Frobenius norm of the
+stack at once, as sqrt(add.reduce(re*re + im*im)); that may differ from
+np.linalg.norm in the last bit, so only an off-diagonal norm that ties its
+threshold to the ulp could stop a sweep earlier or later.  One bad matrix (a
+non-finite entry, not Hermitian, an overflowing norm, no convergence) fails
+the whole call.  Kronecker products are one broadcast multiplication,
+bit-identical to ``np.kron`` but without its generic axis handling; every
+Kronecker product in the package goes through kron and kron3.
 
 All operations are pure functions of their inputs and never mutate their
 arguments, so values can be shared freely between concurrent tasks.
@@ -100,23 +103,12 @@ def state_vector(amplitudes) -> np.ndarray:
     return v
 
 
-def _off_norms(av: np.ndarray, n: int, live: list[int]) -> list[float]:
-    """Frobenius norm of the off-diagonal part of each live matrix, by the
-    np.linalg.norm call one matrix's own a - diag(a) gets."""
-    off = av[live, :n]
-    diagonal = np.arange(n)
-    off[:, diagonal, diagonal] = 0.0
-    return [float(np.linalg.norm(x)) for x in off]
-
-
-def _thresholds(stack: np.ndarray) -> list[float]:
-    """Each matrix's stopping threshold; NoConvergence if a Frobenius norm
-    overflows, since no rotation could then be judged converged."""
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (k, n, n) stack, as one reduction
+    over each matrix's entries; an overflowing norm is inf."""
+    flat = stack.reshape(len(stack), stack.shape[-1] ** 2)
     with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(m)) for m in stack]
-    if not all(map(math.isfinite, norms)):
-        raise NoConvergence("Frobenius norm of a finite matrix overflows")
-    return [OFF_DIAGONAL_TARGET * max(1.0, norm) for norm in norms]
+        return np.sqrt(np.add.reduce(flat.real * flat.real + flat.imag * flat.imag, axis=-1))
 
 
 def _sweep(av: np.ndarray, n: int) -> None:
@@ -196,25 +188,30 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitian("matrix has entries that are not finite")
     if not is_hermitian(stack):
         raise NotHermitian(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
-    thresholds = _thresholds(stack)
+    norms = _frobenius(stack)
+    if not np.isfinite(norms).all():
+        raise NoConvergence("Frobenius norm of a finite matrix overflows")
+    thresholds = OFF_DIAGONAL_TARGET * np.maximum(1.0, norms)
 
     k, diagonal = len(stack), np.arange(n)
     av = np.zeros((k, 2 * n, n), dtype=complex)
     av[:, :n] = stack
     av[:, n + diagonal, diagonal] = 1.0
-    live = list(range(k))
-    for _ in range(SWEEP_BUDGET):
-        live = [i for i, off in zip(live, _off_norms(av, n, live)) if off > thresholds[i]]
-        if not live:
+    live = np.arange(k)
+    for sweeps in range(SWEEP_BUDGET + 1):
+        off = av[live, :n]
+        off[:, diagonal, diagonal] = 0.0
+        off_norms = _frobenius(off)
+        above = off_norms > thresholds[live]
+        live = live[above]
+        if not live.size:
             break
+        if sweeps == SWEEP_BUDGET:
+            raise NoConvergence(f"off-diagonal norm {off_norms[above][0]:g} above "
+                                f"{thresholds[live[0]]:g} after {SWEEP_BUDGET} sweeps")
         work = av[live]
         _sweep(work, n)
         av[live] = work
-    else:
-        for i, off in zip(live, _off_norms(av, n, live)):
-            if off > thresholds[i]:
-                raise NoConvergence(f"off-diagonal norm {off:g} above {thresholds[i]:g} "
-                                    f"after {SWEEP_BUDGET} sweeps")
 
     w = av[:, diagonal, diagonal].real
     order = np.argsort(w, axis=-1, kind="stable")
@@ -234,7 +231,8 @@ def expectation(state, matrices):
     sums in another order and changes last bits.  A state or matrix entry
     that is not finite raises NotHermitian before any product is taken.  The
     raw inner product must be real up to a 1e-12 residue; a larger or NaN
-    imaginary part means the matrix was not Hermitian, and raises.
+    imaginary part means the matrix was not Hermitian, and raises; so does a
+    value that overflows.
     """
     s = np.asarray(state, dtype=complex).reshape(-1)
     m = _as_operators(matrices)
@@ -243,9 +241,13 @@ def expectation(state, matrices):
             f"state dimension {s.size} does not match matrix dimension {m.shape[-1]}")
     if not (np.isfinite(s).all() and np.isfinite(m).all()):
         raise NotHermitian("<s|M|s> of a state or matrix with an entry that is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (m @ s).reshape(-1, s.size)
     values = []
-    for product in (m @ s).reshape(-1, s.size):
+    for product in products:
         raw = complex(np.vdot(s, product))
+        if not math.isfinite(raw.real):
+            raise NotHermitian(f"<s|M|s> overflows to {raw!r} from finite entries")
         if not abs(raw.imag) < _IMAG_RESIDUE_TOL:
             raise NotHermitian(
                 f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not Hermitian")

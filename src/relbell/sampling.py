@@ -27,6 +27,7 @@ from .linalg import (
     hermitian_eigensystem,
     is_hermitian,
     kron,
+    kron3,
     state_vector,
 )
 
@@ -50,6 +51,12 @@ def _outcome_signs(n_particles: int) -> np.ndarray:
     signs = 1 - 2 * bits
     signs.flags.writeable = False
     return signs
+
+
+def outcome_labels(n_particles: int) -> list[str]:
+    """Each outcome tuple's name, in index order: n_ then p (+1) or m (-1)."""
+    return ["n_" + "".join("p" if s > 0 else "m" for s in row)
+            for row in _outcome_signs(n_particles).tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +122,8 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     The probability of an outcome tuple is the expectation of the product
     of per-particle projectors (I + s_i O_i)/2; the distribution's
     correlator therefore equals the expectation of the tensor product of
-    the observables.
+    the observables.  One kron/kron3 call over each particle's stack of
+    projectors and one expectation call give every outcome's probability.
     """
     observables = [np.asarray(o, dtype=complex) for o in observables]
     n = len(observables)
@@ -128,14 +136,12 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     for o in observables:
         _check_observable(o)
 
-    signs = _outcome_signs(n)
-    probabilities = np.empty(2 ** n)
-    for index in range(2 ** n):
-        projector = np.array([[1.0]], dtype=complex)
-        for particle in range(n):
-            factor = 0.5 * (IDENTITY_2 + signs[index, particle] * observables[particle])
-            projector = kron(projector, factor)
-        probabilities[index] = expectation(vec, projector)
+    # Particle i's projector per outcome; the first times 1.0, as a chain of
+    # Kronecker products started from [[1]] gave it, to keep its signed zeros.
+    signs = _outcome_signs(n)[:, :, None, None]
+    projectors = [0.5 * (IDENTITY_2 + signs[:, i] * o) for i, o in enumerate(observables)]
+    projectors[0] = 1.0 * projectors[0]
+    probabilities = expectation(vec, (kron if n == 2 else kron3)(*projectors))
 
     if probabilities.min() < _NEGATIVE_PROBABILITY_TOL:
         raise InvalidObservable(

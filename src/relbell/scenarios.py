@@ -10,8 +10,8 @@ of 2 pi / 3.
 SCENARIOS maps each named kind to its settings builder and closed-form
 peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; the
 matrix-backed fields of a sweep sample (ScenarioResult) exist for beta < 1
-only.  sweep builds a block of rows' operators at once and solves their
-spectra in one stacked eigensolve.
+only.  sweep builds a block of rows' operators at once and takes their
+spectra and their expectations in one stacked call each.
 """
 
 from __future__ import annotations
@@ -209,19 +209,19 @@ def _square_peak_root(settings: Settings, beta: float) -> float | None:
 def sweep(settings: Settings, betas, peak=None):
     """Yield the ScenarioResult of each speed of betas, every particle boosted
     at that speed; peak(beta) is the closed form (default _square_peak_root).
-    bell_operator_grid builds SWEEP_BLOCK_ROWS rows' operators at once and
-    one max_violation call solves their spectra; each row below beta = 1
-    then gets its expectation."""
+    bell_operator_grid builds SWEEP_BLOCK_ROWS rows' operators at once, one
+    max_violation call solves their spectra and one expectation call gives
+    their state expectations."""
     state = settings.family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
         block = betas[start:start + SWEEP_BLOCK_ROWS]
         operators = bell_operator_grid(settings, [b for b in block if b < 1.0])
-        rows = zip(operators, max_violation(operators).tolist())
+        rows = zip(max_violation(operators).tolist(), expectation(state, operators).tolist())
         for beta in block:
             closed = _square_peak_root(settings, beta) if peak is None else peak(beta)
             if beta >= 1.0:
                 yield ScenarioResult(closed, None, None, None)
                 continue
-            operator, numeric = next(rows)
+            numeric, value = next(rows)
             residual = None if closed is None else abs(closed - numeric)
-            yield ScenarioResult(closed, numeric, expectation(state, operator), residual)
+            yield ScenarioResult(closed, numeric, value, residual)

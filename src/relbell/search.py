@@ -14,13 +14,13 @@ optimize_mermin pin the particle count.  The operator_norm objective is
 scored in closed form from the effective directions, so no operator is
 built and no eigensolve runs per evaluation.  A coordinate step moves one
 angle of one particle, so the objective keeps, per particle, the last angle
-slice it saw with that particle's k_i, and recomputes only the particles
-whose slice changed.  A recomputed particle goes through the same unit3
-check and boost_map (with its DegenerateObservable floor) as a Settings
-would, its k_i is the same bell.cross_norm, and the k_i are combined by the
-same bell.norm_from_kappas, so every value is bit-identical to
-operator_norm of the built settings.  The state_expectation objective still
-builds the settings and the operator per evaluation.
+slice it saw with that particle's k_i (norm) or observables (state), and
+recomputes only the particles whose slice changed.  A recomputed particle
+goes through the same unit3 check and boost_map (with its
+DegenerateObservable floor) as a Settings would, and the value is combined
+as operator_norm (bell.cross_norm, bell.norm_from_kappas) or bell_operator
+(direction_matrix, the family's assembly) combines it, so every value is
+bit-identical to the objective on the built settings.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import FAMILIES, Settings, bell_operator, cross_norm, norm_from_kappas
+from .bell import FAMILIES, Settings, cross_norm, norm_from_kappas
 from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost, boost_map, unit3
+from .observables import Boost, boost_map, direction_matrix, unit3
 
 CONSTRAINTS = ("xy_plane", "free_sphere")
 OBJECTIVES = ("operator_norm", "state_expectation")
@@ -160,24 +160,32 @@ def _angles_per_particle(constraint: str) -> int:
     return 2 if constraint == "xy_plane" else 4
 
 
-def _norm_objective(boosts, constraint: str):
-    """Angles -> operator_norm of the settings they build, recomputing only
-    the particles whose angle slice changed since the previous call."""
+def _objective(boosts, constraint: str, objective: str):
+    """Angles -> the objective's value on the settings they build, recomputing
+    what it keeps per particle (k_i or the two observables) only for the
+    particles whose angle slice changed since the previous call."""
     width = _angles_per_particle(constraint)
-    # Per particle: (angle bytes, k_i) of its last slice.
-    cache = [(None, 0.0)] * len(boosts)
+    if objective == "operator_norm":
+        per_particle, score = (lambda n: cross_norm(*n)), norm_from_kappas
+    else:
+        family = FAMILIES[len(boosts)]
+        state = family.state()
+        per_particle, score = (lambda n: direction_matrix(np.array(n))), (
+            lambda parts: abs(expectation(state, family.assemble(*np.concatenate(parts)))))
+    # Per particle: (angle bytes, kept value) of its last slice.
+    cache = [(None, None)] * len(boosts)
 
-    def objective(angles: np.ndarray) -> float:
+    def evaluate(angles: np.ndarray) -> float:
         for i, boost in enumerate(boosts):
             part = angles[i * width:(i + 1) * width]
             key = part.tobytes()
             if key != cache[i][0]:
                 n = [boost_map(unit3(d), boost.direction, boost.beta)
                      for d in _directions_from_angles(part, constraint)]
-                cache[i] = (key, cross_norm(*n))
-        return norm_from_kappas([kappa for _, kappa in cache])
+                cache[i] = (key, per_particle(n))
+        return score([value for _, value in cache])
 
-    return objective
+    return evaluate
 
 
 def _optimize(n_particles: int, boost_directions, beta: float,
@@ -186,21 +194,10 @@ def _optimize(n_particles: int, boost_directions, beta: float,
     boosts = tuple(Boost(d, beta) for d in boost_directions)
     if len(boosts) != n_particles:
         raise DomainError(f"expected exactly {n_particles} boost directions")
-
-    def build(angles: np.ndarray) -> Settings:
-        return Settings(_directions_from_angles(angles, config.constraint), boosts)
-
-    if config.objective == "operator_norm":
-        objective = _norm_objective(boosts, config.constraint)
-    else:
-        state = FAMILIES[n_particles].state()
-
-        def objective(angles: np.ndarray) -> float:
-            return abs(expectation(state, bell_operator(build(angles))))
-
+    objective = _objective(boosts, config.constraint, config.objective)
     angles, value = _maximize_over_angles(
         objective, n_particles * _angles_per_particle(config.constraint), config)
-    return build(angles), value
+    return Settings(_directions_from_angles(angles, config.constraint), boosts), value
 
 
 def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = None):

@@ -30,7 +30,8 @@ from relbell.sampling import (
     joint_distribution,
     sample,
 )
-from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
+from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings, \
+    mermin_com_settings
 from relbell.states import ghz_plus, phi_plus
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -79,6 +80,36 @@ def test_joint_distribution_marginals():
             probabilities = marginal(dist, particle)
             assert abs(probabilities[0] - p_plus) < 1e-12
             assert abs(probabilities.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+def test_joint_distribution_takes_one_expectation(monkeypatch, n_particles):
+    # One stacked kron/kron3 and one expectation call for every outcome, each
+    # probability the value of the per-outcome Kronecker chain from [[1]].
+    calls = []
+
+    def counting(state, matrices):
+        calls.append(np.shape(matrices))
+        return expectation(state, matrices)
+
+    monkeypatch.setattr(sampling, "expectation", counting)
+    settings = (chsh_collinear_settings if n_particles == 2 else mermin_com_settings)(0.7)
+    state = settings.family.state()
+    size = 2 ** n_particles
+    for _, _, observables in bell_terms(settings):
+        calls.clear()
+        dist = joint_distribution(state, observables)
+        assert calls == [(size, size, size)]
+        for signs, probability in zip(dist.outcome_signs(), dist.probabilities):
+            projector = np.ones((1, 1), dtype=complex)
+            for sign, o in zip(signs, observables):
+                projector = kron(projector, 0.5 * (IDENTITY_2 + sign * o))
+            assert probability == np.clip(expectation(state, projector), 0.0, None)
+
+
+def test_outcome_labels_follow_the_outcome_signs():
+    assert sampling.outcome_labels(2) == ["n_pp", "n_pm", "n_mp", "n_mm"]
+    assert sampling.outcome_labels(3)[5] == "n_mpm"
 
 
 def test_joint_distribution_validation():

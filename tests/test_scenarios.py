@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import max_abs
+from relbell import scenarios
 from relbell.errors import DomainError
 from relbell.linalg import expectation, hermitian_eigensystem
-from relbell.bell import max_violation, mermin_operator
+from relbell.bell import bell_operator, max_violation, mermin_operator
 from relbell.scenarios import (
     SCENARIOS,
+    SWEEP_BLOCK_ROWS,
     Scenario,
     chsh_collinear_settings,
     com_boosts,
@@ -23,7 +25,7 @@ from relbell.scenarios import (
     scenario_curve,
     sweep,
 )
-from relbell.states import ghz_plus
+from relbell.states import ghz_plus, phi_plus
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -193,3 +195,22 @@ def test_collinear_numeric_max_constant():
     for beta in (0.0, 0.5, 0.95):
         operator = mermin_operator(mermin_collinear_settings(beta))
         assert abs(max_violation(operator) - 4.0) < 1e-10
+
+
+def test_sweep_takes_one_expectation_per_block(monkeypatch):
+    # Each block's rows below beta = 1 get their expectations from one
+    # stacked call, each the value of a lone call on the row's own operator.
+    calls = []
+
+    def counting(state, matrices):
+        calls.append(len(matrices))
+        return expectation(state, matrices)
+
+    monkeypatch.setattr(scenarios, "expectation", counting)
+    betas = [i / 140 for i in range(141)]
+    rows = list(sweep(chsh_collinear_settings(0.0), betas))
+    assert calls == [SWEEP_BLOCK_ROWS, SWEEP_BLOCK_ROWS, 141 - 2 * SWEEP_BLOCK_ROWS - 1]
+    assert rows[-1].state_expectation is None
+    for beta, row in zip(betas[:-1], rows):
+        want = expectation(phi_plus(), bell_operator(chsh_collinear_settings(beta)))
+        assert row.state_expectation == want

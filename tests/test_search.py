@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import unit_vectors
-from relbell.bell import Settings, chsh_operator, max_violation, mermin_operator, \
-    operator_norm
+from relbell.bell import Settings, bell_operator, chsh_operator, max_violation, \
+    mermin_operator, operator_norm
 from relbell.errors import DomainError
+from relbell.linalg import expectation
 from relbell.observables import Boost
 from relbell.scenarios import (
     X_AXIS,
@@ -20,9 +21,10 @@ from relbell.scenarios import (
 )
 from relbell.search import (
     CONSTRAINTS,
+    OBJECTIVES,
     SearchConfig,
     _directions_from_angles,
-    _norm_objective,
+    _objective,
     optimize_chsh,
     optimize_mermin,
 )
@@ -133,20 +135,26 @@ _angles = st.floats(-2.0 * math.pi, 4.0 * math.pi)
 
 @pytest.mark.parametrize("n_particles", [2, 3])
 @pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("objective", OBJECTIVES)
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_norm_objective_cache_is_bit_identical(n_particles, constraint, data):
+def test_objective_cache_is_bit_identical(objective, n_particles, constraint, data):
     # Along a walk of single-coordinate moves, as coordinate ascent makes,
-    # the per-particle cache must give exactly operator_norm of the settings
-    # the angles build: the optimizer's returned value is one of these.
+    # the per-particle cache must give exactly what the objective scores on
+    # the settings the angles build: the optimizer's returned value is one
+    # of these.
     boosts = tuple(data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, 0.99)),
                                       min_size=n_particles, max_size=n_particles)))
     width = n_particles * (2 if constraint == "xy_plane" else 4)
     angles = np.array(data.draw(st.lists(_angles, min_size=width, max_size=width)))
     moves = data.draw(st.lists(st.tuples(st.integers(0, width - 1), _angles),
                                min_size=1, max_size=30))
-    objective = _norm_objective(boosts, constraint)
+    evaluate = _objective(boosts, constraint, objective)
     for k, t in [(0, angles[0])] + moves:
         angles[k] = t
         built = Settings(_directions_from_angles(angles, constraint), boosts)
-        assert objective(angles) == operator_norm(built)
+        if objective == "operator_norm":
+            want = operator_norm(built)
+        else:
+            want = abs(expectation(built.family.state(), bell_operator(built)))
+        assert evaluate(angles) == want

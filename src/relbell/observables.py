@@ -142,8 +142,8 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
 def direction_matrix(n: np.ndarray) -> np.ndarray:
     """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
     that boost_map has already produced, or a stack (..., 3) of them."""
-    x, y, z = np.moveaxis(n[..., None, None], -3, 0)
-    return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+    return (n[..., 0, None, None] * SIGMA_X + n[..., 1, None, None] * SIGMA_Y
+            + n[..., 2, None, None] * SIGMA_Z)
 
 
 def observable_matrix(a, boost: Boost) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Two- and three-qubit Bell operators built from boosted spin observables.
 
 One Settings class holds two directions and a boost per particle; what the
-particle count fixes (operator, sign table, matched state, closed-form
-square peak) lives in the FAMILIES table at the end of this module.  The
-two-qubit operator is A(B + B') + A'(B - B'); the three-qubit operator is
-the four-term combination A B'C' + A'B C' + A'B'C - A B C.  Closed forms
-for the squares and their largest eigenvalues are provided on the
-restricted measurement geometries where they were derived, and refuse
-other inputs instead of extrapolating.  operator_norm holds for every
-setting and needs no matrix at all.  Brute-force matrix algebra is the
+particle count fixes (operator, sign table, matched state) lives in the
+FAMILIES table at the end of this module.  The two-qubit operator is
+A(B + B') + A'(B - B'); the three-qubit operator is the four-term
+combination A B'C' + A'B C' + A'B'C - A B C.  The paper's closed forms for
+the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
+provided on the restricted measurement geometries where they were derived,
+and refuse other inputs instead of extrapolating.  operator_norm holds for
+every setting and needs no matrix at all.  Brute-force matrix algebra is the
 ground truth every closed form is checked against.  The operators and
 effective_observables also take a sequence of S Settings with one particle
 count and return the stacks of their matrices, each row bit for bit its
@@ -361,14 +361,13 @@ def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
 class Family:
     """What the particle count fixes: the operator's name, its sign table of
     (label, sign, observable indices) terms (first sign +1), the matched
-    maximally entangled state, the operator's assembly from the (stacked)
-    observables, and the closed-form largest eigenvalue of its square."""
+    maximally entangled state, and the operator's assembly from the (stacked)
+    observables."""
 
     name: str
     terms: tuple
     state: Callable[[], np.ndarray]
     assemble: Callable[..., np.ndarray]
-    square_peak: Callable[[Settings], float]
 
 
 def _sign_table(*terms):
@@ -383,8 +382,8 @@ def _sign_table(*terms):
 FAMILIES = {
     2: Family("chsh",
               _sign_table(("ab", 1), ("ab'", 1), ("a'b", 1), ("a'b'", -1)),
-              phi_plus, _chsh, chsh_zeta),
+              phi_plus, _chsh),
     3: Family("mermin",
               _sign_table(("ab'c'", 1), ("a'bc'", 1), ("a'b'c", 1), ("abc", -1)),
-              ghz_plus, _mermin, mermin_lambda3),
+              ghz_plus, _mermin),
 }

@@ -174,7 +174,7 @@ def _cmd_sweep(args) -> int:
     if not math.isfinite(args.beta_step):
         raise UsageError(f"beta-step must be finite, got {args.beta_step}")
     settings = _resolve_settings(args, 0.0)
-    # no closed-form curve for a settings file: sweep falls back on the square peak
+    # no named curve for a settings file: each row's closed form is its operator norm
     peak = None if args.settings else SCENARIOS[args.scenario][1]
     betas = _beta_grid(args.beta_min, args.beta_max, args.beta_step)
     rows = [dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values)))

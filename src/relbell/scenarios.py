@@ -9,9 +9,10 @@ of 2 pi / 3.
 
 SCENARIOS maps each named kind to its settings builder and closed-form
 peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; the
-matrix-backed fields of a sweep sample (ScenarioResult) exist for beta < 1
-only.  sweep builds a block of rows' operators at once and takes their
-spectra and their expectations in one stacked call each.
+matrix-backed fields of a sweep sample (ScenarioResult), and the
+operator_norm that checks settings without a named peak, exist for beta < 1
+only.  sweep builds a block of rows' directions and operators at once and
+takes their spectra and their expectations in one stacked call each.
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bell import Settings, bell_operator_grid, max_violation
-from .errors import DomainError, DomainRestriction
+from .bell import (
+    Settings,
+    cross_norms,
+    effective_directions_grid,
+    max_violation,
+    norm_from_kappas,
+)
+from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost, require_unit_interval
+from .observables import Boost, direction_matrix, require_unit_interval
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -177,8 +184,8 @@ class ScenarioResult(NamedTuple):
     """One sweep sample: closed form versus numeric spectrum versus state
     expectation, with |closed_form - numeric_max|.
 
-    Numeric fields are None at beta = 1, where no matrix exists; the closed
-    form and the residual are None for settings without a closed form.
+    Numeric fields and the residual are None at beta = 1, where no matrix
+    exists, and so is the closed form there of settings without a named peak.
     """
 
     closed_form: float | None
@@ -194,34 +201,24 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
     return next(sweep(build_settings(0.0), [scenario.beta], peak))
 
 
-def _square_peak_root(settings: Settings, beta: float) -> float | None:
-    """sqrt of the family's square peak at beta; None off its domain or at 1."""
-    if beta >= 1.0:
-        return None
-    at_beta = Settings(settings.directions,
-                       [Boost(boost.direction, beta) for boost in settings.boosts])
-    try:
-        return float(np.sqrt(at_beta.family.square_peak(at_beta)))
-    except DomainRestriction:
-        return None
-
-
 def sweep(settings: Settings, betas, peak=None):
     """Yield the ScenarioResult of each speed of betas, every particle boosted
-    at that speed; peak(beta) is the closed form (default _square_peak_root).
-    bell_operator_grid builds SWEEP_BLOCK_ROWS rows' operators at once, one
-    max_violation call solves their spectra and one expectation call gives
-    their state expectations."""
+    at that speed; peak(beta) is the closed form, by default each row's
+    operator_norm below beta = 1 and None at 1.  Each SWEEP_BLOCK_ROWS rows
+    get their effective directions from one effective_directions_grid call,
+    their spectra from one max_violation call and their state expectations
+    from one expectation call."""
     state = settings.family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
         block = betas[start:start + SWEEP_BLOCK_ROWS]
-        operators = bell_operator_grid(settings, [b for b in block if b < 1.0])
-        rows = zip(max_violation(operators).tolist(), expectation(state, operators).tolist())
+        directions = effective_directions_grid(settings, [b for b in block if b < 1.0])
+        operators = settings.family.assemble(*direction_matrix(directions.swapaxes(0, 1)))
+        rows = zip(directions, max_violation(operators).tolist(),
+                   expectation(state, operators).tolist())
         for beta in block:
-            closed = _square_peak_root(settings, beta) if peak is None else peak(beta)
             if beta >= 1.0:
-                yield ScenarioResult(closed, None, None, None)
+                yield ScenarioResult(None if peak is None else peak(beta), None, None, None)
                 continue
-            numeric, value = next(rows)
-            residual = None if closed is None else abs(closed - numeric)
-            yield ScenarioResult(closed, numeric, value, residual)
+            n, numeric, value = next(rows)
+            closed = norm_from_kappas(cross_norms(n)) if peak is None else peak(beta)
+            yield ScenarioResult(closed, numeric, value, abs(closed - numeric))

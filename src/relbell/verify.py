@@ -39,6 +39,7 @@ from .bell import (
     effective_directions_grid,
     effective_observables,
     max_violation,
+    mermin_lambda3,
     mermin_operator,
     square_closed_form,
     square_identity_residual,
@@ -172,18 +173,17 @@ def _top_eigenvalues(squares) -> np.ndarray:
     return hermitian_eigensystem(squares)[0][..., -1]
 
 
-def _square_peak_residuals(samples) -> np.ndarray:
-    """|family.square_peak - top eigenvalue of the brute-force square| of
-    each sample of one particle count."""
-    family = samples[0].family
-    peaks = [family.square_peak(settings) for settings in samples]
-    operators = family.assemble(*effective_observables(samples))
+def _square_peak_residuals(samples, square_peak) -> np.ndarray:
+    """|square_peak (chsh_zeta or mermin_lambda3) - top eigenvalue of the
+    brute-force square| of each sample of one particle count."""
+    peaks = [square_peak(settings) for settings in samples]
+    operators = samples[0].family.assemble(*effective_observables(samples))
     return np.abs(_top_eigenvalues(operators @ operators) - peaks)
 
 
 def _check_chsh_zeta_spectral(seed):
     samples = _random_chsh_xy_grid(_rng(seed, 3))
-    return (_square_peak_residuals(samples),
+    return (_square_peak_residuals(samples, chsh_zeta),
             "closed-form largest eigenvalue of the squared operator vs the "
             "numeric spectrum")
 
@@ -310,7 +310,7 @@ def _check_mermin_square_leg_swap(seed):
 def _check_mermin_lambda_spectral(seed):
     rng = _rng(seed, 14)
     samples = [_random_mermin(rng, in_plane=True) for _ in range(60)]
-    return (_square_peak_residuals(samples),
+    return (_square_peak_residuals(samples, mermin_lambda3),
             "coplanar closed-form largest eigenvalue 4(1 + k1k2 + k1k3 + k2k3) "
             "vs the numeric spectrum of the brute-force square")
 

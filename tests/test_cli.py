@@ -184,8 +184,9 @@ def test_degenerate_observable_stays_usage_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("scenario", ["chsh-collinear", "mermin-com"])
 def test_sweep_builds_operators_per_block(monkeypatch, scenario):
-    # A sweep builds its operators a block of rows at a time and solves each
-    # block's spectra in one stacked eigensolve; a per-row operator build
+    # A sweep builds its effective directions, and from them its operators, a
+    # block of rows at a time and solves each block's spectra in one stacked
+    # eigensolve; a per-row operator build
     # would call chsh_operator or mermin_operator once per row, and a per-row
     # eigensolve would call hermitian_eigensystem once per row.
     calls = Counter()
@@ -201,11 +202,11 @@ def test_sweep_builds_operators_per_block(monkeypatch, scenario):
 
     for name in ("chsh_operator", "mermin_operator", "hermitian_eigensystem"):
         counted(relbell.bell, name)
-    counted(relbell.scenarios, "bell_operator_grid")
+    counted(relbell.scenarios, "effective_directions_grid")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--scenario", scenario, "--beta-step", "0.001"]) == 0
     blocks = math.ceil(1001 / relbell.scenarios.SWEEP_BLOCK_ROWS)
-    assert calls == {"hermitian_eigensystem": blocks, "bell_operator_grid": blocks}
+    assert calls == {"hermitian_eigensystem": blocks, "effective_directions_grid": blocks}
 
 
 def test_unwritable_output_is_io_error(tmp_path):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import max_abs
+from helpers import max_abs, unit_vectors
 from relbell import scenarios
 from relbell.errors import DomainError
 from relbell.linalg import expectation, hermitian_eigensystem
-from relbell.bell import bell_operator, max_violation, mermin_operator
+from relbell.bell import Settings, bell_operator, max_violation, mermin_operator, operator_norm
+from relbell.observables import Boost
 from relbell.scenarios import (
     SCENARIOS,
     SWEEP_BLOCK_ROWS,
@@ -214,3 +217,23 @@ def test_sweep_takes_one_expectation_per_block(monkeypatch):
     for beta, row in zip(betas[:-1], rows):
         want = expectation(phi_plus(), bell_operator(chsh_collinear_settings(beta)))
         assert row.state_expectation == want
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sweep_closed_form_is_each_rows_operator_norm(n_particles, data):
+    # Free settings have no named curve: each row below beta = 1 is checked
+    # against its own operator_norm, bit for bit, and the beta = 1 row of a
+    # grid that runs past a block boundary has no closed form.
+    directions = data.draw(st.lists(unit_vectors, min_size=2 * n_particles,
+                                    max_size=2 * n_particles))
+    axes = data.draw(st.lists(unit_vectors, min_size=n_particles, max_size=n_particles))
+    steps = data.draw(st.integers(SWEEP_BLOCK_ROWS, 2 * SWEEP_BLOCK_ROWS))
+    betas = [i / steps for i in range(steps + 1)]
+    rows = list(sweep(Settings(directions, [Boost(e, 0.0) for e in axes]), betas))
+    for beta, row in zip(betas[:-1], rows):
+        at_beta = Settings(directions, [Boost(e, beta) for e in axes])
+        assert row.closed_form == operator_norm(at_beta)
+        assert row.residual_closed_numeric <= 1e-12
+    assert rows[-1] == (None, None, None, None)

@@ -178,9 +178,9 @@ def test_scenario_validation():
 
 
 def test_collinear_settings_constructors():
-    settings = chsh_collinear_settings(0.4)
-    assert settings.boosts[0].beta == 0.4
-    assert np.array_equal(settings.boosts[0].direction, np.array([1.0, 0.0, 0.0]))
+    settings_ = chsh_collinear_settings(0.4)
+    assert settings_.boosts[0].beta == 0.4
+    assert np.array_equal(settings_.boosts[0].direction, np.array([1.0, 0.0, 0.0]))
     swapped = mermin_collinear_settings(0.4).prime_swapped()
     assert np.array_equal(swapped.directions[0], np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(swapped.directions[1], np.array([0.0, 1.0, 0.0]))

@@ -266,6 +266,8 @@ def _cmd_sample(args) -> int:
                  "standard_error": standard_error,
                  "exact": exact_bell(distributions, signs)})
     meta = _meta(args, "sample", {"scenario": args.scenario,
+                                  "beta": args.beta,
+                                  "settings": args.settings,
                                   "shots": args.shots,
                                   "prime_swap": args.prime_swap})
     return _emit(args, list(rows[0]), rows, meta)

@@ -2,19 +2,16 @@
 
 Outcome tuples over n particles are indexed by n-bit integers, most
 significant bit first, with bit 0 meaning outcome +1 and bit 1 meaning -1.
-Sampling uses a counter-based generator (Philox) keyed by the seed and the
-setting index, with the counter advanced per fixed-size shot block.  The
-blocks are counted on one worker per CPU available to the process, and the
-counts depend only on (seed, setting index, BLOCK_SHOTS), never on the
-worker count or the order in which blocks are counted.
+Each setting's shot counts are one multinomial draw from a counter-based
+generator (Philox) keyed by the seed and the setting index, so they depend
+only on (distribution, shots, seed, setting index) and on numpy's
+``multinomial``/``binomial`` algorithms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +28,8 @@ from .linalg import (
     state_vector,
 )
 
-#: Shots drawn per counter block.  The block size is part of the stream
-#: definition: block b draws its shots from counter (0, 0, 0, b), so changing
-#: it changes the counts.  Blocks are independent and merge by adding counts,
-#: so the order in which they are processed does not matter.
-BLOCK_SHOTS = 1 << 16
+#: The most shots one setting takes: numpy draws its counts as int64.
+MAX_SHOTS = 2 ** 63 - 1
 
 _SPECTRUM_TOL = 1e-10
 _NEGATIVE_PROBABILITY_TOL = -1e-15
@@ -153,88 +147,31 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     return OutcomeDistribution(n, probabilities)
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on, read on every call so that an affinity
-    mask set after import (taskset) is respected."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def sample(distribution: OutcomeDistribution, shots: int, seed: int,
            setting_index: int = 0, label: str = "") -> ShotRecord:
     """Draw shot counts from a distribution, deterministically in
-    (distribution, shots, seed, setting_index); probabilities that are not
-    finite, are negative or do not sum to 1 within 1e-12 raise InvalidObservable.
+    (distribution, shots, seed, setting_index); shots outside
+    [1, MAX_SHOTS] raise DomainError, and probabilities that are not finite,
+    are negative or do not sum to 1 within 1e-12 raise InvalidObservable.
 
-    Inverse-CDF sampling over a Philox stream keyed by (seed,
-    setting_index); the counter's top word is the block index, so the
-    counts are fixed by (seed, setting_index, BLOCK_SHOTS) and do not depend
-    on the order in which blocks are processed.  A draw u in [0, 1) lands on
-    outcome #{k < size - 1 : cdf[k] <= u}.  Since u < cdf[k] is monotone in
-    k, even where rounding lifts an entry of the cumulative sum above 1, the
-    outcomes up to k take exactly the draws below cdf[k]: each block adds
-    those counts into a running vector, and its differences are the counts.
-
-    The blocks are dealt round-robin to one worker per available CPU: the
-    calling thread and, when there is more than one block and CPU, plain
-    threads that run while numpy's fill and compare loops release the GIL.
-    Each worker refills one draw buffer and one mask buffer, and adds into
-    its own row of counts; integer sums do not depend on order, so the rows
-    add up to the serial counts.  No worker outlives the call, and a
-    worker's error is raised here.
+    The counts are one exact draw from Multinomial(shots, p / sum(p)) over
+    the outcomes with p > 0: numpy's ``multinomial``, a chain of exact
+    binomial draws, on a Philox generator keyed by (seed, setting_index).
+    Outcomes with p = 0 get no shot, and dividing by the sum keeps every
+    probability at most 1 when the sum lies a few ulps above it.  The cost
+    does not grow with the number of shots.
     """
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots!r}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must be in [1, {MAX_SHOTS}], got {shots!r}")
     p = distribution.probabilities
     if not (p.min() >= 0.0 and abs(float(p.sum()) - 1.0) <= _TOTAL_PROBABILITY_TOL):
         raise InvalidObservable(f"probabilities {p.tolist()} are not finite, non-negative "
                                 f"and summing to 1 within {_TOTAL_PROBABILITY_TOL:g}")
-    cdf = np.cumsum(p)
-    key = np.array([seed, setting_index], dtype=np.uint64)
-    n_blocks = -(-shots // BLOCK_SHOTS)
-    workers = min(_worker_count(), n_blocks)
-    below = np.zeros((workers, cdf.size), dtype=np.int64)
-    buffers = np.empty((workers, min(BLOCK_SHOTS, shots)))
-    masks = np.empty(buffers.shape, dtype=bool)
-    stop = threading.Event()
-    errors = []
-
-    def count_blocks(worker: int) -> None:
-        for block in range(worker, n_blocks, workers):
-            if stop.is_set():
-                return
-            draws = buffers[worker, :min(BLOCK_SHOTS, shots - block * BLOCK_SHOTS)]
-            Generator(Philox(key=key, counter=[0, 0, 0, block])).random(out=draws)
-            mask = masks[worker, :draws.size]
-            for k in range(cdf.size - 1):
-                below[worker, k] += np.count_nonzero(np.less(draws, cdf[k], out=mask))
-
-    def run_worker(worker: int) -> None:
-        try:
-            count_blocks(worker)
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
-
-    threads = []
-    try:
-        for worker in range(1, workers):
-            thread = threading.Thread(target=run_worker, args=(worker,))
-            thread.start()
-            threads.append(thread)
-        count_blocks(0)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    counts = below.sum(axis=0)
-    counts[-1] = shots
-    return ShotRecord(label, np.diff(counts, prepend=0), shots)
+    support = np.flatnonzero(p)
+    generator = Generator(Philox(key=np.array([seed, setting_index], dtype=np.uint64)))
+    counts = np.zeros(p.size, dtype=np.int64)
+    counts[support] = generator.multinomial(shots, p[support] / p[support].sum())
+    return ShotRecord(label, counts, shots)
 
 
 def estimate_bell(records, signs) -> tuple[float, float]:

@@ -355,6 +355,46 @@ def test_sample_usage_errors():
     assert main(["sample", "--shots", "10", "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize("shots", [str(2 ** 63), "10000000000000000000"])
+def test_sample_refuses_shots_above_2_63_minus_1(capsys, shots):
+    # numpy's multinomial counts in int64; these used to run until killed.
+    assert main(["sample", "--scenario", "chsh-collinear", "--shots", shots]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: shots must be in [1, {2 ** 63 - 1}], got {shots}\n"
+
+
+def test_sample_takes_2_63_minus_1_shots(tmp_path):
+    out = tmp_path / "sample.csv"
+    shots = 2 ** 63 - 1
+    assert main(["sample", "--scenario", "mermin-com", "--beta", "0.2",
+                 "--shots", str(shots), "--output", str(out)]) == 0
+    rows = _rows_from_csv(out)
+    for row in rows[:-1]:
+        assert sum(int(row[key]) for key in row if key.startswith("n_")) == shots
+    assert int(rows[-1]["shots"]) == 4 * shots
+
+
+@pytest.mark.parametrize("beta, settings", [(None, False), ("0.25", False),
+                                            (None, True), ("0.25", True)])
+def test_sample_meta_names_beta_and_settings(tmp_path, beta, settings):
+    argv = ["sample", "--scenario", "chsh-collinear", "--shots", "10",
+            "--format", "json", "--no-meta-time"]
+    settings_path = None
+    if beta is not None:
+        argv += ["--beta", beta]
+    if settings:
+        settings_file = tmp_path / "settings.json"
+        settings_file.write_text(json.dumps(_pair_settings()), encoding="utf-8")
+        settings_path = str(settings_file)
+        argv += ["--settings", settings_path]
+    out = tmp_path / "sample.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    meta = json.loads(out.read_text(encoding="utf-8"))["meta"]
+    assert meta["beta"] == (None if beta is None else float(beta))
+    assert meta["settings"] == settings_path
+
+
 def test_sample_adjacent_seeds_above_2_63(tmp_path):
     counts = []
     for seed in (2 ** 63, 2 ** 63 + 1):

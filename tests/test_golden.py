@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +27,11 @@ from helpers import run_python
 from relbell.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SETTINGS = {name: str(GOLDEN / f"{name}.json") for name in (
+# Every case runs from the repository root, and the settings files are named
+# relative to it, so the paths that sample records in its meta are the same
+# in every checkout.
+ROOT = GOLDEN.parents[1]
+SETTINGS = {name: f"tests/golden/{name}.json" for name in (
     "settings2_inplane", "settings2_free", "settings3_inplane", "settings3_free")}
 SCENARIOS = ("chsh-collinear", "mermin-collinear", "mermin-com")
 
@@ -77,8 +82,8 @@ def _cases() -> dict[str, list[str]]:
         "--settings", SETTINGS["settings2_free"]]
     cases["sweep-blocks-chsh-collinear-last-row"] = [
         "sweep", "--scenario", "chsh-collinear", "--beta-step", "0.015625"]
-    # More than one Philox shot block; the swapped collinear Mermin scenario
-    # has zero-probability outcomes.
+    # More shots, at other speeds and seeds; the swapped collinear Mermin
+    # scenario has zero-probability outcomes.
     cases["sample-multiblock-chsh-collinear"] = [
         "sample", "--scenario", "chsh-collinear", "--beta", "0.9",
         "--shots", "65537", "--seed", "7"]
@@ -115,8 +120,13 @@ CASES = _cases()
 
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,9 +1,6 @@
 """Monte Carlo measurement tests: distributions, sampling, estimators."""
 
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from relbell.errors import (
 )
 from relbell.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, expectation, kron, kron3
 from relbell.sampling import (
-    BLOCK_SHOTS,
     OutcomeDistribution,
     ShotRecord,
     estimate_bell,
@@ -162,36 +158,92 @@ def test_sample_determinism_and_setting_separation():
     assert not np.array_equal(first.counts, other.counts)
 
 
-def test_sample_block_merge_matches_manual_streams():
-    # The counter scheme: block b draws from Philox(key=(seed, idx),
-    # counter=(0,0,0,b)).  Recreate two blocks by hand and compare.
-    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
-    shots = BLOCK_SHOTS + 12345
-    record = sample(dist, shots, seed=77, setting_index=1)
-    cdf = np.cumsum(dist.probabilities)
-    cdf[-1] = 1.0
-    manual = np.zeros(4, dtype=np.int64)
-    for block, block_shots in ((0, BLOCK_SHOTS), (1, 12345)):
-        gen = Generator(Philox(key=[77, 1], counter=[0, 0, 0, block]))
-        draws = gen.random(block_shots)
-        manual += np.bincount(np.searchsorted(cdf, draws, side="right"),
-                              minlength=4)
-    assert np.array_equal(record.counts, manual)
+# Dyadic distributions with every outcome possible: their sum is exactly 1,
+# so sample's draw is the plain keyed multinomial call on them.
+_DYADIC = (np.array([0.5, 0.25, 0.125, 0.125]),
+           np.array([0.25, 0.125, 0.125, 0.125, 0.125, 0.125, 0.0625, 0.0625]))
 
 
-def _reference_counts(probabilities, shots, key, reverse=False):
-    """Per-draw searchsorted/bincount over the block streams of ``sample``,
-    with the blocks visited in order or in reverse."""
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1])
+def test_sample_is_the_keyed_multinomial_draw(seed):
+    for probabilities in _DYADIC:
+        dist = OutcomeDistribution(probabilities.size.bit_length() - 1, probabilities)
+        for setting_index in range(8):
+            key = np.array([seed, setting_index], dtype=np.uint64)
+            expected = Generator(Philox(key=key)).multinomial(123457, probabilities)
+            record = sample(dist, 123457, seed=seed, setting_index=setting_index)
+            assert np.array_equal(record.counts, expected)
+
+
+def test_sample_draws_over_the_outcomes_that_can_occur():
+    # The swapped collinear Mermin scenario has zero-probability outcomes:
+    # the draw runs over the others, with their probabilities rescaled to
+    # sum to 1, and the zeros get no shot.
+    for index, (_, _, observables) in enumerate(
+            mermin_terms(mermin_collinear_settings(0.3).prime_swapped())):
+        p = joint_distribution(ghz_plus(), observables).probabilities
+        support = np.flatnonzero(p)
+        assert support.size < p.size
+        key = np.array([11, index], dtype=np.uint64)
+        expected = np.zeros(p.size, dtype=np.int64)
+        expected[support] = Generator(Philox(key=key)).multinomial(
+            10 ** 6, p[support] / p[support].sum())
+        record = sample(OutcomeDistribution(3, p), 10 ** 6, seed=11, setting_index=index)
+        assert np.array_equal(record.counts, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 53 + 1, 2 ** 62 + 3,
+                                  2 ** 63 - 1])
+def test_sample_key_below_2_63_matches_list_key(seed):
+    # Seeds below 2**63 key Philox as a plain list of the two integers does.
+    dist = OutcomeDistribution(2, _DYADIC[0])
+    record = sample(dist, 65543, seed=seed, setting_index=3)
+    expected = Generator(Philox(key=[seed, 3])).multinomial(65543, _DYADIC[0])
+    assert np.array_equal(record.counts, expected)
+
+
+_BLOCK_SHOTS = 1 << 16
+
+
+def _reference_counts(probabilities, shots, key):
+    """Per-shot oracle for the law of the counts: an inverse-CDF search of
+    each uniform draw, in 64K-shot Philox blocks keyed like ``sample``."""
     cdf = np.cumsum(probabilities)
     cdf[-1] = 1.0
-    blocks = list(enumerate(range(0, shots, BLOCK_SHOTS)))
     counts = np.zeros(cdf.size, dtype=np.int64)
-    for block, start in reversed(blocks) if reverse else blocks:
+    for block, start in enumerate(range(0, shots, _BLOCK_SHOTS)):
         gen = Generator(Philox(key=key, counter=[0, 0, 0, block]))
-        draws = gen.random(min(BLOCK_SHOTS, shots - start))
+        draws = gen.random(min(_BLOCK_SHOTS, shots - start))
         counts += np.bincount(np.searchsorted(cdf, draws, side="right"),
                               minlength=cdf.size)
     return counts
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+def test_sample_law_matches_per_shot_reference(n_particles):
+    # Over 400 seeds at 1000 shots, each outcome's count has mean shots * p
+    # and variance shots * p * (1 - p) under both samplers, within 5
+    # standard errors of each estimate.
+    if n_particles == 2:
+        _, _, observables = bell_terms(chsh_collinear_settings(0.6))[1]
+        dist = joint_distribution(phi_plus(), observables)
+    else:
+        _, _, observables = mermin_terms(mermin_com_settings(0.45))[2]
+        dist = joint_distribution(ghz_plus(), observables)
+    p = dist.probabilities
+    assert p.min() > 1e-3
+    shots, runs = 1000, 400
+    mean = shots * p
+    variance = shots * p * (1.0 - p)
+    # The binomial fourth central moment gives the variance's standard error.
+    fourth = variance * (1.0 + 3.0 * (shots - 2) * p * (1.0 - p))
+    for draw in (lambda seed: sample(dist, shots, seed=seed, setting_index=1).counts,
+                 lambda seed: _reference_counts(p, shots, [seed, 1])):
+        counts = np.array([draw(seed) for seed in range(runs)], dtype=float)
+        assert np.all(np.abs(counts.mean(axis=0) - mean)
+                      < 5.0 * np.sqrt(variance / runs))
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - variance)
+                      < 5.0 * np.sqrt((fourth - variance ** 2) / runs))
 
 
 @st.composite
@@ -221,121 +273,34 @@ def _probabilities(draw):
     return probabilities
 
 
-_SHOTS = st.one_of(
-    st.sampled_from([1, BLOCK_SHOTS - 1, BLOCK_SHOTS, BLOCK_SHOTS + 1,
-                     3 * BLOCK_SHOTS + 17]),
-    st.integers(1, 4 * BLOCK_SHOTS))
+
 _SEEDS = st.one_of(st.integers(0, 2 ** 63 - 1), st.integers(2 ** 63, 2 ** 64 - 1))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(probabilities=_probabilities(), shots=_SHOTS, seed=_SEEDS,
-       setting_index=st.integers(0, 7))
-def test_sample_matches_searchsorted_reference(probabilities, shots, seed,
-                                               setting_index):
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(probabilities=_probabilities(),
+       shots=st.one_of(st.integers(1, 2 ** 62), st.integers(2 ** 60, 2 ** 62)),
+       seed=_SEEDS, setting_index=st.integers(0, 7))
+def test_sample_counts_are_exact(probabilities, shots, seed, setting_index):
+    # Non-negative counts summing to the shots, none where p = 0, and every
+    # shot on a point mass, also where the probabilities sum a few ulps above
+    # 1 and the shots are far beyond what a per-shot loop could draw.
     dist = OutcomeDistribution(probabilities.size.bit_length() - 1, probabilities)
-    record = sample(dist, shots, seed=seed, setting_index=setting_index)
-    key = np.array([seed, setting_index], dtype=np.uint64)
-    assert np.array_equal(record.counts, _reference_counts(probabilities, shots, key))
+    counts = sample(dist, shots, seed=seed, setting_index=setting_index).counts
+    assert counts.dtype == np.int64
+    assert counts.min() >= 0
+    assert int(counts.sum()) == shots
+    assert np.all(counts[probabilities == 0.0] == 0)
+    if np.count_nonzero(probabilities) == 1:
+        assert counts[np.argmax(probabilities)] == shots
 
 
-def test_sample_blocks_merge_in_reverse_order():
-    settings_ = mermin_collinear_settings(0.3)
-    _, _, observables = mermin_terms(settings_)[2]
-    dist = joint_distribution(ghz_plus(), observables)
-    shots = 3 * BLOCK_SHOTS + 101
-    record = sample(dist, shots, seed=21, setting_index=2)
-    key = np.array([21, 2], dtype=np.uint64)
-    reverse = _reference_counts(dist.probabilities, shots, key, reverse=True)
-    assert np.array_equal(record.counts, reverse)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 53 + 1, 2 ** 62 + 3,
-                                  2 ** 63 - 1])
-def test_sample_key_below_2_63_matches_list_key(seed):
-    # Seeds below 2**63 keep the stream they had when the key was a list.
-    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
-    shots = BLOCK_SHOTS + 7
-    record = sample(dist, shots, seed=seed, setting_index=3)
-    assert np.array_equal(record.counts,
-                          _reference_counts(dist.probabilities, shots, [seed, 3]))
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 7])
-@pytest.mark.parametrize("shots", [1, BLOCK_SHOTS - 1, BLOCK_SHOTS,
-                                   BLOCK_SHOTS + 1, 3 * BLOCK_SHOTS + 17])
-@pytest.mark.parametrize("seed", [2 ** 63 - 5, 2 ** 63 + 5])
-def test_sample_counts_do_not_depend_on_worker_count(monkeypatch, workers,
-                                                     shots, seed):
-    # 7 workers exceed the blocks of every shot count here.
-    monkeypatch.setattr(sampling, "_worker_count", lambda: workers)
-    settings_ = mermin_collinear_settings(0.4)
-    _, _, observables = mermin_terms(settings_)[1]
-    dist = joint_distribution(ghz_plus(), observables)
-    record = sample(dist, shots, seed=seed, setting_index=1)
-    key = np.array([seed, 1], dtype=np.uint64)
-    assert np.array_equal(record.counts,
-                          _reference_counts(dist.probabilities, shots, key))
-
-
-def test_sample_workers_under_frequent_switching(monkeypatch):
-    # More workers than CPUs, each with several blocks, switched every
-    # microsecond: a row lost or counted twice would change the counts.
-    monkeypatch.setattr(sampling, "_worker_count", lambda: 7)
-    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
-    shots = 23 * BLOCK_SHOTS + 5
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        record = sample(dist, shots, seed=13, setting_index=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(record.counts,
-                          _reference_counts(dist.probabilities, shots, [13, 2]))
-
-
-@pytest.mark.parametrize("workers, shots", [(1, 3 * BLOCK_SHOTS + 17),
-                                            (4, BLOCK_SHOTS)])
-def test_sample_one_worker_starts_no_thread(monkeypatch, workers, shots):
-    # One CPU, or a single block, runs on the calling thread alone.
-    def no_thread(*args, **kwargs):
-        raise AssertionError("sample started a thread")
-
-    monkeypatch.setattr(sampling, "_worker_count", lambda: workers)
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
-    record = sample(dist, shots, seed=4)
-    assert np.array_equal(record.counts,
-                          _reference_counts(dist.probabilities, shots, [4, 0]))
-
-
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-@pytest.mark.parametrize("failing_block", [0, 2, 4])
-def test_sample_worker_error_reaches_caller(monkeypatch, error, failing_block):
-    # With three workers, block 0 runs on the calling thread and blocks 2
-    # and 4 on the third worker, which the caller must join and re-raise.
-    def failing_generator(bit_generator):
-        if bit_generator.state["state"]["counter"][3] == failing_block:
-            raise error(f"block {failing_block}")
-        return Generator(bit_generator)
-
-    monkeypatch.setattr(sampling, "_worker_count", lambda: 3)
-    monkeypatch.setattr(sampling, "Generator", failing_generator)
-    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
-    threads_before = threading.active_count()
-    with pytest.raises(error, match=f"block {failing_block}"):
-        sample(dist, 6 * BLOCK_SHOTS, seed=11)
-    assert threading.active_count() == threads_before
-
-
-def test_worker_count_reads_affinity_or_cpu_count(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert sampling._worker_count() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert sampling._worker_count() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sampling._worker_count() == 1
+def test_sample_takes_the_most_shots_exactly():
+    dist = joint_distribution(ghz_plus(), [SIGMA_X, SIGMA_X, SIGMA_Z])
+    counts = sample(dist, sampling.MAX_SHOTS, seed=2 ** 64 - 1).counts
+    assert sampling.MAX_SHOTS == 2 ** 63 - 1
+    assert counts.min() >= 0
+    assert int(counts.sum()) == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])
@@ -353,6 +318,14 @@ def test_sample_rejects_zero_shots():
     dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_Z])
     with pytest.raises(DomainError):
         sample(dist, 0, seed=0)
+
+
+@pytest.mark.parametrize("shots", [2 ** 63, 10 ** 19])
+def test_sample_rejects_shots_above_2_63_minus_1(shots):
+    # numpy's multinomial counts in int64, which these would overflow.
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_Z])
+    with pytest.raises(DomainError, match=r"shots must be in \[1, 9223372036854775807\]"):
+        sample(dist, shots, seed=0)
 
 
 @pytest.mark.parametrize("probabilities", [

@@ -157,9 +157,12 @@ def sample(distribution: OutcomeDistribution, shots: int, seed: int,
     The counts are one exact draw from Multinomial(shots, p / sum(p)) over
     the outcomes with p > 0: numpy's ``multinomial``, a chain of exact
     binomial draws, on a Philox generator keyed by (seed, setting_index).
-    Outcomes with p = 0 get no shot, and dividing by the sum keeps every
-    probability at most 1 when the sum lies a few ulps above it.  The cost
-    does not grow with the number of shots.
+    Outcomes with p = 0 stay out of the draw, where the rounding of numpy's
+    running remainder could hand them shots at large shot counts, and
+    dividing by the sum keeps every probability at most 1 when the sum lies
+    a few ulps above it.  The cost does not grow with the number of shots.
+    Above 2**53 shots numpy computes each binomial count in double
+    precision, so the counts still sum to shots but are rounded.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise DomainError(f"shots must be in [1, {MAX_SHOTS}], got {shots!r}")

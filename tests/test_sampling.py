@@ -1,6 +1,9 @@
 """Monte Carlo measurement tests: distributions, sampling, estimators."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -164,6 +167,16 @@ _DYADIC = (np.array([0.5, 0.25, 0.125, 0.125]),
            np.array([0.25, 0.125, 0.125, 0.125, 0.125, 0.125, 0.0625, 0.0625]))
 
 
+def _keyed_counts(probabilities, shots, seed, setting_index):
+    """The keyed multinomial draw over the outcomes with p > 0."""
+    support = np.flatnonzero(probabilities)
+    key = np.array([seed, setting_index], dtype=np.uint64)
+    counts = np.zeros(probabilities.size, dtype=np.int64)
+    counts[support] = Generator(Philox(key=key)).multinomial(
+        shots, probabilities[support] / probabilities[support].sum())
+    return counts
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1])
 def test_sample_is_the_keyed_multinomial_draw(seed):
     for probabilities in _DYADIC:
@@ -184,12 +197,8 @@ def test_sample_draws_over_the_outcomes_that_can_occur():
         p = joint_distribution(ghz_plus(), observables).probabilities
         support = np.flatnonzero(p)
         assert support.size < p.size
-        key = np.array([11, index], dtype=np.uint64)
-        expected = np.zeros(p.size, dtype=np.int64)
-        expected[support] = Generator(Philox(key=key)).multinomial(
-            10 ** 6, p[support] / p[support].sum())
         record = sample(OutcomeDistribution(3, p), 10 ** 6, seed=11, setting_index=index)
-        assert np.array_equal(record.counts, expected)
+        assert np.array_equal(record.counts, _keyed_counts(p, 10 ** 6, 11, index))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 53 + 1, 2 ** 62 + 3,
@@ -217,6 +226,97 @@ def _reference_counts(probabilities, shots, key):
         counts += np.bincount(np.searchsorted(cdf, draws, side="right"),
                               minlength=cdf.size)
     return counts
+
+
+def _run_concurrently(workers, call):
+    """Start ``call`` on ``workers`` threads at once; return their results."""
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def run(index):
+        barrier.wait(timeout=30)
+        results[index] = call()
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("shots", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 17])
+@pytest.mark.parametrize("seed", [2 ** 63 - 5, 2 ** 63 + 5])
+def test_sample_counts_do_not_depend_on_worker_count(workers, shots, seed):
+    # ``workers`` threads sample the same setting at once: each call keys
+    # its own generator, so every thread gets the keyed draw.
+    _, _, observables = mermin_terms(mermin_collinear_settings(0.4))[1]
+    dist = joint_distribution(ghz_plus(), observables)
+    results = _run_concurrently(
+        workers, lambda: sample(dist, shots, seed=seed, setting_index=1).counts)
+    expected = _keyed_counts(dist.probabilities, shots, seed, 1)
+    for counts in results:
+        assert np.array_equal(counts, expected)
+
+
+def test_sample_workers_under_frequent_switching():
+    # More threads than CPUs, each sampling four settings, switched every
+    # microsecond: a generator shared between calls would change the counts.
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    shots = 23 * 2 ** 16 + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _run_concurrently(7, lambda: [
+            sample(dist, shots, seed=13, setting_index=index).counts
+            for index in range(4)])
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [_keyed_counts(dist.probabilities, shots, 13, index) for index in range(4)]
+    for counts in results:
+        assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("workers, shots", [(1, 3 * 2 ** 16 + 17), (4, 2 ** 16)])
+def test_sample_one_worker_starts_no_thread(monkeypatch, workers, shots):
+    # Whatever number of CPUs the machine reports, sample draws on the
+    # calling thread alone.
+    def no_thread(*args, **kwargs):
+        raise AssertionError("sample started a thread")
+
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    threads_before = threading.active_count()
+    record = sample(dist, shots, seed=4)
+    assert threading.active_count() == threads_before
+    assert np.array_equal(record.counts, _keyed_counts(dist.probabilities, shots, 4, 0))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing_block", [0, 2, 4])
+def test_sample_worker_error_reaches_caller(monkeypatch, error, failing_block):
+    # The generator of setting ``failing_block`` raises: sample passes the
+    # error itself to the caller, neither wrapped nor swallowed, leaves no
+    # thread behind, and the settings before it keep their keyed counts.
+    def failing_generator(bit_generator):
+        if bit_generator.state["state"]["key"][1] == failing_block:
+            raise error(f"block {failing_block}")
+        return Generator(bit_generator)
+
+    monkeypatch.setattr(sampling, "Generator", failing_generator)
+    dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_X])
+    threads_before = threading.active_count()
+    for index in range(failing_block):
+        assert np.array_equal(sample(dist, 6 * 2 ** 16, seed=11, setting_index=index).counts,
+                              _keyed_counts(dist.probabilities, 6 * 2 ** 16, 11, index))
+    with pytest.raises(error, match=f"block {failing_block}"):
+        sample(dist, 6 * 2 ** 16, seed=11, setting_index=failing_block)
+    assert threading.active_count() == threads_before
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])

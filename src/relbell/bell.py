@@ -9,10 +9,13 @@ the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
 provided on the restricted measurement geometries where they were derived,
 and refuse other inputs instead of extrapolating.  operator_norm holds for
 every setting and needs no matrix at all.  Brute-force matrix algebra is the
-ground truth every closed form is checked against.  The operators and
-effective_observables also take a sequence of S Settings with one particle
-count and return the stacks of their matrices, each row bit for bit its
-own; square_closed_form takes such stacks of observables.
+ground truth every closed form is checked against, in the verify battery.
+The operators and effective_observables also take a sequence of S Settings
+with one particle count and return the stacks of their matrices, each row
+bit for bit its own; square_closed_form takes such stacks of observables.
+ChshSettings, MerminSettings, chsh_operator, mermin_operator and
+mermin_terms have no caller in the package; they stay only because the
+perfbench harness uses them by name.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, DomainRestriction
-from .linalg import IDENTITY_2, SIGMA_Z, hermitian_eigensystem, kron, kron3
+from .linalg import IDENTITY_2, hermitian_eigensystem, kron
 from .observables import (
     XY_PLANE_TOL,
     Boost,
@@ -125,10 +128,9 @@ def square_closed_form(observables, legs=None) -> np.ndarray:
     if legs is None:
         legs = [tuple(q if q in pair else None for q in range(n))
                 for pair in itertools.combinations(range(n), 2)]
-    product = kron if n == 2 else kron3
     square = 4.0 * np.eye(2 ** n, dtype=complex)
     for term in legs:
-        square = square - product(*[IDENTITY_2 if p is None else coms[p] for p in term])
+        square = square - kron(*[IDENTITY_2 if p is None else coms[p] for p in term])
     return square
 
 
@@ -178,7 +180,7 @@ def chsh_operator(settings) -> np.ndarray:
 
 def _mermin(a, ap, b, bp, c, cp) -> np.ndarray:
     # The sign table's terms, summed term by term in table order.
-    return kron3(a, bp, cp) + kron3(ap, b, cp) + kron3(ap, bp, c) - kron3(a, b, c)
+    return kron(a, bp, cp) + kron(ap, b, cp) + kron(ap, bp, c) - kron(a, b, c)
 
 
 def bell_terms(settings: Settings):
@@ -195,38 +197,6 @@ def bell_terms(settings: Settings):
 def mermin_terms(settings: Settings):
     """bell_terms of three-particle settings."""
     return bell_terms(settings)
-
-
-def square_identity_residual(settings) -> float:
-    """Max-entry residual between the squared Bell operator and its closed
-    forms (for a sequence of Settings of one particle count, the largest
-    over them).
-
-    square_closed_form of the effective observables is always compared.
-    For two particles whose four directions lie in the xy-plane, both
-    boosted along x at a common speed, the reduced form
-    4 [I + coeff sigma_z (x) sigma_z] with
-
-        coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
-                / sqrt(prod_v (1 + beta^2 (v_x^2 - 1)))
-
-    is compared as well, and the larger residual is returned.  A NaN in
-    either comparison makes the residual NaN.
-    """
-    samples = [settings] if isinstance(settings, Settings) else settings
-    observables = effective_observables(samples)
-    operators = samples[0].family.assemble(*observables)
-    squares = operators @ operators
-    residuals = np.abs(squares - square_closed_form(observables))
-    if samples[0].n_particles != 2:
-        return float(np.max(residuals))
-    in_plane = {row: x for row, x in enumerate(map(_chsh_in_plane, samples)) if x is not None}
-    if in_plane:
-        coeff = np.array([shrink_sq * sin_a * sin_b / math.sqrt(denom)
-                          for shrink_sq, sin_a, sin_b, denom in in_plane.values()])
-        reduced = 4.0 * (np.eye(4, dtype=complex) + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
-        residuals = np.concatenate([residuals, np.abs(squares[list(in_plane)] - reduced)])
-    return float(np.max(residuals))
 
 
 def chsh_zeta(settings: Settings) -> float:

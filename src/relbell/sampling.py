@@ -24,7 +24,6 @@ from .linalg import (
     hermitian_eigensystem,
     is_hermitian,
     kron,
-    kron3,
     state_vector,
 )
 
@@ -116,7 +115,7 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     The probability of an outcome tuple is the expectation of the product
     of per-particle projectors (I + s_i O_i)/2; the distribution's
     correlator therefore equals the expectation of the tensor product of
-    the observables.  One kron/kron3 call over each particle's stack of
+    the observables.  One kron call over each particle's stack of
     projectors and one expectation call give every outcome's probability.
     """
     observables = [np.asarray(o, dtype=complex) for o in observables]
@@ -135,7 +134,7 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     signs = _outcome_signs(n)[:, :, None, None]
     projectors = [0.5 * (IDENTITY_2 + signs[:, i] * o) for i, o in enumerate(observables)]
     projectors[0] = 1.0 * projectors[0]
-    probabilities = expectation(vec, (kron if n == 2 else kron3)(*projectors))
+    probabilities = expectation(vec, kron(*projectors))
 
     if probabilities.min() < _NEGATIVE_PROBABILITY_TOL:
         raise InvalidObservable(

@@ -14,7 +14,9 @@ A randomized or grid check first draws its samples in a Python loop, in a
 fixed order of random draws, validating each input where it is built
 (Boost, Settings, unit3) and evaluating the scalar closed forms.  It then
 evaluates the whole sample set at once: one boost_map over the stacked
-directions, stacked Kronecker products and matmuls.  Each element keeps the
+directions, stacked Kronecker products and matmuls.  Every brute-force
+square B @ B comes from one helper, _squares, and every row that compares a
+squared-operator identity builds it there.  Each element keeps the
 bits of its one-sample computation, and a float maximum is exact in any
 order, so the report does not depend on the batching.  For that, each
 <s|M|s> stays one np.vdot per sample (expectation), and complex differences
@@ -30,22 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
-    FAMILIES,
     Settings,
     _chsh_in_plane,
+    bell_operator,
     bell_operator_grid,
-    chsh_operator,
     chsh_zeta,
     effective_directions_grid,
     effective_observables,
     max_violation,
     mermin_lambda3,
-    mermin_operator,
     square_closed_form,
-    square_identity_residual,
     square_peak_from_directions,
 )
-from .linalg import expectation, hermitian_eigensystem, kron, kron3
+from .linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron
 from .observables import (
     Boost,
     boost_denominator_sq,
@@ -152,18 +151,35 @@ def _xy_observables(rng, per_sample: int, closed_form):
     return closed, direction_matrix(n.swapaxes(0, 1))
 
 
+def _squares(samples):
+    """The (D, S, 2, 2) effective observables of samples of one particle
+    count, and the (S, d, d) brute-force square B @ B of each sample's Bell
+    operator."""
+    observables = effective_observables(samples)
+    operators = samples[0].family.assemble(*observables)
+    return observables, operators @ operators
+
+
 def _check_chsh_square_generic(seed):
     rng = _rng(seed, 1)
-    samples = [_random_chsh(rng, in_plane=False) for _ in range(150)]
-    return (square_identity_residual(samples),
+    observables, squares = _squares([_random_chsh(rng, in_plane=False) for _ in range(150)])
+    return (np.abs(squares - square_closed_form(observables)),
             "squared two-qubit operator vs 4I - [A,A'](x)[B,B'] on random "
             "directions and boosts")
 
 
 def _check_chsh_square_in_plane(seed):
+    # The reduced form 4 [I + coeff sigma_z (x) sigma_z], with
+    # coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
+    #         / sqrt(prod_v (1 + beta^2 (v_x^2 - 1))),
+    # is compared beside square_closed_form: every sample is in-plane.
     rng = _rng(seed, 2)
     samples = [_random_chsh(rng, in_plane=True) for _ in range(150)]
-    return (square_identity_residual(samples),
+    observables, squares = _squares(samples)
+    coeff = np.array([shrink_sq * sin_a * sin_b / math.sqrt(denom)
+                      for shrink_sq, sin_a, sin_b, denom in map(_chsh_in_plane, samples)])
+    reduced = 4.0 * (np.eye(4, dtype=complex) + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
+    return ([np.abs(squares - square_closed_form(observables)), np.abs(squares - reduced)],
             "squared two-qubit operator vs the sigma_z (x) sigma_z reduced form "
             "for xy-plane settings under collinear x boosts")
 
@@ -177,8 +193,7 @@ def _square_peak_residuals(samples, square_peak) -> np.ndarray:
     """|square_peak (chsh_zeta or mermin_lambda3) - top eigenvalue of the
     brute-force square| of each sample of one particle count."""
     peaks = [square_peak(settings) for settings in samples]
-    operators = samples[0].family.assemble(*effective_observables(samples))
-    return np.abs(_top_eigenvalues(operators @ operators) - peaks)
+    return np.abs(_top_eigenvalues(_squares(samples)[1]) - peaks)
 
 
 def _check_chsh_zeta_spectral(seed):
@@ -195,8 +210,7 @@ def _check_chsh_zeta_eigenstates(seed):
         peaks.append(chsh_zeta(settings))
         _, sin_a, sin_b, _ = _chsh_in_plane(settings)
         indices.append((0, 3) if sin_a * sin_b >= 0.0 else (1, 2))
-    operators = chsh_operator(samples)
-    squares = (operators @ operators)[:, None]
+    squares = _squares(samples)[1][:, None]
     basis = np.eye(4, dtype=complex)[indices]
     images = (squares @ basis[..., None])[..., 0]
     return (np.abs(images - np.array(peaks)[:, None, None] * basis),
@@ -241,7 +255,7 @@ def _check_phi_correlator_z_term(seed):
 def _check_ghz_offdiagonal(seed):
     closed, observables = _xy_observables(_rng(seed, 8), 3, ghz_offdiagonal_closed_form)
     return ([(abs(element - operator[7, 0]), abs(np.conj(operator[0, 7]) - operator[7, 0]))
-             for element, operator in zip(closed, kron3(*observables))],
+             for element, operator in zip(closed, kron(*observables))],
             "closed-form <111|A(x)B(x)C|000> element vs the matrix element and "
             "its Hermitian pairing")
 
@@ -254,7 +268,7 @@ def _ghz_closed_forms(a, b, c, beta):
 def _check_ghz_correlator(seed):
     closed, observables = _xy_observables(_rng(seed, 9), 3, _ghz_closed_forms)
     correlator, offdiagonal = np.array(closed).T
-    values = expectation(ghz_plus(), kron3(*observables))
+    values = expectation(ghz_plus(), kron(*observables))
     return (np.abs([correlator - values, correlator - offdiagonal]),
             "closed-form GHZ correlator vs matrix expectation and vs the real "
             "part of the off-diagonal element")
@@ -264,7 +278,7 @@ def _check_ghz_diagonal(seed):
     beta = 0.6
     boost = Boost(X_AXIS, beta)
     dirs = [X_AXIS, X_AXIS, X_AXIS]
-    operator = kron3(*(observable_matrix(d, boost) for d in dirs))
+    operator = kron(*(observable_matrix(d, boost) for d in dirs))
     matrix = float(operator[0, 0].real)
     claimed = (1.0 - beta * beta) ** 1.5  # x settings: every boost factor is 1
     return (abs(claimed - matrix),
@@ -276,8 +290,8 @@ def _check_ghz_diagonal(seed):
 
 def _check_ghz_collinear_expectation(seed):
     state = ghz_plus()
-    as_given = expectation(state, mermin_operator(mermin_collinear_settings(0.5)))
-    swapped = expectation(state, mermin_operator(
+    as_given = expectation(state, bell_operator(mermin_collinear_settings(0.5)))
+    swapped = expectation(state, bell_operator(
         mermin_collinear_settings(0.5).prime_swapped()))
     return (abs(abs(as_given) - 4.0),
             "the y-unprimed/x-primed assignment gives a GHZ expectation of "
@@ -287,18 +301,15 @@ def _check_ghz_collinear_expectation(seed):
 
 def _check_mermin_square(seed):
     rng = _rng(seed, 12)
-    samples = [_random_mermin(rng, in_plane=False) for _ in range(150)]
-    return (square_identity_residual(samples),
+    observables, squares = _squares([_random_mermin(rng, in_plane=False) for _ in range(150)])
+    return (np.abs(squares - square_closed_form(observables)),
             "squared three-qubit operator vs the commutator closed form with "
             "pairs on qubit legs (1,2), (1,3), (2,3)")
 
 
 def _check_mermin_square_leg_swap(seed):
     rng = _rng(seed, 13)
-    samples = [_random_mermin(rng, in_plane=True) for _ in range(50)]
-    observables = effective_observables(samples)
-    operators = FAMILIES[3].assemble(*observables)
-    squares = operators @ operators
+    observables, squares = _squares([_random_mermin(rng, in_plane=True) for _ in range(50)])
     worst = np.max(np.abs(squares - square_closed_form(observables, SWAPPED_LEGS)))
     derived = np.max(np.abs(squares - square_closed_form(observables)))
     return (worst,
@@ -323,7 +334,7 @@ def _check_mermin_zero_eigenvector(seed):
         dirs.append(np.array([math.cos(base), math.sin(base), 0.0]))
         dirs.append(np.array([math.cos(base - quarter), math.sin(base - quarter), 0.0]))
     settings = Settings(dirs, (boost, boost, boost))
-    operator = mermin_operator(settings)
+    operator = bell_operator(settings)
     basis = np.zeros(8, dtype=complex)
     basis[1] = 1.0  # |001>
     return (np.abs(operator @ (operator @ basis)),
@@ -384,7 +395,7 @@ def _check_com_primed_coefficient(seed):
 def _check_com_ghz_expectation(seed):
     operators = bell_operator_grid(mermin_com_settings(0.0).prime_swapped(), BETA_GRID)
     swapped = expectation(ghz_plus(), operators)
-    as_given = expectation(ghz_plus(), mermin_operator(mermin_com_settings(0.5)))
+    as_given = expectation(ghz_plus(), bell_operator(mermin_com_settings(0.5)))
     return (np.abs(np.abs(swapped) - [epsilon3_com(beta) for beta in BETA_GRID]),
             "|GHZ expectation| of the prime-swapped operator equals the "
             f"closed-form peak across the grid (the unswapped assignment gives "

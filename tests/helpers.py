@@ -10,12 +10,15 @@ import numpy as np
 from hypothesis import strategies as st
 
 import relbell
+from relbell.bell import _chsh_in_plane, bell_operator, effective_observables, square_closed_form
 from relbell.errors import NoConvergence, NotHermitian
 from relbell.linalg import (
     HERMITICITY_TOL,
     OFF_DIAGONAL_TARGET,
+    SIGMA_Z,
     SWEEP_BUDGET,
     is_hermitian,
+    kron,
 )
 # One copy of the random-direction draws: the verify battery's.
 from relbell.verify import _random_unit as random_unit  # noqa: F401
@@ -38,6 +41,28 @@ def random_hermitian(rng, dim):
 
 def max_abs(array):
     return float(np.max(np.abs(array)))
+
+
+def square_residual(settings) -> float:
+    """Largest entry of |B^2 - square_closed_form| for the Bell operator B of
+    one Settings, squared by brute force.  For two particles whose four
+    directions lie in the xy-plane, both boosted along x at a common speed,
+    B^2 is also compared with the reduced form 4 [I + coeff sigma_z (x) sigma_z],
+
+        coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
+                / sqrt(prod_v (1 + beta^2 (v_x^2 - 1))),
+
+    and the larger residual is returned."""
+    operator = bell_operator(settings)
+    square = operator @ operator
+    residual = max_abs(square - square_closed_form(effective_observables(settings)))
+    in_plane = _chsh_in_plane(settings) if settings.n_particles == 2 else None
+    if in_plane is None:
+        return residual
+    shrink_sq, sin_a, sin_b, denom = in_plane
+    coeff = shrink_sq * sin_a * sin_b / math.sqrt(denom)
+    reduced = 4.0 * (np.eye(4) + coeff * kron(SIGMA_Z, SIGMA_Z))
+    return max(residual, max_abs(square - reduced))
 
 
 def ghz_minus():

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from helpers import max_abs, random_unit, random_xy
+from helpers import max_abs, random_unit, random_xy, square_residual
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
@@ -20,7 +20,6 @@ from relbell.bell import (
     mermin_lambda3,
     mermin_operator,
     mermin_terms,
-    square_identity_residual,
 )
 from relbell.cli import main
 from relbell.linalg import expectation, hermitian_eigensystem
@@ -93,12 +92,12 @@ def test_criterion_03_square_identities():
     rng = np.random.default_rng(1003)
     chsh_worst = 0.0
     for _ in range(1000):
-        chsh_worst = max(chsh_worst, square_identity_residual(_draw_chsh_xy(rng)))
+        chsh_worst = max(chsh_worst, square_residual(_draw_chsh_xy(rng)))
     if chsh_worst > 1e-12:
         failures.append(f"two-qubit square residual {chsh_worst:g}")
     mermin_worst = 0.0
     for _ in range(1000):
-        mermin_worst = max(mermin_worst, square_identity_residual(_draw_mermin_free(rng)))
+        mermin_worst = max(mermin_worst, square_residual(_draw_mermin_free(rng)))
     if mermin_worst > 1e-12:
         failures.append(f"three-qubit square residual {mermin_worst:g}")
     _report("criterion 3: square identities on 1000 random settings each",

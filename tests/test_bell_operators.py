@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import max_abs, random_unit, random_xy, unit_vectors
+from helpers import max_abs, random_unit, random_xy, square_residual, unit_vectors
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
@@ -29,7 +29,6 @@ from relbell.bell import (
     mermin_terms,
     operator_norm,
     square_closed_form,
-    square_identity_residual,
 )
 from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_Z, hermitian_eigensystem, kron, kron3
@@ -146,13 +145,13 @@ def test_chsh_square_identity_random_xy():
     rng = np.random.default_rng(12)
     for _ in range(200):
         settings = _random_chsh_xy(rng, rng.uniform(0.0, 0.99))
-        assert square_identity_residual(settings) < 1e-12
+        assert square_residual(settings) < 1e-12
 
 
 def test_chsh_square_identity_free_settings():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        assert square_identity_residual(_random_chsh_free(rng)) < 1e-12
+        assert square_residual(_random_chsh_free(rng)) < 1e-12
 
 
 def test_chsh_square_rest_frame_cross_product_form():
@@ -183,7 +182,7 @@ def test_chsh_square_commuting_settings_is_4i():
                             random_xy(np.random.default_rng(17)), boost, boost)
     operator = chsh_operator(settings)
     assert max_abs(operator @ operator - 4.0 * np.eye(4)) < 1e-12
-    assert square_identity_residual(settings) < 1e-12
+    assert square_residual(settings) < 1e-12
 
 
 def test_chsh_zeta_values():
@@ -529,15 +528,12 @@ def test_operator_grid_rows_are_bit_identical(n_particles, data):
 @given(data=st.data())
 def test_settings_sequence_rows_are_bit_identical(n_particles, data):
     # verify evaluates its samples as one stack: each row must be what one
-    # Settings alone gives, and in-plane two-qubit samples add the reduced
-    # form to the residual.
+    # Settings alone gives.
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     samples = [_random_chsh_xy(rng, rng.uniform(0.0, 0.99))
                if n_particles == 2 and data.draw(st.booleans())
                else _draw_free(data, n_particles)
                for _ in range(data.draw(st.integers(1, 5)))]
-    assert (square_identity_residual(samples)
-            == max(map(square_identity_residual, samples)))
 
     def square(settings_, legs=None):
         return square_closed_form(effective_observables(settings_), legs)

@@ -45,6 +45,7 @@ def test_kron_associativity_exact():
     for a, b, c in ((SIGMA_X, SIGMA_Y, SIGMA_Z), (SIGMA_Z, IDENTITY_2, SIGMA_X)):
         assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
         assert np.array_equal(kron3(a, b, c), kron(kron(a, b), c))
+        assert np.array_equal(kron(a, b, c, a), np.kron(np.kron(np.kron(a, b), c), a))
 
 
 #: Real parts of 2x2 entries: exact zeros, and magnitudes from 1e-100 to
@@ -70,10 +71,12 @@ def _same_bits(got, want):
 @given(a=_hermitian_2x2(), b=_hermitian_2x2(), c=_hermitian_2x2())
 def test_kron_is_bit_identical_to_numpy(a, b, c):
     # Bit identity, not closeness: every operator, and with it every golden
-    # output, is assembled by kron and kron3.
+    # output, is assembled by kron, for any number of factors.
     ab = np.kron(a, b)
     assert _same_bits(kron(a, b), ab)
+    assert _same_bits(kron(a, b, c), np.kron(ab, c))
     assert _same_bits(kron3(a, b, c), np.kron(ab, c))
+    assert _same_bits(kron(a), a)
     assert _same_bits(kron(ab, c), np.kron(ab, c))
     assert _same_bits(kron(c, ab), np.kron(c, ab))
     # joint_distribution starts its projector product from a 1x1 identity.
@@ -84,12 +87,14 @@ def test_kron_is_bit_identical_to_numpy(a, b, c):
     # every row carries np.kron's bits of its own factors, and a single
     # matrix broadcasts against a stack.
     x, y, z = np.stack([a, b, c]), np.stack([b, c, a]), np.stack([c, a, b])
-    stacked2, stacked3 = kron(x, y), kron3(x, y, z)
+    stacked2, stacked3 = kron(x, y), kron(x, y, z)
     assert stacked2.shape == (3, 4, 4) and stacked3.shape == (3, 8, 8)
+    assert _same_bits(kron3(x, y, z), stacked3)
     for r in range(3):
         assert _same_bits(stacked2[r], np.kron(x[r], y[r]))
         assert _same_bits(stacked3[r], np.kron(np.kron(x[r], y[r]), z[r]))
         assert _same_bits(kron(a, y)[r], np.kron(a, y[r]))
+        assert _same_bits(kron(a, y, c)[r], np.kron(np.kron(a, y[r]), c))
     assert kron(x[:0], y[:0]).shape == (0, 4, 4)
 
 
@@ -108,8 +113,8 @@ def _numpy_kron_calls(path):
 
 
 def test_only_linalg_calls_numpy_kron():
-    # kron and kron3 are the package's one Kronecker kernel: the fast path
-    # stays the only path, and tracing them sees every product.
+    # kron is the package's one Kronecker kernel: the fast path stays the
+    # only path, and tracing it sees every product.
     package = Path(linalg.__file__).parent
     offenders = {path.name: _numpy_kron_calls(path)
                  for path in sorted(package.glob("*.py")) if path.name != "linalg.py"}

@@ -1,12 +1,20 @@
 """The benchmark harness reaches into relbell by name: every name that
 perfbench/layers.py imports from relbell, and every (module, function) pair
-in its TRACED table, must resolve.  The file is parsed, never run."""
+in its TRACED table, must resolve.  The file is parsed, never run.  The
+names that only the harness still uses have no caller in the package, so
+deleting them once the harness drops them touches no program code."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import relbell
+
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PACKAGE = Path(relbell.__file__).resolve().parent
+#: Names kept for the harness alone.
+HARNESS_ONLY = {"kron3", "chsh_operator", "mermin_operator", "ChshSettings",
+                "MerminSettings", "mermin_terms", "scenario_curve", "Scenario"}
 
 
 def _references():
@@ -38,3 +46,29 @@ def test_perfbench_names_resolve():
     assert imported and traced
     missing = [pair for pair in imported + traced if not _resolves(*pair)]
     assert missing == []
+
+
+def _calls(tree, names):
+    """(line, name) of each call of one of names, by plain or attribute
+    name, outside the definition of that name."""
+    found = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names and name not in enclosing:
+                found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_package_does_not_call_harness_only_names():
+    calls = {path.name: _calls(ast.parse(path.read_text(encoding="utf-8")), HARNESS_ONLY)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {}

@@ -62,7 +62,7 @@ NAN_INJECTIONS = {
     "com-curve-square-consistency": (verify, "epsilon3_com", _nan_at_half),
     "com-ghz-expectation": (verify, "epsilon3_com", _nan_at_half),
     "ghz-offdiagonal-closed-form": (verify, "ghz_offdiagonal_closed_form", _nan_once),
-    "chsh-square-inplane-identity": (bell, "_chsh_in_plane", _nan_coefficient),
+    "chsh-square-inplane-identity": (verify, "_chsh_in_plane", _nan_coefficient),
 }
 
 

@@ -41,6 +41,9 @@ OBJECTIVES = ("operator_norm", "state_expectation")
 #: A restart stops after a pass over every angle that improves the objective
 #: by less than this; golden-section refinement stops at its square root.
 REFINEMENT_TOLERANCE = 1e-8
+#: The most coarse grid points per angle: past it the grid spacing 2 pi / N
+#: is finer than the golden-section tolerance sqrt(REFINEMENT_TOLERANCE).
+MAX_GRID_POINTS = int(2.0 * math.pi / math.sqrt(REFINEMENT_TOLERANCE))
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -70,6 +73,9 @@ class SearchConfig:
             raise DomainError("restarts must be >= 1")
         if self.grid_points_per_angle < 2:
             raise DomainError("grid_points_per_angle must be >= 2")
+        if self.grid_points_per_angle > MAX_GRID_POINTS:
+            raise DomainError(f"grid_points_per_angle must be <= {MAX_GRID_POINTS}, "
+                              f"got {self.grid_points_per_angle}")
 
 
 def _directions_from_angles(angles: np.ndarray, constraint: str) -> list[np.ndarray]:

@@ -300,6 +300,16 @@ def test_optimize_usage_errors():
     assert main(["optimize", "--restarts", "0"]) == 2
 
 
+def test_optimize_refuses_grid_points_above_the_cap(capsys):
+    # This used to fail with a memory-error traceback and exit 1.
+    argv = ["optimize", "--grid-points", "10000000000000", "--restarts", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: grid_points_per_angle must be <= 62831, "
+                            "got 10000000000000\n")
+
+
 def test_sample_csv(tmp_path):
     out = tmp_path / "sample.csv"
     code = main(["sample", "--scenario", "chsh-collinear", "--beta", "0",

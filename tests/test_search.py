@@ -21,7 +21,9 @@ from relbell.scenarios import (
 )
 from relbell.search import (
     CONSTRAINTS,
+    MAX_GRID_POINTS,
     OBJECTIVES,
+    REFINEMENT_TOLERANCE,
     SearchConfig,
     _directions_from_angles,
     _objective,
@@ -44,6 +46,19 @@ def test_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(DomainError):
         SearchConfig(objective="nonsense")
+
+
+def test_config_refuses_grid_finer_than_refinement():
+    # Past MAX_GRID_POINTS the coarse grid spacing is finer than the
+    # golden-section tolerance; far past it the grid would not fit in memory.
+    xtol = math.sqrt(REFINEMENT_TOLERANCE)
+    assert MAX_GRID_POINTS == 62831
+    assert 2.0 * math.pi / MAX_GRID_POINTS >= xtol > 2.0 * math.pi / (MAX_GRID_POINTS + 1)
+    assert SearchConfig(grid_points_per_angle=MAX_GRID_POINTS).grid_points_per_angle \
+        == MAX_GRID_POINTS
+    for points in (1, MAX_GRID_POINTS + 1, 10 ** 13):
+        with pytest.raises(DomainError):
+            SearchConfig(grid_points_per_angle=points)
 
 
 def test_beta_domain():

@@ -180,6 +180,7 @@ def _cmd_sweep(args) -> int:
     rows = [dict(zip(SWEEP_COLUMNS, (beta, args.scenario, *values)))
             for beta, values in zip(betas, sweep(settings, betas, peak))]
     meta = _meta(args, "sweep", {"scenario": args.scenario,
+                                 "settings": args.settings,
                                  "beta_min": args.beta_min,
                                  "beta_max": args.beta_max,
                                  "beta_step": args.beta_step,

@@ -405,6 +405,21 @@ def test_sample_meta_names_beta_and_settings(tmp_path, beta, settings):
     assert meta["settings"] == settings_path
 
 
+@pytest.mark.parametrize("settings", [False, True])
+def test_sweep_meta_names_settings(tmp_path, settings):
+    argv = ["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5",
+            "--format", "json", "--no-meta-time"]
+    settings_path = None
+    if settings:
+        settings_file = tmp_path / "settings.json"
+        settings_file.write_text(json.dumps(_pair_settings()), encoding="utf-8")
+        settings_path = str(settings_file)
+        argv += ["--settings", settings_path]
+    out = tmp_path / "sweep.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["meta"]["settings"] == settings_path
+
+
 def test_sample_adjacent_seeds_above_2_63(tmp_path):
     counts = []
     for seed in (2 ** 63, 2 ** 63 + 1):

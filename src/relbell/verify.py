@@ -14,9 +14,8 @@ A randomized or grid check first draws its samples in a Python loop, in a
 fixed order of random draws, validating each input where it is built
 (Boost, Settings, unit3) and evaluating the scalar closed forms.  It then
 evaluates the whole sample set at once: one boost_map over the stacked
-directions, stacked Kronecker products and matmuls.  Every brute-force
-square B @ B comes from one helper, _squares, and every row that compares a
-squared-operator identity builds it there.  Each element keeps the
+directions, stacked Kronecker products and matmuls; every brute-force
+square B @ B comes from one helper, _squares.  Each element keeps the
 bits of its one-sample computation, and a float maximum is exact in any
 order, so the report does not depend on the batching.  For that, each
 <s|M|s> stays one np.vdot per sample (expectation), and complex differences

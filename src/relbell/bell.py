@@ -77,10 +77,11 @@ class Settings:
         return Settings(tuple([d[i ^ 1] for i in range(len(d))]), self.boosts)
 
     def effective_directions(self) -> np.ndarray:
-        """The (D, 3) effective directions, one boost_map call per row."""
+        """The (D, 3) effective directions, from one boost_map call."""
         boosts = [boost for boost in self.boosts for _ in range(2)]
-        return np.array([boost_map(d, b.direction, b.beta)
-                         for d, b in zip(self.directions, boosts)])
+        return boost_map(np.array(self.directions),
+                         np.array([boost.direction for boost in boosts]),
+                         np.array([boost.beta for boost in boosts]))
 
 
 def ChshSettings(a, a_prime, b, b_prime, boost1: Boost, boost2: Boost) -> Settings:

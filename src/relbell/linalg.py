@@ -145,7 +145,9 @@ def _sweep(av: np.ndarray, n: int) -> None:
             tau = (av[sel, q, q].real - av[sel, p, p].real) / (2.0 * mag)
             # math.hypot per element: np.hypot rounds differently from it.
             root = np.array([math.hypot(1.0, x) for x in tau.tolist()])
-            t = np.copysign(1.0, tau) / (np.abs(tau) + root)
+            # |tau| + root overflows when |a[p,q]| nears the smallest normal: t = 0.
+            with np.errstate(over="ignore"):
+                t = np.copysign(1.0, tau) / (np.abs(tau) + root)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             s_minus = (s * np.conj(phase))[:, None]

@@ -6,7 +6,10 @@ is equivalent to an ordinary spin measurement along an effective direction:
 the component of ``a`` parallel to ``e`` is kept, the perpendicular
 component is scaled by sqrt(1 - beta^2), and the result is renormalized.
 At beta = 0 the map is the identity, and directions parallel or
-perpendicular to ``e`` are fixed points at every speed below 1.
+perpendicular to ``e`` are fixed points at every speed below 1.  The
+squared norm before renormalizing, (1 - beta^2) + beta^2 (e.a)^2, is a sum
+of nonnegative terms, so each effective direction is a unit vector to a
+few ulps up to the fastest boost, and no Bell value passes 2 sqrt(2) or 4.
 
 Each input is validated once, where it enters: Boost checks its direction
 and speed, and effective_direction and observable_matrix check ``a`` with
@@ -85,14 +88,19 @@ def require_unit_interval(beta: float) -> None:
         raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
 
 
-def boost_denominator_sq(along: float, beta: float) -> float:
-    """1 + beta^2 (along^2 - 1), the squared normalization of the boost map
-    for a unit direction with component ``along`` on the boost direction;
-    raises DegenerateObservable at or below DENOMINATOR_FLOOR squared."""
-    denom_sq = 1.0 + beta * beta * (along * along - 1.0)
-    if denom_sq <= DENOMINATOR_FLOOR * DENOMINATOR_FLOOR:
+def boost_denominator_sq(along, beta):
+    """(1 - beta^2) + beta^2 along^2, elementwise: the squared normalization
+    of the boost map for unit directions with component ``along`` on the
+    boost axis, summed without cancellation.  Raises DegenerateObservable at
+    or below DENOMINATOR_FLOOR squared, naming the first such element in
+    row-major order."""
+    beta_sq = beta * beta
+    denom_sq = (1.0 - beta_sq) + beta_sq * (along * along)
+    degenerate = np.asarray(denom_sq <= DENOMINATOR_FLOOR * DENOMINATOR_FLOOR)
+    if degenerate.any():
+        first = float(np.asarray(denom_sq).flat[degenerate.argmax()])
         raise DegenerateObservable(
-            f"normalization denominator {math.sqrt(max(denom_sq, 0.0)):g} "
+            f"normalization denominator {math.sqrt(max(first, 0.0)):g} "
             f"at or below {DENOMINATOR_FLOOR:g}")
     return denom_sq
 
@@ -100,7 +108,7 @@ def boost_denominator_sq(along: float, beta: float) -> float:
 def effective_direction(a, boost: Boost) -> np.ndarray:
     """Unit direction actually measured on the boosted particle.
 
-    Computes (sqrt(1-beta^2) a_perp + a_par) / sqrt(1 + beta^2 ((e.a)^2 - 1))
+    Computes (sqrt(1-beta^2) a_perp + a_par) / sqrt((1-beta^2) + beta^2 (e.a)^2)
     by decomposing ``a`` against the boost direction; no angles are involved,
     so there are no branch cuts.  At beta = 0 the input is returned exactly.
     Raises DegenerateObservable when the denominator underflows
@@ -113,30 +121,20 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     """effective_direction of ``a``, already checked by unit3, under a boost
     along ``e`` at speed beta.
 
-    With an array beta the map is elementwise over a stack: ``a`` and ``e``
-    of shapes (..., 3) and beta of shape (...) broadcast together, as
-    (1, D, 3) against (R, 1) for R grid speeds, or (S, D, 3) against (S, D)
-    for S samples with their own axes and speeds.  Each element gets one
-    map's bits: e.a is one dot product per distinct (a, e) pair, beta = 0
-    copies ``a``, and the floor is checked element by element in row-major
-    order, so the first degenerate element raises.
+    One broadcast expression serves a lone direction and every stack:
+    ``a`` and ``e`` of shapes (..., 3) and beta of shape (...) broadcast
+    together, as (1, D, 3) against (R, 1) for R grid speeds, or (S, D, 3)
+    against (S, D) for S samples with their own axes and speeds.  The
+    arithmetic is elementwise, so each element gets the bits of its own
+    lone call; beta = 0 copies ``a`` exactly, and boost_denominator_sq
+    names the first degenerate element in row-major order.
     """
-    if grid := isinstance(beta, np.ndarray):
-        a, e = np.broadcast_arrays(a, e)
-        along = np.reshape([float(e_i @ a_i) for e_i, a_i
-                            in zip(e.reshape(-1, 3), a.reshape(-1, 3))], a.shape[:-1] + (1,))
-        along_b, beta = np.broadcast_arrays(along, beta[..., None])
-        denom_sq = np.reshape(list(map(boost_denominator_sq, along_b.ravel().tolist(),
-                                       beta.ravel().tolist())), beta.shape)
-    elif beta == 0.0:
-        return a.copy()
-    else:
-        along = float(e @ a)
-        denom_sq = boost_denominator_sq(along, beta)
+    beta = np.asarray(beta, dtype=float)[..., None]
+    along = (e * a).sum(axis=-1, keepdims=True)
+    denom_sq = boost_denominator_sq(along, beta)
     parallel = along * e
-    shrink = np.sqrt(1.0 - beta * beta)
-    n = (shrink * (a - parallel) + parallel) / np.sqrt(denom_sq)
-    return np.where(beta == 0.0, a, n) if grid else n
+    n = (np.sqrt(1.0 - beta * beta) * (a - parallel) + parallel) / np.sqrt(denom_sq)
+    return np.where(beta == 0.0, a, n)
 
 
 def direction_matrix(n: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ One optimizer body serves two and three particles; optimize_chsh and
 optimize_mermin pin the particle count.  The operator_norm objective is
 scored in closed form from the effective directions, so no operator is
 built and no eigensolve runs per evaluation.  A coordinate step moves one
-angle of one particle, so the objective keeps, per particle, the last angle
-slice it saw with that particle's k_i (norm) or observables (state), and
-recomputes only the particles whose slice changed.  A recomputed particle
-goes through the same unit3 check and boost_map (with its
-DegenerateObservable floor) as a Settings would, and the value is combined
-as operator_norm (bell.cross_norm, bell.norm_from_kappas) or bell_operator
+angle of one direction, so the objective keeps, per direction, the last
+angles it saw with that direction's effective direction, and boosts again
+only the direction whose angles changed.  That direction goes through the
+same unit3 check and boost_map (with its DegenerateObservable floor) as a
+Settings would, and the value is combined as operator_norm
+(bell.cross_norms, bell.norm_from_kappas) or bell_operator
 (direction_matrix, the family's assembly) combines it, so every value is
 bit-identical to the objective on the built settings.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import FAMILIES, Settings, cross_norm, norm_from_kappas
+from .bell import FAMILIES, Settings, cross_norms, norm_from_kappas
 from .errors import DomainError
 from .linalg import expectation
 from .observables import Boost, boost_map, direction_matrix, unit3
@@ -160,36 +160,34 @@ def _improve_coordinate(objective, x, k, offset, grid, spacing, xtol, current):
     return out, best_v
 
 
-def _angles_per_particle(constraint: str) -> int:
-    """Angles of one particle's two directions: one per direction in the
-    xy-plane, polar and azimuth on the free sphere."""
-    return 2 if constraint == "xy_plane" else 4
+def _angles_per_direction(constraint: str) -> int:
+    """One azimuth in the xy-plane; polar and azimuth on the free sphere."""
+    return 1 if constraint == "xy_plane" else 2
 
 
 def _objective(boosts, constraint: str, objective: str):
-    """Angles -> the objective's value on the settings they build, recomputing
-    what it keeps per particle (k_i or the two observables) only for the
-    particles whose angle slice changed since the previous call."""
-    width = _angles_per_particle(constraint)
-    if objective == "operator_norm":
-        per_particle, score = (lambda n: cross_norm(*n)), norm_from_kappas
-    else:
-        family = FAMILIES[len(boosts)]
-        state = family.state()
-        per_particle, score = (lambda n: direction_matrix(np.array(n))), (
-            lambda parts: abs(expectation(state, family.assemble(*np.concatenate(parts)))))
-    # Per particle: (angle bytes, kept value) of its last slice.
-    cache = [(None, None)] * len(boosts)
+    """Angles -> the objective's value on the settings they build, boosting
+    again only the directions whose angles changed since the previous call."""
+    width = _angles_per_direction(constraint)
+    axes = [boost for boost in boosts for _ in range(2)]
+    family = FAMILIES[len(boosts)]
+    state = family.state()
+
+    def score(n) -> float:
+        if objective == "operator_norm":
+            return norm_from_kappas(cross_norms(n))
+        return abs(expectation(state, family.assemble(*direction_matrix(np.array(n)))))
+
+    # Per direction: the angle bytes of its last call, and its effective direction.
+    keys, effective = [None] * len(axes), [None] * len(axes)
 
     def evaluate(angles: np.ndarray) -> float:
-        for i, boost in enumerate(boosts):
-            part = angles[i * width:(i + 1) * width]
+        for i, (part, boost) in enumerate(zip(angles.reshape(-1, width), axes)):
             key = part.tobytes()
-            if key != cache[i][0]:
-                n = [boost_map(unit3(d), boost.direction, boost.beta)
-                     for d in _directions_from_angles(part, constraint)]
-                cache[i] = (key, per_particle(n))
-        return score([value for _, value in cache])
+            if key != keys[i]:
+                (d,) = _directions_from_angles(part, constraint)
+                keys[i], effective[i] = key, boost_map(unit3(d), boost.direction, boost.beta)
+        return score(effective)
 
     return evaluate
 
@@ -202,7 +200,7 @@ def _optimize(n_particles: int, boost_directions, beta: float,
         raise DomainError(f"expected exactly {n_particles} boost directions")
     objective = _objective(boosts, config.constraint, config.objective)
     angles, value = _maximize_over_angles(
-        objective, n_particles * _angles_per_particle(config.constraint), config)
+        objective, 2 * n_particles * _angles_per_direction(config.constraint), config)
     return Settings(_directions_from_angles(angles, config.constraint), boosts), value
 
 

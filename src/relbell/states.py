@@ -52,7 +52,7 @@ def phi_plus_correlator_closed_form(a, b, beta: float) -> float:
     xy-plane directions, both particles boosted along x at speed beta:
 
         [a_x b_x - (1 - beta^2) a_y b_y] / sqrt(D_a D_b),
-        D_v = 1 + beta^2 (v_x^2 - 1).
+        D_v = (1 - beta^2) + beta^2 v_x^2.
 
     Admits beta = 1 as a continuous limit (no matrices are built), though
     directions with v_x = 0 degenerate exactly there.
@@ -67,7 +67,7 @@ def ghz_offdiagonal_closed_form(a, b, c, beta: float) -> complex:
     """The <111| A (x) B (x) C |000> matrix element for xy-plane directions
     under collinear x boosts: the product over v in (a, b, c) of
 
-        (v_x + i sqrt(1 - beta^2) v_y) / sqrt(1 + beta^2 (v_x^2 - 1)).
+        (v_x + i sqrt(1 - beta^2) v_y) / sqrt((1 - beta^2) + beta^2 v_x^2).
     """
     a, b, c = _xy_directions(beta, a, b, c)
     shrink = math.sqrt(max(1.0 - beta * beta, 0.0))

@@ -170,7 +170,7 @@ def _check_chsh_square_generic(seed):
 def _check_chsh_square_in_plane(seed):
     # The reduced form 4 [I + coeff sigma_z (x) sigma_z], with
     # coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
-    #         / sqrt(prod_v (1 + beta^2 (v_x^2 - 1))),
+    #         / sqrt(prod_v ((1 - beta^2) + beta^2 v_x^2)),
     # is compared beside square_closed_form: every sample is in-plane.
     rng = _rng(seed, 2)
     samples = [_random_chsh(rng, in_plane=True) for _ in range(150)]

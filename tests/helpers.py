@@ -50,7 +50,7 @@ def square_residual(settings) -> float:
     B^2 is also compared with the reduced form 4 [I + coeff sigma_z (x) sigma_z],
 
         coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
-                / sqrt(prod_v (1 + beta^2 (v_x^2 - 1))),
+                / sqrt(prod_v ((1 - beta^2) + beta^2 v_x^2)),
 
     and the larger residual is returned."""
     operator = bell_operator(settings)

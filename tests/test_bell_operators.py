@@ -31,9 +31,17 @@ from relbell.bell import (
     square_closed_form,
 )
 from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
-from relbell.linalg import SIGMA_Z, hermitian_eigensystem, kron, kron3
+from relbell.linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron, kron3
 from relbell.observables import Boost, effective_direction, observable_matrix
-from relbell.scenarios import chsh_collinear_settings, mermin_collinear_settings
+from relbell.scenarios import (
+    CHSH_A,
+    CHSH_A_PRIME,
+    CHSH_B,
+    CHSH_B_PRIME,
+    chsh_collinear_settings,
+    com_boosts,
+    mermin_collinear_settings,
+)
 from relbell.states import ghz_plus
 from relbell.verify import SWAPPED_LEGS
 
@@ -468,6 +476,75 @@ def test_effective_observables_match_observable_matrix(n_particles, data):
         for observable, index in zip(observables, picks):
             want = observable_matrix(directions[index], boosts[index // 2])
             assert np.array_equal(observable.view(np.uint64), want.view(np.uint64))
+
+
+#: Speeds up to the largest double below 1, where the effective directions
+#: of directions nearly perpendicular to the boost are the hardest to keep
+#: unit vectors.
+_BETA_MAX = math.nextafter(1.0, 0.0)
+_fast_speeds = st.one_of(st.floats(0.0, 0.99), st.floats(0.99, _BETA_MAX),
+                         st.sampled_from([0.99999999, 0.9999999999, _BETA_MAX]))
+
+
+def _preimage(target, boost):
+    """The rest-frame unit direction whose effective direction under boost is
+    target: divide the perpendicular component by sqrt(1 - beta^2) and
+    renormalize."""
+    along = float(boost.direction @ target)
+    preimage = (along * boost.direction
+                + (target - along * boost.direction) / math.sqrt(1.0 - boost.beta ** 2))
+    return preimage / np.linalg.norm(preimage)
+
+
+def _peak_settings(n_particles, beta):
+    """Settings whose effective directions are the rest-frame optimum: the
+    standard CHSH directions under x boosts for two particles, x then y
+    on every particle under the center-of-mass boosts for three."""
+    if n_particles == 2:
+        boosts = (Boost(X, beta),) * 2
+        targets = (CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME)
+    else:
+        boosts = tuple(Boost(e, beta) for e in com_boosts())
+        targets = (X, Y) * 3
+    return Settings([_preimage(t, boosts[i // 2]) for i, t in enumerate(targets)], boosts)
+
+
+def _assert_within_supremum(settings_):
+    # |<B>| <= 2 sqrt(1 + sum k_i k_j) <= 2 sqrt(2) or 4 holds only while
+    # every effective direction is a unit vector.  4 ulps: the worst of
+    # 3,000 random draws over these ranges was 1 ulp.
+    operator = bell_operator(settings_)
+    limit = BOUND[settings_.n_particles] + 4 * math.ulp(BOUND[settings_.n_particles])
+    assert operator_norm(settings_) <= limit
+    assert max_violation(operator) <= limit
+    assert abs(expectation(settings_.family.state(), operator)) <= limit
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@_NORM_SETTINGS
+@given(data=st.data())
+def test_no_bell_value_exceeds_the_supremum(n_particles, data):
+    # Free settings and the peak constructions, at speeds up to the largest
+    # double below 1.
+    if data.draw(st.booleans()):
+        settings_ = _peak_settings(n_particles, data.draw(_fast_speeds))
+    else:
+        settings_ = data.draw(st.builds(
+            Settings,
+            st.lists(unit_vectors, min_size=2 * n_particles, max_size=2 * n_particles),
+            st.lists(st.builds(Boost, unit_vectors, _fast_speeds),
+                     min_size=n_particles, max_size=n_particles)))
+    _assert_within_supremum(settings_)
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@pytest.mark.parametrize("beta", [0.99999999, 0.9999999999, _BETA_MAX])
+def test_peak_constructions_reach_but_do_not_pass_the_supremum(n_particles, beta):
+    # A denominator formed as 1 + beta^2 (along^2 - 1) gives the two-qubit
+    # construction an operator_norm of 2.8284271263049794 at 0.99999999.
+    settings_ = _peak_settings(n_particles, beta)
+    _assert_within_supremum(settings_)
+    assert operator_norm(settings_) >= BOUND[n_particles] - 1e-12
 
 
 def test_operator_norms_extend_restricted_closed_forms():

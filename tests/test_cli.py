@@ -294,6 +294,18 @@ def test_optimize_three_qubit(tmp_path):
     assert "c_prime_z" in row
 
 
+def test_optimize_near_light_speed_stays_within_bound(tmp_path):
+    # Near beta = 1 the free directions the search visits sit almost
+    # perpendicular to the boost; their effective directions must stay unit
+    # vectors, or the closed-form value climbs past the bound of 4.
+    out = tmp_path / "opt3.json"
+    code = main(["optimize", "--three", "--constraint", "free", "--beta", "0.9999999999",
+                 "--restarts", "1", "--grid-points", "2",
+                 "--format", "json", "--output", str(out), "--no-meta-time"])
+    assert code == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["rows"][0]["value"] <= 4.0
+
+
 def test_optimize_usage_errors():
     assert main(["optimize", "--boost", "com"]) == 2
     assert main(["optimize", "--beta", "1.0"]) == 2

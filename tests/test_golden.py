@@ -10,11 +10,21 @@ is checked byte for byte.
 To write the corpus afresh, for a change that alters output on purpose::
 
     PYTHONPATH=src python tests/test_golden.py
+
+and to audit such a change, with OLD_DIR a copy of the corpus before it::
+
+    PYTHONPATH=src python tests/test_golden.py --report OLD_DIR
+
+which prints, per file that differs, its moved numeric cells, the largest
+move (absolute, and in units of eps * max(|old|, 1)), its changed text
+cells and its changed meta keys.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -166,6 +176,76 @@ def _write_corpus() -> None:
                                             + "\n", encoding="utf-8")
 
 
+def _cells(path: Path) -> tuple[dict, dict]:
+    """The (row, column) -> value cells of a golden file, and its meta: a
+    CSV's rows, a JSON file's rows and meta (a JSON file without rows is one
+    row), any other file one "text" cell."""
+    text = path.read_text(encoding="utf-8")
+    rows, meta = [{"text": text}], {}
+    if path.suffix == ".csv":
+        rows = list(csv.DictReader(io.StringIO(text)))
+    elif path.suffix == ".json":
+        doc = json.loads(text)
+        rows, meta = (doc["rows"], doc["meta"]) if "rows" in doc else ([doc], {})
+    return {(i, key): value for i, row in enumerate(rows) for key, value in row.items()}, meta
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _report(old_dir: Path) -> None:
+    """Print, per file that differs between old_dir and the corpus, what
+    moved; then one total line."""
+    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in GOLDEN.iterdir()})
+    changed = moved_total = 0
+    for name in names:
+        old_path, new_path = old_dir / name, GOLDEN / name
+        if not (old_path.exists() and new_path.exists()):
+            print(f"{name}: {'added' if new_path.exists() else 'removed'}")
+            changed += 1
+            continue
+        if old_path.read_bytes() == new_path.read_bytes():
+            continue
+        changed += 1
+        (old_cells, old_meta), (new_cells, new_meta) = _cells(old_path), _cells(new_path)
+        moves, texts = {}, []
+        for cell in sorted(old_cells.keys() | new_cells.keys(), key=str):
+            old, new = old_cells.get(cell), new_cells.get(cell)
+            if old == new:
+                continue
+            x, y = _number(old), _number(new)
+            if x is None or y is None:
+                texts.append(f"row {cell[0]} {cell[1]}: {old!r} -> {new!r}")
+            else:
+                moves[cell] = (abs(y - x), abs(y - x) / (sys.float_info.epsilon * max(abs(x), 1.0)))
+        meta = sorted(k for k in old_meta.keys() | new_meta.keys()
+                      if old_meta.get(k) != new_meta.get(k))
+        line = f"{name}: {len(moves)} cells moved"
+        if moves:
+            columns = sorted({column for _, column in moves})
+            (row, column), (largest, eps) = max(moves.items(), key=lambda item: item[1][0])
+            line += (f" in {', '.join(columns)}; largest {largest:.2g} = {eps:.2f} eps"
+                     f" (row {row} {column})")
+        print(line + f"; meta keys: {', '.join(meta) or 'none'}")
+        for text in texts:
+            print(f"  text {text}")
+        moved_total += len(moves)
+    print(f"{changed} of {len(names)} files changed, {moved_total} numeric cells moved")
+
+
 if __name__ == "__main__":
-    _write_corpus()
+    parser = argparse.ArgumentParser(description="Write the golden corpus afresh, "
+                                     "or report how it differs from an old copy.")
+    parser.add_argument("--report", metavar="OLD_DIR", type=Path)
+    args = parser.parse_args()
+    if args.report is None:
+        _write_corpus()
+    else:
+        _report(args.report)
     sys.exit(0)

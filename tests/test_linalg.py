@@ -475,3 +475,19 @@ def test_state_vector_rejects_non_finite_amplitudes(bad):
         state_vector([bad, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
         state_vector([1.0, 0.0, 0.0, bad * 1j, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_eigensystem_takes_a_near_underflow_rotation_without_overflow():
+    # A live matrix whose (0, 1) entry is the smallest normal double, against
+    # a diagonal gap of 4: |tau| + hypot(1, tau) overflows to inf, and the
+    # rotation angle must come out as its limit 0, with no warning.
+    m = np.diag([-2.0, 2.0, 0.0, 0.0]).astype(complex)
+    m[0, 1] = m[1, 0] = np.finfo(float).tiny
+    m[1, 2] = m[2, 1] = 1.0
+    w, v = hermitian_eigensystem(m)
+    # The scalar oracle is the earlier kernel verbatim, overflow warning
+    # included.
+    with np.errstate(over="ignore"):
+        want_w, want_v = scalar_eigensystem(m)
+    assert _same_bits(w, want_w) and _same_bits(v, want_v)
+    assert max_abs(w - np.linalg.eigvalsh(m)) <= 1e-12

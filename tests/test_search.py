@@ -155,7 +155,7 @@ _angles = st.floats(-2.0 * math.pi, 4.0 * math.pi)
 @given(data=st.data())
 def test_objective_cache_is_bit_identical(objective, n_particles, constraint, data):
     # Along a walk of single-coordinate moves, as coordinate ascent makes,
-    # the per-particle cache must give exactly what the objective scores on
+    # the per-direction cache must give exactly what the objective scores on
     # the settings the angles build: the optimizer's returned value is one
     # of these.
     boosts = tuple(data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, 0.99)),

@@ -230,7 +230,7 @@ def _report(old_dir: Path) -> None:
         if moves:
             columns = sorted({column for _, column in moves})
             (row, column), (largest, eps) = max(moves.items(), key=lambda item: item[1][0])
-            line += (f" in {', '.join(columns)}; largest {largest:.2g} = {eps:.2f} eps"
+            line += (f" in {', '.join(columns)}; largest {largest:.2g} = {eps:.3g} eps"
                      f" (row {row} {column})")
         print(line + f"; meta keys: {', '.join(meta) or 'none'}")
         for text in texts:

@@ -90,6 +90,20 @@ def marginal(distribution, particle):
     return np.array([p_plus, p_minus])
 
 
+#: The largest double below 1, the fastest boost a Boost admits.
+BETA_MAX = math.nextafter(1.0, 0.0)
+
+
+def preimage(target, boost):
+    """Inverse of the boost map: the rest-frame unit direction whose effective
+    direction under boost is target.  Divides the perpendicular component by
+    sqrt(1 - beta^2) and renormalizes."""
+    shrink = math.sqrt(1.0 - boost.beta ** 2)
+    along = float(boost.direction @ target)
+    rest = along * boost.direction + (target - along * boost.direction) / shrink
+    return rest / np.linalg.norm(rest)
+
+
 #: Unit 3-vectors over the whole sphere, for hypothesis property tests.
 unit_vectors = st.builds(
     lambda theta, phi: np.array([math.sin(theta) * math.cos(phi),

@@ -10,7 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import max_abs, random_unit, random_xy, square_residual, unit_vectors
+from helpers import (
+    BETA_MAX,
+    max_abs,
+    preimage,
+    random_unit,
+    random_xy,
+    square_residual,
+    unit_vectors,
+)
 from relbell.bell import (
     ChshSettings,
     MerminSettings,
@@ -481,19 +489,8 @@ def test_effective_observables_match_observable_matrix(n_particles, data):
 #: Speeds up to the largest double below 1, where the effective directions
 #: of directions nearly perpendicular to the boost are the hardest to keep
 #: unit vectors.
-_BETA_MAX = math.nextafter(1.0, 0.0)
-_fast_speeds = st.one_of(st.floats(0.0, 0.99), st.floats(0.99, _BETA_MAX),
-                         st.sampled_from([0.99999999, 0.9999999999, _BETA_MAX]))
-
-
-def _preimage(target, boost):
-    """The rest-frame unit direction whose effective direction under boost is
-    target: divide the perpendicular component by sqrt(1 - beta^2) and
-    renormalize."""
-    along = float(boost.direction @ target)
-    preimage = (along * boost.direction
-                + (target - along * boost.direction) / math.sqrt(1.0 - boost.beta ** 2))
-    return preimage / np.linalg.norm(preimage)
+_fast_speeds = st.one_of(st.floats(0.0, 0.99), st.floats(0.99, BETA_MAX),
+                         st.sampled_from([0.99999999, 0.9999999999, BETA_MAX]))
 
 
 def _peak_settings(n_particles, beta):
@@ -506,7 +503,7 @@ def _peak_settings(n_particles, beta):
     else:
         boosts = tuple(Boost(e, beta) for e in com_boosts())
         targets = (X, Y) * 3
-    return Settings([_preimage(t, boosts[i // 2]) for i, t in enumerate(targets)], boosts)
+    return Settings([preimage(t, boosts[i // 2]) for i, t in enumerate(targets)], boosts)
 
 
 def _assert_within_supremum(settings_):
@@ -538,7 +535,7 @@ def test_no_bell_value_exceeds_the_supremum(n_particles, data):
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])
-@pytest.mark.parametrize("beta", [0.99999999, 0.9999999999, _BETA_MAX])
+@pytest.mark.parametrize("beta", [0.99999999, 0.9999999999, BETA_MAX])
 def test_peak_constructions_reach_but_do_not_pass_the_supremum(n_particles, beta):
     # A denominator formed as 1 + beta^2 (along^2 - 1) gives the two-qubit
     # construction an operator_norm of 2.8284271263049794 at 0.99999999.

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import max_abs, random_unit, unit_vectors
+from helpers import BETA_MAX, max_abs, preimage, random_unit, unit_vectors
 from relbell.errors import DegenerateObservable, DomainError
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
@@ -29,15 +29,6 @@ EPS = np.finfo(float).eps
 
 _PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                               database=None)
-
-
-def _preimage(target, boost):
-    """Inverse of the boost map: divide the perpendicular component by
-    sqrt(1 - beta^2) and renormalize."""
-    shrink = math.sqrt(1.0 - boost.beta ** 2)
-    along = float(boost.direction @ target)
-    preimage = along * boost.direction + (target - along * boost.direction) / shrink
-    return preimage / np.linalg.norm(preimage)
 
 
 def test_parallel_direction_is_fixed_point():
@@ -92,7 +83,7 @@ def test_direction_map_is_onto():
     for _ in range(200):
         target = random_unit(rng)
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.99))
-        assert max_abs(effective_direction(_preimage(target, boost), boost)
+        assert max_abs(effective_direction(preimage(target, boost), boost)
                        - target) < 1e-10
 
 
@@ -102,7 +93,7 @@ def test_effective_direction_is_unit_and_invertible(a, e, beta):
     boost = Boost(e, beta)
     n = effective_direction(a, boost)
     assert abs(float(n @ n) - 1.0) <= 1e-12
-    assert max_abs(_preimage(n, boost) - a) <= 1e-12
+    assert max_abs(preimage(n, boost) - a) <= 1e-12
 
 
 @_PROPERTY_SETTINGS
@@ -121,10 +112,6 @@ def test_degenerate_exactly_at_or_below_floor(along, beta, floor):
                 boost_denominator_sq(along, beta)
         else:
             assert boost_denominator_sq(along, beta) == denom_sq
-
-
-#: The largest double below 1, the fastest boost a Boost admits.
-BETA_MAX = math.nextafter(1.0, 0.0)
 
 
 def _with_along(e, p, along):

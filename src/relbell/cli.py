@@ -3,7 +3,9 @@
 Four commands, all emitting CSV or JSON: ``sweep`` tabulates a named
 scenario's or a settings file's curves over a beta grid (scenarios.sweep),
 ``verify`` runs the closed-form-vs-brute-force battery and reports errata,
-``optimize`` searches measurement settings for the peak violation, and
+``optimize`` returns measurement settings of the peak violation (the
+constructed optimum, search.optimal_settings, for every boost geometry it
+offers), and
 ``sample`` runs a shot-level Monte Carlo experiment.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
@@ -279,7 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default="-", metavar="PATH",
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0, metavar="U64")
+    common.add_argument("--seed", type=int, default=0, metavar="U64",
+                        help="seed of verify's random draws, sample's shots and "
+                             "optimize's fallback search (default 0)")
     common.add_argument("--no-meta-time", action="store_true",
                         help="omit the timestamp from JSON meta (for golden files)")
 
@@ -305,7 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-9)
 
     p = sub.add_parser("optimize", parents=[common],
-                       help="search measurement settings for the peak violation")
+                       help="measurement settings of the peak violation",
+                       description="Return measurement settings of the peak violation. "
+                                   "Every boost geometry offered here has a constructed "
+                                   "optimum, so --restarts, --grid-points and --seed are "
+                                   "validated and recorded in the meta, but steer only the "
+                                   "coordinate-ascent search that the library runs for "
+                                   "geometries without one.")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--two", action="store_true",
                        help="two-qubit operator (default)")
@@ -315,8 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", choices=("xy", "free"), default="xy")
     p.add_argument("--boost", choices=("collinear", "com"), default="collinear")
     p.add_argument("--objective", choices=("norm", "state"), default="norm")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--grid-points", type=int, default=24)
+    p.add_argument("--restarts", type=int, default=16,
+                   help="restarts of the fallback search (default 16)")
+    p.add_argument("--grid-points", type=int, default=24,
+                   help="coarse grid points per angle of the fallback search "
+                        "(default 24)")
 
     p = sub.add_parser("sample", parents=[common],
                        help="shot-level Monte Carlo Bell experiment")

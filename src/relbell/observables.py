@@ -137,6 +137,27 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     return np.where(beta == 0.0, a, n)
 
 
+def inverse_boost_map(t: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
+    """The rest-frame unit direction whose boost_map under a boost along
+    ``e`` at speed beta is the unit direction ``t``: the perpendicular
+    component is divided by sqrt(1 - beta^2) and the sum renormalized,
+
+        along e + (t - along e) / sqrt(1 - beta^2),  along = e.t.
+
+    For beta < 1 the boost map is a bijection of the sphere, so every unit
+    ``t`` has this preimage, and one with zero z when ``t`` and ``e`` lie in
+    the xy-plane.  Broadcasts as boost_map does and trusts its input the
+    same way; beta = 0 copies ``t`` exactly.  ``along`` and the norm are
+    taken by matmul, which gives the bits of ``e @ t`` and np.linalg.norm
+    on one vector.
+    """
+    beta = np.asarray(beta, dtype=float)[..., None]
+    parallel = (e[..., None, :] @ t[..., None])[..., 0] * e
+    rest = parallel + (t - parallel) / np.sqrt(1.0 - beta * beta)
+    norm = np.sqrt((rest[..., None, :] @ rest[..., None])[..., 0])
+    return np.where(beta == 0.0, t, rest / norm)
+
+
 def direction_matrix(n: np.ndarray) -> np.ndarray:
     """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
     that boost_map has already produced, or a stack (..., 3) of them."""

@@ -1,26 +1,39 @@
-"""Derivative-free maximization of Bell values over measurement settings.
+"""Maximization of Bell values over measurement settings.
 
-Directions are parametrized by angles (one azimuth per direction in the
-xy-plane constraint, polar plus azimuth on the free sphere).  Each restart
-starts from a jittered grid node and runs coordinate-wise ascent: a coarse
-scan of the jittered grid along one angle, then golden-section refinement
-of the winning bracket, cycling over angles until a full pass improves the
-objective by less than REFINEMENT_TOLERANCE.  Restart streams are
-seeded independently, so results are bit-reproducible and the best value
-is non-decreasing in the number of restarts.
+Every effective direction is at most a unit vector, so no Bell value passes
+2 sqrt(2) (two qubits) or 4 (three); the matched state attains the bound
+when the effective directions are the rest-frame optimum: CHSH_A,
+CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME for two particles, x then y on every
+particle for three.  For beta < 1 the boost map is a bijection of the
+sphere, so optimal_settings builds that optimum exactly, each direction
+the inverse_boost_map of its target.  Under the xy_plane constraint its
+preimages keep z = 0 exactly when every boost lies in the plane or along
++/-z, which covers every geometry the command line offers; optimize_chsh
+and optimize_mermin return the construction whenever its preimages lie in
+the constraint's set, with its value scored as below.
 
-One optimizer body serves two and three particles; optimize_chsh and
-optimize_mermin pin the particle count.  The operator_norm objective is
-scored in closed form from the effective directions, so no operator is
-built and no eigensolve runs per evaluation.  A coordinate step moves one
-angle of one direction, so the objective keeps, per direction, the last
-angles it saw with that direction's effective direction, and boosts again
-only the direction whose angles changed.  That direction goes through the
-same unit3 check and boost_map (with its DegenerateObservable floor) as a
-Settings would, and the value is combined as operator_norm
-(bell.cross_norms, bell.norm_from_kappas) or bell_operator
-(direction_matrix, the family's assembly) combines it, so every value is
-bit-identical to the objective on the built settings.
+Otherwise they run a derivative-free search.  Directions are parametrized
+by angles (one azimuth per direction in the xy-plane constraint, polar
+plus azimuth on the free sphere).  Each restart starts from a jittered
+grid node and runs coordinate-wise ascent: a coarse scan of the jittered
+grid along one angle, then golden-section refinement of the winning
+bracket, cycling over angles until a full pass improves the objective by
+less than REFINEMENT_TOLERANCE.  Restart streams are seeded independently,
+so results are bit-reproducible and the best value is non-decreasing in
+the number of restarts.  SearchConfig's restarts, grid points and seed
+steer this search alone.
+
+The operator_norm objective is scored in closed form from the effective
+directions, so no operator is built and no eigensolve runs per evaluation.
+A coordinate step moves one angle of one direction, so the objective
+keeps, per direction, the last angles it saw with that direction's
+effective direction, and boosts again only the direction whose angles
+changed.  That direction goes through the same unit3 check and boost_map
+(with its DegenerateObservable floor) as a Settings would, and the value
+is combined as operator_norm (bell.cross_norms, bell.norm_from_kappas) or
+bell_operator (direction_matrix, the family's assembly) combines it, so
+every value, the construction's included, is bit-identical to the
+objective on the built settings.
 """
 
 from __future__ import annotations
@@ -33,7 +46,8 @@ import numpy as np
 from .bell import FAMILIES, Settings, cross_norms, norm_from_kappas
 from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost, boost_map, direction_matrix, unit3
+from .observables import Boost, boost_map, direction_matrix, inverse_boost_map, unit3
+from .scenarios import CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME, X_AXIS, Y_AXIS
 
 CONSTRAINTS = ("xy_plane", "free_sphere")
 OBJECTIVES = ("operator_norm", "state_expectation")
@@ -165,12 +179,9 @@ def _angles_per_direction(constraint: str) -> int:
     return 1 if constraint == "xy_plane" else 2
 
 
-def _objective(boosts, constraint: str, objective: str):
-    """Angles -> the objective's value on the settings they build, boosting
-    again only the directions whose angles changed since the previous call."""
-    width = _angles_per_direction(constraint)
-    axes = [boost for boost in boosts for _ in range(2)]
-    family = FAMILIES[len(boosts)]
+def _scorer(n_particles: int, objective: str):
+    """Effective directions in Settings order -> the objective's value."""
+    family = FAMILIES[n_particles]
     state = family.state()
 
     def score(n) -> float:
@@ -178,6 +189,15 @@ def _objective(boosts, constraint: str, objective: str):
             return norm_from_kappas(cross_norms(n))
         return abs(expectation(state, family.assemble(*direction_matrix(np.array(n)))))
 
+    return score
+
+
+def _objective(boosts, constraint: str, objective: str):
+    """Angles -> the objective's value on the settings they build, boosting
+    again only the directions whose angles changed since the previous call."""
+    width = _angles_per_direction(constraint)
+    axes = [boost for boost in boosts for _ in range(2)]
+    score = _scorer(len(boosts), objective)
     # Per direction: the angle bytes of its last call, and its effective direction.
     keys, effective = [None] * len(axes), [None] * len(axes)
 
@@ -192,21 +212,63 @@ def _objective(boosts, constraint: str, objective: str):
     return evaluate
 
 
-def _optimize(n_particles: int, boost_directions, beta: float,
-              config: SearchConfig | None):
-    config = config if config is not None else SearchConfig()
+def _boosts(n_particles: int, boost_directions, beta: float) -> tuple:
     boosts = tuple(Boost(d, beta) for d in boost_directions)
     if len(boosts) != n_particles:
         raise DomainError(f"expected exactly {n_particles} boost directions")
+    return boosts
+
+
+#: Per particle count, the effective directions of the rest-frame optimum,
+#: in Settings order.
+PEAK_TARGETS = {2: np.array([CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME]),
+                3: np.array([X_AXIS, Y_AXIS] * 3)}
+
+
+def optimal_settings(n_particles: int, boost_directions, beta: float,
+                     constraint: str = "free_sphere") -> Settings | None:
+    """Settings whose effective directions are PEAK_TARGETS[n_particles]
+    under boosts along boost_directions at speed beta: an operator norm and
+    a matched-state expectation of 2 sqrt(2) or 4, to a few ulps.
+
+    Each direction is the inverse_boost_map of its target.  Returns None
+    when a preimage leaves the constraint's set: under xy_plane, when one
+    has a nonzero z, which can happen only for a boost neither in the
+    xy-plane nor along +/-z.
+    """
+    if constraint not in CONSTRAINTS:
+        raise DomainError(f"constraint must be one of {CONSTRAINTS}")
+    boosts = _boosts(n_particles, boost_directions, beta)
+    axes = np.array([boost.direction for boost in boosts for _ in range(2)])
+    directions = inverse_boost_map(PEAK_TARGETS[n_particles], axes, boosts[0].beta)
+    if constraint == "xy_plane" and directions[:, 2].any():
+        return None
+    return Settings(directions, boosts)
+
+
+def _coordinate_ascent(n_particles: int, boost_directions, beta: float,
+                       config: SearchConfig):
+    """The restarted coordinate-ascent search of the module docstring."""
+    boosts = _boosts(n_particles, boost_directions, beta)
     objective = _objective(boosts, config.constraint, config.objective)
     angles, value = _maximize_over_angles(
         objective, 2 * n_particles * _angles_per_direction(config.constraint), config)
     return Settings(_directions_from_angles(angles, config.constraint), boosts), value
 
 
+def _optimize(n_particles: int, boost_directions, beta: float,
+              config: SearchConfig | None):
+    config = config if config is not None else SearchConfig()
+    settings = optimal_settings(n_particles, boost_directions, beta, config.constraint)
+    if settings is None:
+        return _coordinate_ascent(n_particles, boost_directions, beta, config)
+    return settings, _scorer(n_particles, config.objective)(settings.effective_directions())
+
+
 def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = None):
     """Maximize the two-qubit Bell value over the four directions at fixed
-    boosts and speed.
+    boosts and speed: optimal_settings when its directions satisfy the
+    constraint, else the coordinate-ascent search.
 
     boost_directions is a pair of unit 3-vectors.  Returns (settings,
     value).
@@ -216,7 +278,8 @@ def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = N
 
 def optimize_mermin(boost_directions, beta: float, config: SearchConfig | None = None):
     """Maximize the three-qubit Bell value over the six directions at fixed
-    boosts and speed.
+    boosts and speed: optimal_settings when its directions satisfy the
+    constraint, else the coordinate-ascent search.
 
     boost_directions is a triple of unit 3-vectors.  Returns (settings,
     value).

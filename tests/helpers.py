@@ -94,22 +94,23 @@ def marginal(distribution, particle):
 BETA_MAX = math.nextafter(1.0, 0.0)
 
 
-def preimage(target, boost):
-    """Inverse of the boost map: the rest-frame unit direction whose effective
-    direction under boost is target.  Divides the perpendicular component by
-    sqrt(1 - beta^2) and renormalizes."""
-    shrink = math.sqrt(1.0 - boost.beta ** 2)
-    along = float(boost.direction @ target)
-    rest = along * boost.direction + (target - along * boost.direction) / shrink
-    return rest / np.linalg.norm(rest)
-
-
 #: Unit 3-vectors over the whole sphere, for hypothesis property tests.
 unit_vectors = st.builds(
     lambda theta, phi: np.array([math.sin(theta) * math.cos(phi),
                                  math.sin(theta) * math.sin(phi),
                                  math.cos(theta)]),
     st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+#: Boost axes of the three kinds optimal_settings tells apart under the
+#: xy_plane constraint: in the xy-plane, along +z or -z, and anywhere.
+boost_axes = st.one_of(
+    st.builds(lambda phi: np.array([math.cos(phi), math.sin(phi), 0.0]),
+              st.floats(0.0, 2.0 * math.pi)),
+    st.sampled_from([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]),
+    unit_vectors)
+
+#: The largest Bell value for two and for three particles.
+BOUND = {2: 2.0 * math.sqrt(2.0), 3: 4.0}
 
 
 # The scalar cyclic Jacobi kernel, one matrix at a time, kept as the oracle

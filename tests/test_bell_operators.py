@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import relbell.observables as observables
 from helpers import (
     BETA_MAX,
+    BOUND,
     max_abs,
-    preimage,
     random_unit,
     random_xy,
     square_residual,
@@ -42,14 +42,11 @@ from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron, kron3
 from relbell.observables import Boost, effective_direction, observable_matrix
 from relbell.scenarios import (
-    CHSH_A,
-    CHSH_A_PRIME,
-    CHSH_B,
-    CHSH_B_PRIME,
     chsh_collinear_settings,
     com_boosts,
     mermin_collinear_settings,
 )
+from relbell.search import optimal_settings
 from relbell.states import ghz_plus
 from relbell.verify import SWAPPED_LEGS
 
@@ -58,10 +55,8 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 ROOT8 = 2.0 * math.sqrt(2.0)
-#: Per particle count: the Kronecker product of that many factors, and the
-#: largest attainable |<B>|.
+#: Per particle count: the Kronecker product of that many factors.
 PRODUCT = {2: kron, 3: kron3}
-BOUND = {2: ROOT8, 3: 4.0}
 
 
 def _random_chsh_xy(rng, beta):
@@ -494,16 +489,10 @@ _fast_speeds = st.one_of(st.floats(0.0, 0.99), st.floats(0.99, BETA_MAX),
 
 
 def _peak_settings(n_particles, beta):
-    """Settings whose effective directions are the rest-frame optimum: the
-    standard CHSH directions under x boosts for two particles, x then y
-    on every particle under the center-of-mass boosts for three."""
-    if n_particles == 2:
-        boosts = (Boost(X, beta),) * 2
-        targets = (CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME)
-    else:
-        boosts = tuple(Boost(e, beta) for e in com_boosts())
-        targets = (X, Y) * 3
-    return Settings([preimage(t, boosts[i // 2]) for i, t in enumerate(targets)], boosts)
+    """optimal_settings under x boosts for two particles and the
+    center-of-mass boosts for three."""
+    boost_directions = (X, X) if n_particles == 2 else com_boosts()
+    return optimal_settings(n_particles, boost_directions, beta)
 
 
 def _assert_within_supremum(settings_):

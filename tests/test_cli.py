@@ -294,10 +294,26 @@ def test_optimize_three_qubit(tmp_path):
     assert "c_prime_z" in row
 
 
+@pytest.mark.parametrize("geometry", [[], ["--three", "--boost", "com"]],
+                         ids=["two-collinear", "three-com"])
+def test_optimize_at_the_fastest_speed_reaches_the_bound(tmp_path, geometry):
+    # A coordinate-ascent search with one restart stopped at
+    # 2.0000330120418606 (two qubits) and 2.0002199452525011 (three, com
+    # boosts) here; the constructed optimum is exact to a few ulps.
+    out = tmp_path / "opt.json"
+    code = main(["optimize", *geometry, "--beta", "0.9999999999999999",
+                 "--restarts", "1", "--grid-points", "4",
+                 "--format", "json", "--output", str(out), "--no-meta-time"])
+    assert code == 0
+    bound = 4.0 if geometry else ROOT8
+    value = json.loads(out.read_text(encoding="utf-8"))["rows"][0]["value"]
+    assert abs(value - bound) <= 4 * math.ulp(bound)
+
+
 def test_optimize_near_light_speed_stays_within_bound(tmp_path):
-    # Near beta = 1 the free directions the search visits sit almost
-    # perpendicular to the boost; their effective directions must stay unit
-    # vectors, or the closed-form value climbs past the bound of 4.
+    # Near beta = 1 the constructed directions sit almost perpendicular to
+    # the boost; their effective directions must stay unit vectors, or the
+    # closed-form value climbs past the bound of 4.
     out = tmp_path / "opt3.json"
     code = main(["optimize", "--three", "--constraint", "free", "--beta", "0.9999999999",
                  "--restarts", "1", "--grid-points", "2",

@@ -1,4 +1,9 @@
-"""Optimizer tests: determinism, bounds, convergence to known peaks."""
+"""Optimizer tests: the constructed optimum, and the coordinate-ascent
+search's determinism, bounds and convergence to known peaks.
+
+Every test of the search calls _coordinate_ascent directly, or goes through
+optimize_chsh with a boost off the xy-plane under the xy_plane constraint,
+where the construction leaves the plane and the search runs."""
 
 import math
 
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import unit_vectors
+from helpers import BETA_MAX, BOUND, boost_axes, unit_vectors
 from relbell.bell import Settings, bell_operator, chsh_operator, max_violation, \
     mermin_operator, operator_norm
 from relbell.errors import DomainError
@@ -23,15 +28,22 @@ from relbell.search import (
     CONSTRAINTS,
     MAX_GRID_POINTS,
     OBJECTIVES,
+    PEAK_TARGETS,
     REFINEMENT_TOLERANCE,
     SearchConfig,
+    _coordinate_ascent,
     _directions_from_angles,
     _objective,
+    optimal_settings,
     optimize_chsh,
     optimize_mermin,
 )
 
 ROOT8 = 2.0 * math.sqrt(2.0)
+EPS = np.finfo(float).eps
+#: A boost axis off the xy-plane: under the xy_plane constraint at beta > 0
+#: the construction's preimage of the x target leaves the plane.
+TILTED = np.array([0.6, 0.0, 0.8])
 
 FAST_XY = SearchConfig(constraint="xy_plane", restarts=2,
                        grid_points_per_angle=8, seed=404)
@@ -66,39 +78,47 @@ def test_beta_domain():
         optimize_chsh((X_AXIS, X_AXIS), 1.0, FAST_XY)
     with pytest.raises(DomainError):
         optimize_mermin(com_boosts(), -0.1, FAST_XY)
+    with pytest.raises(DomainError):
+        optimize_chsh((X_AXIS, TILTED), 1.0, FAST_XY)
+    with pytest.raises(DomainError):
+        optimal_settings(2, (X_AXIS, X_AXIS), 0.5, "banana")
+    with pytest.raises(DomainError):
+        optimal_settings(3, (X_AXIS, X_AXIS), 0.5)
 
 
 def test_seeded_determinism():
-    first_settings, first_value = optimize_chsh((X_AXIS, X_AXIS), 0.3, FAST_XY)
-    second_settings, second_value = optimize_chsh((X_AXIS, X_AXIS), 0.3, FAST_XY)
+    assert optimal_settings(2, (X_AXIS, TILTED), 0.3, "xy_plane") is None
+    first_settings, first_value = optimize_chsh((X_AXIS, TILTED), 0.3, FAST_XY)
+    second_settings, second_value = optimize_chsh((X_AXIS, TILTED), 0.3, FAST_XY)
     assert first_value == second_value
     for first, second in zip(first_settings.directions, second_settings.directions):
         assert np.array_equal(first, second)
 
 
 def test_monotone_in_restarts():
+    assert optimal_settings(2, (X_AXIS, TILTED), 0.5, "xy_plane") is None
     values = []
     for restarts in (1, 2, 4):
         config = SearchConfig(constraint="xy_plane", restarts=restarts,
                               grid_points_per_angle=8, seed=11)
-        values.append(optimize_chsh((X_AXIS, X_AXIS), 0.5, config)[1])
+        values.append(optimize_chsh((X_AXIS, TILTED), 0.5, config)[1])
     assert values[0] <= values[1] <= values[2]
 
 
 def test_chsh_free_sphere_is_boost_invariant():
     # The direction map is onto the sphere for beta < 1, so the free-sphere
     # optimum cannot depend on the speed.
-    _, rest_value = optimize_chsh((X_AXIS, X_AXIS), 0.0, FAST_FREE)
+    _, rest_value = _coordinate_ascent(2, (X_AXIS, X_AXIS), 0.0, FAST_FREE)
     assert abs(rest_value - ROOT8) < 1e-5
     assert rest_value <= ROOT8 + 1e-9
     for beta in (0.3, 0.6, 0.9):
-        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, FAST_FREE)
+        _, value = _coordinate_ascent(2, (X_AXIS, X_AXIS), beta, FAST_FREE)
         assert abs(value - rest_value) < 1e-5
         assert value <= ROOT8 + 1e-9
 
 
 def test_chsh_xy_beats_collinear_curve():
-    _, value = optimize_chsh((X_AXIS, X_AXIS), 0.8, FAST_XY)
+    _, value = _coordinate_ascent(2, (X_AXIS, X_AXIS), 0.8, FAST_XY)
     assert value >= epsilon2(0.8) - 1e-6
     assert value <= ROOT8 + 1e-9
 
@@ -106,7 +126,7 @@ def test_chsh_xy_beats_collinear_curve():
 def test_mermin_free_sphere_rest_frame():
     config = SearchConfig(constraint="free_sphere", restarts=1,
                           grid_points_per_angle=8, seed=7)
-    _, value = optimize_mermin((X_AXIS,) * 3, 0.0, config)
+    _, value = _coordinate_ascent(3, (X_AXIS,) * 3, 0.0, config)
     assert abs(value - 4.0) < 1e-5
     assert value <= 4.0 + 1e-9
 
@@ -114,7 +134,7 @@ def test_mermin_free_sphere_rest_frame():
 def test_mermin_xy_center_of_mass():
     config = SearchConfig(constraint="xy_plane", restarts=2,
                           grid_points_per_angle=8, seed=5)
-    _, value = optimize_mermin(com_boosts(), 0.6, config)
+    _, value = _coordinate_ascent(3, com_boosts(), 0.6, config)
     assert value >= epsilon3_com(0.6) - 1e-6
     assert value <= 4.0 + 1e-9
 
@@ -124,8 +144,7 @@ def test_mermin_xy_center_of_mass():
 def test_chsh_value_is_brute_force_norm(config, beta):
     # The objective is scored in closed form; the returned value must still
     # be the Jacobi spectrum of the returned settings.
-    tilted = np.array([0.6, 0.0, 0.8])
-    settings, value = optimize_chsh((X_AXIS, tilted), beta, config)
+    settings, value = _coordinate_ascent(2, (X_AXIS, TILTED), beta, config)
     assert abs(value - max_violation(chsh_operator(settings))) <= 1e-12
 
 
@@ -133,7 +152,7 @@ def test_chsh_value_is_brute_force_norm(config, beta):
 @pytest.mark.parametrize("boosts", ["collinear", "com"])
 def test_mermin_value_is_brute_force_norm(config, boosts):
     directions = (X_AXIS,) * 3 if boosts == "collinear" else com_boosts()
-    settings, value = optimize_mermin(directions, 0.6, config)
+    settings, value = _coordinate_ascent(3, directions, 0.6, config)
     assert abs(value - max_violation(mermin_operator(settings))) <= 1e-12
 
 
@@ -141,8 +160,62 @@ def test_state_expectation_objective():
     config = SearchConfig(constraint="xy_plane", restarts=2,
                           grid_points_per_angle=8, seed=2,
                           objective="state_expectation")
-    _, value = optimize_chsh((X_AXIS, X_AXIS), 0.0, config)
+    _, value = _coordinate_ascent(2, (X_AXIS, X_AXIS), 0.0, config)
     assert abs(value - ROOT8) < 1e-4
+
+
+def _in_plane_or_along_z(axis) -> bool:
+    return axis[2] == 0.0 or axis[0] == axis[1] == 0.0
+
+
+def _objective_value(settings_, objective) -> float:
+    if objective == "operator_norm":
+        return operator_norm(settings_)
+    return abs(expectation(settings_.family.state(), bell_operator(settings_)))
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_construction_reaches_the_bound(objective, constraint, n_particles, data):
+    # Boosts in the xy-plane, along +/-z and anywhere, at speeds up to the
+    # largest double below 1.
+    axes = data.draw(st.lists(boost_axes, min_size=n_particles, max_size=n_particles))
+    beta = data.draw(st.one_of(st.floats(0.0, BETA_MAX),
+                               st.sampled_from([0.0, 0.99999999, BETA_MAX])))
+    built = optimal_settings(n_particles, axes, beta, constraint)
+    if constraint == "free_sphere" or all(_in_plane_or_along_z(e) for e in axes):
+        assert built is not None
+    if built is None:
+        return
+    if constraint == "xy_plane":
+        assert not any(d[2] for d in built.directions)
+    # The inverse map divides by sqrt(1 - beta^2), which scales its rounding.
+    miss = np.abs(built.effective_directions() - PEAK_TARGETS[n_particles]).max()
+    assert miss <= 8 * EPS / math.sqrt((1.0 - beta) * (1.0 + beta))
+    optimize = optimize_chsh if n_particles == 2 else optimize_mermin
+    found, value = optimize(axes, beta, SearchConfig(constraint=constraint,
+                                                     objective=objective))
+    assert all(np.array_equal(d, e) for d, e in zip(found.directions, built.directions))
+    assert value == _objective_value(built, objective)
+    assert abs(value - BOUND[n_particles]) <= 4 * math.ulp(BOUND[n_particles])
+
+
+@pytest.mark.parametrize("n_particles", [2, 3])
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_ascent_finds_nothing_above_the_construction(objective, constraint, n_particles):
+    # The search is the oracle: from its own starts it reaches the
+    # construction's value and never passes it by more than rounding.
+    axes = (X_AXIS, X_AXIS) if n_particles == 2 else com_boosts()
+    config = SearchConfig(constraint=constraint, restarts=1, grid_points_per_angle=6,
+                          seed=3, objective=objective)
+    _, value = _coordinate_ascent(n_particles, axes, 0.6, config)
+    built = optimal_settings(n_particles, axes, 0.6, constraint)
+    peak = _objective_value(built, objective)
+    assert peak - 1e-6 <= value <= peak + 4 * math.ulp(peak)
 
 
 _angles = st.floats(-2.0 * math.pi, 4.0 * math.pi)

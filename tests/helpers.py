@@ -177,7 +177,10 @@ def scalar_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
                     continue
                 phase = apq / mag
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                # |tau| + hypot(1, tau) overflows when |a[p,q]| nears the
+                # smallest normal: t = 0, as in the package's kernel.
+                with np.errstate(over="ignore"):
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 _rotate(a, v, p, q, c, t * c, phase)
     else:

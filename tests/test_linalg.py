@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbell.linalg as linalg
@@ -248,8 +248,18 @@ def _solve_stack(stack):
     return list(zip(w, v))
 
 
+def _near_underflow_pivot():
+    """A live matrix whose (0, 1) entry is the smallest normal double,
+    against a diagonal gap of 4."""
+    m = np.diag([-2.0, 2.0, 0.0, 0.0]).astype(complex)
+    m[0, 1] = m[1, 0] = np.finfo(float).tiny
+    m[1, 2] = m[2, 1] = 1.0
+    return m
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(stack=_hermitian_stacks())
+@example(stack=np.stack([_near_underflow_pivot(), np.eye(4, dtype=complex)]))
 def test_eigensystem_matches_scalar_oracle(stack):
     # Bit identity, not closeness: every sweep and verify residual, and with
     # them the golden outputs, come from these eigenvalues.
@@ -478,16 +488,10 @@ def test_state_vector_rejects_non_finite_amplitudes(bad):
 
 
 def test_eigensystem_takes_a_near_underflow_rotation_without_overflow():
-    # A live matrix whose (0, 1) entry is the smallest normal double, against
-    # a diagonal gap of 4: |tau| + hypot(1, tau) overflows to inf, and the
-    # rotation angle must come out as its limit 0, with no warning.
-    m = np.diag([-2.0, 2.0, 0.0, 0.0]).astype(complex)
-    m[0, 1] = m[1, 0] = np.finfo(float).tiny
-    m[1, 2] = m[2, 1] = 1.0
+    # |tau| + hypot(1, tau) overflows to inf, and the rotation angle must
+    # come out as its limit 0, with no warning.
+    m = _near_underflow_pivot()
     w, v = hermitian_eigensystem(m)
-    # The scalar oracle is the earlier kernel verbatim, overflow warning
-    # included.
-    with np.errstate(over="ignore"):
-        want_w, want_v = scalar_eigensystem(m)
+    want_w, want_v = scalar_eigensystem(m)
     assert _same_bits(w, want_w) and _same_bits(v, want_v)
     assert max_abs(w - np.linalg.eigvalsh(m)) <= 1e-12

@@ -13,8 +13,9 @@ few ulps up to the fastest boost, and no Bell value passes 2 sqrt(2) or 4.
 
 Each input is validated once, where it enters: Boost checks its direction
 and speed, and effective_direction and observable_matrix check ``a`` with
-unit3.  boost_map and direction_matrix trust their input; bell.Settings
-validates its directions once and builds its observables through them.
+unit3.  boost_map, inverse_boost_map and direction_matrix trust their
+input; bell.Settings validates its directions once and builds its
+observables through them.
 """
 
 from __future__ import annotations

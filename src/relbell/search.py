@@ -226,7 +226,7 @@ PEAK_TARGETS = {2: np.array([CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME]),
 
 
 def optimal_settings(n_particles: int, boost_directions, beta: float,
-                     constraint: str = "free_sphere") -> Settings | None:
+                     constraint: str) -> Settings | None:
     """Settings whose effective directions are PEAK_TARGETS[n_particles]
     under boosts along boost_directions at speed beta: an operator norm and
     a matched-state expectation of 2 sqrt(2) or 4, to a few ulps.

@@ -492,7 +492,7 @@ def _peak_settings(n_particles, beta):
     """optimal_settings under x boosts for two particles and the
     center-of-mass boosts for three."""
     boost_directions = (X, X) if n_particles == 2 else com_boosts()
-    return optimal_settings(n_particles, boost_directions, beta)
+    return optimal_settings(n_particles, boost_directions, beta, "free_sphere")
 
 
 def _assert_within_supremum(settings_):

@@ -98,6 +98,27 @@ def test_effective_direction_is_unit_and_invertible(a, e, beta):
 
 
 @_PROPERTY_SETTINGS
+@given(samples=st.lists(st.tuples(unit_vectors, unit_vectors, st.floats(0.0, BETA_MAX)),
+                        min_size=1, max_size=8))
+def test_inverse_boost_map_rows_are_their_scalar_preimages(samples):
+    # Each row of a stacked call has the bits of the scalar formula, with
+    # along = e @ t and the norm of np.linalg.norm, as verify's round-trip
+    # row took them before the inverse map was shared.
+    targets, axes, speeds = (np.array(column) for column in zip(*samples))
+    stacked = inverse_boost_map(targets, axes, speeds)
+    for row, (t, e, beta) in zip(stacked, samples):
+        if beta == 0.0:
+            want = t
+        else:
+            along = float(e @ t)
+            rest = along * e + (t - along * e) / math.sqrt(1.0 - beta * beta)
+            want = rest / np.linalg.norm(rest)
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(inverse_boost_map(t, e, beta).view(np.uint64),
+                              want.view(np.uint64))
+
+
+@_PROPERTY_SETTINGS
 @given(along=st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-8, 1e-8)),
        beta=st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
        floor=st.one_of(st.just(DENOMINATOR_FLOOR), st.floats(0.0, 1.0)))

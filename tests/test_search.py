@@ -83,7 +83,7 @@ def test_beta_domain():
     with pytest.raises(DomainError):
         optimal_settings(2, (X_AXIS, X_AXIS), 0.5, "banana")
     with pytest.raises(DomainError):
-        optimal_settings(3, (X_AXIS, X_AXIS), 0.5)
+        optimal_settings(3, (X_AXIS, X_AXIS), 0.5, "free_sphere")
 
 
 def test_seeded_determinism():

@@ -8,8 +8,11 @@ combination A B'C' + A'B C' + A'B'C - A B C.  The paper's closed forms for
 the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
 provided on the restricted measurement geometries where they were derived,
 and refuse other inputs instead of extrapolating.  operator_norm holds for
-every setting and needs no matrix at all.  Brute-force matrix algebra is the
-ground truth every closed form is checked against, in the verify battery.
+every setting and needs no matrix at all.  Effective directions n, lone
+(D, 3) or stacked (..., D, 3), become Bell values in one place: the closed
+forms through square_peak_from_directions, the operators through
+Family.operators.  Brute-force matrix algebra is the ground truth every
+closed form is checked against, in the verify battery.
 The operators and effective_observables also take a sequence of S Settings
 with one particle count and return the stacks of their matrices, each row
 bit for bit its own; square_closed_form takes such stacks of observables.
@@ -222,12 +225,17 @@ def mermin_operator(settings) -> np.ndarray:
     return _mermin(*effective_observables(settings))
 
 
-def _one_plus_pair_products(kappas) -> float:
-    """1 + sum over pairs i < j of k_i k_j, summed in the order 12, 13, 23."""
-    total = 1.0
-    for k_i, k_j in itertools.combinations(kappas, 2):
-        total += k_i * k_j
-    return total
+def cross_norms(n) -> np.ndarray:
+    """Each particle's k_i = |d x d'|, the cross-product magnitude of its two
+    effective directions, from n of shape (..., D, 3) in Settings order: an
+    array (..., D/2), elementwise on the float components."""
+    n = np.asarray(n, dtype=float)
+    n0, n1, n2 = np.moveaxis(n[..., 0::2, :], -1, 0)
+    m0, m1, m2 = np.moveaxis(n[..., 1::2, :], -1, 0)
+    x = n1 * m2 - n2 * m1
+    y = n2 * m0 - n0 * m2
+    z = n0 * m1 - n1 * m0
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def mermin_lambda3(settings: Settings) -> float:
@@ -246,14 +254,21 @@ def mermin_lambda3(settings: Settings) -> float:
         raise DomainRestriction(
             "closed form requires all directions and boost directions "
             "in the xy-plane")
-    return square_peak_from_directions(settings.effective_directions())
+    return float(square_peak_from_directions(settings.effective_directions()))
 
 
-def square_peak_from_directions(n) -> float:
-    """4 (1 + sum_{i<j} k_i k_j) from the effective directions n, listed in
-    Settings order, with the k_i of cross_norms: mermin_lambda3 without its
-    domain check."""
-    return 4.0 * _one_plus_pair_products(cross_norms(n))
+def square_peak_from_directions(n):
+    """4 (1 + sum_{i<j} k_i k_j), the largest eigenvalue of the squared Bell
+    operator, from effective directions n of shape (..., D, 3) in Settings
+    order, with the k_i of cross_norms and the pairs summed in the order 12,
+    13, 23: an array (...), each element the bits of its own lone call.
+    mermin_lambda3 without its domain check, and the square of
+    operator_norm."""
+    kappas = cross_norms(n)
+    total = 1.0
+    for i, j in itertools.combinations(range(kappas.shape[-1]), 2):
+        total = total + kappas[..., i] * kappas[..., j]
+    return 4.0 * total
 
 
 def max_violation(matrices):
@@ -263,29 +278,6 @@ def max_violation(matrices):
     eigenvalues, _ = hermitian_eigensystem(matrices)
     peaks = np.max(np.abs(eigenvalues), axis=-1)
     return float(peaks) if peaks.ndim == 0 else peaks
-
-
-def cross_norm(n, m) -> float:
-    """|n x m| for two 3-vectors, on their float components: k_i of a
-    particle whose effective directions are n and m."""
-    n0, n1, n2 = n.tolist()
-    m0, m1, m2 = m.tolist()
-    x = n1 * m2 - n2 * m1
-    y = n2 * m0 - n0 * m2
-    z = n0 * m1 - n1 * m0
-    return math.sqrt(x * x + y * y + z * z)
-
-
-def cross_norms(n) -> list[float]:
-    """Each particle's k_i, the cross_norm of its two effective directions,
-    from the effective directions n listed in Settings order."""
-    return [cross_norm(n[i], n[i + 1]) for i in range(0, len(n), 2)]
-
-
-def norm_from_kappas(kappas) -> float:
-    """2 sqrt(1 + sum_{i<j} k_i k_j), the operator norm from each particle's
-    cross_norm k_i, listed in particle order."""
-    return 2.0 * math.sqrt(_one_plus_pair_products(kappas))
 
 
 def operator_norm(settings: Settings) -> float:
@@ -298,15 +290,17 @@ def operator_norm(settings: Settings) -> float:
     Those terms commute and u_i.sigma has eigenvalues +/-k_i, so the largest
     eigenvalue of B^2 takes all signs equal: 4 (1 + |u||v|) for two qubits
     (Landau, Phys. Lett. A 120, 54, 1987) and 4 (1 + k1 k2 + k1 k3 + k2 k3)
-    for three.  Equals max_violation(bell_operator(settings)).
+    for three.  Equals max_violation(bell_operator(settings)).  Taken as the
+    square root of square_peak_from_directions: scaling by 4 is exact, so
+    that is 2 sqrt(1 + ...) bit for bit.
     """
-    return norm_from_kappas(cross_norms(settings.effective_directions()))
+    return math.sqrt(square_peak_from_directions(settings.effective_directions()))
 
 
 def bell_operator(settings: Settings) -> np.ndarray:
-    """The Bell operator of the settings' family, assembled from their
-    effective observables."""
-    return settings.family.assemble(*effective_observables(settings))
+    """The Bell operator of the settings' family, from their effective
+    directions."""
+    return settings.family.operators(settings.effective_directions())
 
 
 def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
@@ -324,8 +318,7 @@ def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
     """The Bell operators of the settings with every particle boosted at each
     speed of betas (all below 1) instead of its own, stacked on a leading
     axis: row r is bell_operator of the settings at betas[r], bit for bit."""
-    n = effective_directions_grid(settings, betas)
-    return settings.family.assemble(*direction_matrix(n.swapaxes(0, 1)))
+    return settings.family.operators(effective_directions_grid(settings, betas))
 
 
 @dataclass(frozen=True)
@@ -339,6 +332,13 @@ class Family:
     terms: tuple
     state: Callable[[], np.ndarray]
     assemble: Callable[..., np.ndarray]
+
+    def operators(self, n) -> np.ndarray:
+        """The Bell operators (..., d, d) of effective directions n of shape
+        (..., D, 3) in Settings order, from one direction_matrix call: each
+        the bits of its own lone build."""
+        observables = direction_matrix(np.moveaxis(n, -2, 0))
+        return self.assemble(*observables)
 
 
 def _sign_table(*terms):

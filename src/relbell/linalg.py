@@ -235,13 +235,14 @@ def expectation(state, matrices):
     one matrix; for a stack (..., n, n), an array (...) of one value per
     matrix.
 
-    The products M s of a stack are one stacked matmul, but each inner
-    product stays one np.vdot per matrix: a contraction over the whole stack
-    sums in another order and changes last bits.  A state or matrix entry
-    that is not finite raises NotHermitian before any product is taken.  The
-    raw inner product must be real up to a 1e-12 residue; a larger or NaN
-    imaginary part means the matrix was not Hermitian, and raises; so does a
-    value that overflows.
+    The products M s of a stack are one stacked matmul, and the inner
+    products s^dag (M s) another, each the bits of np.vdot on its own matrix
+    (an einsum contraction over the stack sums in another order and changes
+    last bits).  A state or matrix entry that is not finite raises
+    NotHermitian before any product is taken.  Each raw inner product must
+    be real up to a 1e-12 residue; a larger or NaN imaginary part means the
+    matrix was not Hermitian, and raises; so does a value that overflows.
+    The error names the first such value in row-major order.
     """
     s = np.asarray(state, dtype=complex).reshape(-1)
     m = _as_operators(matrices)
@@ -252,13 +253,13 @@ def expectation(state, matrices):
         raise NotHermitian("<s|M|s> of a state or matrix with an entry that is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         products = (m @ s).reshape(-1, s.size)
-    values = []
-    for product in products:
-        raw = complex(np.vdot(s, product))
-        if not math.isfinite(raw.real):
-            raise NotHermitian(f"<s|M|s> overflows to {raw!r} from finite entries")
-        if not abs(raw.imag) < _IMAG_RESIDUE_TOL:
-            raise NotHermitian(
-                f"<s|M|s> has imaginary residue {raw.imag:g}; matrix is not Hermitian")
-        values.append(raw.real)
-    return values[0] if m.ndim == 2 else np.reshape(values, m.shape[:-2])
+        raw = (s.conj() @ products[..., None])[:, 0]
+    bad = ~(np.isfinite(raw.real) & (np.abs(raw.imag) < _IMAG_RESIDUE_TOL))
+    if bad.any():
+        first = complex(raw[bad.argmax()])
+        if not math.isfinite(first.real):
+            raise NotHermitian(f"<s|M|s> overflows to {first!r} from finite entries")
+        raise NotHermitian(
+            f"<s|M|s> has imaginary residue {first.imag:g}; matrix is not Hermitian")
+    values = raw.real
+    return float(values[0]) if m.ndim == 2 else values.reshape(m.shape[:-2])

@@ -23,16 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bell import (
-    Settings,
-    cross_norms,
-    effective_directions_grid,
-    max_violation,
-    norm_from_kappas,
-)
+from .bell import Settings, effective_directions_grid, max_violation, square_peak_from_directions
 from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost, direction_matrix, require_unit_interval
+from .observables import Boost, require_unit_interval
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -206,19 +200,24 @@ def sweep(settings: Settings, betas, peak=None):
     at that speed; peak(beta) is the closed form, by default each row's
     operator_norm below beta = 1 and None at 1.  Each SWEEP_BLOCK_ROWS rows
     get their effective directions from one effective_directions_grid call,
-    their spectra from one max_violation call and their state expectations
-    from one expectation call."""
-    state = settings.family.state()
+    their spectra from one max_violation call, their state expectations
+    from one expectation call and, without a peak, their operator norms as
+    the square roots of one square_peak_from_directions call, each row's
+    operator_norm bit for bit."""
+    family = settings.family
+    state = family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
         block = betas[start:start + SWEEP_BLOCK_ROWS]
-        directions = effective_directions_grid(settings, [b for b in block if b < 1.0])
-        operators = settings.family.assemble(*direction_matrix(directions.swapaxes(0, 1)))
-        rows = zip(directions, max_violation(operators).tolist(),
+        below = [beta for beta in block if beta < 1.0]
+        directions = effective_directions_grid(settings, below)
+        operators = family.operators(directions)
+        closed = (np.sqrt(square_peak_from_directions(directions)).tolist()
+                  if peak is None else [peak(beta) for beta in below])
+        rows = zip(closed, max_violation(operators).tolist(),
                    expectation(state, operators).tolist())
         for beta in block:
             if beta >= 1.0:
                 yield ScenarioResult(None if peak is None else peak(beta), None, None, None)
                 continue
-            n, numeric, value = next(rows)
-            closed = norm_from_kappas(cross_norms(n)) if peak is None else peak(beta)
-            yield ScenarioResult(closed, numeric, value, abs(closed - numeric))
+            closed_form, numeric, value = next(rows)
+            yield ScenarioResult(closed_form, numeric, value, abs(closed_form - numeric))

@@ -10,7 +10,7 @@ the inverse_boost_map of its target.  Under the xy_plane constraint its
 preimages keep z = 0 exactly when every boost lies in the plane or along
 +/-z, which covers every geometry the command line offers; optimize_chsh
 and optimize_mermin return the construction whenever its preimages lie in
-the constraint's set, with its value scored as below.
+the constraint's set, with its value scored by _value as the search's is.
 
 Otherwise they run a derivative-free search.  Directions are parametrized
 by angles (one azimuth per direction in the xy-plane constraint, polar
@@ -23,17 +23,11 @@ so results are bit-reproducible and the best value is non-decreasing in
 the number of restarts.  SearchConfig's restarts, grid points and seed
 steer this search alone.
 
-The operator_norm objective is scored in closed form from the effective
-directions, so no operator is built and no eigensolve runs per evaluation.
-A coordinate step moves one angle of one direction, so the objective
-keeps, per direction, the last angles it saw with that direction's
-effective direction, and boosts again only the direction whose angles
-changed.  That direction goes through the same unit3 check and boost_map
-(with its DegenerateObservable floor) as a Settings would, and the value
-is combined as operator_norm (bell.cross_norms, bell.norm_from_kappas) or
-bell_operator (direction_matrix, the family's assembly) combines it, so
-every value, the construction's included, is bit-identical to the
-objective on the built settings.
+Every evaluation builds the Settings its angles give and scores it with
+_value: operator_norm, in closed form with no operator and no eigensolve,
+or the matched-state expectation of bell_operator.  So every value, the
+construction's included, is the objective on the returned settings, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import FAMILIES, Settings, cross_norms, norm_from_kappas
+from .bell import Settings, bell_operator, operator_norm
 from .errors import DomainError
 from .linalg import expectation
-from .observables import Boost, boost_map, direction_matrix, inverse_boost_map, unit3
+from .observables import Boost, inverse_boost_map
 from .scenarios import CHSH_A, CHSH_A_PRIME, CHSH_B, CHSH_B_PRIME, X_AXIS, Y_AXIS
 
 CONSTRAINTS = ("xy_plane", "free_sphere")
@@ -179,37 +173,12 @@ def _angles_per_direction(constraint: str) -> int:
     return 1 if constraint == "xy_plane" else 2
 
 
-def _scorer(n_particles: int, objective: str):
-    """Effective directions in Settings order -> the objective's value."""
-    family = FAMILIES[n_particles]
-    state = family.state()
-
-    def score(n) -> float:
-        if objective == "operator_norm":
-            return norm_from_kappas(cross_norms(n))
-        return abs(expectation(state, family.assemble(*direction_matrix(np.array(n)))))
-
-    return score
-
-
-def _objective(boosts, constraint: str, objective: str):
-    """Angles -> the objective's value on the settings they build, boosting
-    again only the directions whose angles changed since the previous call."""
-    width = _angles_per_direction(constraint)
-    axes = [boost for boost in boosts for _ in range(2)]
-    score = _scorer(len(boosts), objective)
-    # Per direction: the angle bytes of its last call, and its effective direction.
-    keys, effective = [None] * len(axes), [None] * len(axes)
-
-    def evaluate(angles: np.ndarray) -> float:
-        for i, (part, boost) in enumerate(zip(angles.reshape(-1, width), axes)):
-            key = part.tobytes()
-            if key != keys[i]:
-                (d,) = _directions_from_angles(part, constraint)
-                keys[i], effective[i] = key, boost_map(unit3(d), boost.direction, boost.beta)
-        return score(effective)
-
-    return evaluate
+def _value(settings: Settings, objective: str) -> float:
+    """The objective's value on settings: the operator norm, or the
+    magnitude of the matched state's expectation."""
+    if objective == "operator_norm":
+        return operator_norm(settings)
+    return abs(expectation(settings.family.state(), bell_operator(settings)))
 
 
 def _boosts(n_particles: int, boost_directions, beta: float) -> tuple:
@@ -250,10 +219,14 @@ def _coordinate_ascent(n_particles: int, boost_directions, beta: float,
                        config: SearchConfig):
     """The restarted coordinate-ascent search of the module docstring."""
     boosts = _boosts(n_particles, boost_directions, beta)
-    objective = _objective(boosts, config.constraint, config.objective)
+
+    def build(angles: np.ndarray) -> Settings:
+        return Settings(_directions_from_angles(angles, config.constraint), boosts)
+
     angles, value = _maximize_over_angles(
-        objective, 2 * n_particles * _angles_per_direction(config.constraint), config)
-    return Settings(_directions_from_angles(angles, config.constraint), boosts), value
+        lambda angles: _value(build(angles), config.objective),
+        2 * n_particles * _angles_per_direction(config.constraint), config)
+    return build(angles), value
 
 
 def _optimize(n_particles: int, boost_directions, beta: float,
@@ -262,7 +235,7 @@ def _optimize(n_particles: int, boost_directions, beta: float,
     settings = optimal_settings(n_particles, boost_directions, beta, config.constraint)
     if settings is None:
         return _coordinate_ascent(n_particles, boost_directions, beta, config)
-    return settings, _scorer(n_particles, config.objective)(settings.effective_directions())
+    return settings, _value(settings, config.objective)
 
 
 def optimize_chsh(boost_directions, beta: float, config: SearchConfig | None = None):

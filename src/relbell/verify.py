@@ -17,10 +17,9 @@ evaluates the whole sample set at once: one boost_map over the stacked
 directions, stacked Kronecker products and matmuls; every brute-force
 square B @ B comes from one helper, _squares.  Each element keeps the
 bits of its one-sample computation, and a float maximum is exact in any
-order, so the report does not depend on the batching.  For that, each
-<s|M|s> stays one np.vdot per sample (expectation), and complex differences
-compared one at a time keep the scalar abs, which rounds differently from
-np.abs.
+order, so the report does not depend on the batching.  For that, complex
+differences compared one at a time keep the scalar abs, which rounds
+differently from np.abs.
 """
 
 from __future__ import annotations
@@ -344,7 +343,7 @@ def _check_mermin_zero_eigenvector(seed):
 
 def _check_mermin_collinear_invariance(seed):
     grid = effective_directions_grid(mermin_collinear_settings(0.0), BETA_GRID)
-    return ([abs(square_peak_from_directions(n) - 16.0) for n in grid],
+    return (np.abs(square_peak_from_directions(grid) - 16.0),
             "the squared-operator peak stays 16 for the y/x settings at every "
             "collinear boost speed")
 

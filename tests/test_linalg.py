@@ -465,6 +465,37 @@ def test_expectation_of_a_stack_is_each_matrix_expectation():
             expectation(state, stack)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([2, 4, 8]), shape=st.sampled_from([(), (1,), (3,), (2, 5)]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_expectation_is_each_matrix_vdot_bit_for_bit(dim, shape, seed):
+    # The stacked inner products s^dag (M s) against one np.vdot per matrix.
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    state /= np.linalg.norm(state)
+    stack = np.reshape([random_hermitian(rng, dim) for _ in range(math.prod(shape))],
+                       shape + (dim, dim))
+    want = np.reshape([complex(np.vdot(state, matrix @ state)).real
+                       for matrix in stack.reshape(-1, dim, dim)], shape)
+    values = np.asarray(expectation(state, stack), dtype=float)
+    assert values.shape == shape
+    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
+def test_expectation_names_the_first_bad_value_of_a_stack():
+    # An imaginary residue of 0.5 before an overflow, and an overflow before
+    # a residue of 2: each error names the first in row-major order.
+    state = np.full(4, 0.5, dtype=complex)
+    half, two = (1.0 + 0.5j) * np.eye(4), (1.0 + 2.0j) * np.eye(4)
+    huge = np.full((4, 4), 1e308)
+    with pytest.raises(NotHermitian, match="imaginary residue 0.5"):
+        expectation(state, np.stack([np.eye(4), half, huge, two]))
+    with pytest.raises(NotHermitian, match="overflows"):
+        expectation(state, np.stack([np.eye(4), huge, two]))
+    with pytest.raises(NotHermitian, match="imaginary residue 2"):
+        expectation(state, np.stack([[np.eye(4), two], [half, huge]]))
+
+
 def test_predicates():
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BETA_MAX, BOUND, boost_axes, unit_vectors
-from relbell.bell import Settings, bell_operator, chsh_operator, max_violation, \
-    mermin_operator, operator_norm
+from helpers import BETA_MAX, BOUND, boost_axes
+from relbell.bell import bell_operator, chsh_operator, max_violation, mermin_operator, \
+    operator_norm
 from relbell.errors import DomainError
 from relbell.linalg import expectation
-from relbell.observables import Boost
 from relbell.scenarios import (
     X_AXIS,
     com_boosts,
@@ -32,8 +31,7 @@ from relbell.search import (
     REFINEMENT_TOLERANCE,
     SearchConfig,
     _coordinate_ascent,
-    _directions_from_angles,
-    _objective,
+    _value,
     optimal_settings,
     optimize_chsh,
     optimize_mermin,
@@ -218,31 +216,18 @@ def test_ascent_finds_nothing_above_the_construction(objective, constraint, n_pa
     assert peak - 1e-6 <= value <= peak + 4 * math.ulp(peak)
 
 
-_angles = st.floats(-2.0 * math.pi, 4.0 * math.pi)
-
-
 @pytest.mark.parametrize("n_particles", [2, 3])
 @pytest.mark.parametrize("constraint", CONSTRAINTS)
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_objective_cache_is_bit_identical(objective, n_particles, constraint, data):
-    # Along a walk of single-coordinate moves, as coordinate ascent makes,
-    # the per-direction cache must give exactly what the objective scores on
-    # the settings the angles build: the optimizer's returned value is one
-    # of these.
-    boosts = tuple(data.draw(st.lists(st.builds(Boost, unit_vectors, st.floats(0.0, 0.99)),
-                                      min_size=n_particles, max_size=n_particles)))
-    width = n_particles * (2 if constraint == "xy_plane" else 4)
-    angles = np.array(data.draw(st.lists(_angles, min_size=width, max_size=width)))
-    moves = data.draw(st.lists(st.tuples(st.integers(0, width - 1), _angles),
-                               min_size=1, max_size=30))
-    evaluate = _objective(boosts, constraint, objective)
-    for k, t in [(0, angles[0])] + moves:
-        angles[k] = t
-        built = Settings(_directions_from_angles(angles, constraint), boosts)
-        if objective == "operator_norm":
-            want = operator_norm(built)
-        else:
-            want = abs(expectation(built.family.state(), bell_operator(built)))
-        assert evaluate(angles) == want
+def test_ascent_value_is_the_value_of_its_settings(objective, constraint, n_particles):
+    # Every evaluation scores the Settings its angles build, so the returned
+    # value is exactly _value of the returned settings.  A TILTED boost takes
+    # the xy_plane construction off the plane, so there optimize runs this
+    # very search.
+    axes = (X_AXIS, TILTED, X_AXIS)[:n_particles]
+    assert (optimal_settings(n_particles, axes, 0.6, constraint) is None) \
+        == (constraint == "xy_plane")
+    config = SearchConfig(constraint=constraint, restarts=1, grid_points_per_angle=4,
+                          seed=9, objective=objective)
+    found, value = _coordinate_ascent(n_particles, axes, 0.6, config)
+    assert value == _value(found, objective)

@@ -79,12 +79,17 @@ class Settings:
         d = self.directions
         return Settings(tuple([d[i ^ 1] for i in range(len(d))]), self.boosts)
 
+    @staticmethod
+    def _axes_and_speeds(boosts) -> tuple[np.ndarray, np.ndarray]:
+        """The (D, 3) boost axes and (D,) speeds of the directions that
+        boosts, one per particle, act on: each boost twice, for d and d'."""
+        per_direction = [boost for boost in boosts for _ in range(2)]
+        return (np.array([boost.direction for boost in per_direction]),
+                np.array([boost.beta for boost in per_direction]))
+
     def effective_directions(self) -> np.ndarray:
         """The (D, 3) effective directions, from one boost_map call."""
-        boosts = [boost for boost in self.boosts for _ in range(2)]
-        return boost_map(np.array(self.directions),
-                         np.array([boost.direction for boost in boosts]),
-                         np.array([boost.beta for boost in boosts]))
+        return boost_map(np.array(self.directions), *self._axes_and_speeds(self.boosts))
 
 
 def ChshSettings(a, a_prime, b, b_prime, boost1: Boost, boost2: Boost) -> Settings:
@@ -104,10 +109,8 @@ def effective_observables(settings):
     (S, D, 3) directions; either way from one direction_matrix call."""
     if isinstance(settings, Settings):
         return direction_matrix(settings.effective_directions())
-    boosts = [[boost for boost in s.boosts for _ in range(2)] for s in settings]
-    n = boost_map(np.array([s.directions for s in settings]),
-                  np.array([[boost.direction for boost in row] for row in boosts]),
-                  np.array([[boost.beta for boost in row] for row in boosts]))
+    axes, speeds = zip(*[Settings._axes_and_speeds(s.boosts) for s in settings])
+    n = boost_map(np.array([s.directions for s in settings]), np.array(axes), np.array(speeds))
     return direction_matrix(n.swapaxes(0, 1))
 
 
@@ -310,7 +313,7 @@ def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float)
     if not np.all((0.0 <= betas) & (betas < 1.0)):
         raise DomainError(f"boost speeds must satisfy 0 <= beta < 1, got {betas.tolist()}")
-    axes = np.array([boost.direction for boost in settings.boosts for _ in range(2)])
+    axes, _ = Settings._axes_and_speeds(settings.boosts)
     return boost_map(np.array(settings.directions), axes, betas[:, None])
 
 

@@ -4,9 +4,10 @@ Four commands, all emitting CSV or JSON: ``sweep`` tabulates a named
 scenario's or a settings file's curves over a beta grid (scenarios.sweep),
 ``verify`` runs the closed-form-vs-brute-force battery and reports errata,
 ``optimize`` returns measurement settings of the peak violation (the
-constructed optimum, search.optimal_settings, for every boost geometry it
-offers), and
-``sample`` runs a shot-level Monte Carlo experiment.
+constructed optimum, search.optimal_settings, exact for every boost geometry
+it offers; its --restarts, --grid-points and --seed are validated and
+recorded but steer nothing), and ``sample`` runs a shot-level Monte Carlo
+experiment.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
 I/O failure, 4 internal failure.  The commands build every observable,
@@ -124,17 +125,18 @@ MAX_SWEEP_ROWS = 100001
 
 def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
     span = (hi - lo) / step + 1e-9
-    # int(span) + 1 rows; an infinite span (a subnormal step) fails here too,
-    # and the message names the limit, never the count, which can have
-    # hundreds of digits.
-    if not span < MAX_SWEEP_ROWS:
-        raise UsageError(
-            f"beta-step {step} produces more rows than the limit of {MAX_SWEEP_ROWS}")
-    count = int(span)
-    betas = [min(lo + i * step, hi) for i in range(count + 1)]
-    if betas[-1] < hi - 1e-12:
-        betas.append(hi)
-    return betas
+    # int(span) + 1 rows, then beta-max if the last falls short of it; an
+    # infinite span (a subnormal step) fails the first test too, and the
+    # message names the limit, never the count, which can have hundreds of
+    # digits.
+    if span < MAX_SWEEP_ROWS:
+        betas = [min(lo + i * step, hi) for i in range(int(span) + 1)]
+        if betas[-1] < hi - 1e-12:
+            betas.append(hi)
+        if len(betas) <= MAX_SWEEP_ROWS:
+            return betas
+    raise UsageError(
+        f"beta-step {step} produces more rows than the limit of {MAX_SWEEP_ROWS}")
 
 
 def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Settings:
@@ -204,24 +206,35 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if any(c.status == FAIL for c in checks) else EXIT_OK
 
 
+#: The most --grid-points: 2 pi / sqrt(1e-8).  Past it the coarse grid of
+#: the coordinate-ascent oracle in tests/helpers.py is finer than its
+#: golden-section tolerance; the flag keeps that range.
+MAX_GRID_POINTS = 62831
+
+
 def _cmd_optimize(args) -> int:
-    from .search import SearchConfig, optimize_chsh, optimize_mermin
+    from .search import optimize_chsh, optimize_mermin
 
     if not 0.0 <= args.beta < 1.0:
         raise UsageError(f"optimization requires 0 <= beta < 1, got {args.beta}")
     if args.boost == "com" and not args.three:
         raise UsageError("the center-of-mass boost geometry needs --three")
-    constraint = {"xy": "xy_plane", "free": "free_sphere"}[args.constraint]
-    objective = {"norm": "operator_norm", "state": "state_expectation"}[args.objective]
-    config = SearchConfig(constraint=constraint, restarts=args.restarts,
-                          grid_points_per_angle=args.grid_points,
-                          seed=args.seed, objective=objective)
+    if args.restarts < 1:
+        raise UsageError("restarts must be >= 1")
+    if args.grid_points < 2:
+        raise UsageError("grid_points_per_angle must be >= 2")
+    if args.grid_points > MAX_GRID_POINTS:
+        raise UsageError(f"grid_points_per_angle must be <= {MAX_GRID_POINTS}, "
+                         f"got {args.grid_points}")
     if args.boost == "com":
         boost_dirs = com_boosts()
     else:
         boost_dirs = (X_AXIS,) * (3 if args.three else 2)
     optimize = optimize_mermin if args.three else optimize_chsh
-    settings, value = optimize(boost_dirs, args.beta, config)
+    settings, value = optimize(
+        boost_dirs, args.beta,
+        constraint={"xy": "xy_plane", "free": "free_sphere"}[args.constraint],
+        objective={"norm": "operator_norm", "state": "state_expectation"}[args.objective])
     names = DIRECTION_NAMES[:len(settings.directions)]
     row = {"mode": settings.family.name, "beta": args.beta,
            "constraint": args.constraint, "objective": args.objective,
@@ -282,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file, '-' for stdout (default)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="seed of verify's random draws, sample's shots and "
-                             "optimize's fallback search (default 0)")
+                        help="seed of verify's random draws and sample's shots; "
+                             "optimize validates and records it but uses none "
+                             "(default 0)")
     common.add_argument("--no-meta-time", action="store_true",
                         help="omit the timestamp from JSON meta (for golden files)")
 
@@ -310,12 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", parents=[common],
                        help="measurement settings of the peak violation",
-                       description="Return measurement settings of the peak violation. "
-                                   "Every boost geometry offered here has a constructed "
-                                   "optimum, so --restarts, --grid-points and --seed are "
-                                   "validated and recorded in the meta, but steer only the "
-                                   "coordinate-ascent search that the library runs for "
-                                   "geometries without one.")
+                       description="Return measurement settings of the peak violation: "
+                                   "the constructed optimum, exact for every boost "
+                                   "geometry offered here. --restarts, --grid-points and "
+                                   "--seed are validated and recorded in the meta, but "
+                                   "steer nothing.")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--two", action="store_true",
                        help="two-qubit operator (default)")
@@ -326,10 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boost", choices=("collinear", "com"), default="collinear")
     p.add_argument("--objective", choices=("norm", "state"), default="norm")
     p.add_argument("--restarts", type=int, default=16,
-                   help="restarts of the fallback search (default 16)")
+                   help="at least 1; validated and recorded in the meta, but "
+                        "steers nothing (default 16)")
     p.add_argument("--grid-points", type=int, default=24,
-                   help="coarse grid points per angle of the fallback search "
-                        "(default 24)")
+                   help=f"2 to {MAX_GRID_POINTS}; validated and recorded in the "
+                        "meta, but steers nothing (default 24)")
 
     p = sub.add_parser("sample", parents=[common],
                        help="shot-level Monte Carlo Bell experiment")

@@ -10,7 +10,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 import relbell
-from relbell.bell import _chsh_in_plane, bell_operator, effective_observables, square_closed_form
+from relbell.bell import (
+    Settings,
+    _chsh_in_plane,
+    bell_operator,
+    effective_observables,
+    square_closed_form,
+)
 from relbell.errors import NoConvergence, NotHermitian
 from relbell.linalg import (
     HERMITICITY_TOL,
@@ -20,6 +26,8 @@ from relbell.linalg import (
     is_hermitian,
     kron,
 )
+from relbell.observables import Boost
+from relbell.search import _value
 # One copy of the random-direction draws: the verify battery's.
 from relbell.verify import _random_unit as random_unit  # noqa: F401
 from relbell.verify import _random_xy as random_xy  # noqa: F401
@@ -192,3 +200,126 @@ def scalar_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     w = np.diag(a).real.copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+# The restarted coordinate-ascent search, kept as the oracle that finds no
+# setting above the package's constructed optimum.  Directions are
+# parametrized by angles (one azimuth per direction in the xy-plane
+# constraint, polar plus azimuth on the free sphere).  Each restart starts
+# from a jittered grid node and runs coordinate-wise ascent: a coarse scan of
+# the jittered grid along one angle, then golden-section refinement of the
+# winning bracket, cycling over angles until a full pass improves the
+# objective by less than REFINEMENT_TOLERANCE.  Restart streams are seeded
+# independently, so results are bit-reproducible.  Every evaluation builds
+# the Settings its angles give and scores it with search._value.
+
+#: A restart stops after a pass over every angle that improves the objective
+#: by less than this; golden-section refinement stops at its square root.
+REFINEMENT_TOLERANCE = 1e-8
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _directions_from_angles(angles: np.ndarray, constraint: str) -> list[np.ndarray]:
+    if constraint == "xy_plane":
+        return [np.array([math.cos(t), math.sin(t), 0.0]) for t in angles]
+    dirs = []
+    for k in range(0, angles.size, 2):
+        theta, phi = angles[k], angles[k + 1]
+        sin_t = math.sin(theta)
+        dirs.append(np.array([sin_t * math.cos(phi),
+                              sin_t * math.sin(phi),
+                              math.cos(theta)]))
+    return dirs
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float):
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc = f(c)
+    fd = f(d)
+    while hi - lo > xtol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    mid = 0.5 * (lo + hi)
+    return mid, f(mid)
+
+
+def _maximize_over_angles(objective, n_angles: int, restarts: int,
+                          grid_points: int, seed: int):
+    """Shared restart / coordinate-ascent loop.  objective maps an angle
+    vector to a float; ties between restarts break on first-found."""
+    spacing = 2.0 * math.pi / grid_points
+    xtol = math.sqrt(REFINEMENT_TOLERANCE)
+    grid = spacing * np.arange(grid_points)
+
+    best_angles = None
+    best_value = -math.inf
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, restart])
+        offsets = rng.uniform(0.0, spacing, n_angles)
+        start_nodes = rng.integers(0, grid_points, n_angles)
+        x = offsets + spacing * start_nodes
+        value = objective(x)
+        while True:
+            pass_start = value
+            for k in range(n_angles):
+                x, value = _improve_coordinate(objective, x, k, offsets[k],
+                                               grid, spacing, xtol, value)
+            if value - pass_start < REFINEMENT_TOLERANCE:
+                break
+        if value > best_value:
+            best_value = value
+            best_angles = x
+    return best_angles, best_value
+
+
+def _improve_coordinate(objective, x, k, offset, grid, spacing, xtol, current):
+    candidates = offset + grid
+    best_t = x[k]
+    best_v = current
+    probe = x.copy()
+    for t in candidates:
+        probe[k] = t
+        v = objective(probe)
+        if v > best_v:
+            best_t, best_v = t, v
+
+    def line(t):
+        probe[k] = t
+        return objective(probe)
+
+    refined_t, refined_v = _golden_max(line, best_t - spacing, best_t + spacing, xtol)
+    if refined_v > best_v:
+        best_t, best_v = refined_t, refined_v
+    out = x.copy()
+    out[k] = best_t
+    return out, best_v
+
+
+def _angles_per_direction(constraint: str) -> int:
+    """One azimuth in the xy-plane; polar and azimuth on the free sphere."""
+    return 1 if constraint == "xy_plane" else 2
+
+
+def coordinate_ascent(boost_directions, beta: float, *, constraint: str,
+                      objective: str, restarts: int, grid_points: int, seed: int):
+    """The restarted coordinate-ascent search over the 2 n directions of n
+    particles, one boost along each of boost_directions at speed beta:
+    (settings, value) of the best restart, value being search._value of
+    settings."""
+    boosts = tuple(Boost(d, beta) for d in boost_directions)
+
+    def build(angles: np.ndarray) -> Settings:
+        return Settings(_directions_from_angles(angles, constraint), boosts)
+
+    angles, value = _maximize_over_angles(
+        lambda angles: _value(build(angles), objective),
+        2 * len(boosts) * _angles_per_direction(constraint), restarts, grid_points, seed)
+    return build(angles), value

@@ -35,7 +35,7 @@ from relbell.scenarios import (
     mermin_collinear_settings,
     mermin_com_settings,
 )
-from relbell.search import SearchConfig, optimize_chsh, optimize_mermin
+from relbell.search import optimize_chsh, optimize_mermin
 from relbell.states import ghz_plus, phi_plus
 from relbell.verify import run_all_checks
 
@@ -229,21 +229,15 @@ def test_criterion_08_observable_contracts():
 
 def test_criterion_09_optimizer():
     failures = []
-    free_config = SearchConfig(constraint="free_sphere", restarts=2,
-                               grid_points_per_angle=8, seed=404)
     for beta in (0.0, 0.5, 0.9):
-        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, free_config)
+        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, constraint="free_sphere")
         if abs(value - ROOT8) > 1e-5:
             failures.append(f"free two-qubit optimum {value!r} at beta={beta}")
-    mermin_config = SearchConfig(constraint="free_sphere", restarts=1,
-                                 grid_points_per_angle=8, seed=7)
-    _, value = optimize_mermin((X_AXIS,) * 3, 0.0, mermin_config)
+    _, value = optimize_mermin((X_AXIS,) * 3, 0.0, constraint="free_sphere")
     if abs(value - 4.0) > 1e-5:
         failures.append(f"free three-qubit optimum {value!r}")
-    xy_config = SearchConfig(constraint="xy_plane", restarts=2,
-                             grid_points_per_angle=8, seed=404)
     for beta in (0.0, 0.8):
-        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, xy_config)
+        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, constraint="xy_plane")
         if value < epsilon2(beta) - 1e-6:
             failures.append(f"xy optimum {value!r} below curve at beta={beta}")
         if value > ROOT8 + 1e-9:

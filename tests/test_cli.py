@@ -322,10 +322,13 @@ def test_optimize_near_light_speed_stays_within_bound(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["rows"][0]["value"] <= 4.0
 
 
-def test_optimize_usage_errors():
+def test_optimize_usage_errors(capsys):
     assert main(["optimize", "--boost", "com"]) == 2
     assert main(["optimize", "--beta", "1.0"]) == 2
     assert main(["optimize", "--restarts", "0"]) == 2
+    capsys.readouterr()
+    assert main(["optimize", "--grid-points", "1"]) == 2
+    assert capsys.readouterr().err == "error: grid_points_per_angle must be >= 2\n"
 
 
 def test_optimize_refuses_grid_points_above_the_cap(capsys):
@@ -384,6 +387,19 @@ def test_sweep_row_cap_message_names_the_limit(capsys, step):
     err = capsys.readouterr().err
     assert f"limit of {MAX_SWEEP_ROWS}" in err
     assert len(err) < 100
+
+
+def test_sweep_row_cap_counts_the_beta_max_row(tmp_path, capsys):
+    # 100,001 grid points stop short of beta-max at this step, so appending
+    # beta-max would make 100,002 rows.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", "chsh-collinear", "--output", str(out)]
+    assert main(argv + ["--beta-step", "9.99991e-06"]) == 2
+    assert capsys.readouterr().err == ("error: beta-step 9.99991e-06 produces more rows "
+                                       f"than the limit of {MAX_SWEEP_ROWS}\n")
+    assert not out.exists()
+    assert main(argv + ["--beta-step", "1e-5"]) == 0
+    assert len(_read(out).splitlines()) == MAX_SWEEP_ROWS + 1
 
 
 def test_sample_usage_errors():

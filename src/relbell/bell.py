@@ -7,15 +7,14 @@ A(B + B') + A'(B - B'); the three-qubit operator is the four-term
 combination A B'C' + A'B C' + A'B'C - A B C.  The paper's closed forms for
 the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
 provided on the restricted measurement geometries where they were derived,
-and refuse other inputs instead of extrapolating.  operator_norm holds for
-every setting and needs no matrix at all.  Effective directions n, lone
-(D, 3) or stacked (..., D, 3), become Bell values in one place: the closed
-forms through square_peak_from_directions, the operators through
-Family.operators.  Brute-force matrix algebra is the ground truth every
-closed form is checked against, in the verify battery.
-The operators and effective_observables also take a sequence of S Settings
-with one particle count and return the stacks of their matrices, each row
-bit for bit its own; square_closed_form takes such stacks of observables.
+and refuse other inputs instead of extrapolating; chsh_in_plane_terms and
+chsh_zeta_from_terms are chsh_zeta's core on stacked in-plane directions.
+operator_norm holds for every setting and needs no matrix at all.
+Effective directions n, lone (D, 3) or stacked (..., D, 3), become Bell
+values in one place: the closed forms through square_peak_from_directions,
+the operators through Family.operators.  square_closed_form takes the
+observables of either.  Brute-force matrix algebra is the ground truth
+every closed form is checked against, in the verify battery.
 ChshSettings, MerminSettings, chsh_operator, mermin_operator and
 mermin_terms have no caller in the package; they stay only because the
 perfbench harness uses them by name.
@@ -103,15 +102,10 @@ def MerminSettings(a, a_prime, b, b_prime, c, c_prime,
     return Settings((a, a_prime, b, b_prime, c, c_prime), (boost1, boost2, boost3))
 
 
-def effective_observables(settings):
-    """The (D, 2, 2) effective observables of one Settings; for a sequence of
-    S Settings, the (D, S, 2, 2) stacks from one boost_map call over their
-    (S, D, 3) directions; either way from one direction_matrix call."""
-    if isinstance(settings, Settings):
-        return direction_matrix(settings.effective_directions())
-    axes, speeds = zip(*[Settings._axes_and_speeds(s.boosts) for s in settings])
-    n = boost_map(np.array([s.directions for s in settings]), np.array(axes), np.array(speeds))
-    return direction_matrix(n.swapaxes(0, 1))
+def effective_observables(settings: Settings) -> np.ndarray:
+    """The (D, 2, 2) effective observables of one Settings, from one
+    direction_matrix call."""
+    return direction_matrix(settings.effective_directions())
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -119,9 +113,10 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def square_closed_form(observables, legs=None) -> np.ndarray:
-    """The squared Bell operator from the (stacked) effective_observables:
-    4 I minus one Kronecker product per term of legs, a term listing qubit by
-    qubit the particle whose commutator [D, D'] acts there (None: identity).
+    """The squared Bell operator from the effective observables, (D, 2, 2)
+    as effective_observables gives them or stacked (D, ..., 2, 2): 4 I minus
+    one Kronecker product per term of legs, a term listing qubit by qubit
+    the particle whose commutator [D, D'] acts there (None: identity).
 
     The default terms put each pair i < j on qubits i and j, in the order 12,
     13, 23: 4 I - [A,A'](x)[B,B'] for two qubits (Landau, Phys. Lett. A 120,
@@ -157,21 +152,32 @@ def _is_x_collinear(boost: Boost) -> bool:
     return abs(d[1]) <= XY_PLANE_TOL and abs(d[2]) <= XY_PLANE_TOL
 
 
+def chsh_in_plane_terms(directions, beta):
+    """(1 - beta^2, sin(phi_a - phi_a'), sin(phi_b - phi_b'), prod_v D_v),
+    the terms of chsh_zeta, for xy-plane directions of shape (..., 4, 3) in
+    Settings order with both particles boosted along x at speed beta (...):
+    four arrays (...), each element the bits of a lone Settings' terms.
+    Trusts its input, which chsh_zeta checks; the angles are math.atan2's
+    per element, since np.arctan2 rounds differently."""
+    directions = np.asarray(directions, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    angles = np.array([_xy_angle(v) for v in directions.reshape(-1, 3)])
+    sines = np.sin(np.subtract(*angles.reshape(-1, 2, 2).T))
+    denom = boost_denominator_sq(directions[..., 0], beta[..., None])
+    shape = directions.shape[:-2]
+    return (1.0 - beta * beta, sines[0].reshape(shape), sines[1].reshape(shape),
+            denom[..., 0] * denom[..., 1] * denom[..., 2] * denom[..., 3])
+
+
 def _chsh_in_plane(settings: Settings):
-    """(1 - beta^2, sin(phi_a - phi_a'), sin(phi_b - phi_b'), prod_v D_v)
-    for xy-plane directions under x boosts at a common speed, else None."""
-    a, a_prime, b, b_prime = settings.directions
+    """chsh_in_plane_terms of settings with xy-plane directions under x
+    boosts at a common speed, else None."""
     boost1, boost2 = settings.boosts
     if not (all(_is_xy(v) for v in settings.directions)
             and _is_x_collinear(boost1) and _is_x_collinear(boost2)
             and abs(boost1.beta - boost2.beta) <= 1e-15):
         return None
-    beta = boost1.beta
-    denom = 1.0
-    for v in settings.directions:
-        denom *= boost_denominator_sq(v[0], beta)
-    return (1.0 - beta * beta, math.sin(_xy_angle(a) - _xy_angle(a_prime)),
-            math.sin(_xy_angle(b) - _xy_angle(b_prime)), denom)
+    return chsh_in_plane_terms(settings.directions, boost1.beta)
 
 
 def _chsh(a, ap, b, bp) -> np.ndarray:
@@ -218,8 +224,14 @@ def chsh_zeta(settings: Settings) -> float:
         raise DomainRestriction(
             "closed form requires xy-plane directions and collinear x boosts "
             "with a common speed")
-    shrink_sq, sin_a, sin_b, denom = in_plane
-    return 4.0 * (1.0 + shrink_sq * abs(sin_a * sin_b) / math.sqrt(denom))
+    return float(chsh_zeta_from_terms(*in_plane))
+
+
+def chsh_zeta_from_terms(shrink_sq, sin_a, sin_b, denom):
+    """4 (1 + (1 - beta^2) |sin(phi_a - phi_a') sin(phi_b - phi_b')| /
+    sqrt(prod_v D_v)) from chsh_in_plane_terms, elementwise: the stacked
+    core of chsh_zeta, each element the bits of a lone call."""
+    return 4.0 * (1.0 + shrink_sq * np.abs(sin_a * sin_b) / np.sqrt(denom))
 
 
 def mermin_operator(settings) -> np.ndarray:

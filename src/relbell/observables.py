@@ -13,9 +13,11 @@ few ulps up to the fastest boost, and no Bell value passes 2 sqrt(2) or 4.
 
 Each input is validated once, where it enters: Boost checks its direction
 and speed, and effective_direction and observable_matrix check ``a`` with
-unit3.  boost_map, inverse_boost_map and direction_matrix trust their
-input; bell.Settings validates its directions once and builds its
-observables through them.
+unit3.  A stack of samples is checked whole, once: unit3_stack and
+boost_speeds apply unit3's and Boost's tests in one pass, and their errors
+carry the first failing row.  boost_map, inverse_boost_map and
+direction_matrix trust their input; bell.Settings validates its directions
+once and builds its observables through them.
 """
 
 from __future__ import annotations
@@ -44,8 +46,21 @@ def unit3(vector) -> np.ndarray:
         v = v.reshape(-1)
     if v.size != 3:
         raise ValueError(f"expected 3 components, got {v.size}")
-    if not abs(float(v @ v) - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector: |v|^2 = {float(v @ v)!r}")
+    return unit3_stack(v)
+
+
+def unit3_stack(vectors) -> np.ndarray:
+    """Validate real unit 3-vectors, one of shape (3,) or a stack (..., 3),
+    with unit3's test in one pass: |v|^2 within UNIT_NORM_TOL of 1, which
+    NaN fails.  The ValueError carries the |v|^2 of the first failing row in
+    row-major order."""
+    v = np.asarray(vectors, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"expected 3 components, got shape {v.shape}")
+    norms_sq = np.asarray((v[..., None, :] @ v[..., None])[..., 0, 0])
+    bad = ~(np.abs(norms_sq - 1.0) <= UNIT_NORM_TOL)
+    if bad.any():
+        raise ValueError(f"not a unit vector: |v|^2 = {float(norms_sq.flat[bad.argmax()])!r}")
     return v
 
 
@@ -78,15 +93,32 @@ class Boost:
     def __post_init__(self):
         object.__setattr__(self, "direction", unit3(self.direction))
         beta = float(self.beta)
-        if not 0.0 <= beta < 1.0:
-            raise DomainError(f"boost speed must satisfy 0 <= beta < 1, got {beta!r}")
+        boost_speeds(beta)
         object.__setattr__(self, "beta", beta)
 
 
-def require_unit_interval(beta: float) -> None:
-    """Reject a speed outside [0, 1]; closed forms admit the beta = 1 endpoint."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+def _require(ok, values, message: str) -> None:
+    """Raise DomainError(message) with the element of values at the first
+    False of ok in row-major order.  ok is a bool for a lone float, so that
+    path stays scalar."""
+    if ok is not True and not np.all(ok):
+        first = np.asarray(values, dtype=float).flat[np.argmax(~np.asarray(ok))]
+        raise DomainError(f"{message}, got {float(first)!r}")
+
+
+def boost_speeds(beta):
+    """Validate boost speeds, a float or an array of them, with Boost's
+    range 0 <= beta < 1 in one test, which NaN fails.  The DomainError
+    carries the first failing speed in row-major order."""
+    _require((0.0 <= beta) & (beta < 1.0), beta, "boost speed must satisfy 0 <= beta < 1")
+    return beta
+
+
+def require_unit_interval(beta) -> None:
+    """Reject a speed outside [0, 1], a float or an array of them, in one
+    test, which NaN fails; the DomainError carries the first such speed in
+    row-major order.  Closed forms admit the beta = 1 endpoint."""
+    _require((0.0 <= beta) & (beta <= 1.0), beta, "beta must lie in [0, 1]")
 
 
 def boost_denominator_sq(along, beta):

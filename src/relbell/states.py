@@ -5,6 +5,10 @@ every particle boosted along x; the exact matrix expectation is the ground
 truth they are validated against.  For directions with a z-component the
 direct matrix computation carries a (1 - beta^2) a_z b_z contribution, so
 the pair correlator below is gated to the xy-plane where no z-term arises.
+Each closed form takes lone directions (3,) and a float speed, or stacks
+(..., 3) and (...) that broadcast: it checks the whole stack once, each
+test in one pass whose error carries the first failing row, and gives each
+element the bits of its own lone call.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .observables import (
     XY_PLANE_TOL,
     boost_denominator_sq,
     require_unit_interval,
-    unit3,
+    unit3_stack,
 )
 
 
@@ -36,18 +40,30 @@ def ghz_plus() -> np.ndarray:
     return v
 
 
-def _xy_directions(beta: float, *vectors) -> list[np.ndarray]:
-    """Validate unit xy-plane directions and a speed in [0, 1]."""
-    vectors = [unit3(v) for v in vectors]
-    for v in vectors:
-        if abs(v[2]) > XY_PLANE_TOL:
-            raise DomainRestriction(
-                f"direction {v} leaves the xy-plane; the closed form is not valid there")
+def _xy_directions(beta, *vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Validate unit xy-plane directions, each of shape (3,) or a stack
+    (..., 3), and speeds in [0, 1], a float or an array (...): one pass per
+    test over the whole stack, in the order unit norm, xy-plane, speed, each
+    error carrying its first failing row in row-major order.  Returns the
+    directions stacked as (..., k, 3) and the speeds broadcast to (...)."""
+    v = unit3_stack(np.stack(np.broadcast_arrays(*vectors), axis=-2))
+    off = np.abs(v[..., 2]) > XY_PLANE_TOL
+    if off.any():
+        raise DomainRestriction(
+            f"direction {v.reshape(-1, 3)[off.argmax()]} leaves the xy-plane; "
+            "the closed form is not valid there")
     require_unit_interval(beta)
-    return vectors
+    shape = np.broadcast_shapes(v.shape[:-2], np.shape(beta))
+    return (np.broadcast_to(v, shape + v.shape[-2:]),
+            np.broadcast_to(np.asarray(beta, dtype=float), shape))
 
 
-def phi_plus_correlator_closed_form(a, b, beta: float) -> float:
+def _lone(values, kind=float):
+    """values as a Python scalar of kind when they are not a stack."""
+    return kind(values) if np.ndim(values) == 0 else values
+
+
+def phi_plus_correlator_closed_form(a, b, beta):
     """Joint-spin correlator on the two-qubit maximally entangled state for
     xy-plane directions, both particles boosted along x at speed beta:
 
@@ -55,41 +71,55 @@ def phi_plus_correlator_closed_form(a, b, beta: float) -> float:
         D_v = (1 - beta^2) + beta^2 v_x^2.
 
     Admits beta = 1 as a continuous limit (no matrices are built), though
-    directions with v_x = 0 degenerate exactly there.
+    directions with v_x = 0 degenerate exactly there.  Directions (..., 3)
+    and speeds (...) broadcast; each element has the bits of its own lone
+    call, and a lone call returns a float.
     """
-    a, b = _xy_directions(beta, a, b)
-    numerator = a[0] * b[0] - (1.0 - beta * beta) * a[1] * b[1]
-    return numerator / math.sqrt(boost_denominator_sq(a[0], beta)
-                                  * boost_denominator_sq(b[0], beta))
+    v, beta = _xy_directions(beta, a, b)
+    (ax, bx), (ay, by) = np.moveaxis(v[..., :2], (-2, -1), (1, 0))
+    numerator = ax * bx - (1.0 - beta * beta) * ay * by
+    denom = boost_denominator_sq(v[..., 0], beta[..., None])
+    return _lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1]))
 
 
-def ghz_offdiagonal_closed_form(a, b, c, beta: float) -> complex:
+def ghz_offdiagonal_closed_form(a, b, c, beta):
     """The <111| A (x) B (x) C |000> matrix element for xy-plane directions
     under collinear x boosts: the product over v in (a, b, c) of
 
         (v_x + i sqrt(1 - beta^2) v_y) / sqrt((1 - beta^2) + beta^2 v_x^2).
+
+    Broadcasts as phi_plus_correlator_closed_form does; a lone call returns
+    a complex.  The product is taken in real arithmetic as numpy's scalar
+    complex operations take it: each factor scaled by the reciprocal of its
+    denominator, and multiplied into 1 by the textbook complex product.
+    numpy's complex array arithmetic rounds differently.
     """
-    a, b, c = _xy_directions(beta, a, b, c)
-    shrink = math.sqrt(max(1.0 - beta * beta, 0.0))
-    out = 1.0 + 0.0j
-    for v in (a, b, c):
-        out *= (v[0] + 1.0j * shrink * v[1]) / math.sqrt(boost_denominator_sq(v[0], beta))
-    return out
+    v, beta = _xy_directions(beta, a, b, c)
+    shrink = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+    scale = 1.0 / np.sqrt(boost_denominator_sq(v[..., 0], beta[..., None]))
+    real, imag = v[..., 0] * scale, shrink[..., None] * v[..., 1] * scale
+    out_real, out_imag = np.ones(beta.shape), np.zeros(beta.shape)
+    for k in range(3):
+        out_real, out_imag = (out_real * real[..., k] - out_imag * imag[..., k],
+                              out_real * imag[..., k] + out_imag * real[..., k])
+    out = np.empty(beta.shape, dtype=complex)
+    out.real, out.imag = out_real, out_imag
+    return _lone(out, complex)
 
 
-def ghz_correlator_closed_form(a, b, c, beta: float) -> float:
+def ghz_correlator_closed_form(a, b, c, beta):
     """Expectation of A (x) B (x) C on (|000> + |111>)/sqrt(2) for xy-plane
     directions under collinear x boosts:
 
         [a_x b_x c_x - (1 - beta^2)(a_y b_x c_y + a_y b_y c_x + a_x b_y c_y)]
         / sqrt(D_a D_b D_c).
 
-    Equals the real part of ghz_offdiagonal_closed_form.
+    Equals the real part of ghz_offdiagonal_closed_form.  Broadcasts as
+    phi_plus_correlator_closed_form does.
     """
-    a, b, c = _xy_directions(beta, a, b, c)
+    v, beta = _xy_directions(beta, a, b, c)
+    (ax, bx, cx), (ay, by, cy) = np.moveaxis(v[..., :2], (-2, -1), (1, 0))
     g = 1.0 - beta * beta
-    numerator = (a[0] * b[0] * c[0]
-                 - g * (a[1] * b[0] * c[1] + a[1] * b[1] * c[0] + a[0] * b[1] * c[1]))
-    denom = (boost_denominator_sq(a[0], beta) * boost_denominator_sq(b[0], beta)
-             * boost_denominator_sq(c[0], beta))
-    return numerator / math.sqrt(denom)
+    numerator = ax * bx * cx - g * (ay * bx * cy + ay * by * cx + ax * by * cy)
+    denom = boost_denominator_sq(v[..., 0], beta[..., None])
+    return _lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1] * denom[..., 2]))

@@ -10,16 +10,19 @@ residual FAILs.  ERRATUM rows document formula variants that demonstrably
 disagree with brute force; they are reported with their measured
 disagreement and never gated, because the disagreement is the finding.
 
-A randomized or grid check first draws its samples in a Python loop, in a
-fixed order of random draws, validating each input where it is built
-(Boost, Settings, unit3) and evaluating the scalar closed forms.  It then
-evaluates the whole sample set at once: one boost_map over the stacked
-directions, stacked Kronecker products and matmuls; every brute-force
-square B @ B comes from one helper, _squares.  Each element keeps the
-bits of its one-sample computation, and a float maximum is exact in any
-order, so the report does not depend on the batching.  For that, complex
-differences compared one at a time keep the scalar abs, which rounds
-differently from np.abs.
+A randomized or grid check draws its raw numbers in a fixed stream order:
+only uniforms in one rng.random((S, k)) call, scaled by each draw's upper
+bound, and normals mixed with uniforms in a loop over the samples of raw
+rng.normal and rng.random calls, since the ziggurat takes a data-dependent
+number of words.  It validates each drawn stack once (unit3_stack,
+boost_speeds), each error carrying its first failing row, then evaluates
+the closed forms under test and the brute force on the whole stack: one
+boost_map over (S, D, 3) directions with each sample's own boost axes and
+speeds, then stacked observables, Kronecker products and matmuls.  Each
+element keeps the bits of its one-sample computation, and a float maximum
+is exact in any order, so the report does not depend on the batching.  For
+that, complex differences keep the scalar abs, which rounds differently
+from np.abs.
 """
 
 from __future__ import annotations
@@ -30,15 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
+    FAMILIES,
     Settings,
-    _chsh_in_plane,
     bell_operator,
     bell_operator_grid,
-    chsh_zeta,
+    chsh_in_plane_terms,
+    chsh_zeta_from_terms,
     effective_directions_grid,
-    effective_observables,
     max_violation,
-    mermin_lambda3,
     square_closed_form,
     square_peak_from_directions,
 )
@@ -47,10 +49,11 @@ from .observables import (
     Boost,
     boost_denominator_sq,
     boost_map,
+    boost_speeds,
     direction_matrix,
     inverse_boost_map,
     observable_matrix,
-    unit3,
+    unit3_stack,
 )
 from .scenarios import (
     X_AXIS,
@@ -81,6 +84,8 @@ BETA_GRID = tuple(round(0.01 * i, 2) for i in range(100))
 #: The erratum placement of the squared three-qubit operator's commutator
 #: pairs (see square_closed_form): (A,C) on qubits (2,3), (B,C) on (1,3).
 SWAPPED_LEGS = ((0, 1, None), (None, 0, 2), (1, None, 2))
+#: The upper bound of a random angle.
+TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -96,72 +101,92 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _random_unit(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+# Draws.  uniform(0, h) is h * rng.random() bit for bit, and consecutive
+# draws of one distribution concatenate.  A draw returns validated stacks
+# of directions and the boost axes and speeds acting on them.
+
+def _unit(normals: np.ndarray) -> np.ndarray:
+    """Each row of normals (..., 3) over its norm, the norm taken by matmul:
+    the bits of v / np.linalg.norm(v) per row."""
+    return unit3_stack(normals / np.sqrt(normals[..., None, :] @ normals[..., None])[..., 0])
 
 
-def _random_xy(rng) -> np.ndarray:
-    t = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([math.cos(t), math.sin(t), 0.0])
+def _xy(angles: np.ndarray) -> np.ndarray:
+    """The xy-plane directions (..., 3) at angles (...)."""
+    return unit3_stack(np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], -1))
 
 
-def _random_chsh(rng, in_plane: bool) -> Settings:
-    if in_plane:
-        boost = Boost(X_AXIS, rng.uniform(0.0, 0.99))
-        return Settings([_random_xy(rng) for _ in range(4)], (boost, boost))
-    return Settings([_random_unit(rng) for _ in range(4)],
-                    [Boost(_random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(2)])
+def _per_sample(rng, samples: int, *sizes) -> list[np.ndarray]:
+    """samples rounds of raw draws, rng.random() for a size None and
+    rng.normal(size=size) else, in order: one stack (S, *size) per draw."""
+    stacks = [np.empty((samples, *(size or ()))) for size in sizes]
+    for s in range(samples):
+        for stack, size in zip(stacks, sizes):
+            stack[s] = rng.random() if size is None else rng.normal(size=size)
+    return stacks
 
 
-def _random_mermin(rng, in_plane: bool) -> Settings:
-    if in_plane:
-        boosts = [Boost(_random_xy(rng), rng.uniform(0.0, 0.99)) for _ in range(3)]
-        dirs = [_random_xy(rng) for _ in range(6)]
-    else:
-        boosts = [Boost(_random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(3)]
-        dirs = [_random_unit(rng) for _ in range(6)]
-    return Settings(dirs, boosts)
+def _draw_free(rng, samples: int, n_particles: int):
+    """Gaussian directions and boost axes, speeds below 0.99.  Two particles
+    draw their directions before their boosts, three after; each boost
+    draws its axis, then its speed."""
+    boosts = ((3,), None) * n_particles
+    draws = _per_sample(rng, samples, *(((4, 3),) + boosts if n_particles == 2
+                                        else boosts + ((6, 3),)))
+    directions = draws.pop(0 if n_particles == 2 else -1)
+    axes, speeds = np.stack(draws[0::2], axis=1), np.stack(draws[1::2], axis=1)
+    return (_unit(directions), np.repeat(_unit(axes), 2, axis=1),
+            np.repeat(boost_speeds(0.99 * speeds), 2, axis=1))
 
 
-def _random_chsh_xy_grid(rng) -> list[Settings]:
-    """40 random xy-plane settings under x boosts at each of BETA_SAMPLES."""
-    samples = []
-    for beta in BETA_SAMPLES:
-        boost = Boost(X_AXIS, beta)
-        samples += [Settings([_random_xy(rng) for _ in range(4)], (boost, boost))
-                    for _ in range(40)]
-    return samples
+def _draw_mermin_in_plane(rng, samples: int):
+    """xy-plane directions and boost axes: each sample draws three boosts,
+    each an angle then a speed below 0.99, then six angles."""
+    draws = rng.random((samples, 12))
+    boosts = draws[:, :6].reshape(samples, 3, 2)
+    return (_xy(TAU * draws[:, 6:]), np.repeat(_xy(TAU * boosts[..., 0]), 2, axis=1),
+            np.repeat(boost_speeds(0.99 * boosts[..., 1]), 2, axis=1))
 
 
-def _xy_observables(rng, per_sample: int, closed_form):
-    """100 samples of per_sample random xy directions at each of beta = 0,
-    0.5, 0.9 under x boosts: closed_form(*directions, beta) of each, and the
-    (per_sample, S, 2, 2) stack of their observables from one boost_map."""
-    closed, directions, speeds = [], [], []
-    for beta in (0.0, 0.5, 0.9):
-        boost = Boost(X_AXIS, beta)
-        for _ in range(100):
-            dirs = [_random_xy(rng) for _ in range(per_sample)]
-            closed.append(closed_form(*dirs, beta))
-            directions.append([unit3(d) for d in dirs])
-            speeds.append([boost.beta])
-    n = boost_map(np.array(directions), X_AXIS, np.array(speeds))
-    return closed, direction_matrix(n.swapaxes(0, 1))
+def _draw_x_boosted(rng, samples: int, per_sample: int, speeds=None):
+    """per_sample xy-plane directions per sample under an x boost at its
+    speed of speeds (S,); without speeds, each sample draws its speed below
+    0.99 before its angles."""
+    draws = rng.random((samples, per_sample + (speeds is None)))
+    if speeds is None:
+        speeds, draws = 0.99 * draws[:, 0], draws[:, 1:]
+    return _xy(TAU * draws), X_AXIS, boost_speeds(speeds[:, None])
 
 
-def _squares(samples):
-    """The (D, S, 2, 2) effective observables of samples of one particle
-    count, and the (S, d, d) brute-force square B @ B of each sample's Bell
-    operator."""
-    observables = effective_observables(samples)
-    operators = samples[0].family.assemble(*observables)
-    return observables, operators @ operators
+def _draw_contracts(rng):
+    """2000 samples of a Gaussian boost axis, a speed below 0.999 and a
+    Gaussian direction, then 100 of a direction and a boost axis at speed 0."""
+    axes, speeds, directions = _per_sample(rng, 2000, (3,), None, (3,))
+    rest = _unit(rng.normal(size=(100, 2, 3)))
+    return ((_unit(directions), _unit(axes), boost_speeds(0.999 * speeds)),
+            (rest[:, 0], rest[:, 1], np.zeros(100)))
+
+
+def _draw_roundtrip(rng):
+    """500 samples of a Gaussian target direction and boost axis and a
+    speed below 0.99."""
+    normals, speeds = _per_sample(rng, 500, (2, 3), None)
+    units = _unit(normals)
+    return units[:, 0], units[:, 1], boost_speeds(0.99 * speeds)
+
+
+def _brute_force(directions, axes, speeds):
+    """The (S, D, 3) effective directions of drawn samples from one
+    boost_map, their (D, S, 2, 2) observables, and the (S, d, d)
+    brute-force square B @ B of each sample's Bell operator."""
+    n = boost_map(directions, axes, speeds)
+    observables = direction_matrix(np.moveaxis(n, -2, 0))
+    operators = FAMILIES[len(observables) // 2].assemble(*observables)
+    return n, observables, operators @ operators
 
 
 def _check_chsh_square_generic(seed):
-    rng = _rng(seed, 1)
-    observables, squares = _squares([_random_chsh(rng, in_plane=False) for _ in range(150)])
+    _, observables, squares = _brute_force(*_draw_free(_rng(seed, 1), 150, 2))
     return (np.abs(squares - square_closed_form(observables)),
             "squared two-qubit operator vs 4I - [A,A'](x)[B,B'] on random "
             "directions and boosts")
@@ -172,47 +197,37 @@ def _check_chsh_square_in_plane(seed):
     # coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
     #         / sqrt(prod_v ((1 - beta^2) + beta^2 v_x^2)),
     # is compared beside square_closed_form: every sample is in-plane.
-    rng = _rng(seed, 2)
-    samples = [_random_chsh(rng, in_plane=True) for _ in range(150)]
-    observables, squares = _squares(samples)
-    coeff = np.array([shrink_sq * sin_a * sin_b / math.sqrt(denom)
-                      for shrink_sq, sin_a, sin_b, denom in map(_chsh_in_plane, samples)])
+    draws = _draw_x_boosted(_rng(seed, 2), 150, 4)
+    shrink_sq, sin_a, sin_b, denom = chsh_in_plane_terms(draws[0], draws[2][:, 0])
+    _, observables, squares = _brute_force(*draws)
+    coeff = shrink_sq * sin_a * sin_b / np.sqrt(denom)
     reduced = 4.0 * (np.eye(4, dtype=complex) + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
     return ([np.abs(squares - square_closed_form(observables)), np.abs(squares - reduced)],
             "squared two-qubit operator vs the sigma_z (x) sigma_z reduced form "
             "for xy-plane settings under collinear x boosts")
 
 
-def _top_eigenvalues(squares) -> np.ndarray:
-    """Largest eigenvalue of each matrix of a stack, from one eigensolve."""
-    return hermitian_eigensystem(squares)[0][..., -1]
-
-
-def _square_peak_residuals(samples, square_peak) -> np.ndarray:
-    """|square_peak (chsh_zeta or mermin_lambda3) - top eigenvalue of the
-    brute-force square| of each sample of one particle count."""
-    peaks = [square_peak(settings) for settings in samples]
-    return np.abs(_top_eigenvalues(_squares(samples)[1]) - peaks)
+def _chsh_xy_grid(rng):
+    """chsh_in_plane_terms, chsh_zeta and the brute-force square of 40
+    random xy-plane samples at each of BETA_SAMPLES."""
+    draws = _draw_x_boosted(rng, 200, 4, np.repeat(BETA_SAMPLES, 40))
+    terms = chsh_in_plane_terms(draws[0], draws[2][:, 0])
+    return terms, chsh_zeta_from_terms(*terms), _brute_force(*draws)[2]
 
 
 def _check_chsh_zeta_spectral(seed):
-    samples = _random_chsh_xy_grid(_rng(seed, 3))
-    return (_square_peak_residuals(samples, chsh_zeta),
+    _, peaks, squares = _chsh_xy_grid(_rng(seed, 3))
+    return (np.abs(hermitian_eigensystem(squares)[0][:, -1] - peaks),
             "closed-form largest eigenvalue of the squared operator vs the "
             "numeric spectrum")
 
 
 def _check_chsh_zeta_eigenstates(seed):
-    samples = _random_chsh_xy_grid(_rng(seed, 4))
-    peaks, indices = [], []
-    for settings in samples:
-        peaks.append(chsh_zeta(settings))
-        _, sin_a, sin_b, _ = _chsh_in_plane(settings)
-        indices.append((0, 3) if sin_a * sin_b >= 0.0 else (1, 2))
-    squares = _squares(samples)[1][:, None]
+    (_, sin_a, sin_b, _), peaks, squares = _chsh_xy_grid(_rng(seed, 4))
+    indices = np.where((sin_a * sin_b >= 0.0)[:, None], (0, 3), (1, 2))
     basis = np.eye(4, dtype=complex)[indices]
-    images = (squares @ basis[..., None])[..., 0]
-    return (np.abs(images - np.array(peaks)[:, None, None] * basis),
+    images = (squares[:, None] @ basis[..., None])[..., 0]
+    return (np.abs(images - peaks[:, None, None] * basis),
             "|00>,|11> (same-sign angle gaps) or |01>,|10> (opposite sign) are "
             "eigenvectors of the squared operator at its peak eigenvalue")
 
@@ -227,10 +242,21 @@ def _check_chsh_collinear_curve(seed):
             "maximally-entangled-state expectation, over the beta grid")
 
 
+def _xy_rows(seed, index, per_sample):
+    """The closed-form arguments (*directions, beta) of 100 random samples
+    of per_sample xy-plane directions at each of beta = 0, 0.5, 0.9, and the
+    (S, d, d) Kronecker product of each sample's observables."""
+    speeds = np.repeat((0.0, 0.5, 0.9), 100)
+    directions, axes, speeds = _draw_x_boosted(_rng(seed, index), 300, per_sample, speeds)
+    n = boost_map(directions, axes, speeds)
+    return ((*np.moveaxis(directions, -2, 0), speeds[:, 0]),
+            kron(*direction_matrix(np.moveaxis(n, -2, 0))))
+
+
 def _check_phi_correlator(seed):
-    closed, observables = _xy_observables(_rng(seed, 6), 2, phi_plus_correlator_closed_form)
-    values = expectation(phi_plus(), kron(*observables))
-    return (np.abs(np.array(closed) - values),
+    arguments, operators = _xy_rows(seed, 6, 2)
+    values = expectation(phi_plus(), operators)
+    return (np.abs(phi_plus_correlator_closed_form(*arguments) - values),
             "closed-form pair correlator vs matrix expectation for xy-plane "
             "directions")
 
@@ -252,22 +278,19 @@ def _check_phi_correlator_z_term(seed):
 
 
 def _check_ghz_offdiagonal(seed):
-    closed, observables = _xy_observables(_rng(seed, 8), 3, ghz_offdiagonal_closed_form)
-    return ([(abs(element - operator[7, 0]), abs(np.conj(operator[0, 7]) - operator[7, 0]))
-             for element, operator in zip(closed, kron(*observables))],
+    arguments, operators = _xy_rows(seed, 8, 3)
+    elements = operators[:, 7, 0]
+    return ([list(map(abs, ghz_offdiagonal_closed_form(*arguments) - elements)),
+             list(map(abs, operators[:, 0, 7].conj() - elements))],
             "closed-form <111|A(x)B(x)C|000> element vs the matrix element and "
             "its Hermitian pairing")
 
 
-def _ghz_closed_forms(a, b, c, beta):
-    return (ghz_correlator_closed_form(a, b, c, beta),
-            ghz_offdiagonal_closed_form(a, b, c, beta).real)
-
-
 def _check_ghz_correlator(seed):
-    closed, observables = _xy_observables(_rng(seed, 9), 3, _ghz_closed_forms)
-    correlator, offdiagonal = np.array(closed).T
-    values = expectation(ghz_plus(), kron(*observables))
+    arguments, operators = _xy_rows(seed, 9, 3)
+    correlator = ghz_correlator_closed_form(*arguments)
+    offdiagonal = ghz_offdiagonal_closed_form(*arguments).real
+    values = expectation(ghz_plus(), operators)
     return (np.abs([correlator - values, correlator - offdiagonal]),
             "closed-form GHZ correlator vs matrix expectation and vs the real "
             "part of the off-diagonal element")
@@ -299,16 +322,14 @@ def _check_ghz_collinear_expectation(seed):
 
 
 def _check_mermin_square(seed):
-    rng = _rng(seed, 12)
-    observables, squares = _squares([_random_mermin(rng, in_plane=False) for _ in range(150)])
+    _, observables, squares = _brute_force(*_draw_free(_rng(seed, 12), 150, 3))
     return (np.abs(squares - square_closed_form(observables)),
             "squared three-qubit operator vs the commutator closed form with "
             "pairs on qubit legs (1,2), (1,3), (2,3)")
 
 
 def _check_mermin_square_leg_swap(seed):
-    rng = _rng(seed, 13)
-    observables, squares = _squares([_random_mermin(rng, in_plane=True) for _ in range(50)])
+    _, observables, squares = _brute_force(*_draw_mermin_in_plane(_rng(seed, 13), 50))
     worst = np.max(np.abs(squares - square_closed_form(observables, SWAPPED_LEGS)))
     derived = np.max(np.abs(squares - square_closed_form(observables)))
     return (worst,
@@ -318,21 +339,16 @@ def _check_mermin_square_leg_swap(seed):
 
 
 def _check_mermin_lambda_spectral(seed):
-    rng = _rng(seed, 14)
-    samples = [_random_mermin(rng, in_plane=True) for _ in range(60)]
-    return (_square_peak_residuals(samples, mermin_lambda3),
+    n, _, squares = _brute_force(*_draw_mermin_in_plane(_rng(seed, 14), 60))
+    return (np.abs(hermitian_eigensystem(squares)[0][:, -1] - square_peak_from_directions(n)),
             "coplanar closed-form largest eigenvalue 4(1 + k1k2 + k1k3 + k2k3) "
             "vs the numeric spectrum of the brute-force square")
 
 
 def _check_mermin_zero_eigenvector(seed):
     boost = Boost(X_AXIS, 0.0)
-    quarter = math.pi / 2.0
-    dirs = []
-    for base in (0.3, 1.1, 2.4):  # arbitrary base angles; gaps are pi/2
-        dirs.append(np.array([math.cos(base), math.sin(base), 0.0]))
-        dirs.append(np.array([math.cos(base - quarter), math.sin(base - quarter), 0.0]))
-    settings = Settings(dirs, (boost, boost, boost))
+    bases = np.repeat((0.3, 1.1, 2.4), 2)  # arbitrary base angles; gaps are pi/2
+    settings = Settings(_xy(bases - np.tile((0.0, math.pi / 2.0), 3)), (boost, boost, boost))
     operator = bell_operator(settings)
     basis = np.zeros(8, dtype=complex)
     basis[1] = 1.0  # |001>
@@ -350,7 +366,7 @@ def _check_mermin_collinear_invariance(seed):
 
 def _check_com_curve(seed):
     operators = bell_operator_grid(mermin_com_settings(0.0), BETA_GRID)
-    tops = _top_eigenvalues(operators @ operators)
+    tops = hermitian_eigensystem(operators @ operators)[0][:, -1]
     return ([abs(math.sqrt(top) - epsilon3_com(beta)) for beta, top in zip(BETA_GRID, tops)],
             "closed-form center-of-mass peak value vs the numeric square root "
             "of the largest squared-operator eigenvalue")
@@ -402,19 +418,10 @@ def _check_com_ghz_expectation(seed):
 
 
 def _check_observable_contracts(seed):
-    rng = _rng(seed, 20)
-    (directions, axes), speeds = np.empty((2, 2000, 3)), np.empty(2000)
-    for i in range(2000):
-        boost = Boost(_random_unit(rng), rng.uniform(0.0, 0.999))
-        directions[i] = unit3(_random_unit(rng))
-        axes[i], speeds[i] = boost.direction, boost.beta
-    matrices = direction_matrix(boost_map(directions, axes, speeds))
+    boosted, rest = _draw_contracts(_rng(seed, 20))
+    matrices = direction_matrix(boost_map(*boosted))
     traces = np.trace(matrices, axis1=-2, axis2=-1).tolist()
-    directions, axes = np.empty((2, 100, 3))
-    for i in range(100):
-        directions[i] = unit3(_random_unit(rng))
-        axes[i] = Boost(_random_unit(rng), 0.0).direction
-    zero_beta = boost_map(directions, axes, np.zeros(100)) - directions
+    zero_beta = boost_map(*rest) - rest[0]
     return (np.concatenate([np.abs(matrices - matrices.conj().swapaxes(-1, -2)).ravel(),
                             list(map(abs, traces)),
                             np.abs(matrices @ matrices - np.eye(2)).ravel(),
@@ -424,12 +431,7 @@ def _check_observable_contracts(seed):
 
 
 def _check_effective_direction_roundtrip(seed):
-    rng = _rng(seed, 21)
-    (targets, axes), speeds = np.empty((2, 500, 3)), np.empty(500)
-    for i in range(500):
-        targets[i] = _random_unit(rng)
-        boost = Boost(_random_unit(rng), rng.uniform(0.0, 0.99))
-        axes[i], speeds[i] = boost.direction, boost.beta
+    targets, axes, speeds = _draw_roundtrip(_rng(seed, 21))
     preimages = inverse_boost_map(targets, axes, speeds)
     return (np.abs(boost_map(preimages, axes, speeds) - targets),
             "every unit direction has a preimage under the boost map (inverse "
@@ -476,9 +478,6 @@ def run_all_checks(tolerance: float = 1e-9, seed: int = 0) -> list[CheckResult]:
     for name, gated, check in CHECKS:
         residuals, detail = check(seed)
         residual = float(np.max(residuals))
-        if gated:
-            status = PASS if residual <= tolerance else FAIL
-            results.append(CheckResult(name, status, residual, tolerance, detail))
-        else:
-            results.append(CheckResult(name, ERRATUM, residual, None, detail))
+        status = (PASS if residual <= tolerance else FAIL) if gated else ERRATUM
+        results.append(CheckResult(name, status, residual, tolerance if gated else None, detail))
     return results

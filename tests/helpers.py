@@ -26,11 +26,10 @@ from relbell.linalg import (
     is_hermitian,
     kron,
 )
-from relbell.observables import Boost
+from relbell.observables import Boost, unit3
+from relbell.scenarios import X_AXIS
 from relbell.search import _value
-# One copy of the random-direction draws: the verify battery's.
-from relbell.verify import _random_unit as random_unit  # noqa: F401
-from relbell.verify import _random_xy as random_xy  # noqa: F401
+from relbell.verify import BETA_SAMPLES
 
 
 def run_python(*args) -> subprocess.CompletedProcess:
@@ -40,6 +39,100 @@ def run_python(*args) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
+# The verify battery's random samples, built one Settings or Boost at a time
+# as the battery once built them: the oracle of the stream order its array
+# draws must keep, bit for bit.
+
+def random_unit(rng) -> np.ndarray:
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def random_xy(rng) -> np.ndarray:
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([math.cos(t), math.sin(t), 0.0])
+
+
+def random_chsh(rng, in_plane: bool) -> Settings:
+    if in_plane:
+        boost = Boost(X_AXIS, rng.uniform(0.0, 0.99))
+        return Settings([random_xy(rng) for _ in range(4)], (boost, boost))
+    return Settings([random_unit(rng) for _ in range(4)],
+                    [Boost(random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(2)])
+
+
+def random_mermin(rng, in_plane: bool) -> Settings:
+    if in_plane:
+        boosts = [Boost(random_xy(rng), rng.uniform(0.0, 0.99)) for _ in range(3)]
+        dirs = [random_xy(rng) for _ in range(6)]
+    else:
+        boosts = [Boost(random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(3)]
+        dirs = [random_unit(rng) for _ in range(6)]
+    return Settings(dirs, boosts)
+
+
+def random_chsh_xy_grid(rng) -> list[Settings]:
+    """40 random xy-plane settings under x boosts at each of BETA_SAMPLES."""
+    samples = []
+    for beta in BETA_SAMPLES:
+        boost = Boost(X_AXIS, beta)
+        samples += [Settings([random_xy(rng) for _ in range(4)], (boost, boost))
+                    for _ in range(40)]
+    return samples
+
+
+def random_xy_rows(rng, per_sample: int):
+    """100 samples of per_sample random xy directions at each of beta = 0,
+    0.5, 0.9 under x boosts, as boost_map takes them: (300, per_sample, 3)
+    directions, the x axis and (300, 1) speeds."""
+    directions, speeds = [], []
+    for beta in (0.0, 0.5, 0.9):
+        boost = Boost(X_AXIS, beta)
+        for _ in range(100):
+            directions.append([unit3(random_xy(rng)) for _ in range(per_sample)])
+            speeds.append([boost.beta])
+    return np.array(directions), X_AXIS, np.array(speeds)
+
+
+def settings_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (S, D, 3) directions, (S, D, 3) boost axes and (S, D) speeds of
+    Settings samples, one axis and speed per direction."""
+    axes, speeds = zip(*[Settings._axes_and_speeds(s.boosts) for s in samples])
+    return np.array([s.directions for s in samples]), np.array(axes), np.array(speeds)
+
+
+def random_contracts(rng):
+    """The observable-contracts row's samples: 2000 boosted (directions,
+    axes, speeds), then 100 (directions, axes) at speed 0."""
+    (directions, axes), speeds = np.empty((2, 2000, 3)), np.empty(2000)
+    for i in range(2000):
+        boost = Boost(random_unit(rng), rng.uniform(0.0, 0.999))
+        directions[i] = unit3(random_unit(rng))
+        axes[i], speeds[i] = boost.direction, boost.beta
+    rest_directions, rest_axes = np.empty((2, 100, 3))
+    for i in range(100):
+        rest_directions[i] = unit3(random_unit(rng))
+        rest_axes[i] = Boost(random_unit(rng), 0.0).direction
+    return (directions, axes, speeds), (rest_directions, rest_axes)
+
+
+def random_roundtrip(rng):
+    """The effective-direction-roundtrip row's 500 (targets, axes, speeds)."""
+    (targets, axes), speeds = np.empty((2, 500, 3)), np.empty(500)
+    for i in range(500):
+        targets[i] = random_unit(rng)
+        boost = Boost(random_unit(rng), rng.uniform(0.0, 0.99))
+        axes[i], speeds[i] = boost.direction, boost.beta
+    return targets, axes, speeds
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same float64 (or complex128) bits, shape for shape."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 def random_hermitian(rng, dim):

@@ -1,6 +1,5 @@
 """Bell-operator tests: assembly, square identities, closed-form peaks."""
 
-import functools
 import itertools
 import math
 from unittest import mock
@@ -18,6 +17,8 @@ from helpers import (
     max_abs,
     random_unit,
     random_xy,
+    same_bits,
+    settings_arrays,
     square_residual,
     unit_vectors,
 )
@@ -25,11 +26,14 @@ from relbell.bell import (
     ChshSettings,
     MerminSettings,
     Settings,
+    _chsh_in_plane,
     bell_operator,
     bell_operator_grid,
     bell_terms,
+    chsh_in_plane_terms,
     chsh_operator,
     chsh_zeta,
+    chsh_zeta_from_terms,
     commutator,
     cross_norms,
     effective_observables,
@@ -50,7 +54,7 @@ from relbell.linalg import (
     kron,
     kron3,
 )
-from relbell.observables import Boost, effective_direction, observable_matrix
+from relbell.observables import Boost, direction_matrix, effective_direction, observable_matrix
 from relbell.scenarios import (
     chsh_collinear_settings,
     com_boosts,
@@ -657,32 +661,47 @@ def test_operator_grid_rows_are_bit_identical(n_particles, data):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_settings_sequence_rows_are_bit_identical(n_particles, data):
-    # verify evaluates its samples as one stack: each row must be what one
-    # Settings alone gives.
+    # verify evaluates its samples as one stack: one boost_map over their
+    # (S, D, 3) directions with each sample's own axes and speeds, then the
+    # family's operators and the square closed form.  Each row must be what
+    # one Settings alone gives.
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     samples = [_random_chsh_xy(rng, rng.uniform(0.0, 0.99))
                if n_particles == 2 and data.draw(st.booleans())
                else _draw_free(data, n_particles)
                for _ in range(data.draw(st.integers(1, 5)))]
+    n = observables.boost_map(*settings_arrays(samples))
+    stacked = direction_matrix(np.moveaxis(n, -2, 0))
+    family = samples[0].family
+    squares = {legs: square_closed_form(stacked, legs)
+               for legs in [None] + [SWAPPED_LEGS] * (n_particles == 3)}
+    for i, sample in enumerate(samples):
+        assert same_bits(family.operators(n)[i], bell_operator(sample))
+        assert same_bits(family.assemble(*stacked)[i], bell_operator(sample))
+        for legs, square in squares.items():
+            assert same_bits(square[i], square_closed_form(effective_observables(sample), legs))
 
-    def square(settings_, legs=None):
-        return square_closed_form(effective_observables(settings_), legs)
 
-    builds = [chsh_operator if n_particles == 2 else mermin_operator, square]
-    if n_particles == 3:
-        builds.append(functools.partial(square, legs=SWAPPED_LEGS))
-    for build in builds:
-        stack = build(samples)
-        assert stack.shape == (len(samples),) + (2 ** n_particles,) * 2
-        for row, sample in zip(stack, samples):
-            assert np.array_equal(row.view(np.uint64), build(sample).view(np.uint64))
-    # bell_operator of a lone Settings gives the bits of its row in a stack,
-    # and of a stack of one.
-    operator = builds[0]
-    for row, sample in zip(operator(samples), samples):
-        lone = bell_operator(sample).view(np.uint64)
-        assert np.array_equal(row.view(np.uint64), lone)
-        assert np.array_equal(operator([sample])[0].view(np.uint64), lone)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(angles=st.lists(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+                       min_size=1, max_size=6),
+       data=st.data())
+def test_chsh_zeta_stack_rows_are_lone_calls(angles, data):
+    # chsh_in_plane_terms and chsh_zeta_from_terms over an (S, 4, 3) stack
+    # with one x-boost speed per row: each row has the bits of chsh_zeta of
+    # that row's Settings, and of _chsh_in_plane's terms.
+    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+    speeds = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=len(angles),
+                                         max_size=len(angles))))
+    terms = chsh_in_plane_terms(directions, speeds)
+    zetas = chsh_zeta_from_terms(*terms)
+    for i, beta in enumerate(speeds):
+        boost = Boost(X, beta)
+        lone = Settings(directions[i], (boost, boost))
+        assert type(chsh_zeta(lone)) is float
+        assert same_bits(zetas[i], chsh_zeta(lone))
+        for term, want in zip(terms, _chsh_in_plane(lone)):
+            assert same_bits(term[i], want)
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])

@@ -17,11 +17,13 @@ from relbell.observables import (
     Boost,
     boost_denominator_sq,
     boost_map,
+    boost_speeds,
     effective_direction,
     inverse_boost_map,
     normalized3,
     observable_matrix,
     unit3,
+    unit3_stack,
 )
 
 X = np.array([1.0, 0.0, 0.0])
@@ -209,6 +211,44 @@ def test_unit3_and_normalized3_reject_non_finite(bad):
         Boost(np.array([bad, 0.0, 0.0]), 0.5)
     with pytest.raises(DomainError):
         Boost(X, bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_validation_accepts_what_the_lone_path_accepts(data):
+    # unit3_stack and boost_speeds test a whole (S, D) stack in one pass and
+    # pass exactly what unit3 and Boost pass, row by row.
+    directions, axes, speeds = _stack(data, (data.draw(st.integers(1, 4)), 2))
+    assert _same_bits(unit3_stack(directions), directions)
+    assert _same_bits(boost_speeds(speeds), speeds)
+    for direction, axis, beta in zip(directions.reshape(-1, 3), axes.reshape(-1, 3),
+                                     speeds.ravel().tolist()):
+        assert _same_bits(unit3(direction), direction)
+        assert Boost(axis, beta).beta == beta
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3)])
+def test_stacked_validation_names_the_first_bad_row(shape):
+    # The lone path's error types; the message carries the first failing row
+    # in row-major order (row 2 of 6, before row 4), and NaN fails anywhere.
+    directions = np.tile(X, shape + (1,))
+    speeds = np.full(shape, 0.5)
+    directions.reshape(-1, 3)[2] = [1.1, 0.0, 0.0]
+    directions.reshape(-1, 3)[4] = [1.3, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"\|v\|\^2 = 1\.2100000000000002$"):
+        unit3_stack(directions)
+    speeds.reshape(-1)[2], speeds.reshape(-1)[4] = 1.0, 2.0
+    with pytest.raises(DomainError, match="got 1.0$"):
+        boost_speeds(speeds)
+    for component in range(3):
+        directions = np.tile(X, shape + (1,))
+        directions.reshape(-1, 3)[3, component] = math.nan
+        with pytest.raises(ValueError, match="nan"):
+            unit3_stack(directions)
+    speeds = np.full(shape, 0.5)
+    speeds.reshape(-1)[3] = math.nan
+    with pytest.raises(DomainError, match="nan"):
+        boost_speeds(speeds)
 
 
 def test_degenerate_denominator_raises(monkeypatch):

@@ -1,11 +1,14 @@
 """State constructors and closed-form correlators against matrix oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import basis_state, ghz_minus, random_xy
+from helpers import basis_state, ghz_minus, random_xy, same_bits
 from relbell.errors import (
     DegenerateObservable,
     DomainError,
@@ -182,3 +185,75 @@ def test_ghz_closed_forms_domain():
         ghz_correlator_closed_form(X, z_dir, X, 0.3)
     with pytest.raises(DomainError):
         ghz_correlator_closed_form(X, X, X, -0.2)
+
+
+#: Each closed form with a stacked form: its direction count and the type
+#: of a lone call's value.
+CLOSED_FORMS = [(phi_plus_correlator_closed_form, 2, float),
+                (ghz_correlator_closed_form, 3, float),
+                (ghz_offdiagonal_closed_form, 3, complex)]
+
+
+def _xy(angles):
+    angles = np.asarray(angles, dtype=float)
+    return np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+
+
+@pytest.mark.parametrize("closed_form, count, kind", CLOSED_FORMS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closed_form_stack_rows_are_lone_calls(closed_form, count, kind, data):
+    # Directions (S, 3) per argument and speeds (S,): each row has the bits
+    # of its lone call, and a lone call returns a Python scalar.
+    rows = data.draw(st.integers(1, 6))
+    angles = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                min_size=rows * count, max_size=rows * count))
+    directions = _xy(np.reshape(angles, (rows, count)))
+    speeds = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=rows, max_size=rows)))
+    stacked = closed_form(*np.moveaxis(directions, 1, 0), speeds)
+    assert stacked.shape == (rows,)
+    for row, beta, value in zip(directions, speeds.tolist(), stacked):
+        lone = closed_form(*row, beta)
+        assert type(lone) is kind
+        assert same_bits(value, lone)
+
+
+def _bad_stack(count):
+    """Five rows of count valid xy directions at speed 0.5, to spoil."""
+    return _xy(np.linspace(0.1, 6.0, 5 * count).reshape(5, count)), np.full(5, 0.5)
+
+
+@pytest.mark.parametrize("closed_form, count, kind", CLOSED_FORMS)
+def test_closed_form_stacks_refuse_their_first_bad_row(closed_form, count, kind):
+    # One pass per test over the whole stack raises the lone call's error
+    # type, and the message carries the first bad row in row-major order.
+    def call(directions, speeds):
+        return closed_form(*np.moveaxis(directions, 1, 0), speeds)
+
+    directions, speeds = _bad_stack(count)
+    directions[2, count - 1] *= 1.1
+    directions[4, 0] *= 1.2
+    first = float(directions[2, count - 1] @ directions[2, count - 1])
+    with pytest.raises(ValueError, match=re.escape(f"|v|^2 = {first!r}")):
+        call(directions, speeds)
+
+    directions, speeds = _bad_stack(count)
+    directions[1, 1] = [0.6, 0.0, 0.8]
+    directions[3, 0] = [0.0, 0.6, 0.8]
+    with pytest.raises(DomainRestriction, match=re.escape(f"direction {directions[1, 1]}")):
+        call(directions, speeds)
+
+    directions, speeds = _bad_stack(count)
+    speeds[[2, 4]] = 1.5, -0.5
+    with pytest.raises(DomainError, match="got 1.5$"):
+        call(directions, speeds)
+
+    for component in range(3):
+        directions, speeds = _bad_stack(count)
+        directions[3, count - 1, component] = math.nan
+        with pytest.raises(ValueError, match="nan"):
+            call(directions, speeds)
+    directions, speeds = _bad_stack(count)
+    speeds[3] = math.nan
+    with pytest.raises(DomainError, match="nan"):
+        call(directions, speeds)

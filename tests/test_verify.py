@@ -1,18 +1,31 @@
-"""Verify-battery tests: the CHECKS table, its one reducer, and the
+"""Verify-battery tests: the CHECKS table, its one reducer, its array draws
+against the sample-by-sample stream, its per-row budgets, and the
 benchmark's constants that count its rows."""
 
 import dataclasses
 import importlib.util
-import itertools
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import relbell.bell as bell
 import relbell.observables as observables
 import relbell.verify as verify
+from helpers import (
+    BOUND,
+    random_chsh,
+    random_chsh_xy_grid,
+    random_contracts,
+    random_mermin,
+    random_roundtrip,
+    random_xy_rows,
+    same_bits,
+    settings_arrays,
+)
 from relbell.cli import VERIFY_COLUMNS
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -26,15 +39,15 @@ def _run_row(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["mermin-square-closed-form", "mermin-square-leg-placement"])
 def test_verify_square_checks_build_observables_once(monkeypatch, name):
-    # Each 3-qubit square check builds its stacked observables once and
-    # takes the operators and every square form from them.
+    # Each 3-qubit square check builds its stacked effective directions with
+    # one boost_map and takes the operators and every square form from them.
     calls = []
 
     def counted(*args):
         calls.append(args)
         return observables.boost_map(*args)
 
-    monkeypatch.setattr(bell, "boost_map", counted)
+    monkeypatch.setattr(verify, "boost_map", counted)
     assert [result.check for result in _run_row(monkeypatch, name)] == [name]
     assert len(calls) == 1
 
@@ -43,15 +56,18 @@ def _nan_at_half(function):
     return lambda beta: math.nan if beta == 0.5 else function(beta)
 
 
-def _nan_once(function, at=7):
-    calls = itertools.count()
-    return lambda *args: complex(math.nan) if next(calls) == at else function(*args)
+def _nan_at_row(function, at=7):
+    def patched(*args):
+        values = function(*args).copy()
+        values[at] = math.nan
+        return values
+    return patched
 
 
-def _nan_coefficient(function):
-    def patched(settings):
-        in_plane = function(settings)
-        return None if in_plane is None else (math.nan,) + in_plane[1:]
+def _nan_coefficient(function, at=7):
+    def patched(*args):
+        shrink_sq, *rest = function(*args)
+        return (_nan_at_row(lambda: shrink_sq, at)(), *rest)
     return patched
 
 
@@ -61,8 +77,8 @@ NAN_INJECTIONS = {
     "com-curve-spectral": (verify, "epsilon3_com", _nan_at_half),
     "com-curve-square-consistency": (verify, "epsilon3_com", _nan_at_half),
     "com-ghz-expectation": (verify, "epsilon3_com", _nan_at_half),
-    "ghz-offdiagonal-closed-form": (verify, "ghz_offdiagonal_closed_form", _nan_once),
-    "chsh-square-inplane-identity": (verify, "_chsh_in_plane", _nan_coefficient),
+    "ghz-offdiagonal-closed-form": (verify, "ghz_offdiagonal_closed_form", _nan_at_row),
+    "chsh-square-inplane-identity": (verify, "chsh_in_plane_terms", _nan_coefficient),
 }
 
 
@@ -93,3 +109,118 @@ def test_verify_table_matches_benchmark_constants(monkeypatch):
     assert len(names) == len(set(names))
     assert len(verify.CHECKS) == workloads.VERIFY_ROWS
     assert {name for name, gated, _ in verify.CHECKS if not gated} == workloads.VERIFY_ERRATA
+
+
+def _samples(build, count):
+    """settings_arrays of count Settings that build draws from one generator."""
+    return lambda rng: settings_arrays([build(rng) for _ in range(count)])
+
+
+#: Per randomized row: the draw function it calls, and the sample-by-sample
+#: oracle of what that draw returns from the row's generator.
+STREAM_ORACLES = {
+    "chsh-square-generic-identity":
+        ("_draw_free", _samples(lambda rng: random_chsh(rng, in_plane=False), 150)),
+    "chsh-square-inplane-identity":
+        ("_draw_x_boosted", _samples(lambda rng: random_chsh(rng, in_plane=True), 150)),
+    "chsh-square-peak-closed-form":
+        ("_draw_x_boosted", lambda rng: settings_arrays(random_chsh_xy_grid(rng))),
+    "chsh-square-peak-eigenstates":
+        ("_draw_x_boosted", lambda rng: settings_arrays(random_chsh_xy_grid(rng))),
+    "pair-correlator-closed-form": ("_draw_x_boosted", lambda rng: random_xy_rows(rng, 2)),
+    "ghz-offdiagonal-closed-form": ("_draw_x_boosted", lambda rng: random_xy_rows(rng, 3)),
+    "ghz-correlator-closed-form": ("_draw_x_boosted", lambda rng: random_xy_rows(rng, 3)),
+    "mermin-square-closed-form":
+        ("_draw_free", _samples(lambda rng: random_mermin(rng, in_plane=False), 150)),
+    "mermin-square-leg-placement":
+        ("_draw_mermin_in_plane", _samples(lambda rng: random_mermin(rng, in_plane=True), 50)),
+    "mermin-square-peak-closed-form":
+        ("_draw_mermin_in_plane", _samples(lambda rng: random_mermin(rng, in_plane=True), 60)),
+    "observable-contracts": ("_draw_contracts", random_contracts),
+    "effective-direction-roundtrip": ("_draw_roundtrip", random_roundtrip),
+}
+DRAWS = ("_draw_free", "_draw_x_boosted", "_draw_mermin_in_plane", "_draw_contracts",
+         "_draw_roundtrip")
+
+
+def _assert_same_draws(drawn, oracle):
+    # Bit for bit, with the draw's stacks broadcast as boost_map broadcasts
+    # them (an x-boosted draw gives one axis and one speed per sample).
+    if isinstance(oracle, tuple):
+        assert len(drawn) >= len(oracle)
+        for got, want in zip(drawn, oracle):
+            _assert_same_draws(got, want)
+    else:
+        assert same_bits(np.broadcast_to(drawn, np.shape(oracle)), oracle)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1))
+def test_array_draws_keep_the_sample_by_sample_stream(seed):
+    # Every row runs as verify runs it, with its draws recorded together with
+    # the generator state they start from.  A randomized row makes exactly
+    # one draw, equal to its oracle's from that state; no other row draws.
+    for name, _, check in verify.CHECKS:
+        draws = []
+        with pytest.MonkeyPatch.context() as patch:
+            for draw in DRAWS:
+                def recorded(rng, *args, _draw=getattr(verify, draw), _name=draw):
+                    state = rng.bit_generator.state
+                    draws.append((_name, state, _draw(rng, *args)))
+                    return draws[-1][2]
+                patch.setattr(verify, draw, recorded)
+            check(seed)
+        if name not in STREAM_ORACLES:
+            assert draws == []
+            continue
+        [(draw, state, drawn)] = draws
+        oracle_draw, oracle = STREAM_ORACLES[name]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        assert draw == oracle_draw
+        _assert_same_draws(drawn, oracle(rng))
+
+
+EPS = np.finfo(float).eps
+#: Per gated row: (K, scale), its budget K * EPS * scale.  scale is the
+#: largest magnitude the row compares (8 and 16 for the squared two- and
+#: three-qubit operators, the Bell bound for curves, 1 for correlators and
+#: directions).  K is twice the worst residual over BUDGET_SEEDS in units
+#: of EPS * scale, rounded up (at least 1); the measured worst, in EPS, is
+#: in each comment.
+BUDGETS = {
+    "chsh-square-generic-identity": (5, 8.0),  # 20
+    "chsh-square-inplane-identity": (7, 8.0),  # 28
+    "chsh-square-peak-closed-form": (6, 8.0),  # 24
+    "chsh-square-peak-eigenstates": (8, 8.0),  # 32
+    "chsh-collinear-curve": (5, BOUND[2]),  # 6
+    "pair-correlator-closed-form": (6, 1.0),  # 3
+    "ghz-offdiagonal-closed-form": (7, 1.0),  # 3.01
+    "ghz-correlator-closed-form": (7, 1.0),  # 3.5
+    "mermin-square-closed-form": (4, 16.0),  # 32
+    "mermin-square-peak-closed-form": (4, 16.0),  # 32
+    "mermin-square-zero-eigenvector": (1, 16.0),  # 1.1e-16
+    "mermin-collinear-invariance": (1, 16.0),  # 0
+    "com-curve-spectral": (3, BOUND[3]),  # 6
+    "com-curve-square-consistency": (2, 16.0),  # 16
+    "com-unprimed-closed-form": (2, 1.0),  # 1
+    "com-ghz-expectation": (4, BOUND[3]),  # 8
+    "observable-contracts": (8, 1.0),  # 4
+    "effective-direction-roundtrip": (10, 1.0),  # 5
+}
+BUDGET_SEEDS = (*range(64), 2 ** 64 - 1)
+
+
+def test_gated_rows_stay_within_their_budgets():
+    # The CLI's default gate of 1e-9 is millions of times these residuals;
+    # the budgets see a regression of a few ulps.  They only tighten.
+    assert set(BUDGETS) == {name for name, gated, _ in verify.CHECKS if gated}
+    worst = dict.fromkeys(BUDGETS, 0.0)
+    for seed in BUDGET_SEEDS:
+        for result in verify.run_all_checks(seed=seed):
+            if result.check in BUDGETS:
+                assert not math.isnan(result.residual), (result.check, seed)
+                worst[result.check] = max(worst[result.check], result.residual)
+    over = {name: worst[name] / EPS for name, (k, scale) in BUDGETS.items()
+            if worst[name] > k * EPS * scale}
+    assert over == {}

@@ -246,8 +246,8 @@ def _xy_rows(seed, index, per_sample):
     """The closed-form arguments (*directions, beta) of 100 random samples
     of per_sample xy-plane directions at each of beta = 0, 0.5, 0.9, and the
     (S, d, d) Kronecker product of each sample's observables."""
-    speeds = np.repeat((0.0, 0.5, 0.9), 100)
-    directions, axes, speeds = _draw_x_boosted(_rng(seed, index), 300, per_sample, speeds)
+    directions, axes, speeds = _draw_x_boosted(_rng(seed, index), 300, per_sample,
+                                               np.repeat((0.0, 0.5, 0.9), 100))
     n = boost_map(directions, axes, speeds)
     return ((*np.moveaxis(directions, -2, 0), speeds[:, 0]),
             kron(*direction_matrix(np.moveaxis(n, -2, 0))))

@@ -128,11 +128,11 @@ def random_roundtrip(rng):
     return targets, axes, speeds
 
 
-def same_bits(a, b) -> bool:
-    """a and b hold the same float64 (or complex128) bits, shape for shape."""
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+def same_bits(got, want) -> bool:
+    """Equal dtype, shape and bytes, so -0.0 and 0.0 differ too."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
 
 
 def random_hermitian(rng, dim):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbell.linalg as linalg
-from helpers import max_abs, random_hermitian, random_unit, scalar_eigensystem
+from helpers import max_abs, random_hermitian, random_unit, same_bits, scalar_eigensystem
 from relbell.errors import DimensionMismatch, NoConvergence, NotHermitian
 from relbell.linalg import (
     IDENTITY_2,
@@ -61,40 +61,34 @@ def _hermitian_2x2(draw):
     return np.array([[d0, complex(re, im)], [complex(re, -im), d1]])
 
 
-def _same_bits(got, want):
-    """Equal dtype, shape and bytes, so -0.0 and 0.0 differ too."""
-    return (got.dtype == want.dtype and got.shape == want.shape
-            and got.tobytes() == want.tobytes())
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=_hermitian_2x2(), b=_hermitian_2x2(), c=_hermitian_2x2())
 def test_kron_is_bit_identical_to_numpy(a, b, c):
     # Bit identity, not closeness: every operator, and with it every golden
     # output, is assembled by kron, for any number of factors.
     ab = np.kron(a, b)
-    assert _same_bits(kron(a, b), ab)
-    assert _same_bits(kron(a, b, c), np.kron(ab, c))
-    assert _same_bits(kron3(a, b, c), np.kron(ab, c))
-    assert _same_bits(kron(a), a)
-    assert _same_bits(kron(ab, c), np.kron(ab, c))
-    assert _same_bits(kron(c, ab), np.kron(c, ab))
+    assert same_bits(kron(a, b), ab)
+    assert same_bits(kron(a, b, c), np.kron(ab, c))
+    assert same_bits(kron3(a, b, c), np.kron(ab, c))
+    assert same_bits(kron(a), a)
+    assert same_bits(kron(ab, c), np.kron(ab, c))
+    assert same_bits(kron(c, ab), np.kron(c, ab))
     # joint_distribution starts its projector product from a 1x1 identity.
     one = np.array([[1.0]], dtype=complex)
-    assert _same_bits(kron(one, a), np.kron(one, a))
-    assert _same_bits(kron(kron(one, a), b), np.kron(np.kron(one, a), b))
+    assert same_bits(kron(one, a), np.kron(one, a))
+    assert same_bits(kron(kron(one, a), b), np.kron(np.kron(one, a), b))
     # Stacks along a leading axis, as a sweep grid builds its operators:
     # every row carries np.kron's bits of its own factors, and a single
     # matrix broadcasts against a stack.
     x, y, z = np.stack([a, b, c]), np.stack([b, c, a]), np.stack([c, a, b])
     stacked2, stacked3 = kron(x, y), kron(x, y, z)
     assert stacked2.shape == (3, 4, 4) and stacked3.shape == (3, 8, 8)
-    assert _same_bits(kron3(x, y, z), stacked3)
+    assert same_bits(kron3(x, y, z), stacked3)
     for r in range(3):
-        assert _same_bits(stacked2[r], np.kron(x[r], y[r]))
-        assert _same_bits(stacked3[r], np.kron(np.kron(x[r], y[r]), z[r]))
-        assert _same_bits(kron(a, y)[r], np.kron(a, y[r]))
-        assert _same_bits(kron(a, y, c)[r], np.kron(np.kron(a, y[r]), c))
+        assert same_bits(stacked2[r], np.kron(x[r], y[r]))
+        assert same_bits(stacked3[r], np.kron(np.kron(x[r], y[r]), z[r]))
+        assert same_bits(kron(a, y)[r], np.kron(a, y[r]))
+        assert same_bits(kron(a, y, c)[r], np.kron(np.kron(a, y[r]), c))
     assert kron(x[:0], y[:0]).shape == (0, 4, 4)
 
 
@@ -265,7 +259,7 @@ def test_eigensystem_matches_scalar_oracle(stack):
     # them the golden outputs, come from these eigenvalues.
     for matrix, (w, v) in zip(stack, _solve_stack(stack)):
         want_w, want_v = scalar_eigensystem(matrix)
-        assert _same_bits(w, want_w) and _same_bits(v, want_v)
+        assert same_bits(w, want_w) and same_bits(v, want_v)
 
 
 #: Half-width, in ulps of the threshold, of the band around an exact tie
@@ -308,7 +302,7 @@ def test_eigensystem_stop_rule_matches_scalar_oracle_near_threshold(stack):
         if abs(off_norm - threshold) <= _TIE_BAND_ULPS * np.spacing(threshold):
             continue
         want_w, want_v = scalar_eigensystem(matrix)
-        assert _same_bits(w, want_w) and _same_bits(v, want_v)
+        assert same_bits(w, want_w) and same_bits(v, want_v)
 
 
 def test_eigensystem_stack_rejects_one_non_hermitian_member():
@@ -524,5 +518,5 @@ def test_eigensystem_takes_a_near_underflow_rotation_without_overflow():
     m = _near_underflow_pivot()
     w, v = hermitian_eigensystem(m)
     want_w, want_v = scalar_eigensystem(m)
-    assert _same_bits(w, want_w) and _same_bits(v, want_v)
+    assert same_bits(w, want_w) and same_bits(v, want_v)
     assert max_abs(w - np.linalg.eigvalsh(m)) <= 1e-12

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import BETA_MAX, max_abs, random_unit, unit_vectors
+from helpers import BETA_MAX, max_abs, random_unit, same_bits, unit_vectors
 from relbell.errors import DegenerateObservable, DomainError
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
@@ -219,11 +219,11 @@ def test_stacked_validation_accepts_what_the_lone_path_accepts(data):
     # unit3_stack and boost_speeds test a whole (S, D) stack in one pass and
     # pass exactly what unit3 and Boost pass, row by row.
     directions, axes, speeds = _stack(data, (data.draw(st.integers(1, 4)), 2))
-    assert _same_bits(unit3_stack(directions), directions)
-    assert _same_bits(boost_speeds(speeds), speeds)
+    assert same_bits(unit3_stack(directions), directions)
+    assert same_bits(boost_speeds(speeds), speeds)
     for direction, axis, beta in zip(directions.reshape(-1, 3), axes.reshape(-1, 3),
                                      speeds.ravel().tolist()):
-        assert _same_bits(unit3(direction), direction)
+        assert same_bits(unit3(direction), direction)
         assert Boost(axis, beta).beta == beta
 
 
@@ -272,11 +272,6 @@ def _stack(data, shape, max_beta=0.999):
             np.reshape(data.draw(speeds), shape))
 
 
-def _same_bits(x, y):
-    # Compared as uint64, so signed zeros count too.
-    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_boost_map_stack_matches_scalar_map_bit_for_bit(data):
@@ -286,7 +281,7 @@ def test_boost_map_stack_matches_scalar_map_bit_for_bit(data):
     n = boost_map(a, e, beta)
     assert n.shape == a.shape
     for index in np.ndindex(shape):
-        assert _same_bits(n[index], boost_map(a[index], e[index], float(beta[index])))
+        assert same_bits(n[index], boost_map(a[index], e[index], float(beta[index])))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -300,7 +295,7 @@ def test_boost_map_grid_broadcast_matches_scalar_map_bit_for_bit(data):
     n = boost_map(a[None], e[None], betas[:, None])
     assert n.shape == (rows, count, 3)
     for r, d in np.ndindex(rows, count):
-        assert _same_bits(n[r, d], boost_map(a[d], e[d], float(betas[r])))
+        assert same_bits(n[r, d], boost_map(a[d], e[d], float(betas[r])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

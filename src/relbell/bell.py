@@ -16,8 +16,9 @@ the operators through Family.operators.  square_closed_form takes the
 observables of either.  Brute-force matrix algebra is the ground truth
 every closed form is checked against, in the verify battery.
 ChshSettings, MerminSettings, chsh_operator, mermin_operator and
-mermin_terms have no caller in the package; they stay only because the
-perfbench harness uses them by name.
+mermin_terms are Settings, bell_operator and bell_terms under their
+two-/three-qubit names; no code in the package calls them, and they stay
+only because the perfbench harness uses them by name.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .observables import (
     Boost,
     boost_denominator_sq,
     boost_map,
+    boost_speeds,
     direction_matrix,
     unit3,
 )
@@ -321,10 +323,9 @@ def bell_operator(settings: Settings) -> np.ndarray:
 def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
     """The (R, D, 3) effective directions of the settings with every particle
     boosted at each speed of betas (all below 1) instead of its own, from one
-    boost_map call: row r is effective_directions() at betas[r], bit for bit."""
-    betas = np.asarray(betas, dtype=float)
-    if not np.all((0.0 <= betas) & (betas < 1.0)):
-        raise DomainError(f"boost speeds must satisfy 0 <= beta < 1, got {betas.tolist()}")
+    boost_map call: row r is effective_directions() at betas[r], bit for bit.
+    boost_speeds checks betas and names the first bad speed."""
+    betas = boost_speeds(np.asarray(betas, dtype=float))
     axes, _ = Settings._axes_and_speeds(settings.boosts)
     return boost_map(np.array(settings.directions), axes, betas[:, None])
 

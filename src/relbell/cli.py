@@ -213,7 +213,7 @@ MAX_GRID_POINTS = 62831
 
 
 def _cmd_optimize(args) -> int:
-    from .search import optimize_chsh, optimize_mermin
+    from .search import optimize
 
     if not 0.0 <= args.beta < 1.0:
         raise UsageError(f"optimization requires 0 <= beta < 1, got {args.beta}")
@@ -226,13 +226,10 @@ def _cmd_optimize(args) -> int:
     if args.grid_points > MAX_GRID_POINTS:
         raise UsageError(f"grid_points_per_angle must be <= {MAX_GRID_POINTS}, "
                          f"got {args.grid_points}")
-    if args.boost == "com":
-        boost_dirs = com_boosts()
-    else:
-        boost_dirs = (X_AXIS,) * (3 if args.three else 2)
-    optimize = optimize_mermin if args.three else optimize_chsh
+    n_particles = 3 if args.three else 2
+    boost_dirs = com_boosts() if args.boost == "com" else (X_AXIS,) * n_particles
     settings, value = optimize(
-        boost_dirs, args.beta,
+        n_particles, boost_dirs, args.beta,
         constraint={"xy": "xy_plane", "free": "free_sphere"}[args.constraint],
         objective={"norm": "operator_norm", "state": "state_expectation"}[args.objective])
     names = DIRECTION_NAMES[:len(settings.directions)]

@@ -12,12 +12,14 @@ of nonnegative terms, so each effective direction is a unit vector to a
 few ulps up to the fastest boost, and no Bell value passes 2 sqrt(2) or 4.
 
 Each input is validated once, where it enters: Boost checks its direction
-and speed, and effective_direction and observable_matrix check ``a`` with
-unit3.  A stack of samples is checked whole, once: unit3_stack and
-boost_speeds apply unit3's and Boost's tests in one pass, and their errors
-carry the first failing row.  boost_map, inverse_boost_map and
-direction_matrix trust their input; bell.Settings validates its directions
-once and builds its observables through them.
+and speed, and bell.Settings checks each measurement direction with unit3.
+A stack of samples is checked whole, once: unit3_stack and boost_speeds
+apply unit3's and Boost's tests in one pass, and their errors carry the
+first failing row.  boost_map, inverse_boost_map and direction_matrix trust
+their input; bell.Settings builds its observables through them.
+effective_direction and observable_matrix, the same map and matrix for one
+unit3-checked direction under one Boost, have no caller in the package;
+they stay only because the perfbench harness times and traces them by name.
 """
 
 from __future__ import annotations

@@ -163,7 +163,8 @@ SCENARIO_KINDS = tuple(SCENARIOS)
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named configuration at one boost speed."""
+    """A named configuration at one boost speed.  Only scenario_curve takes
+    it, and only the perfbench harness calls that."""
 
     kind: str
     beta: float
@@ -190,7 +191,9 @@ class ScenarioResult(NamedTuple):
 
 def scenario_curve(scenario: Scenario) -> ScenarioResult:
     """Evaluate one sweep sample: closed form, numeric operator norm, and
-    the expectation on the matched entangled state."""
+    the expectation on the matched entangled state; the one-row sweep of the
+    scenario's settings.  No code in the package calls it; it stays only
+    because the perfbench harness times and traces it by name."""
     build_settings, peak = SCENARIOS[scenario.kind]
     return next(sweep(build_settings(0.0), [scenario.beta], peak))
 

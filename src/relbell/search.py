@@ -11,11 +11,13 @@ the xy_plane constraint its preimages keep z = 0 exactly when every boost
 lies in the plane or along +/-z, which covers every geometry the command
 line offers; for any other boost it raises DomainError.
 
-optimize_chsh and optimize_mermin return the construction with its value
-under the objective, scored by _value: operator_norm, in closed form with
-no operator and no eigensolve, or the matched-state expectation of
-bell_operator.  So the value is the objective on the returned settings, bit
-for bit.
+optimize returns the construction with its value under the objective,
+scored by _value: operator_norm, in closed form with no operator and no
+eigensolve, or the matched-state expectation of bell_operator.  So the value
+is the objective on the returned settings, bit for bit.  optimize_chsh and
+optimize_mermin are optimize at 2 and 3 particles; no code in the package
+calls them, and they stay only because the perfbench harness times and
+traces them by name.
 """
 
 from __future__ import annotations
@@ -74,33 +76,27 @@ def optimal_settings(n_particles: int, boost_directions, beta: float,
     return Settings(directions, boosts)
 
 
-def _optimize(n_particles: int, boost_directions, beta: float,
-              constraint: str, objective: str):
+def optimize(n_particles: int, boost_directions, beta: float, *,
+             constraint: str = "xy_plane", objective: str = "operator_norm"):
+    """The optimal_settings of n_particles (2 or 3) at fixed boosts and
+    speed, with its value under the objective: operator_norm (the largest
+    |<B>| over all states) or state_expectation (|<B>| on the matched state,
+    Phi+ or GHZ).
+
+    boost_directions holds one unit 3-vector per particle; constraint is one
+    of CONSTRAINTS.  Returns (settings, value).
+    """
     if objective not in OBJECTIVES:
         raise DomainError(f"objective must be one of {OBJECTIVES}")
     settings = optimal_settings(n_particles, boost_directions, beta, constraint)
     return settings, _value(settings, objective)
 
 
-def optimize_chsh(boost_directions, beta: float, *, constraint: str = "xy_plane",
-                  objective: str = "operator_norm"):
-    """The two-qubit optimal_settings at fixed boosts and speed, with its
-    value under the objective: operator_norm (the largest |<B>| over all
-    states) or state_expectation (|<B>| on the matched state Phi+).
-
-    boost_directions is a pair of unit 3-vectors; constraint is one of
-    CONSTRAINTS.  Returns (settings, value).
-    """
-    return _optimize(2, boost_directions, beta, constraint, objective)
+def optimize_chsh(boost_directions, beta: float, **options):
+    """optimize(2, ...)."""
+    return optimize(2, boost_directions, beta, **options)
 
 
-def optimize_mermin(boost_directions, beta: float, *, constraint: str = "xy_plane",
-                    objective: str = "operator_norm"):
-    """The three-qubit optimal_settings at fixed boosts and speed, with its
-    value under the objective: operator_norm (the largest |<B>| over all
-    states) or state_expectation (|<B>| on the matched state GHZ).
-
-    boost_directions is a triple of unit 3-vectors; constraint is one of
-    CONSTRAINTS.  Returns (settings, value).
-    """
-    return _optimize(3, boost_directions, beta, constraint, objective)
+def optimize_mermin(boost_directions, beta: float, **options):
+    """optimize(3, ...)."""
+    return optimize(3, boost_directions, beta, **options)

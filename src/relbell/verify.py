@@ -2,7 +2,7 @@
 
 Every check compares a closed form against exact matrix computation.  The
 rows come from one table, CHECKS, of (name, gated, check) in report order.
-A check takes the seed and returns its residuals unreduced, with the row's
+A check takes the _Run and returns its residuals unreduced, with the row's
 detail; run_all_checks reduces them with one np.max, so a row's residual is
 the largest of its residuals, and NaN if any of them is NaN.  Gated rows
 PASS or FAIL on the tolerance and set the verify command's exit code; a NaN
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .observables import (
     boost_speeds,
     direction_matrix,
     inverse_boost_map,
-    observable_matrix,
     unit3_stack,
 )
 from .scenarios import (
@@ -97,8 +97,22 @@ class CheckResult:
     detail: str
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+@dataclass
+class _Run:
+    """One run of the battery: the seed of its rows' generators, and the
+    center-of-mass table two rows share, built on first use."""
+
+    seed: int
+
+    def rng(self, index: int) -> np.random.Generator:
+        return np.random.default_rng([self.seed, index])
+
+    @cached_property
+    def com(self):
+        """The boost map's center-of-mass effective directions over
+        BETA_GRID, (R, D, 3), and each grid speed's closed-form candidates."""
+        effective = effective_directions_grid(mermin_com_settings(0.0), BETA_GRID)
+        return effective, [com_closed_form_directions(beta) for beta in BETA_GRID]
 
 
 # Draws.  uniform(0, h) is h * rng.random() bit for bit, and consecutive
@@ -185,19 +199,19 @@ def _brute_force(directions, axes, speeds):
     return n, observables, operators @ operators
 
 
-def _check_chsh_square_generic(seed):
-    _, observables, squares = _brute_force(*_draw_free(_rng(seed, 1), 150, 2))
+def _check_chsh_square_generic(run):
+    _, observables, squares = _brute_force(*_draw_free(run.rng(1), 150, 2))
     return (np.abs(squares - square_closed_form(observables)),
             "squared two-qubit operator vs 4I - [A,A'](x)[B,B'] on random "
             "directions and boosts")
 
 
-def _check_chsh_square_in_plane(seed):
+def _check_chsh_square_in_plane(run):
     # The reduced form 4 [I + coeff sigma_z (x) sigma_z], with
     # coeff = (1 - beta^2) sin(phi_a - phi_a') sin(phi_b - phi_b')
     #         / sqrt(prod_v ((1 - beta^2) + beta^2 v_x^2)),
     # is compared beside square_closed_form: every sample is in-plane.
-    draws = _draw_x_boosted(_rng(seed, 2), 150, 4)
+    draws = _draw_x_boosted(run.rng(2), 150, 4)
     shrink_sq, sin_a, sin_b, denom = chsh_in_plane_terms(draws[0], draws[2][:, 0])
     _, observables, squares = _brute_force(*draws)
     coeff = shrink_sq * sin_a * sin_b / np.sqrt(denom)
@@ -215,15 +229,15 @@ def _chsh_xy_grid(rng):
     return terms, chsh_zeta_from_terms(*terms), _brute_force(*draws)[2]
 
 
-def _check_chsh_zeta_spectral(seed):
-    _, peaks, squares = _chsh_xy_grid(_rng(seed, 3))
+def _check_chsh_zeta_spectral(run):
+    _, peaks, squares = _chsh_xy_grid(run.rng(3))
     return (np.abs(hermitian_eigensystem(squares)[0][:, -1] - peaks),
             "closed-form largest eigenvalue of the squared operator vs the "
             "numeric spectrum")
 
 
-def _check_chsh_zeta_eigenstates(seed):
-    (_, sin_a, sin_b, _), peaks, squares = _chsh_xy_grid(_rng(seed, 4))
+def _check_chsh_zeta_eigenstates(run):
+    (_, sin_a, sin_b, _), peaks, squares = _chsh_xy_grid(run.rng(4))
     indices = np.where((sin_a * sin_b >= 0.0)[:, None], (0, 3), (1, 2))
     basis = np.eye(4, dtype=complex)[indices]
     images = (squares[:, None] @ basis[..., None])[..., 0]
@@ -232,7 +246,7 @@ def _check_chsh_zeta_eigenstates(seed):
             "eigenvectors of the squared operator at its peak eigenvalue")
 
 
-def _check_chsh_collinear_curve(seed):
+def _check_chsh_collinear_curve(run):
     operators = bell_operator_grid(chsh_collinear_settings(0.0), BETA_GRID)
     numerics = max_violation(operators)
     values = expectation(phi_plus(), operators)
@@ -242,31 +256,30 @@ def _check_chsh_collinear_curve(seed):
             "maximally-entangled-state expectation, over the beta grid")
 
 
-def _xy_rows(seed, index, per_sample):
+def _xy_rows(run, index, per_sample):
     """The closed-form arguments (*directions, beta) of 100 random samples
     of per_sample xy-plane directions at each of beta = 0, 0.5, 0.9, and the
     (S, d, d) Kronecker product of each sample's observables."""
-    directions, axes, speeds = _draw_x_boosted(_rng(seed, index), 300, per_sample,
+    directions, axes, speeds = _draw_x_boosted(run.rng(index), 300, per_sample,
                                                np.repeat((0.0, 0.5, 0.9), 100))
     n = boost_map(directions, axes, speeds)
     return ((*np.moveaxis(directions, -2, 0), speeds[:, 0]),
             kron(*direction_matrix(np.moveaxis(n, -2, 0))))
 
 
-def _check_phi_correlator(seed):
-    arguments, operators = _xy_rows(seed, 6, 2)
+def _check_phi_correlator(run):
+    arguments, operators = _xy_rows(run, 6, 2)
     values = expectation(phi_plus(), operators)
     return (np.abs(phi_plus_correlator_closed_form(*arguments) - values),
             "closed-form pair correlator vs matrix expectation for xy-plane "
             "directions")
 
 
-def _check_phi_correlator_z_term(seed):
+def _check_phi_correlator_z_term(run):
     beta = 0.6
-    boost = Boost(X_AXIS, beta)
     a = np.array([0.0, 0.0, 1.0])
-    matrix = expectation(phi_plus(), kron(observable_matrix(a, boost),
-                                          observable_matrix(a, boost)))
+    observable = direction_matrix(boost_map(a, X_AXIS, beta))
+    matrix = expectation(phi_plus(), kron(observable, observable))
     factor = boost_denominator_sq(a[0], beta)
     unit_coefficient = (a[2] * a[2]) / factor
     shrunk_coefficient = (1.0 - beta * beta) * (a[2] * a[2]) / factor
@@ -277,8 +290,8 @@ def _check_phi_correlator_z_term(seed):
             f"matches (residual {abs(shrunk_coefficient - matrix):.2e})")
 
 
-def _check_ghz_offdiagonal(seed):
-    arguments, operators = _xy_rows(seed, 8, 3)
+def _check_ghz_offdiagonal(run):
+    arguments, operators = _xy_rows(run, 8, 3)
     elements = operators[:, 7, 0]
     return ([list(map(abs, ghz_offdiagonal_closed_form(*arguments) - elements)),
              list(map(abs, operators[:, 0, 7].conj() - elements))],
@@ -286,8 +299,8 @@ def _check_ghz_offdiagonal(seed):
             "its Hermitian pairing")
 
 
-def _check_ghz_correlator(seed):
-    arguments, operators = _xy_rows(seed, 9, 3)
+def _check_ghz_correlator(run):
+    arguments, operators = _xy_rows(run, 9, 3)
     correlator = ghz_correlator_closed_form(*arguments)
     offdiagonal = ghz_offdiagonal_closed_form(*arguments).real
     values = expectation(ghz_plus(), operators)
@@ -296,11 +309,10 @@ def _check_ghz_correlator(seed):
             "part of the off-diagonal element")
 
 
-def _check_ghz_diagonal(seed):
+def _check_ghz_diagonal(run):
     beta = 0.6
-    boost = Boost(X_AXIS, beta)
-    dirs = [X_AXIS, X_AXIS, X_AXIS]
-    operator = kron(*(observable_matrix(d, boost) for d in dirs))
+    dirs = np.array([X_AXIS, X_AXIS, X_AXIS])
+    operator = kron(*direction_matrix(boost_map(dirs, X_AXIS, beta)))
     matrix = float(operator[0, 0].real)
     claimed = (1.0 - beta * beta) ** 1.5  # x settings: every boost factor is 1
     return (abs(claimed - matrix),
@@ -310,7 +322,7 @@ def _check_ghz_diagonal(seed):
             f"beta = {beta} where the matrix gives {matrix:.6f}")
 
 
-def _check_ghz_collinear_expectation(seed):
+def _check_ghz_collinear_expectation(run):
     state = ghz_plus()
     as_given = expectation(state, bell_operator(mermin_collinear_settings(0.5)))
     swapped = expectation(state, bell_operator(
@@ -321,15 +333,15 @@ def _check_ghz_collinear_expectation(seed):
             f"unprimed gives {swapped:.6f} (magnitude 4)")
 
 
-def _check_mermin_square(seed):
-    _, observables, squares = _brute_force(*_draw_free(_rng(seed, 12), 150, 3))
+def _check_mermin_square(run):
+    _, observables, squares = _brute_force(*_draw_free(run.rng(12), 150, 3))
     return (np.abs(squares - square_closed_form(observables)),
             "squared three-qubit operator vs the commutator closed form with "
             "pairs on qubit legs (1,2), (1,3), (2,3)")
 
 
-def _check_mermin_square_leg_swap(seed):
-    _, observables, squares = _brute_force(*_draw_mermin_in_plane(_rng(seed, 13), 50))
+def _check_mermin_square_leg_swap(run):
+    _, observables, squares = _brute_force(*_draw_mermin_in_plane(run.rng(13), 50))
     worst = np.max(np.abs(squares - square_closed_form(observables, SWAPPED_LEGS)))
     derived = np.max(np.abs(squares - square_closed_form(observables)))
     return (worst,
@@ -338,14 +350,14 @@ def _check_mermin_square_leg_swap(seed):
             f"the (1,3)/(2,3) placement matches within {derived:.2e}")
 
 
-def _check_mermin_lambda_spectral(seed):
-    n, _, squares = _brute_force(*_draw_mermin_in_plane(_rng(seed, 14), 60))
+def _check_mermin_lambda_spectral(run):
+    n, _, squares = _brute_force(*_draw_mermin_in_plane(run.rng(14), 60))
     return (np.abs(hermitian_eigensystem(squares)[0][:, -1] - square_peak_from_directions(n)),
             "coplanar closed-form largest eigenvalue 4(1 + k1k2 + k1k3 + k2k3) "
             "vs the numeric spectrum of the brute-force square")
 
 
-def _check_mermin_zero_eigenvector(seed):
+def _check_mermin_zero_eigenvector(run):
     boost = Boost(X_AXIS, 0.0)
     bases = np.repeat((0.3, 1.1, 2.4), 2)  # arbitrary base angles; gaps are pi/2
     settings = Settings(_xy(bases - np.tile((0.0, math.pi / 2.0), 3)), (boost, boost, boost))
@@ -357,14 +369,14 @@ def _check_mermin_zero_eigenvector(seed):
             "primed/unprimed angle gap is pi/2 at beta = 0")
 
 
-def _check_mermin_collinear_invariance(seed):
+def _check_mermin_collinear_invariance(run):
     grid = effective_directions_grid(mermin_collinear_settings(0.0), BETA_GRID)
     return (np.abs(square_peak_from_directions(grid) - 16.0),
             "the squared-operator peak stays 16 for the y/x settings at every "
             "collinear boost speed")
 
 
-def _check_com_curve(seed):
+def _check_com_curve(run):
     operators = bell_operator_grid(mermin_com_settings(0.0), BETA_GRID)
     tops = hermitian_eigensystem(operators @ operators)[0][:, -1]
     return ([abs(math.sqrt(top) - epsilon3_com(beta)) for beta, top in zip(BETA_GRID, tops)],
@@ -372,29 +384,27 @@ def _check_com_curve(seed):
             "of the largest squared-operator eigenvalue")
 
 
-def _check_com_square_consistency(seed):
+def _check_com_square_consistency(run):
     return ([abs(epsilon3_com(beta) ** 2 - lambda_com(beta)) for beta in BETA_GRID + (1.0,)],
             "the squared peak value equals the closed-form largest eigenvalue "
             "across the grid including beta = 1")
 
 
-def _com_directions(*keys):
-    """The boost map's center-of-mass effective directions over BETA_GRID,
-    (R, D, 3), and each grid speed's closed-form candidates under keys."""
-    effective = effective_directions_grid(mermin_com_settings(0.0), BETA_GRID)
-    closed = [com_closed_form_directions(beta) for beta in BETA_GRID]
+def _com_directions(run, *keys):
+    """The run's com table, with each grid speed's candidates under keys."""
+    effective, closed = run.com
     return effective, np.array([[c[key] for key in keys] for c in closed])
 
 
-def _check_com_unprimed_directions(seed):
-    effective, closed = _com_directions("a", "a_prime", "b", "c")
+def _check_com_unprimed_directions(run):
+    effective, closed = _com_directions(run, "a", "a_prime", "b", "c")
     return (np.abs(effective[:, [0, 1, 2, 4]] - closed),
             "closed-form effective directions for the y settings (and the fixed "
             "points of particle 1) vs the boost map")
 
 
-def _check_com_primed_coefficient(seed):
-    effective, closed = _com_directions("b_prime_derived", "c_prime_derived",
+def _check_com_primed_coefficient(run):
+    effective, closed = _com_directions(run, "b_prime_derived", "c_prime_derived",
                                         "b_prime_alt", "c_prime_alt")
     primed = effective[:, [3, 5]]
     worst_derived = np.max(np.abs(primed - closed[:, :2]))
@@ -407,7 +417,7 @@ def _check_com_primed_coefficient(seed):
             f"1 + 3 sqrt(1-beta^2) matches within {worst_derived:.2e}")
 
 
-def _check_com_ghz_expectation(seed):
+def _check_com_ghz_expectation(run):
     operators = bell_operator_grid(mermin_com_settings(0.0).prime_swapped(), BETA_GRID)
     swapped = expectation(ghz_plus(), operators)
     as_given = expectation(ghz_plus(), bell_operator(mermin_com_settings(0.5)))
@@ -417,8 +427,8 @@ def _check_com_ghz_expectation(seed):
             f"{as_given:.2e})")
 
 
-def _check_observable_contracts(seed):
-    boosted, rest = _draw_contracts(_rng(seed, 20))
+def _check_observable_contracts(run):
+    boosted, rest = _draw_contracts(run.rng(20))
     matrices = direction_matrix(boost_map(*boosted))
     traces = np.trace(matrices, axis1=-2, axis2=-1).tolist()
     zero_beta = boost_map(*rest) - rest[0]
@@ -430,8 +440,8 @@ def _check_observable_contracts(seed):
             "identity; the beta = 0 map is exact")
 
 
-def _check_effective_direction_roundtrip(seed):
-    targets, axes, speeds = _draw_roundtrip(_rng(seed, 21))
+def _check_effective_direction_roundtrip(run):
+    targets, axes, speeds = _draw_roundtrip(run.rng(21))
     preimages = inverse_boost_map(targets, axes, speeds)
     return (np.abs(boost_map(preimages, axes, speeds) - targets),
             "every unit direction has a preimage under the boost map (inverse "
@@ -439,7 +449,7 @@ def _check_effective_direction_roundtrip(seed):
 
 
 #: The battery in report order: (row name, gated, check).  A check takes the
-#: seed and returns (residuals, detail), its residuals unreduced: an array,
+#: _Run and returns (residuals, detail), its residuals unreduced: an array,
 #: a list or a float.  Gated rows PASS or FAIL on the tolerance; the others
 #: are ERRATUM rows.
 CHECKS = (
@@ -474,9 +484,9 @@ def run_all_checks(tolerance: float = 1e-9, seed: int = 0) -> list[CheckResult]:
     check's residuals, NaN if any of them is NaN.  The tolerance gates
     PASS/FAIL rows, and a NaN residual FAILs; ERRATUM rows carry the
     measured disagreement of the known-bad variants."""
-    results = []
+    results, run = [], _Run(seed)
     for name, gated, check in CHECKS:
-        residuals, detail = check(seed)
+        residuals, detail = check(run)
         residual = float(np.max(residuals))
         status = (PASS if residual <= tolerance else FAIL) if gated else ERRATUM
         results.append(CheckResult(name, status, residual, tolerance if gated else None, detail))

@@ -11,19 +11,16 @@ import numpy as np
 
 from helpers import max_abs, random_unit, random_xy, square_residual
 from relbell.bell import (
-    ChshSettings,
-    MerminSettings,
+    Settings,
+    bell_operator,
     bell_terms,
-    chsh_operator,
     chsh_zeta,
     max_violation,
     mermin_lambda3,
-    mermin_operator,
-    mermin_terms,
 )
 from relbell.cli import main
 from relbell.linalg import expectation, hermitian_eigensystem
-from relbell.observables import Boost, effective_direction, observable_matrix
+from relbell.observables import Boost, boost_map, direction_matrix
 from relbell.sampling import estimate_bell, exact_bell, joint_distribution, sample
 from relbell.scenarios import (
     X_AXIS,
@@ -35,7 +32,7 @@ from relbell.scenarios import (
     mermin_collinear_settings,
     mermin_com_settings,
 )
-from relbell.search import optimize_chsh, optimize_mermin
+from relbell.search import optimize
 from relbell.states import ghz_plus, phi_plus
 from relbell.verify import run_all_checks
 
@@ -52,14 +49,14 @@ def _report(criterion, failures):
 
 def _draw_chsh_xy(rng):
     boost = Boost(X_AXIS, rng.uniform(0.0, 0.99))
-    return ChshSettings(random_xy(rng), random_xy(rng), random_xy(rng),
-                        random_xy(rng), boost, boost)
+    return Settings((random_xy(rng), random_xy(rng), random_xy(rng), random_xy(rng)),
+                    (boost, boost))
 
 
 def _draw_mermin_free(rng):
     dirs = [random_unit(rng) for _ in range(6)]
     boosts = [Boost(random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(3)]
-    return MerminSettings(*dirs, *boosts)
+    return Settings(dirs, boosts)
 
 
 def test_criterion_01_pair_curve_endpoints():
@@ -76,7 +73,7 @@ def test_criterion_02_pair_curve_matches_spectra():
     state = phi_plus()
     for beta in CURVE_BETAS:
         closed = epsilon2(beta)
-        operator = chsh_operator(chsh_collinear_settings(beta))
+        operator = bell_operator(chsh_collinear_settings(beta))
         numeric = max_violation(operator)
         state_value = expectation(state, operator)
         if abs(numeric - closed) > 1e-10:
@@ -111,7 +108,7 @@ def test_criterion_04_squared_peak_matches_spectrum():
     worst_vector = 0.0
     for _ in range(1000):
         settings = _draw_chsh_xy(rng)
-        operator = chsh_operator(settings)
+        operator = bell_operator(settings)
         square = operator @ operator
         peak = chsh_zeta(settings)
         top = hermitian_eigensystem(square)[0][-1]
@@ -140,7 +137,7 @@ def test_criterion_05_collinear_three_qubit_invariance():
         value = mermin_lambda3(mermin_collinear_settings(beta))
         if abs(value - 16.0) > 1e-12:
             failures.append(f"peak {value!r} at beta={beta}")
-        swapped = expectation(state, mermin_operator(
+        swapped = expectation(state, bell_operator(
             mermin_collinear_settings(beta).prime_swapped()))
         if abs(abs(swapped) - 4.0) > 1e-10:
             failures.append(f"GHZ magnitude {swapped!r} at beta={beta}")
@@ -155,7 +152,7 @@ def test_criterion_06_center_of_mass_curve():
     if abs(epsilon3_com(1.0) - 2.0) > 1e-12:
         failures.append("epsilon3(1) != 2")
     for beta in BETA_GRID:
-        operator = mermin_operator(mermin_com_settings(beta))
+        operator = bell_operator(mermin_com_settings(beta))
         top = hermitian_eigensystem(operator @ operator)[0][-1]
         if abs(math.sqrt(top) - epsilon3_com(beta)) > 1e-10:
             failures.append(f"spectral mismatch at beta={beta}")
@@ -176,7 +173,7 @@ def test_criterion_07_erratum_adjudications():
             failures.append(f"missing erratum report {name}")
     # (a) the y-unprimed/x-primed assignment has vanishing GHZ expectation
     as_given = expectation(ghz_plus(),
-                           mermin_operator(mermin_collinear_settings(0.5)))
+                           bell_operator(mermin_collinear_settings(0.5)))
     if abs(as_given) > 1e-12:
         failures.append(f"as-given GHZ expectation {as_given!r}")
     # (b) diagonal elements vanish for xy-plane settings
@@ -184,9 +181,8 @@ def test_criterion_07_erratum_adjudications():
     boost = Boost(X_AXIS, 0.7)
     for _ in range(50):
         dirs = [random_xy(rng) for _ in range(3)]
-        operator = np.kron(np.kron(observable_matrix(dirs[0], boost),
-                                   observable_matrix(dirs[1], boost)),
-                           observable_matrix(dirs[2], boost))
+        a, b, c = direction_matrix(boost_map(np.array(dirs), boost.direction, boost.beta))
+        operator = np.kron(np.kron(a, b), c)
         if abs(operator[0, 0]) > 1e-14:
             failures.append("nonzero diagonal element")
             break
@@ -210,7 +206,7 @@ def test_criterion_08_observable_contracts():
     worst = 0.0
     for _ in range(10 ** 4):
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.999))
-        matrix = observable_matrix(random_unit(rng), boost)
+        matrix = direction_matrix(boost_map(random_unit(rng), boost.direction, boost.beta))
         worst = max(worst,
                     max_abs(matrix - matrix.conj().T),
                     abs(complex(np.trace(matrix))),
@@ -220,7 +216,7 @@ def test_criterion_08_observable_contracts():
     rest_worst = 0.0
     for _ in range(200):
         direction = random_unit(rng)
-        rest = effective_direction(direction, Boost(random_unit(rng), 0.0))
+        rest = boost_map(direction, Boost(random_unit(rng), 0.0).direction, 0.0)
         rest_worst = max(rest_worst, max_abs(rest - direction))
     if rest_worst > 1e-12:
         failures.append(f"beta=0 reduction residual {rest_worst:g}")
@@ -230,14 +226,14 @@ def test_criterion_08_observable_contracts():
 def test_criterion_09_optimizer():
     failures = []
     for beta in (0.0, 0.5, 0.9):
-        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, constraint="free_sphere")
+        _, value = optimize(2, (X_AXIS, X_AXIS), beta, constraint="free_sphere")
         if abs(value - ROOT8) > 1e-5:
             failures.append(f"free two-qubit optimum {value!r} at beta={beta}")
-    _, value = optimize_mermin((X_AXIS,) * 3, 0.0, constraint="free_sphere")
+    _, value = optimize(3, (X_AXIS,) * 3, 0.0, constraint="free_sphere")
     if abs(value - 4.0) > 1e-5:
         failures.append(f"free three-qubit optimum {value!r}")
     for beta in (0.0, 0.8):
-        _, value = optimize_chsh((X_AXIS, X_AXIS), beta, constraint="xy_plane")
+        _, value = optimize(2, (X_AXIS, X_AXIS), beta, constraint="xy_plane")
         if value < epsilon2(beta) - 1e-6:
             failures.append(f"xy optimum {value!r} below curve at beta={beta}")
         if value > ROOT8 + 1e-9:
@@ -269,7 +265,7 @@ def test_criterion_10_monte_carlo():
         failures.append(f"two-qubit estimate {estimate!r} off by more than 5 SE")
 
     swapped = mermin_collinear_settings(0.5).prime_swapped()
-    terms3 = mermin_terms(swapped)
+    terms3 = bell_terms(swapped)
     signs3 = [sign for _, sign, _ in terms3]
     ghz = ghz_plus()
     dists3 = [joint_distribution(ghz, obs) for _, _, obs in terms3]

@@ -23,15 +23,12 @@ from helpers import (
     unit_vectors,
 )
 from relbell.bell import (
-    ChshSettings,
-    MerminSettings,
     Settings,
     _chsh_in_plane,
     bell_operator,
     bell_operator_grid,
     bell_terms,
     chsh_in_plane_terms,
-    chsh_operator,
     chsh_zeta,
     chsh_zeta_from_terms,
     commutator,
@@ -39,8 +36,6 @@ from relbell.bell import (
     effective_observables,
     max_violation,
     mermin_lambda3,
-    mermin_operator,
-    mermin_terms,
     operator_norm,
     square_closed_form,
     square_peak_from_directions,
@@ -52,9 +47,8 @@ from relbell.linalg import (
     expectation,
     hermitian_eigensystem,
     kron,
-    kron3,
 )
-from relbell.observables import Boost, direction_matrix, effective_direction, observable_matrix
+from relbell.observables import Boost, boost_map, direction_matrix
 from relbell.scenarios import (
     chsh_collinear_settings,
     com_boosts,
@@ -69,21 +63,16 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 ROOT8 = 2.0 * math.sqrt(2.0)
-#: Per particle count: the Kronecker product of that many factors.
-PRODUCT = {2: kron, 3: kron3}
 
 
 def _random_chsh_xy(rng, beta):
     boost = Boost(X, beta)
-    return ChshSettings(random_xy(rng), random_xy(rng), random_xy(rng),
-                        random_xy(rng), boost, boost)
+    return Settings([random_xy(rng) for _ in range(4)], (boost, boost))
 
 
 def _random_chsh_free(rng):
-    return ChshSettings(random_unit(rng), random_unit(rng), random_unit(rng),
-                        random_unit(rng),
-                        Boost(random_unit(rng), rng.uniform(0.0, 0.99)),
-                        Boost(random_unit(rng), rng.uniform(0.0, 0.99)))
+    return Settings([random_unit(rng) for _ in range(4)],
+                    [Boost(random_unit(rng), rng.uniform(0.0, 0.99)) for _ in range(2)])
 
 
 def _random_free(rng, n_particles):
@@ -97,18 +86,18 @@ def _random_mermin(rng, in_plane):
     dirs = [draw(rng) for _ in range(6)]
     boosts = [Boost(draw(rng) if in_plane else random_unit(rng),
                     rng.uniform(0.0, 0.99)) for _ in range(3)]
-    return MerminSettings(*dirs, *boosts)
+    return Settings(dirs, boosts)
 
 
 def test_chsh_operator_rest_frame_peak():
-    operator = chsh_operator(chsh_collinear_settings(0.0))
+    operator = bell_operator(chsh_collinear_settings(0.0))
     assert abs(max_violation(operator) - ROOT8) < 1e-12
 
 
 def test_chsh_operator_collapsed_settings():
     boost = Boost(X, 0.0)
-    settings = ChshSettings(Z, Z, Z, Z, boost, boost)
-    operator = chsh_operator(settings)
+    settings = Settings((Z, Z, Z, Z), (boost, boost))
+    operator = bell_operator(settings)
     assert max_abs(operator - 2.0 * kron(SIGMA_Z, SIGMA_Z)) < 1e-15
     w, _ = hermitian_eigensystem(operator)
     assert np.allclose(w, [-2.0, -2.0, 2.0, 2.0], atol=1e-12)
@@ -116,7 +105,7 @@ def test_chsh_operator_collapsed_settings():
 
 def test_chsh_operator_boosted_peak():
     # Closed-form oracle: 2 (1 + sqrt(1 - beta^2)) / sqrt(2 - beta^2).
-    operator = chsh_operator(chsh_collinear_settings(0.6))
+    operator = bell_operator(chsh_collinear_settings(0.6))
     expected = 2.0 * (1.0 + 0.8) / math.sqrt(1.64)
     assert abs(max_violation(operator) - expected) < 1e-12
 
@@ -128,7 +117,7 @@ def test_terms_reassemble_operator(n_particles):
     dim = 2 ** n_particles
     total = np.zeros((dim, dim), dtype=complex)
     for _, sign, observables in bell_terms(settings):
-        total += sign * PRODUCT[n_particles](*observables)
+        total += sign * kron(*observables)
     assert max_abs(total - bell_operator(settings)) < 1e-14
 
 
@@ -137,11 +126,13 @@ def test_term_labels():
     labels = [label for label, _, _ in bell_terms(_random_free(rng, 2))]
     assert labels == ["ab", "ab'", "a'b", "a'b'"]
     settings = _random_free(rng, 3)
-    a, ap, b, bp, c, cp = [observable_matrix(d, settings.boosts[i // 2])
-                           for i, d in enumerate(settings.directions)]
+    a, ap, b, bp, c, cp = [
+        direction_matrix(boost_map(d, settings.boosts[i // 2].direction,
+                                   settings.boosts[i // 2].beta))
+        for i, d in enumerate(settings.directions)]
     expected = [("ab'c'", 1, (a, bp, cp)), ("a'bc'", 1, (ap, b, cp)),
                 ("a'b'c", 1, (ap, bp, c)), ("abc", -1, (a, b, c))]
-    for (label, sign, observables), want in zip(mermin_terms(settings), expected):
+    for (label, sign, observables), want in zip(bell_terms(settings), expected):
         assert (label, sign) == want[:2]
         assert all(np.array_equal(o, w) for o, w in zip(observables, want[2]))
 
@@ -185,17 +176,16 @@ def test_chsh_square_rest_frame_cross_product_form():
     rng = np.random.default_rng(14)
     boost = Boost(X, 0.0)
     for _ in range(50):
-        settings = ChshSettings(random_xy(rng), random_xy(rng), random_xy(rng),
-                                random_xy(rng), boost, boost)
-        operator = chsh_operator(settings)
+        settings = Settings([random_xy(rng) for _ in range(4)], (boost, boost))
+        operator = bell_operator(settings)
         a, a_prime, b, b_prime = settings.directions
         cross_a = np.cross(a, a_prime)
         cross_b = np.cross(b, b_prime)
         sin_a, sin_b = np.linalg.norm(cross_a), np.linalg.norm(cross_b)
         rhs = 4.0 * np.eye(4, dtype=complex)
         if sin_a > 1e-12 and sin_b > 1e-12:
-            s_c = observable_matrix(cross_a / sin_a, boost)
-            s_d = observable_matrix(cross_b / sin_b, boost)
+            s_c = direction_matrix(boost_map(cross_a / sin_a, X, 0.0))
+            s_d = direction_matrix(boost_map(cross_b / sin_b, X, 0.0))
             rhs += 4.0 * sin_a * sin_b * kron(s_c, s_d)
         assert max_abs(operator @ operator - rhs) < 1e-12
 
@@ -203,9 +193,9 @@ def test_chsh_square_rest_frame_cross_product_form():
 def test_chsh_square_commuting_settings_is_4i():
     boost = Boost(X, 0.4)
     a = random_xy(np.random.default_rng(15))
-    settings = ChshSettings(a, a, random_xy(np.random.default_rng(16)),
-                            random_xy(np.random.default_rng(17)), boost, boost)
-    operator = chsh_operator(settings)
+    settings = Settings((a, a, random_xy(np.random.default_rng(16)),
+                         random_xy(np.random.default_rng(17))), (boost, boost))
+    operator = bell_operator(settings)
     assert max_abs(operator @ operator - 4.0 * np.eye(4)) < 1e-12
     assert square_residual(settings) < 1e-12
 
@@ -216,19 +206,19 @@ def test_chsh_zeta_values():
     assert abs(chsh_zeta(chsh_collinear_settings(0.6)) - expected) < 1e-12
     boost = Boost(X, 0.3)
     a = random_xy(np.random.default_rng(18))
-    collapsed = ChshSettings(a, a, Y, X, boost, boost)
+    collapsed = Settings((a, a, Y, X), (boost, boost))
     assert abs(chsh_zeta(collapsed) - 4.0) < 1e-12
 
 
 def test_chsh_zeta_domain():
     boost = Boost(X, 0.3)
-    out_of_plane = ChshSettings(Z, Y, Y, X, boost, boost)
+    out_of_plane = Settings((Z, Y, Y, X), (boost, boost))
     with pytest.raises(DomainRestriction):
         chsh_zeta(out_of_plane)
-    tilted = ChshSettings(Y, X, Y, X, Boost(Y, 0.3), boost)
+    tilted = Settings((Y, X, Y, X), (Boost(Y, 0.3), boost))
     with pytest.raises(DomainRestriction):
         chsh_zeta(tilted)
-    unequal = ChshSettings(Y, X, Y, X, Boost(X, 0.3), Boost(X, 0.4))
+    unequal = Settings((Y, X, Y, X), (Boost(X, 0.3), Boost(X, 0.4)))
     with pytest.raises(DomainRestriction):
         chsh_zeta(unequal)
 
@@ -238,7 +228,7 @@ def test_chsh_zeta_matches_spectrum():
     for beta in (0.0, 0.3, 0.6, 0.9, 0.99):
         for _ in range(40):
             settings = _random_chsh_xy(rng, beta)
-            operator = chsh_operator(settings)
+            operator = bell_operator(settings)
             top = hermitian_eigensystem(operator @ operator)[0][-1]
             zeta = chsh_zeta(settings)
             assert 4.0 - 1e-12 <= zeta <= 8.0 + 1e-12
@@ -249,7 +239,7 @@ def test_chsh_zeta_degenerate_eigenstates():
     rng = np.random.default_rng(20)
     for _ in range(100):
         settings = _random_chsh_xy(rng, rng.uniform(0.0, 0.95))
-        operator = chsh_operator(settings)
+        operator = bell_operator(settings)
         square = operator @ operator
         zeta = chsh_zeta(settings)
         a, a_prime, b, b_prime = settings.directions
@@ -267,10 +257,10 @@ def test_mermin_operator_ghz_expectations():
     # the y-unprimed/x-primed assignment gives zero.
     swapped = mermin_collinear_settings(0.0).prime_swapped()
     state = ghz_plus()
-    operator = mermin_operator(swapped)
+    operator = bell_operator(swapped)
     oracle = complex(np.conj(state) @ (operator @ state)).real
     assert abs(oracle + 4.0) < 1e-12
-    as_given = mermin_operator(mermin_collinear_settings(0.0))
+    as_given = bell_operator(mermin_collinear_settings(0.0))
     assert abs(complex(np.conj(state) @ (as_given @ state)).real) < 1e-12
 
 
@@ -278,10 +268,10 @@ def test_mermin_operator_collapsed_settings():
     rng = np.random.default_rng(21)
     n = random_unit(rng)
     boost = Boost(X, 0.0)
-    settings = MerminSettings(n, n, n, n, n, n, boost, boost, boost)
-    operator = mermin_operator(settings)
-    single = observable_matrix(n, boost)
-    assert max_abs(operator - 2.0 * kron3(single, single, single)) < 1e-13
+    settings = Settings((n, n, n, n, n, n), (boost, boost, boost))
+    operator = bell_operator(settings)
+    single = direction_matrix(boost_map(n, boost.direction, boost.beta))
+    assert max_abs(operator - 2.0 * kron(single, single, single)) < 1e-13
     w, _ = hermitian_eigensystem(operator)
     assert abs(w[0] + 2.0) < 1e-12 and abs(w[-1] - 2.0) < 1e-12
 
@@ -290,7 +280,7 @@ def test_mermin_square_closed_form_random():
     rng = np.random.default_rng(23)
     for _ in range(200):
         settings = _random_mermin(rng, in_plane=False)
-        operator = mermin_operator(settings)
+        operator = bell_operator(settings)
         residual = max_abs(operator @ operator
                            - square_closed_form(effective_observables(settings)))
         assert residual < 1e-12
@@ -300,7 +290,7 @@ def test_mermin_square_commuting_settings_is_4i():
     rng = np.random.default_rng(24)
     a, b, c = random_unit(rng), random_unit(rng), random_unit(rng)
     boost = Boost(X, 0.5)
-    settings = MerminSettings(a, a, b, b, c, c, boost, boost, boost)
+    settings = Settings((a, a, b, b, c, c), (boost, boost, boost))
     closed = square_closed_form(effective_observables(settings))
     assert np.array_equal(closed, 4.0 * np.eye(8, dtype=complex))
 
@@ -320,8 +310,8 @@ def test_mermin_square_leg_placement():
     for base, primed in angles:
         dirs.append(np.array([math.cos(base), math.sin(base), 0.0]))
         dirs.append(np.array([math.cos(primed), math.sin(primed), 0.0]))
-    settings = MerminSettings(*dirs, boost, boost, boost)
-    operator = mermin_operator(settings)
+    settings = Settings(dirs, (boost, boost, boost))
+    operator = bell_operator(settings)
     square = operator @ operator
     observables_ = effective_observables(settings)
     assert max_abs(square - square_closed_form(observables_)) < 1e-12
@@ -334,7 +324,7 @@ def test_mermin_lambda3_values():
     rng = np.random.default_rng(25)
     a, b, c = random_xy(rng), random_xy(rng), random_xy(rng)
     boost = Boost(X, 0.4)
-    collapsed = MerminSettings(a, a, b, b, c, c, boost, boost, boost)
+    collapsed = Settings((a, a, b, b, c, c), (boost, boost, boost))
     assert abs(mermin_lambda3(collapsed) - 4.0) < 1e-12
 
 
@@ -346,7 +336,7 @@ def test_mermin_lambda3_center_of_mass_value():
     expected = 4.0 * (1.0 + 8.0 * 0.8 / math.sqrt(d) + 16.0 * 0.64 / d)
     settings = mermin_com_settings(0.6)
     assert abs(mermin_lambda3(settings) - expected) < 1e-12
-    operator = mermin_operator(settings)
+    operator = bell_operator(settings)
     top = hermitian_eigensystem(operator @ operator)[0][-1]
     assert abs(top - expected) < 1e-10
 
@@ -355,17 +345,17 @@ def test_mermin_lambda3_matches_spectrum_random():
     rng = np.random.default_rng(26)
     for _ in range(60):
         settings = _random_mermin(rng, in_plane=True)
-        operator = mermin_operator(settings)
+        operator = bell_operator(settings)
         top = hermitian_eigensystem(operator @ operator)[0][-1]
         assert abs(top - mermin_lambda3(settings)) < 1e-10
 
 
 def test_mermin_lambda3_domain():
     boost = Boost(X, 0.2)
-    settings = MerminSettings(Z, Y, Y, X, Y, X, boost, boost, boost)
+    settings = Settings((Z, Y, Y, X, Y, X), (boost, boost, boost))
     with pytest.raises(DomainRestriction):
         mermin_lambda3(settings)
-    tilted = MerminSettings(Y, X, Y, X, Y, X, Boost(Z, 0.2), boost, boost)
+    tilted = Settings((Y, X, Y, X, Y, X), (Boost(Z, 0.2), boost, boost))
     with pytest.raises(DomainRestriction):
         mermin_lambda3(tilted)
 
@@ -377,16 +367,16 @@ def test_mermin_square_zero_eigenvector():
         dirs.append(np.array([math.cos(base), math.sin(base), 0.0]))
         shifted = base - math.pi / 2.0
         dirs.append(np.array([math.cos(shifted), math.sin(shifted), 0.0]))
-    settings = MerminSettings(*dirs, boost, boost, boost)
-    operator = mermin_operator(settings)
+    settings = Settings(dirs, (boost, boost, boost))
+    operator = bell_operator(settings)
     basis = np.zeros(8, dtype=complex)
     basis[1] = 1.0  # |001>
     assert max_abs(operator @ (operator @ basis)) < 1e-10
 
 
 def test_max_violation_examples():
-    assert abs(max_violation(chsh_operator(chsh_collinear_settings(0.0))) - ROOT8) < 1e-12
-    assert abs(max_violation(mermin_operator(mermin_collinear_settings(0.0))) - 4.0) < 1e-12
+    assert abs(max_violation(bell_operator(chsh_collinear_settings(0.0))) - ROOT8) < 1e-12
+    assert abs(max_violation(bell_operator(mermin_collinear_settings(0.0))) - 4.0) < 1e-12
     assert abs(max_violation(kron(SIGMA_Z, SIGMA_Z)) - 1.0) < 1e-15
     # A stack gives one value per matrix, each the float of its lone solve.
     operators = bell_operator_grid(chsh_collinear_settings(0.0), [0.0, 0.4, 0.8])
@@ -400,14 +390,14 @@ def test_spectral_windows_and_square_consistency():
     rng = np.random.default_rng(27)
     for _ in range(40):
         settings = _random_chsh_free(rng)
-        operator = chsh_operator(settings)
+        operator = bell_operator(settings)
         w, _ = hermitian_eigensystem(operator)
         assert w[0] >= -ROOT8 - 1e-10 and w[-1] <= ROOT8 + 1e-10
         top_sq = hermitian_eigensystem(operator @ operator)[0][-1]
         assert abs(math.sqrt(top_sq) - max_violation(operator)) < 1e-10
     for _ in range(20):
         settings = _random_mermin(rng, in_plane=False)
-        operator = mermin_operator(settings)
+        operator = bell_operator(settings)
         w, _ = hermitian_eigensystem(operator)
         assert w[0] >= -4.0 - 1e-10 and w[-1] <= 4.0 + 1e-10
         top_sq = hermitian_eigensystem(operator @ operator)[0][-1]
@@ -416,8 +406,8 @@ def test_spectral_windows_and_square_consistency():
 
 def test_commutator_antisymmetry():
     rng = np.random.default_rng(28)
-    m1 = observable_matrix(random_unit(rng), Boost(X, 0.3))
-    m2 = observable_matrix(random_unit(rng), Boost(X, 0.3))
+    m1 = direction_matrix(boost_map(random_unit(rng), X, 0.3))
+    m2 = direction_matrix(boost_map(random_unit(rng), X, 0.3))
     assert max_abs(commutator(m1, m2) + commutator(m2, m1)) == 0.0
 
 
@@ -487,11 +477,12 @@ def test_effective_observables_match_observable_matrix(n_particles, data):
     for row, direction, boost in zip(settings_.effective_directions(), directions,
                                      [boost for boost in boosts for _ in range(2)]):
         assert np.array_equal(row.view(np.uint64),
-                              effective_direction(direction, boost).view(np.uint64))
+                              boost_map(direction, boost.direction, boost.beta).view(np.uint64))
     for (_, _, observables), (_, _, picks) in zip(bell_terms(settings_),
                                                    settings_.family.terms):
         for observable, index in zip(observables, picks):
-            want = observable_matrix(directions[index], boosts[index // 2])
+            boost = boosts[index // 2]
+            want = direction_matrix(boost_map(directions[index], boost.direction, boost.beta))
             assert np.array_equal(observable.view(np.uint64), want.view(np.uint64))
 
 
@@ -617,7 +608,7 @@ def test_operator_norms_extend_restricted_closed_forms():
     assert abs(operator_norm(chsh_collinear_settings(0.0)) - ROOT8) < 1e-15
     assert abs(operator_norm(mermin_collinear_settings(0.7)) - 4.0) < 1e-12
     boost = Boost(X, 0.5)
-    collapsed = ChshSettings(Y, Y, Z, Z, boost, boost)
+    collapsed = Settings((Y, Y, Z, Z), (boost, boost))
     assert operator_norm(collapsed) == 2.0
 
 
@@ -733,8 +724,17 @@ def test_operator_grid_raises_like_row_by_row(n_particles, data):
 
 @pytest.mark.parametrize("beta", [1.0, -0.1, math.nan])
 def test_operator_grid_refuses_speeds_boost_refuses(beta):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as boost:
+        Boost(X, beta)
+    with pytest.raises(DomainError) as grid:
         bell_operator_grid(chsh_collinear_settings(0.0), [0.5, beta])
+    assert str(grid.value) == str(boost.value)
+    # However long the grid, the error names its first bad speed alone.
+    betas = np.linspace(0.0, 0.99, 2001)
+    betas[[700, 1500]] = beta, 2.0
+    with pytest.raises(DomainError) as long_grid:
+        bell_operator_grid(chsh_collinear_settings(0.0), betas)
+    assert str(long_grid.value) == str(boost.value)
 
 
 def test_operator_grid_raises_at_first_row_then_first_direction():

@@ -186,9 +186,9 @@ def test_degenerate_observable_stays_usage_error(monkeypatch, capsys):
 def test_sweep_builds_operators_per_block(monkeypatch, scenario):
     # A sweep builds its effective directions, and from them its operators, a
     # block of rows at a time and solves each block's spectra in one stacked
-    # eigensolve; a per-row operator build
-    # would call chsh_operator or mermin_operator once per row, and a per-row
-    # eigensolve would call hermitian_eigensystem once per row.
+    # eigensolve; a per-row operator build would call bell_operator once per
+    # row, and a per-row eigensolve would call hermitian_eigensystem once per
+    # row.
     calls = Counter()
 
     def counted(module, name):
@@ -200,7 +200,7 @@ def test_sweep_builds_operators_per_block(monkeypatch, scenario):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("chsh_operator", "mermin_operator", "hermitian_eigensystem"):
+    for name in ("bell_operator", "hermitian_eigensystem"):
         counted(relbell.bell, name)
     counted(relbell.scenarios, "effective_directions_grid")
     with contextlib.redirect_stdout(io.StringIO()):

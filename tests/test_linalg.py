@@ -21,7 +21,6 @@ from relbell.linalg import (
     hermitian_eigensystem,
     is_hermitian,
     kron,
-    kron3,
     state_vector,
 )
 from relbell.states import phi_plus
@@ -44,7 +43,7 @@ def test_kron_xy_entry():
 def test_kron_associativity_exact():
     for a, b, c in ((SIGMA_X, SIGMA_Y, SIGMA_Z), (SIGMA_Z, IDENTITY_2, SIGMA_X)):
         assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-        assert np.array_equal(kron3(a, b, c), kron(kron(a, b), c))
+        assert np.array_equal(kron(a, b, c), kron(kron(a, b), c))
         assert np.array_equal(kron(a, b, c, a), np.kron(np.kron(np.kron(a, b), c), a))
 
 
@@ -69,7 +68,6 @@ def test_kron_is_bit_identical_to_numpy(a, b, c):
     ab = np.kron(a, b)
     assert same_bits(kron(a, b), ab)
     assert same_bits(kron(a, b, c), np.kron(ab, c))
-    assert same_bits(kron3(a, b, c), np.kron(ab, c))
     assert same_bits(kron(a), a)
     assert same_bits(kron(ab, c), np.kron(ab, c))
     assert same_bits(kron(c, ab), np.kron(c, ab))
@@ -83,7 +81,6 @@ def test_kron_is_bit_identical_to_numpy(a, b, c):
     x, y, z = np.stack([a, b, c]), np.stack([b, c, a]), np.stack([c, a, b])
     stacked2, stacked3 = kron(x, y), kron(x, y, z)
     assert stacked2.shape == (3, 4, 4) and stacked3.shape == (3, 8, 8)
-    assert same_bits(kron3(x, y, z), stacked3)
     for r in range(3):
         assert same_bits(stacked2[r], np.kron(x[r], y[r]))
         assert same_bits(stacked3[r], np.kron(np.kron(x[r], y[r]), z[r]))

@@ -18,10 +18,9 @@ from relbell.observables import (
     boost_denominator_sq,
     boost_map,
     boost_speeds,
-    effective_direction,
+    direction_matrix,
     inverse_boost_map,
     normalized3,
-    observable_matrix,
     unit3,
     unit3_stack,
 )
@@ -35,11 +34,11 @@ _PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
 
 
 def test_parallel_direction_is_fixed_point():
-    assert np.array_equal(effective_direction(X, Boost(X, 0.9)), X)
+    assert np.array_equal(boost_map(X, X, 0.9), X)
 
 
 def test_perpendicular_direction_is_fixed_point():
-    assert np.allclose(effective_direction(Y, Boost(X, 0.8)), Y, atol=1e-15)
+    assert np.allclose(boost_map(Y, X, 0.8), Y, atol=1e-15)
 
 
 def test_effective_direction_diagonal_case():
@@ -47,7 +46,7 @@ def test_effective_direction_diagonal_case():
     # shrinks by 0.6; denominator sqrt(1 + 0.64 (1/2 - 1)) = sqrt(0.68).
     a = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     expected = np.array([1.0, 0.6, 0.0]) / math.sqrt(1.36)
-    result = effective_direction(a, Boost(X, 0.8))
+    result = boost_map(a, X, 0.8)
     assert max_abs(result - expected) < 1e-12
     assert abs(float(result @ result) - 1.0) < 1e-12
 
@@ -56,7 +55,7 @@ def test_zero_beta_returns_input_exactly():
     rng = np.random.default_rng(3)
     for _ in range(50):
         a = random_unit(rng)
-        out = effective_direction(a, Boost(random_unit(rng), 0.0))
+        out = boost_map(a, random_unit(rng), 0.0)
         assert np.array_equal(out, a)
 
 
@@ -65,17 +64,17 @@ def test_fixed_points_all_speeds():
     for beta in (0.1, 0.5, 0.9, 0.999):
         e = random_unit(rng)
         boost = Boost(e, beta)
-        assert max_abs(effective_direction(e, boost) - e) < 1e-12
+        assert max_abs(boost_map(e, boost.direction, boost.beta) - e) < 1e-12
         perp = np.cross(e, random_unit(rng))
         perp /= np.linalg.norm(perp)
-        assert max_abs(effective_direction(perp, boost) - perp) < 1e-12
+        assert max_abs(boost_map(perp, boost.direction, boost.beta) - perp) < 1e-12
 
 
 def test_result_is_unit():
     rng = np.random.default_rng(5)
     for _ in range(200):
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.999))
-        n = effective_direction(random_unit(rng), boost)
+        n = boost_map(random_unit(rng), boost.direction, boost.beta)
         assert abs(float(n @ n) - 1.0) < 1e-12
 
 
@@ -87,14 +86,14 @@ def test_direction_map_is_onto():
         target = random_unit(rng)
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.99))
         rest = inverse_boost_map(target, boost.direction, boost.beta)
-        assert max_abs(effective_direction(rest, boost) - target) < 1e-10
+        assert max_abs(boost_map(rest, boost.direction, boost.beta) - target) < 1e-10
 
 
 @_PROPERTY_SETTINGS
 @given(a=unit_vectors, e=unit_vectors, beta=st.floats(0.0, 0.999))
 def test_effective_direction_is_unit_and_invertible(a, e, beta):
     boost = Boost(e, beta)
-    n = effective_direction(a, boost)
+    n = boost_map(a, boost.direction, boost.beta)
     assert abs(float(n @ n) - 1.0) <= 1e-12
     assert max_abs(inverse_boost_map(n, boost.direction, boost.beta) - a) <= 1e-12
 
@@ -164,12 +163,12 @@ def test_boost_map_output_is_unit_up_to_the_fastest_boost(e, p, along, beta):
 
 
 def test_observable_matrix_examples():
-    assert max_abs(observable_matrix(X, Boost(X, 0.5)) - SIGMA_X) < 1e-15
-    assert max_abs(observable_matrix(Y, Boost(X, 0.0)) - SIGMA_Y) < 1e-15
+    assert max_abs(direction_matrix(boost_map(X, X, 0.5)) - SIGMA_X) < 1e-15
+    assert max_abs(direction_matrix(boost_map(Y, X, 0.0)) - SIGMA_Y) < 1e-15
     a = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     n = np.array([1.0, 0.6, 0.0]) / math.sqrt(1.36)
     expected = n[0] * SIGMA_X + n[1] * SIGMA_Y
-    assert max_abs(observable_matrix(a, Boost(X, 0.8)) - expected) < 1e-12
+    assert max_abs(direction_matrix(boost_map(a, X, 0.8)) - expected) < 1e-12
 
 
 def test_observable_matrix_contracts():
@@ -177,7 +176,7 @@ def test_observable_matrix_contracts():
     identity = np.eye(2)
     for _ in range(300):
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.999))
-        m = observable_matrix(random_unit(rng), boost)
+        m = direction_matrix(boost_map(random_unit(rng), boost.direction, boost.beta))
         assert max_abs(m - m.conj().T) < 1e-12
         assert abs(complex(np.trace(m))) < 1e-12
         assert max_abs(m @ m - identity) < 1e-12
@@ -257,7 +256,7 @@ def test_degenerate_denominator_raises(monkeypatch):
     # floor to exercise the branch.
     monkeypatch.setattr(observables, "DENOMINATOR_FLOOR", 0.5)
     with pytest.raises(DegenerateObservable):
-        effective_direction(Y, Boost(X, 0.9))
+        boost_map(Y, X, 0.9)
 
 
 def _stack(data, shape, max_beta=0.999):

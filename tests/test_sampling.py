@@ -13,14 +13,14 @@ from numpy.random import Generator, Philox
 
 from helpers import basis_state, marginal
 from relbell import sampling
-from relbell.bell import bell_terms, mermin_terms
+from relbell.bell import bell_terms
 from relbell.errors import (
     DimensionMismatch,
     DomainError,
     InvalidObservable,
     MissingSetting,
 )
-from relbell.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, expectation, kron, kron3
+from relbell.linalg import IDENTITY_2, SIGMA_X, SIGMA_Z, expectation, kron
 from relbell.sampling import (
     OutcomeDistribution,
     ShotRecord,
@@ -50,7 +50,7 @@ def test_joint_distribution_unbiased_pair():
 
 def test_joint_distribution_ghz_xxx():
     dist = joint_distribution(ghz_plus(), [SIGMA_X, SIGMA_X, SIGMA_X])
-    oracle = expectation(ghz_plus(), kron3(SIGMA_X, SIGMA_X, SIGMA_X))
+    oracle = expectation(ghz_plus(), kron(SIGMA_X, SIGMA_X, SIGMA_X))
     assert dist.correlator() == pytest.approx(oracle, abs=1e-12)
     assert dist.correlator() == pytest.approx(1.0, abs=1e-12)
 
@@ -69,13 +69,13 @@ def test_joint_distribution_normalization_and_correlator():
 def test_joint_distribution_marginals():
     settings = mermin_collinear_settings(0.5).prime_swapped()
     state = ghz_plus()
-    for _, _, observables in mermin_terms(settings):
+    for _, _, observables in bell_terms(settings):
         dist = joint_distribution(state, observables)
         for particle in range(3):
             # direct single-particle oracle
             factors = [IDENTITY_2] * 3
             factors[particle] = 0.5 * (IDENTITY_2 + observables[particle])
-            p_plus = expectation(state, kron3(*factors))
+            p_plus = expectation(state, kron(*factors))
             probabilities = marginal(dist, particle)
             assert abs(probabilities[0] - p_plus) < 1e-12
             assert abs(probabilities.sum() - 1.0) < 1e-12
@@ -83,7 +83,7 @@ def test_joint_distribution_marginals():
 
 @pytest.mark.parametrize("n_particles", [2, 3])
 def test_joint_distribution_takes_one_expectation(monkeypatch, n_particles):
-    # One stacked kron/kron3 and one expectation call for every outcome, each
+    # One stacked kron and one expectation call for every outcome, each
     # probability the value of the per-outcome Kronecker chain from [[1]].
     calls = []
 
@@ -193,7 +193,7 @@ def test_sample_draws_over_the_outcomes_that_can_occur():
     # the draw runs over the others, with their probabilities rescaled to
     # sum to 1, and the zeros get no shot.
     for index, (_, _, observables) in enumerate(
-            mermin_terms(mermin_collinear_settings(0.3).prime_swapped())):
+            bell_terms(mermin_collinear_settings(0.3).prime_swapped())):
         p = joint_distribution(ghz_plus(), observables).probabilities
         support = np.flatnonzero(p)
         assert support.size < p.size
@@ -252,7 +252,7 @@ def _run_concurrently(workers, call):
 def test_sample_counts_do_not_depend_on_worker_count(workers, shots, seed):
     # ``workers`` threads sample the same setting at once: each call keys
     # its own generator, so every thread gets the keyed draw.
-    _, _, observables = mermin_terms(mermin_collinear_settings(0.4))[1]
+    _, _, observables = bell_terms(mermin_collinear_settings(0.4))[1]
     dist = joint_distribution(ghz_plus(), observables)
     results = _run_concurrently(
         workers, lambda: sample(dist, shots, seed=seed, setting_index=1).counts)
@@ -328,7 +328,7 @@ def test_sample_law_matches_per_shot_reference(n_particles):
         _, _, observables = bell_terms(chsh_collinear_settings(0.6))[1]
         dist = joint_distribution(phi_plus(), observables)
     else:
-        _, _, observables = mermin_terms(mermin_com_settings(0.45))[2]
+        _, _, observables = bell_terms(mermin_com_settings(0.45))[2]
         dist = joint_distribution(ghz_plus(), observables)
     p = dist.probabilities
     assert p.min() > 1e-3
@@ -508,7 +508,7 @@ def test_estimate_bell_missing_setting():
 
 def test_mermin_swapped_sampling_is_deterministic_minus_four():
     settings = mermin_collinear_settings(0.5).prime_swapped()
-    terms = mermin_terms(settings)
+    terms = bell_terms(settings)
     state = ghz_plus()
     records = []
     signs = []

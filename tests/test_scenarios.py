@@ -11,12 +11,11 @@ from helpers import max_abs, unit_vectors
 from relbell import scenarios
 from relbell.errors import DomainError
 from relbell.linalg import expectation, hermitian_eigensystem
-from relbell.bell import Settings, bell_operator, max_violation, mermin_operator, operator_norm
+from relbell.bell import Settings, bell_operator, max_violation, operator_norm
 from relbell.observables import Boost
 from relbell.scenarios import (
     SCENARIOS,
     SWEEP_BLOCK_ROWS,
-    Scenario,
     chsh_collinear_settings,
     com_boosts,
     com_closed_form_directions,
@@ -25,7 +24,6 @@ from relbell.scenarios import (
     lambda_com,
     mermin_collinear_settings,
     mermin_com_settings,
-    scenario_curve,
     sweep,
 )
 from relbell.states import ghz_plus, phi_plus
@@ -135,8 +133,14 @@ def test_scenario_closed_forms():
     assert closed_form("mermin-com", 0.7) == epsilon3_com(0.7)
 
 
+def _row(kind, beta):
+    """The sweep row of the named scenario at speed beta."""
+    build_settings, peak = SCENARIOS[kind]
+    return next(sweep(build_settings(0.0), [beta], peak))
+
+
 def test_scenario_curve_chsh_rest():
-    result = scenario_curve(Scenario("chsh-collinear", 0.0))
+    result = _row("chsh-collinear", 0.0)
     assert abs(result.closed_form - ROOT8) < 1e-12
     assert abs(result.numeric_max - ROOT8) < 1e-10
     assert result.residual_closed_numeric < 1e-10
@@ -148,22 +152,22 @@ def test_scenario_curve_mermin_prime_swap():
     result = next(sweep(mermin_collinear_settings(0.0).prime_swapped(), [0.7], peak))
     assert abs(abs(result.state_expectation) - 4.0) < 1e-10
     assert abs(result.closed_form - abs(result.state_expectation)) < 1e-10
-    as_given = scenario_curve(Scenario("mermin-collinear", 0.7))
+    as_given = _row("mermin-collinear", 0.7)
     assert abs(as_given.state_expectation) < 1e-12
     residual_closed_state = abs(as_given.closed_form - abs(as_given.state_expectation))
     assert abs(residual_closed_state - 4.0) < 1e-10
 
 
 def test_scenario_curve_center_of_mass():
-    result = scenario_curve(Scenario("mermin-com", 0.6))
+    result = _row("mermin-com", 0.6)
     assert abs(result.numeric_max - epsilon3_com(0.6)) < 1e-10
-    operator = mermin_operator(mermin_com_settings(0.6))
+    operator = bell_operator(mermin_com_settings(0.6))
     top = hermitian_eigensystem(operator @ operator)[0][-1]
     assert abs(math.sqrt(top) - epsilon3_com(0.6)) < 1e-10
 
 
 def test_scenario_curve_at_beta_one():
-    result = scenario_curve(Scenario("chsh-collinear", 1.0))
+    result = _row("chsh-collinear", 1.0)
     assert result.closed_form == 2.0
     assert result.numeric_max is None
     assert result.state_expectation is None
@@ -171,10 +175,9 @@ def test_scenario_curve_at_beta_one():
 
 
 def test_scenario_validation():
+    # A speed past 1 has no sweep row; the named closed form refuses it.
     with pytest.raises(DomainError):
-        Scenario("nonsense", 0.5)
-    with pytest.raises(DomainError):
-        Scenario("chsh-collinear", 1.5)
+        _row("chsh-collinear", 1.5)
 
 
 def test_collinear_settings_constructors():
@@ -189,14 +192,14 @@ def test_collinear_settings_constructors():
 def test_com_ghz_expectation_tracks_curve():
     state = ghz_plus()
     for beta in (0.0, 0.4, 0.8):
-        swapped = expectation(state, mermin_operator(
+        swapped = expectation(state, bell_operator(
             mermin_com_settings(beta).prime_swapped()))
         assert abs(abs(swapped) - epsilon3_com(beta)) < 1e-10
 
 
 def test_collinear_numeric_max_constant():
     for beta in (0.0, 0.5, 0.95):
-        operator = mermin_operator(mermin_collinear_settings(beta))
+        operator = bell_operator(mermin_collinear_settings(beta))
         assert abs(max_violation(operator) - 4.0) < 1e-10
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BETA_MAX, BOUND, REFINEMENT_TOLERANCE, boost_axes, coordinate_ascent
-from relbell.bell import bell_operator, chsh_operator, max_violation, mermin_operator, \
-    operator_norm
+from relbell.bell import bell_operator, max_violation, operator_norm
 from relbell.cli import MAX_GRID_POINTS, main
 from relbell.errors import DomainError
 from relbell.linalg import expectation
@@ -27,8 +26,7 @@ from relbell.search import (
     PEAK_TARGETS,
     _value,
     optimal_settings,
-    optimize_chsh,
-    optimize_mermin,
+    optimize,
 )
 
 ROOT8 = 2.0 * math.sqrt(2.0)
@@ -44,9 +42,9 @@ FAST_FREE = dict(FAST_XY, constraint="free_sphere")
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        optimize_chsh((X_AXIS, X_AXIS), 0.5, constraint="banana")
+        optimize(2, (X_AXIS, X_AXIS), 0.5, constraint="banana")
     with pytest.raises(DomainError):
-        optimize_mermin(com_boosts(), 0.5, objective="nonsense")
+        optimize(3, com_boosts(), 0.5, objective="nonsense")
 
 
 def test_config_refuses_grid_finer_than_refinement(capsys):
@@ -65,11 +63,11 @@ def test_config_refuses_grid_finer_than_refinement(capsys):
 
 def test_beta_domain():
     with pytest.raises(DomainError):
-        optimize_chsh((X_AXIS, X_AXIS), 1.0)
+        optimize(2, (X_AXIS, X_AXIS), 1.0)
     with pytest.raises(DomainError):
-        optimize_mermin(com_boosts(), -0.1)
+        optimize(3, com_boosts(), -0.1)
     with pytest.raises(DomainError):
-        optimize_chsh((X_AXIS, TILTED), 1.0)
+        optimize(2, (X_AXIS, TILTED), 1.0)
     with pytest.raises(DomainError):
         optimal_settings(2, (X_AXIS, X_AXIS), 0.5, "banana")
     with pytest.raises(DomainError):
@@ -81,11 +79,10 @@ def test_beta_domain():
 def test_off_plane_boost_has_no_xy_plane_optimum(n_particles, objective):
     # The construction's preimages leave the plane; optimize refuses rather
     # than return settings outside the constraint or short of the peak.
-    optimize = optimize_chsh if n_particles == 2 else optimize_mermin
     axes = (X_AXIS, TILTED, X_AXIS)[:n_particles]
     with pytest.raises(DomainError, match=r"xy_plane .* \[0\.6, 0\.0, 0\.8\] of particle 2"):
-        optimize(axes, 0.5, constraint="xy_plane", objective=objective)
-    _, value = optimize(axes, 0.5, constraint="free_sphere", objective=objective)
+        optimize(n_particles, axes, 0.5, constraint="xy_plane", objective=objective)
+    _, value = optimize(n_particles, axes, 0.5, constraint="free_sphere", objective=objective)
     assert abs(value - BOUND[n_particles]) <= 4 * math.ulp(BOUND[n_particles])
 
 
@@ -129,7 +126,7 @@ def test_chsh_value_is_brute_force_norm(config, beta):
     # The objective is scored in closed form; the returned value must still
     # be the Jacobi spectrum of the returned settings.
     settings, value = coordinate_ascent((X_AXIS, TILTED), beta, **config)
-    assert abs(value - max_violation(chsh_operator(settings))) <= 1e-12
+    assert abs(value - max_violation(bell_operator(settings))) <= 1e-12
 
 
 @pytest.mark.parametrize("config", [FAST_XY, FAST_FREE], ids=["xy", "free"])
@@ -137,7 +134,7 @@ def test_chsh_value_is_brute_force_norm(config, beta):
 def test_mermin_value_is_brute_force_norm(config, boosts):
     directions = (X_AXIS,) * 3 if boosts == "collinear" else com_boosts()
     settings, value = coordinate_ascent(directions, 0.6, **config)
-    assert abs(value - max_violation(mermin_operator(settings))) <= 1e-12
+    assert abs(value - max_violation(bell_operator(settings))) <= 1e-12
 
 
 def test_state_expectation_objective():
@@ -168,21 +165,21 @@ def test_construction_reaches_the_bound(objective, constraint, n_particles, data
     axes = data.draw(st.lists(boost_axes, min_size=n_particles, max_size=n_particles))
     beta = data.draw(st.one_of(st.floats(0.0, BETA_MAX),
                                st.sampled_from([0.0, 0.99999999, BETA_MAX])))
-    optimize = optimize_chsh if n_particles == 2 else optimize_mermin
     try:
         built = optimal_settings(n_particles, axes, beta, constraint)
     except DomainError:
         assert constraint == "xy_plane"
         assert not all(_in_plane_or_along_z(e) for e in axes)
         with pytest.raises(DomainError):
-            optimize(axes, beta, constraint=constraint, objective=objective)
+            optimize(n_particles, axes, beta, constraint=constraint, objective=objective)
         return
     if constraint == "xy_plane":
         assert not any(d[2] for d in built.directions)
     # The inverse map divides by sqrt(1 - beta^2), which scales its rounding.
     miss = np.abs(built.effective_directions() - PEAK_TARGETS[n_particles]).max()
     assert miss <= 8 * EPS / math.sqrt((1.0 - beta) * (1.0 + beta))
-    found, value = optimize(axes, beta, constraint=constraint, objective=objective)
+    found, value = optimize(n_particles, axes, beta, constraint=constraint,
+                            objective=objective)
     assert all(np.array_equal(d, e) for d, e in zip(found.directions, built.directions))
     assert value == _objective_value(built, objective)
     assert abs(value - BOUND[n_particles]) <= 4 * math.ulp(BOUND[n_particles])

@@ -14,8 +14,8 @@ from relbell.errors import (
     DomainError,
     DomainRestriction,
 )
-from relbell.linalg import expectation, kron, kron3
-from relbell.observables import Boost, observable_matrix
+from relbell.linalg import expectation, kron
+from relbell.observables import boost_map, direction_matrix
 from relbell.states import (
     ghz_correlator_closed_form,
     ghz_offdiagonal_closed_form,
@@ -63,12 +63,11 @@ def test_phi_correlator_matches_matrix():
     rng = np.random.default_rng(31)
     state = phi_plus()
     for beta in (0.0, 0.5, 0.9):
-        boost = Boost(X, beta)
         for _ in range(334):
             a, b = random_xy(rng), random_xy(rng)
             closed = phi_plus_correlator_closed_form(a, b, beta)
-            matrix = expectation(state, kron(observable_matrix(a, boost),
-                                             observable_matrix(b, boost)))
+            observables = direction_matrix(boost_map(np.array([a, b]), X, beta))
+            matrix = expectation(state, kron(*observables))
             assert abs(closed - matrix) < 1e-12
 
 
@@ -90,7 +89,6 @@ def test_phi_correlator_z_coefficient_of_general_formula():
     rng = np.random.default_rng(32)
     state = phi_plus()
     for beta in (0.0, 0.4, 0.8):
-        boost = Boost(X, beta)
         g = 1.0 - beta * beta
         for _ in range(50):
             a = rng.normal(size=3)
@@ -101,8 +99,8 @@ def test_phi_correlator_z_coefficient_of_general_formula():
             factor_b = 1.0 + beta * beta * (b[0] ** 2 - 1.0)
             general = ((a[0] * b[0] - g * a[1] * b[1] + g * a[2] * b[2])
                        / math.sqrt(factor_a * factor_b))
-            matrix = expectation(state, kron(observable_matrix(a, boost),
-                                             observable_matrix(b, boost)))
+            observables = direction_matrix(boost_map(np.array([a, b]), X, beta))
+            matrix = expectation(state, kron(*observables))
             assert abs(general - matrix) < 1e-12
 
 
@@ -117,10 +115,9 @@ def test_ghz_offdiagonal_examples():
 def test_ghz_offdiagonal_matches_matrix_element():
     rng = np.random.default_rng(33)
     for beta in (0.0, 0.5, 0.9):
-        boost = Boost(X, beta)
         for _ in range(150):
             dirs = [random_xy(rng) for _ in range(3)]
-            operator = kron3(*(observable_matrix(d, boost) for d in dirs))
+            operator = kron(*direction_matrix(boost_map(np.array(dirs), X, beta)))
             closed = ghz_offdiagonal_closed_form(*dirs, beta)
             assert abs(closed - operator[7, 0]) < 1e-12
             # Hermiticity pairing
@@ -130,9 +127,7 @@ def test_ghz_offdiagonal_matches_matrix_element():
 def test_ghz_correlator_examples():
     assert ghz_correlator_closed_form(X, X, X, 0.0) == pytest.approx(1.0)
     # 8x8 oracle for (x, y, y) at rest
-    boost = Boost(X, 0.0)
-    operator = kron3(observable_matrix(X, boost), observable_matrix(Y, boost),
-                     observable_matrix(Y, boost))
+    operator = kron(*direction_matrix(boost_map(np.array([X, Y, Y]), X, 0.0)))
     oracle = expectation(ghz_plus(), operator)
     assert oracle == pytest.approx(-1.0, abs=1e-14)
     assert ghz_correlator_closed_form(X, Y, Y, 0.0) == pytest.approx(oracle)
@@ -144,10 +139,9 @@ def test_ghz_correlator_matches_matrix():
     rng = np.random.default_rng(34)
     state = ghz_plus()
     for beta in (0.0, 0.5, 0.9):
-        boost = Boost(X, beta)
         for _ in range(334):
             dirs = [random_xy(rng) for _ in range(3)]
-            operator = kron3(*(observable_matrix(d, boost) for d in dirs))
+            operator = kron(*direction_matrix(boost_map(np.array(dirs), X, beta)))
             closed = ghz_correlator_closed_form(*dirs, beta)
             assert abs(closed - expectation(state, operator)) < 1e-12
             assert abs(closed - ghz_offdiagonal_closed_form(*dirs, beta).real) < 1e-12
@@ -156,10 +150,10 @@ def test_ghz_correlator_matches_matrix():
 def test_ghz_phase_flip_negates_correlator():
     rng = np.random.default_rng(35)
     plus, minus = ghz_plus(), ghz_minus()
-    boost = Boost(X, 0.6)
+    beta = 0.6
     for _ in range(50):
         dirs = [random_xy(rng) for _ in range(3)]
-        operator = kron3(*(observable_matrix(d, boost) for d in dirs))
+        operator = kron(*direction_matrix(boost_map(np.array(dirs), X, beta)))
         assert abs(expectation(plus, operator)
                    + expectation(minus, operator)) < 1e-12
 
@@ -169,10 +163,9 @@ def test_ghz_diagonal_elements_vanish_in_plane():
     # component, so every diagonal element of the triple product vanishes.
     rng = np.random.default_rng(36)
     for beta in (0.0, 0.6):
-        boost = Boost(X, beta)
         for _ in range(50):
             dirs = [random_xy(rng) for _ in range(3)]
-            operator = kron3(*(observable_matrix(d, boost) for d in dirs))
+            operator = kron(*direction_matrix(boost_map(np.array(dirs), X, beta)))
             assert abs(operator[0, 0]) < 1e-15
             assert abs(operator[7, 7]) < 1e-15
 

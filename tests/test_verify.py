@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
+import relbell.scenarios as scenarios
 import relbell.verify as verify
 from helpers import (
     BOUND,
@@ -50,6 +51,23 @@ def test_verify_square_checks_build_observables_once(monkeypatch, name):
     monkeypatch.setattr(verify, "boost_map", counted)
     assert [result.check for result in _run_row(monkeypatch, name)] == [name]
     assert len(calls) == 1
+
+
+def test_verify_builds_the_com_candidates_once_per_run(monkeypatch):
+    # The two rows that compare the center-of-mass effective directions with
+    # their closed-form candidates share one table per run: one
+    # com_closed_form_directions call per grid speed, however many rows use
+    # it, and built afresh by the next run.
+    calls = []
+
+    def counted(beta):
+        calls.append(beta)
+        return scenarios.com_closed_form_directions(beta)
+
+    monkeypatch.setattr(verify, "com_closed_form_directions", counted)
+    for runs in (1, 2):
+        verify.run_all_checks(seed=0)
+        assert calls == list(verify.BETA_GRID) * runs
 
 
 def _nan_at_half(function):
@@ -169,7 +187,7 @@ def test_array_draws_keep_the_sample_by_sample_stream(seed):
                     draws.append((_name, state, _draw(rng, *args)))
                     return draws[-1][2]
                 patch.setattr(verify, draw, recorded)
-            check(seed)
+            check(verify._Run(seed))
         if name not in STREAM_ORACLES:
             assert draws == []
             continue

@@ -5,8 +5,8 @@ scenario's or a settings file's curves over a beta grid (scenarios.sweep),
 ``verify`` runs the closed-form-vs-brute-force battery and reports errata,
 ``optimize`` returns measurement settings of the peak violation (the
 constructed optimum, search.optimal_settings, exact for every boost geometry
-it offers; its --restarts, --grid-points and --seed are validated and
-recorded but steer nothing), and ``sample`` runs a shot-level Monte Carlo
+it offers; its --restarts and --seed are validated and recorded but steer
+nothing), and ``sample`` runs a shot-level Monte Carlo
 experiment.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments, 3 output
@@ -206,12 +206,6 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if any(c.status == FAIL for c in checks) else EXIT_OK
 
 
-#: The most --grid-points: 2 pi / sqrt(1e-8).  Past it the coarse grid of
-#: the coordinate-ascent oracle in tests/helpers.py is finer than its
-#: golden-section tolerance; the flag keeps that range.
-MAX_GRID_POINTS = 62831
-
-
 def _cmd_optimize(args) -> int:
     from .search import optimize
 
@@ -221,11 +215,6 @@ def _cmd_optimize(args) -> int:
         raise UsageError("the center-of-mass boost geometry needs --three")
     if args.restarts < 1:
         raise UsageError("restarts must be >= 1")
-    if args.grid_points < 2:
-        raise UsageError("grid_points_per_angle must be >= 2")
-    if args.grid_points > MAX_GRID_POINTS:
-        raise UsageError(f"grid_points_per_angle must be <= {MAX_GRID_POINTS}, "
-                         f"got {args.grid_points}")
     n_particles = 3 if args.three else 2
     boost_dirs = com_boosts() if args.boost == "com" else (X_AXIS,) * n_particles
     settings, value = optimize(
@@ -239,8 +228,7 @@ def _cmd_optimize(args) -> int:
     for name, vector in zip(names, settings.directions):
         for axis, component in zip("xyz", vector):
             row[f"{name}_{axis}"] = float(component)
-    meta = _meta(args, "optimize", {"restarts": args.restarts,
-                                    "grid_points": args.grid_points})
+    meta = _meta(args, "optimize", {"restarts": args.restarts})
     return _emit(args, list(row), rows=[row], meta=meta)
 
 
@@ -323,9 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="measurement settings of the peak violation",
                        description="Return measurement settings of the peak violation: "
                                    "the constructed optimum, exact for every boost "
-                                   "geometry offered here. --restarts, --grid-points and "
-                                   "--seed are validated and recorded in the meta, but "
-                                   "steer nothing.")
+                                   "geometry offered here. --restarts and --seed are "
+                                   "validated and recorded in the meta, but steer "
+                                   "nothing.")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--two", action="store_true",
                        help="two-qubit operator (default)")
@@ -338,9 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16,
                    help="at least 1; validated and recorded in the meta, but "
                         "steers nothing (default 16)")
-    p.add_argument("--grid-points", type=int, default=24,
-                   help=f"2 to {MAX_GRID_POINTS}; validated and recorded in the "
-                        "meta, but steers nothing (default 24)")
 
     p = sub.add_parser("sample", parents=[common],
                        help="shot-level Monte Carlo Bell experiment")

@@ -295,7 +295,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         "verify": ["verify", "--format", "json", "--seed", "9",
                    "--no-meta-time"],
         "optimize": ["optimize", "--beta", "0.4", "--constraint", "xy",
-                     "--restarts", "2", "--grid-points", "8", "--seed", "21",
+                     "--restarts", "2", "--seed", "21",
                      "--no-meta-time"],
         "sample": ["sample", "--scenario", "chsh-collinear", "--beta", "0.3",
                    "--shots", "20000", "--seed", "33", "--no-meta-time"],

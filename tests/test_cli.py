@@ -262,7 +262,7 @@ def test_verify_fails_at_absurd_tolerance(tmp_path):
 def test_optimize_chsh(tmp_path):
     out = tmp_path / "opt.json"
     code = main(["optimize", "--beta", "0", "--constraint", "free",
-                 "--restarts", "2", "--grid-points", "8", "--seed", "3",
+                 "--restarts", "2", "--seed", "3",
                  "--format", "json", "--output", str(out), "--no-meta-time"])
     assert code == 0
     row = json.loads(out.read_text(encoding="utf-8"))["rows"][0]
@@ -276,7 +276,7 @@ def test_optimize_rerun_is_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     argv = ["optimize", "--beta", "0.5", "--constraint", "xy", "--restarts",
-            "2", "--grid-points", "8", "--seed", "11", "--no-meta-time"]
+            "2", "--seed", "11", "--no-meta-time"]
     assert main(argv + ["--output", str(first)]) == 0
     assert main(argv + ["--output", str(second)]) == 0
     assert _read(first) == _read(second)
@@ -285,7 +285,7 @@ def test_optimize_rerun_is_byte_identical(tmp_path):
 def test_optimize_three_qubit(tmp_path):
     out = tmp_path / "opt3.json"
     code = main(["optimize", "--three", "--beta", "0", "--constraint", "xy",
-                 "--restarts", "2", "--grid-points", "8", "--seed", "1",
+                 "--restarts", "2", "--seed", "1",
                  "--format", "json", "--output", str(out), "--no-meta-time"])
     assert code == 0
     row = json.loads(out.read_text(encoding="utf-8"))["rows"][0]
@@ -302,7 +302,7 @@ def test_optimize_at_the_fastest_speed_reaches_the_bound(tmp_path, geometry):
     # boosts) here; the constructed optimum is exact to a few ulps.
     out = tmp_path / "opt.json"
     code = main(["optimize", *geometry, "--beta", "0.9999999999999999",
-                 "--restarts", "1", "--grid-points", "4",
+                 "--restarts", "1",
                  "--format", "json", "--output", str(out), "--no-meta-time"])
     assert code == 0
     bound = 4.0 if geometry else ROOT8
@@ -316,7 +316,7 @@ def test_optimize_near_light_speed_stays_within_bound(tmp_path):
     # closed-form value climbs past the bound of 4.
     out = tmp_path / "opt3.json"
     code = main(["optimize", "--three", "--constraint", "free", "--beta", "0.9999999999",
-                 "--restarts", "1", "--grid-points", "2",
+                 "--restarts", "1",
                  "--format", "json", "--output", str(out), "--no-meta-time"])
     assert code == 0
     assert json.loads(out.read_text(encoding="utf-8"))["rows"][0]["value"] <= 4.0
@@ -326,19 +326,6 @@ def test_optimize_usage_errors(capsys):
     assert main(["optimize", "--boost", "com"]) == 2
     assert main(["optimize", "--beta", "1.0"]) == 2
     assert main(["optimize", "--restarts", "0"]) == 2
-    capsys.readouterr()
-    assert main(["optimize", "--grid-points", "1"]) == 2
-    assert capsys.readouterr().err == "error: grid_points_per_angle must be >= 2\n"
-
-
-def test_optimize_refuses_grid_points_above_the_cap(capsys):
-    # This used to fail with a memory-error traceback and exit 1.
-    argv = ["optimize", "--grid-points", "10000000000000", "--restarts", "1"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: grid_points_per_angle must be <= 62831, "
-                            "got 10000000000000\n")
 
 
 def test_sample_csv(tmp_path):

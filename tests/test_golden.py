@@ -105,7 +105,7 @@ def _cases() -> dict[str, list[str]]:
     cases["sample-multiblock-mermin-collinear-swap"] = [
         "sample", "--scenario", "mermin-collinear", "--prime-swap",
         "--shots", "131073", "--seed", "3"]
-    small = ["--restarts", "2", "--grid-points", "8", "--seed", "5"]
+    small = ["--restarts", "2", "--seed", "5"]
     cases["optimize-2-xy"] = ["optimize", "--beta", "0.5", "--constraint", "xy", *small]
     cases["optimize-2-free"] = ["optimize", "--beta", "0.5", "--constraint", "free", *small]
     cases["optimize-2-state"] = ["optimize", "--beta", "0.3", "--objective", "state",

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BETA_MAX, BOUND, REFINEMENT_TOLERANCE, boost_axes, coordinate_ascent
+from helpers import BETA_MAX, BOUND, boost_axes, coordinate_ascent
 from relbell.bell import bell_operator, max_violation, operator_norm
-from relbell.cli import MAX_GRID_POINTS, main
 from relbell.errors import DomainError
 from relbell.linalg import expectation
 from relbell.scenarios import (
@@ -45,20 +44,6 @@ def test_config_validation():
         optimize(2, (X_AXIS, X_AXIS), 0.5, constraint="banana")
     with pytest.raises(DomainError):
         optimize(3, com_boosts(), 0.5, objective="nonsense")
-
-
-def test_config_refuses_grid_finer_than_refinement(capsys):
-    # Past MAX_GRID_POINTS the oracle's coarse grid spacing is finer than its
-    # golden-section tolerance; far past it the grid would not fit in memory.
-    # optimize keeps that range for --grid-points.
-    xtol = math.sqrt(REFINEMENT_TOLERANCE)
-    assert MAX_GRID_POINTS == 62831
-    assert 2.0 * math.pi / MAX_GRID_POINTS >= xtol > 2.0 * math.pi / (MAX_GRID_POINTS + 1)
-    assert main(["optimize", "--grid-points", str(MAX_GRID_POINTS)]) == 0
-    capsys.readouterr()
-    for points in (1, MAX_GRID_POINTS + 1, 10 ** 13):
-        assert main(["optimize", "--grid-points", str(points)]) == 2
-        assert capsys.readouterr().err.startswith("error: grid_points_per_angle must be ")
 
 
 def test_beta_domain():

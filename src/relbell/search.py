@@ -61,6 +61,8 @@ def optimal_settings(n_particles: int, boost_directions, beta: float,
     """
     if constraint not in CONSTRAINTS:
         raise DomainError(f"constraint must be one of {CONSTRAINTS}")
+    if n_particles not in PEAK_TARGETS:
+        raise DomainError(f"n_particles must be 2 or 3, got {n_particles!r}")
     boosts = tuple(Boost(d, beta) for d in boost_directions)
     if len(boosts) != n_particles:
         raise DomainError(f"expected exactly {n_particles} boost directions")

@@ -44,6 +44,9 @@ def test_config_validation():
         optimize(2, (X_AXIS, X_AXIS), 0.5, constraint="banana")
     with pytest.raises(DomainError):
         optimize(3, com_boosts(), 0.5, objective="nonsense")
+    for n_particles in (1, 4):
+        with pytest.raises(DomainError, match=f"n_particles must be 2 or 3, got {n_particles}"):
+            optimize(n_particles, (X_AXIS,) * n_particles, 0.5)
 
 
 def test_beta_domain():

@@ -216,7 +216,7 @@ def test_criterion_08_observable_contracts():
     rest_worst = 0.0
     for _ in range(200):
         direction = random_unit(rng)
-        rest = boost_map(direction, Boost(random_unit(rng), 0.0).direction, 0.0)
+        rest = boost_map(direction, random_unit(rng), 0.0)
         rest_worst = max(rest_worst, max_abs(rest - direction))
     if rest_worst > 1e-12:
         failures.append(f"beta=0 reduction residual {rest_worst:g}")

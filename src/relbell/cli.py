@@ -314,11 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "geometry offered here. --restarts and --seed are "
                                    "validated and recorded in the meta, but steer "
                                    "nothing.")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--two", action="store_true",
-                       help="two-qubit operator (default)")
-    group.add_argument("--three", action="store_true",
-                       help="three-qubit operator")
+    p.add_argument("--three", action="store_true",
+                   help="three-qubit operator (default: two-qubit)")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--constraint", choices=("xy", "free"), default="xy")
     p.add_argument("--boost", choices=("collinear", "com"), default="collinear")

@@ -326,6 +326,8 @@ def test_optimize_usage_errors(capsys):
     assert main(["optimize", "--boost", "com"]) == 2
     assert main(["optimize", "--beta", "1.0"]) == 2
     assert main(["optimize", "--restarts", "0"]) == 2
+    # Two qubits are the default; the flag that restated it is retired.
+    assert main(["optimize", "--two"]) == 2
 
 
 def test_sample_csv(tmp_path):

@@ -330,13 +330,6 @@ def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
     return boost_map(np.array(settings.directions), axes, betas[:, None])
 
 
-def bell_operator_grid(settings: Settings, betas) -> np.ndarray:
-    """The Bell operators of the settings with every particle boosted at each
-    speed of betas (all below 1) instead of its own, stacked on a leading
-    axis: row r is bell_operator of the settings at betas[r], bit for bit."""
-    return settings.family.operators(effective_directions_grid(settings, betas))
-
-
 @dataclass(frozen=True)
 class Family:
     """What the particle count fixes: the operator's name, its sign table of

@@ -12,7 +12,9 @@ peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; the
 matrix-backed fields of a sweep sample (ScenarioResult), and the
 operator_norm that checks settings without a named peak, exist for beta < 1
 only.  sweep builds a block of rows' directions and operators at once and
-takes their spectra and their expectations in one stacked call each.
+takes their spectra and their expectations in one stacked call each; the
+verify battery reads its two curve rows from it, so it checks the path the
+sweep command prints.
 """
 
 from __future__ import annotations
@@ -114,8 +116,10 @@ def mermin_com_settings(beta: float) -> Settings:
     return Settings((Y_AXIS, X_AXIS) * 3, [Boost(e, beta) for e in com_boosts()])
 
 
-def com_closed_form_directions(beta: float) -> dict[str, np.ndarray]:
-    """Closed-form candidates for the center-of-mass effective directions.
+def com_closed_form_directions(beta) -> dict[str, np.ndarray]:
+    """Closed-form candidates for the center-of-mass effective directions,
+    at a speed beta or at each of an array of speeds (...): each candidate
+    is (..., 3), each row the bits of its lone call.
 
     For particles 2 and 3 the unprimed (y-setting) direction is
 
@@ -128,19 +132,27 @@ def com_closed_form_directions(beta: float) -> dict[str, np.ndarray]:
     command reports which candidate matches.
     """
     require_unit_interval(beta)
-    g = math.sqrt(max(1.0 - beta * beta, 0.0))
-    unprimed_denom = 2.0 * math.sqrt(4.0 - beta * beta)
-    primed_denom = 2.0 * math.sqrt(4.0 - 3.0 * beta * beta)
+    beta = np.asarray(beta, dtype=float)
+    g = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+    unprimed_denom = 2.0 * np.sqrt(4.0 - beta * beta)
+    primed_denom = 2.0 * np.sqrt(4.0 - 3.0 * beta * beta)
     root3 = math.sqrt(3.0)
+
+    def xy(x, y, denom=1.0):
+        # (x, y, 0) / denom, divided componentwise: the bits of dividing the
+        # whole vector, since 0 / denom is 0.
+        x, y = np.broadcast_arrays(x / denom, y / denom, beta)[:2]
+        return np.stack([x, y, np.zeros_like(x)], axis=-1)
+
     return {
-        "a": Y_AXIS.copy(),
-        "a_prime": X_AXIS.copy(),
-        "b": np.array([root3 * (1.0 - g), 3.0 + g, 0.0]) / unprimed_denom,
-        "c": np.array([-root3 * (1.0 - g), 3.0 + g, 0.0]) / unprimed_denom,
-        "b_prime_derived": np.array([1.0 + 3.0 * g, root3 * (1.0 - g), 0.0]) / primed_denom,
-        "c_prime_derived": np.array([1.0 + 3.0 * g, -root3 * (1.0 - g), 0.0]) / primed_denom,
-        "b_prime_alt": np.array([3.0 + g, root3 * (1.0 - g), 0.0]) / primed_denom,
-        "c_prime_alt": np.array([3.0 + g, -root3 * (1.0 - g), 0.0]) / primed_denom,
+        "a": xy(0.0, 1.0),
+        "a_prime": xy(1.0, 0.0),
+        "b": xy(root3 * (1.0 - g), 3.0 + g, unprimed_denom),
+        "c": xy(-root3 * (1.0 - g), 3.0 + g, unprimed_denom),
+        "b_prime_derived": xy(1.0 + 3.0 * g, root3 * (1.0 - g), primed_denom),
+        "c_prime_derived": xy(1.0 + 3.0 * g, -root3 * (1.0 - g), primed_denom),
+        "b_prime_alt": xy(3.0 + g, root3 * (1.0 - g), primed_denom),
+        "c_prime_alt": xy(3.0 + g, -root3 * (1.0 - g), primed_denom),
     }
 
 
@@ -201,12 +213,15 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
 def sweep(settings: Settings, betas, peak=None):
     """Yield the ScenarioResult of each speed of betas, every particle boosted
     at that speed; peak(beta) is the closed form, by default each row's
-    operator_norm below beta = 1 and None at 1.  Each SWEEP_BLOCK_ROWS rows
+    operator_norm below beta = 1 and None at 1.  The whole grid is checked
+    first, with or without a peak: a speed that is NaN or outside [0, 1]
+    raises DomainError naming the first such speed.  Each SWEEP_BLOCK_ROWS rows
     get their effective directions from one effective_directions_grid call,
     their spectra from one max_violation call, their state expectations
     from one expectation call and, without a peak, their operator norms as
     the square roots of one square_peak_from_directions call, each row's
     operator_norm bit for bit."""
+    require_unit_interval(np.asarray(betas, dtype=float))
     family = settings.family
     state = family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):

@@ -26,13 +26,13 @@ from relbell.bell import (
     Settings,
     _chsh_in_plane,
     bell_operator,
-    bell_operator_grid,
     bell_terms,
     chsh_in_plane_terms,
     chsh_zeta,
     chsh_zeta_from_terms,
     commutator,
     cross_norms,
+    effective_directions_grid,
     effective_observables,
     max_violation,
     mermin_lambda3,
@@ -374,12 +374,19 @@ def test_mermin_square_zero_eigenvector():
     assert max_abs(operator @ (operator @ basis)) < 1e-10
 
 
+def _operator_grid(settings_, betas):
+    """The Bell operators of settings_ with every particle boosted at each
+    speed of betas, as sweep builds them: one effective_directions_grid
+    call, then Family.operators."""
+    return settings_.family.operators(effective_directions_grid(settings_, betas))
+
+
 def test_max_violation_examples():
     assert abs(max_violation(bell_operator(chsh_collinear_settings(0.0))) - ROOT8) < 1e-12
     assert abs(max_violation(bell_operator(mermin_collinear_settings(0.0))) - 4.0) < 1e-12
     assert abs(max_violation(kron(SIGMA_Z, SIGMA_Z)) - 1.0) < 1e-15
     # A stack gives one value per matrix, each the float of its lone solve.
-    operators = bell_operator_grid(chsh_collinear_settings(0.0), [0.0, 0.4, 0.8])
+    operators = _operator_grid(chsh_collinear_settings(0.0), [0.0, 0.4, 0.8])
     peaks = max_violation(operators)
     assert peaks.shape == (3,)
     assert peaks.tolist() == [max_violation(operator) for operator in operators]
@@ -641,7 +648,7 @@ def test_operator_grid_rows_are_bit_identical(n_particles, data):
         settings_ = settings_.prime_swapped()
     speeds = data.draw(st.lists(st.floats(0.0, _TOP_SPEED), min_size=1, max_size=12))
     betas = speeds + [0.0, speeds[0], _TOP_SPEED]
-    grid = bell_operator_grid(settings_, betas)
+    grid = _operator_grid(settings_, betas)
     assert grid.shape == (len(betas),) + (2 ** n_particles,) * 2
     for beta, row in zip(betas, grid):
         want = bell_operator(_at_speed(settings_, beta))
@@ -715,10 +722,10 @@ def test_operator_grid_raises_like_row_by_row(n_particles, data):
                 expected = str(exc)
                 break
         if expected is None:
-            bell_operator_grid(settings_, betas)
+            _operator_grid(settings_, betas)
         else:
             with pytest.raises(DegenerateObservable) as raised:
-                bell_operator_grid(settings_, betas)
+                _operator_grid(settings_, betas)
             assert str(raised.value) == expected
 
 
@@ -727,13 +734,13 @@ def test_operator_grid_refuses_speeds_boost_refuses(beta):
     with pytest.raises(DomainError) as boost:
         Boost(X, beta)
     with pytest.raises(DomainError) as grid:
-        bell_operator_grid(chsh_collinear_settings(0.0), [0.5, beta])
+        _operator_grid(chsh_collinear_settings(0.0), [0.5, beta])
     assert str(grid.value) == str(boost.value)
     # However long the grid, the error names its first bad speed alone.
     betas = np.linspace(0.0, 0.99, 2001)
     betas[[700, 1500]] = beta, 2.0
     with pytest.raises(DomainError) as long_grid:
-        bell_operator_grid(chsh_collinear_settings(0.0), betas)
+        _operator_grid(chsh_collinear_settings(0.0), betas)
     assert str(long_grid.value) == str(boost.value)
 
 
@@ -749,7 +756,7 @@ def test_operator_grid_raises_at_first_row_then_first_direction():
             for beta in (0.5, 0.88, 0.95):
                 bell_operator(_at_speed(settings_, beta))
         with pytest.raises(DegenerateObservable) as grid:
-            bell_operator_grid(settings_, [0.5, 0.88, 0.95])
+            _operator_grid(settings_, [0.5, 0.88, 0.95])
     assert str(grid.value) == str(row_by_row.value)
     assert str(grid.value).startswith(f"normalization denominator {math.sqrt(1 - 0.88**2):g}")
 

@@ -286,7 +286,7 @@ def test_boost_map_stack_matches_scalar_map_bit_for_bit(data):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_boost_map_grid_broadcast_matches_scalar_map_bit_for_bit(data):
-    # bell_operator_grid's shapes: (1, D, 3) directions and axes against
+    # effective_directions_grid's shapes: (1, D, 3) directions and axes against
     # (R, 1) speeds.
     rows, count = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
     a, e, _ = _stack(data, (count,))

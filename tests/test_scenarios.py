@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_abs, unit_vectors
+from helpers import max_abs, same_bits, unit_vectors
 from relbell import scenarios
 from relbell.errors import DomainError
 from relbell.linalg import expectation, hermitian_eigensystem
@@ -121,6 +121,22 @@ def test_com_closed_form_directions():
             assert abs(alt_norm - 1.0) < 1e-12
         else:
             assert alt_norm > 1.0 + 1e-4
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(speeds=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+def test_com_closed_form_directions_rows_are_lone_calls(speeds):
+    # An array of speeds (...) gives each candidate as (..., 3), each row the
+    # bits of the lone call, which stays (3,).
+    betas = np.array(speeds + [0.0, 1.0])
+    for grid in (betas, betas.reshape(1, -1)):
+        closed = com_closed_form_directions(grid)
+        for key, rows in closed.items():
+            assert rows.shape == grid.shape + (3,)
+            for index in np.ndindex(grid.shape):
+                lone = com_closed_form_directions(float(grid[index]))[key]
+                assert lone.shape == (3,)
+                assert same_bits(rows[index], lone)
 
 
 def test_scenario_closed_forms():
@@ -240,3 +256,16 @@ def test_sweep_closed_form_is_each_rows_operator_norm(n_particles, data):
         assert row.closed_form == operator_norm(at_beta)
         assert row.residual_closed_numeric <= 1e-12
     assert rows[-1] == (None, None, None, None)
+
+
+@pytest.mark.parametrize("peak", [None, epsilon2], ids=["no-peak", "peak"])
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, math.inf])
+def test_sweep_refuses_speeds_outside_the_unit_interval(bad, peak):
+    # The whole grid is checked before the first block is built, with or
+    # without a peak, and the error names the first bad speed alone, even
+    # past the first block and with a later bad speed behind it.
+    betas = [0.5] * (SWEEP_BLOCK_ROWS + 3) + [bad, 2.0]
+    rows = sweep(chsh_collinear_settings(0.0), betas, peak)
+    with pytest.raises(DomainError) as raised:
+        next(rows)
+    assert str(raised.value) == f"beta must lie in [0, 1], got {bad!r}"

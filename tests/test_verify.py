@@ -53,11 +53,10 @@ def test_verify_square_checks_build_observables_once(monkeypatch, name):
     assert len(calls) == 1
 
 
-def test_verify_builds_the_com_candidates_once_per_run(monkeypatch):
+def test_verify_builds_the_com_candidates_in_one_call_per_row(monkeypatch):
     # The two rows that compare the center-of-mass effective directions with
-    # their closed-form candidates share one table per run: one
-    # com_closed_form_directions call per grid speed, however many rows use
-    # it, and built afresh by the next run.
+    # their closed-form candidates each take them from one
+    # com_closed_form_directions call over the whole grid: two calls a run.
     calls = []
 
     def counted(beta):
@@ -67,7 +66,9 @@ def test_verify_builds_the_com_candidates_once_per_run(monkeypatch):
     monkeypatch.setattr(verify, "com_closed_form_directions", counted)
     for runs in (1, 2):
         verify.run_all_checks(seed=0)
-        assert calls == list(verify.BETA_GRID) * runs
+        assert len(calls) == 2 * runs
+    for beta in calls:
+        assert same_bits(beta, np.array(verify.BETA_GRID))
 
 
 def _nan_at_half(function):
@@ -187,7 +188,7 @@ def test_array_draws_keep_the_sample_by_sample_stream(seed):
                     draws.append((_name, state, _draw(rng, *args)))
                     return draws[-1][2]
                 patch.setattr(verify, draw, recorded)
-            check(verify._Run(seed))
+            check(seed)
         if name not in STREAM_ORACLES:
             assert draws == []
             continue

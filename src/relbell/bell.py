@@ -7,8 +7,9 @@ A(B + B') + A'(B - B'); the three-qubit operator is the four-term
 combination A B'C' + A'B C' + A'B'C - A B C.  The paper's closed forms for
 the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
 provided on the restricted measurement geometries where they were derived,
-and refuse other inputs instead of extrapolating; chsh_in_plane_terms and
-chsh_zeta_from_terms are chsh_zeta's core on stacked in-plane directions.
+and refuse other inputs instead of extrapolating: observables.require_xy_plane
+decides the plane for both.  chsh_in_plane_terms and chsh_zeta_from_terms
+are chsh_zeta's core on stacked in-plane directions.
 operator_norm holds for every setting and needs no matrix at all.
 Effective directions n, lone (D, 3) or stacked (..., D, 3), become Bell
 values in one place: the closed forms through square_peak_from_directions,
@@ -40,6 +41,7 @@ from .observables import (
     boost_map,
     boost_speeds,
     direction_matrix,
+    require_xy_plane,
     unit3,
 )
 from .states import ghz_plus, phi_plus
@@ -138,22 +140,6 @@ def square_closed_form(observables, legs=None) -> np.ndarray:
     return square
 
 
-def _xy_angle(v) -> float:
-    # Convention: angle from the x-axis, atan2 branch in (-pi, pi].  Only
-    # sines of angle differences are ever consumed, so the branch choice
-    # cannot leak into results.
-    return math.atan2(v[1], v[0])
-
-
-def _is_xy(v) -> bool:
-    return abs(v[2]) <= XY_PLANE_TOL
-
-
-def _is_x_collinear(boost: Boost) -> bool:
-    d = boost.direction
-    return abs(d[1]) <= XY_PLANE_TOL and abs(d[2]) <= XY_PLANE_TOL
-
-
 def chsh_in_plane_terms(directions, beta):
     """(1 - beta^2, sin(phi_a - phi_a'), sin(phi_b - phi_b'), prod_v D_v),
     the terms of chsh_zeta, for xy-plane directions of shape (..., 4, 3) in
@@ -163,23 +149,13 @@ def chsh_in_plane_terms(directions, beta):
     per element, since np.arctan2 rounds differently."""
     directions = np.asarray(directions, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    angles = np.array([_xy_angle(v) for v in directions.reshape(-1, 3)])
+    # atan2's branch, (-pi, pi], cannot leak: only sines of differences are used.
+    angles = np.array([math.atan2(v[1], v[0]) for v in directions.reshape(-1, 3)])
     sines = np.sin(np.subtract(*angles.reshape(-1, 2, 2).T))
     denom = boost_denominator_sq(directions[..., 0], beta[..., None])
     shape = directions.shape[:-2]
     return (1.0 - beta * beta, sines[0].reshape(shape), sines[1].reshape(shape),
             denom[..., 0] * denom[..., 1] * denom[..., 2] * denom[..., 3])
-
-
-def _chsh_in_plane(settings: Settings):
-    """chsh_in_plane_terms of settings with xy-plane directions under x
-    boosts at a common speed, else None."""
-    boost1, boost2 = settings.boosts
-    if not (all(_is_xy(v) for v in settings.directions)
-            and _is_x_collinear(boost1) and _is_x_collinear(boost2)
-            and abs(boost1.beta - boost2.beta) <= 1e-15):
-        return None
-    return chsh_in_plane_terms(settings.directions, boost1.beta)
 
 
 def _chsh(a, ap, b, bp) -> np.ndarray:
@@ -217,16 +193,18 @@ def mermin_terms(settings: Settings):
 def chsh_zeta(settings: Settings) -> float:
     """Largest eigenvalue of the squared two-qubit operator, in closed form.
 
-    Valid only for xy-plane directions with both particles boosted along x
-    at a common speed; anything else raises DomainRestriction.  The value
-    always lies in [4, 8].
+    Valid only for two particles, with xy-plane directions and both boosted
+    along x at a common speed: other settings raise DomainError, other
+    geometry DomainRestriction.  The value always lies in [4, 8].
     """
-    in_plane = _chsh_in_plane(settings)
-    if in_plane is None:
+    if settings.n_particles != 2:
+        raise DomainError(f"closed form requires two particles, got {settings.n_particles}")
+    require_xy_plane(settings.directions)
+    axes, speeds = Settings._axes_and_speeds(settings.boosts)
+    if not (np.all(np.abs(axes[:, 1:]) <= XY_PLANE_TOL) and np.ptp(speeds) <= 1e-15):
         raise DomainRestriction(
-            "closed form requires xy-plane directions and collinear x boosts "
-            "with a common speed")
-    return float(chsh_zeta_from_terms(*in_plane))
+            "closed form requires collinear x boosts with a common speed")
+    return float(chsh_zeta_from_terms(*chsh_in_plane_terms(settings.directions, speeds[0])))
 
 
 def chsh_zeta_from_terms(shrink_sq, sin_a, sin_b, denom):
@@ -266,11 +244,8 @@ def mermin_lambda3(settings: Settings) -> float:
     direction and every boost direction to lie in the xy-plane, the
     geometry it was derived on.
     """
-    if not (all(_is_xy(v) for v in settings.directions)
-            and all(_is_xy(bst.direction) for bst in settings.boosts)):
-        raise DomainRestriction(
-            "closed form requires all directions and boost directions "
-            "in the xy-plane")
+    require_xy_plane(settings.directions)
+    require_xy_plane([boost.direction for boost in settings.boosts])
     return float(square_peak_from_directions(settings.effective_directions()))
 
 

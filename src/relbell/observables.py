@@ -15,8 +15,9 @@ Each input is validated once, where it enters: Boost checks its direction
 and speed, and bell.Settings checks each measurement direction with unit3.
 A stack of samples is checked whole, once: unit3_stack and boost_speeds
 apply unit3's and Boost's tests in one pass, and their errors carry the
-first failing row.  boost_map, inverse_boost_map and direction_matrix trust
-their input; bell.Settings builds its observables through them.
+first failing row; require_xy_plane is the closed forms' xy-plane test.
+boost_map, inverse_boost_map and direction_matrix trust their input;
+bell.Settings builds its observables through them.
 effective_direction and observable_matrix, the same map and matrix for one
 unit3-checked direction under one Boost, have no caller in the package;
 they stay only because the perfbench harness times and traces them by name.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObservable, DomainError
+from .errors import DegenerateObservable, DomainError, DomainRestriction
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 UNIT_NORM_TOL = 1e-12
@@ -63,6 +64,19 @@ def unit3_stack(vectors) -> np.ndarray:
     bad = ~(np.abs(norms_sq - 1.0) <= UNIT_NORM_TOL)
     if bad.any():
         raise ValueError(f"not a unit vector: |v|^2 = {float(norms_sq.flat[bad.argmax()])!r}")
+    return v
+
+
+def require_xy_plane(vectors) -> np.ndarray:
+    """Refuse directions, one (3,) or a stack (..., 3), whose z is NaN or
+    above XY_PLANE_TOL in magnitude: the paper's closed forms hold on the
+    xy-plane.  The DomainRestriction names the first in row-major order."""
+    v = np.asarray(vectors, dtype=float)
+    off = ~(np.abs(v[..., 2]) <= XY_PLANE_TOL)
+    if off.any():
+        raise DomainRestriction(
+            f"direction {v.reshape(-1, 3)[off.argmax()]} leaves the xy-plane; "
+            "the closed form is not valid there")
     return v
 
 

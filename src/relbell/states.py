@@ -4,7 +4,7 @@ The closed forms are restricted to xy-plane measurement directions with
 every particle boosted along x; the exact matrix expectation is the ground
 truth they are validated against.  For directions with a z-component the
 direct matrix computation carries a (1 - beta^2) a_z b_z contribution, so
-the pair correlator below is gated to the xy-plane where no z-term arises.
+observables.require_xy_plane gates every closed form here to the plane.
 Each closed form takes lone directions (3,) and a float speed, or stacks
 (..., 3) and (...) that broadcast: it checks the whole stack once, each
 test in one pass whose error carries the first failing row, and gives each
@@ -17,11 +17,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainRestriction
 from .observables import (
-    XY_PLANE_TOL,
     boost_denominator_sq,
     require_unit_interval,
+    require_xy_plane,
     unit3_stack,
 )
 
@@ -46,12 +45,7 @@ def _xy_directions(beta, *vectors) -> tuple[np.ndarray, np.ndarray]:
     test over the whole stack, in the order unit norm, xy-plane, speed, each
     error carrying its first failing row in row-major order.  Returns the
     directions stacked as (..., k, 3) and the speeds broadcast to (...)."""
-    v = unit3_stack(np.stack(np.broadcast_arrays(*vectors), axis=-2))
-    off = np.abs(v[..., 2]) > XY_PLANE_TOL
-    if off.any():
-        raise DomainRestriction(
-            f"direction {v.reshape(-1, 3)[off.argmax()]} leaves the xy-plane; "
-            "the closed form is not valid there")
+    v = require_xy_plane(unit3_stack(np.stack(np.broadcast_arrays(*vectors), axis=-2)))
     require_unit_interval(beta)
     shape = np.broadcast_shapes(v.shape[:-2], np.shape(beta))
     return (np.broadcast_to(v, shape + v.shape[-2:]),

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 import relbell
 from relbell.bell import (
     Settings,
-    _chsh_in_plane,
     bell_operator,
+    chsh_in_plane_terms,
+    chsh_zeta,
     effective_observables,
     square_closed_form,
 )
-from relbell.errors import NoConvergence, NotHermitian
+from relbell.errors import DomainError, DomainRestriction, NoConvergence, NotHermitian
 from relbell.linalg import (
     HERMITICITY_TOL,
     OFF_DIAGONAL_TARGET,
@@ -157,10 +158,12 @@ def square_residual(settings) -> float:
     operator = bell_operator(settings)
     square = operator @ operator
     residual = max_abs(square - square_closed_form(effective_observables(settings)))
-    in_plane = _chsh_in_plane(settings) if settings.n_particles == 2 else None
-    if in_plane is None:
+    try:
+        chsh_zeta(settings)
+    except (DomainError, DomainRestriction):
         return residual
-    shrink_sq, sin_a, sin_b, denom = in_plane
+    shrink_sq, sin_a, sin_b, denom = chsh_in_plane_terms(settings.directions,
+                                                         settings.boosts[0].beta)
     coeff = shrink_sq * sin_a * sin_b / math.sqrt(denom)
     reduced = 4.0 * (np.eye(4) + coeff * kron(SIGMA_Z, SIGMA_Z))
     return max(residual, max_abs(square - reduced))

@@ -24,7 +24,6 @@ from helpers import (
 )
 from relbell.bell import (
     Settings,
-    _chsh_in_plane,
     bell_operator,
     bell_terms,
     chsh_in_plane_terms,
@@ -221,6 +220,8 @@ def test_chsh_zeta_domain():
     unequal = Settings((Y, X, Y, X), (Boost(X, 0.3), Boost(X, 0.4)))
     with pytest.raises(DomainRestriction):
         chsh_zeta(unequal)
+    with pytest.raises(DomainError, match="requires two particles, got 3"):
+        chsh_zeta(mermin_collinear_settings(0.3))
 
 
 def test_chsh_zeta_matches_spectrum():
@@ -687,7 +688,7 @@ def test_settings_sequence_rows_are_bit_identical(n_particles, data):
 def test_chsh_zeta_stack_rows_are_lone_calls(angles, data):
     # chsh_in_plane_terms and chsh_zeta_from_terms over an (S, 4, 3) stack
     # with one x-boost speed per row: each row has the bits of chsh_zeta of
-    # that row's Settings, and of _chsh_in_plane's terms.
+    # that row's Settings, and of chsh_in_plane_terms on that row alone.
     directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
     speeds = np.array(data.draw(st.lists(st.floats(0.0, 0.999), min_size=len(angles),
                                          max_size=len(angles))))
@@ -698,7 +699,7 @@ def test_chsh_zeta_stack_rows_are_lone_calls(angles, data):
         lone = Settings(directions[i], (boost, boost))
         assert type(chsh_zeta(lone)) is float
         assert same_bits(zetas[i], chsh_zeta(lone))
-        for term, want in zip(terms, _chsh_in_plane(lone)):
+        for term, want in zip(terms, chsh_in_plane_terms(lone.directions, beta)):
             assert same_bits(term[i], want)
 
 

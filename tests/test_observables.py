@@ -1,6 +1,7 @@
 """Boosted-observable tests: effective directions and their 2x2 matrices."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import relbell.observables as observables
 from helpers import BETA_MAX, max_abs, random_unit, same_bits, unit_vectors
-from relbell.errors import DegenerateObservable, DomainError
+from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
     DENOMINATOR_FLOOR,
@@ -21,6 +22,7 @@ from relbell.observables import (
     direction_matrix,
     inverse_boost_map,
     normalized3,
+    require_xy_plane,
     unit3,
     unit3_stack,
 )
@@ -220,6 +222,8 @@ def test_stacked_validation_accepts_what_the_lone_path_accepts(data):
     directions, axes, speeds = _stack(data, (data.draw(st.integers(1, 4)), 2))
     assert same_bits(unit3_stack(directions), directions)
     assert same_bits(boost_speeds(speeds), speeds)
+    in_plane = directions * [1.0, 1.0, 0.0]
+    assert same_bits(require_xy_plane(in_plane), in_plane)
     for direction, axis, beta in zip(directions.reshape(-1, 3), axes.reshape(-1, 3),
                                      speeds.ravel().tolist()):
         assert same_bits(unit3(direction), direction)
@@ -248,6 +252,19 @@ def test_stacked_validation_names_the_first_bad_row(shape):
     speeds.reshape(-1)[3] = math.nan
     with pytest.raises(DomainError, match="nan"):
         boost_speeds(speeds)
+    # require_xy_plane names the first vector whose z is NaN or off the
+    # plane, a lone vector as well as a stack.
+    directions = np.tile(X, shape + (1,))
+    directions.reshape(-1, 3)[3, 2] = math.nan
+    directions.reshape(-1, 3)[4, 2] = 0.5
+    first = re.escape(f"direction {directions.reshape(-1, 3)[3]} leaves the xy-plane")
+    with pytest.raises(DomainRestriction, match=first):
+        require_xy_plane(directions)
+    with pytest.raises(DomainRestriction, match=first):
+        require_xy_plane(directions.reshape(-1, 3)[3])
+    directions.reshape(-1, 3)[1, 2] = 2e-12
+    with pytest.raises(DomainRestriction, match=re.escape(f"{directions.reshape(-1, 3)[1]}")):
+        require_xy_plane(directions)
 
 
 def test_degenerate_denominator_raises(monkeypatch):

@@ -300,7 +300,7 @@ def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
     boosted at each speed of betas (all below 1) instead of its own, from one
     boost_map call: row r is effective_directions() at betas[r], bit for bit.
     boost_speeds checks betas and names the first bad speed."""
-    betas = boost_speeds(np.asarray(betas, dtype=float))
+    betas = boost_speeds(betas)
     axes, _ = Settings._axes_and_speeds(settings.boosts)
     return boost_map(np.array(settings.directions), axes, betas[:, None])
 

@@ -40,9 +40,9 @@ import numpy as np
 
 from . import __version__
 from .bell import DIRECTION_NAMES, Settings, bell_terms
-from .errors import BellToolkitError, DimensionMismatch, InvalidObservable, \
-    MissingSetting, NoConvergence, NotHermitian
-from .observables import Boost, normalized3
+from .errors import BellToolkitError, DimensionMismatch, DomainError, \
+    InvalidObservable, MissingSetting, NoConvergence, NotHermitian
+from .observables import Boost, boost_speeds, normalized3
 from .scenarios import BETA_GRID_STEP, SCENARIOS, X_AXIS, com_boosts, sweep
 
 EXIT_OK = 0
@@ -152,9 +152,8 @@ def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Sett
             raise ValueError(f"expected {n_particles} boosts, got {len(boosts)}")
         boost_dirs = [normalized3(entry["direction"]) for entry in boosts]
         boost_betas = [float(entry["beta"]) for entry in boosts]
-        if not all(0.0 <= speed < 1.0 for speed in boost_betas):
-            raise ValueError(f"boost speeds must satisfy 0 <= beta < 1, got {boost_betas}")
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        boost_speeds(boost_betas)
+    except (OSError, KeyError, TypeError, ValueError, DomainError) as exc:
         raise UsageError(f"invalid settings file {path}: {exc}") from exc
     speeds = boost_betas if beta is None else [beta] * n_particles
     return Settings(directions, [Boost(d, b) for d, b in zip(boost_dirs, speeds)])
@@ -250,8 +249,7 @@ def _cmd_sample(args) -> int:
     signs = [sign for _, sign, _ in terms]
     for index, (label, sign, observables) in enumerate(terms):
         distribution = joint_distribution(state, observables)
-        record = sample(distribution, args.shots, args.seed,
-                        setting_index=index, label=label)
+        record = sample(distribution, args.shots, args.seed, setting_index=index)
         distributions.append(distribution)
         records.append(record)
         row = {"setting": label, "sign": sign, "shots": args.shots,

@@ -56,9 +56,10 @@ _IMAG_RESIDUE_TOL = 1e-12
 
 
 def _as_operators(matrices) -> np.ndarray:
-    """Coerce the input to a square complex matrix or a stack of them."""
+    """Coerce the input to a square complex matrix or a stack of them, of
+    dimension at least 1 (a stack may hold no matrix)."""
     m = np.asarray(matrices, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
     return m
 

@@ -113,6 +113,12 @@ class Boost:
         object.__setattr__(self, "beta", beta)
 
 
+def _speeds(beta):
+    """A lone float as it is, so Boost's path stays scalar; anything else, a
+    list or tuple included, as a float array."""
+    return beta if isinstance(beta, float) else np.asarray(beta, dtype=float)
+
+
 def _require(ok, values, message: str) -> None:
     """Raise DomainError(message) with the element of values at the first
     False of ok in row-major order.  ok is a bool for a lone float, so that
@@ -123,17 +129,19 @@ def _require(ok, values, message: str) -> None:
 
 
 def boost_speeds(beta):
-    """Validate boost speeds, a float or an array of them, with Boost's
-    range 0 <= beta < 1 in one test, which NaN fails.  The DomainError
-    carries the first failing speed in row-major order."""
+    """Validate boost speeds, a float or an array (or sequence) of them, with
+    Boost's range 0 <= beta < 1 in one test, which NaN fails.  The
+    DomainError carries the first failing speed in row-major order."""
+    beta = _speeds(beta)
     _require((0.0 <= beta) & (beta < 1.0), beta, "boost speed must satisfy 0 <= beta < 1")
     return beta
 
 
 def require_unit_interval(beta) -> None:
-    """Reject a speed outside [0, 1], a float or an array of them, in one
-    test, which NaN fails; the DomainError carries the first such speed in
-    row-major order.  Closed forms admit the beta = 1 endpoint."""
+    """Reject a speed outside [0, 1], a float or an array (or sequence) of
+    them, in one test, which NaN fails; the DomainError carries the first
+    such speed in row-major order.  Closed forms admit the beta = 1 endpoint."""
+    beta = _speeds(beta)
     _require((0.0 <= beta) & (beta <= 1.0), beta, "beta must lie in [0, 1]")
 
 

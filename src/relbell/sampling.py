@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ from .linalg import (
 
 #: The most shots one setting takes: numpy draws its counts as int64.
 MAX_SHOTS = 2 ** 63 - 1
+#: The largest seed or setting index: each is one word of the Philox key.
+MAX_KEY = 2 ** 64 - 1
 
 _SPECTRUM_TOL = 1e-10
 _NEGATIVE_PROBABILITY_TOL = -1e-15
@@ -72,7 +75,6 @@ class OutcomeDistribution:
 class ShotRecord:
     """Counts per outcome tuple for one setting combination."""
 
-    setting_label: str
     counts: np.ndarray
     shots: int
 
@@ -146,11 +148,22 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     return OutcomeDistribution(n, probabilities)
 
 
+def _integer(name: str, value, low: int, high: int) -> int:
+    """value as an int, when it is an integer (numpy's included) in
+    [low, high]; else DomainError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not low <= int(value) <= high:
+        raise DomainError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 def sample(distribution: OutcomeDistribution, shots: int, seed: int,
-           setting_index: int = 0, label: str = "") -> ShotRecord:
+           setting_index: int = 0) -> ShotRecord:
     """Draw shot counts from a distribution, deterministically in
-    (distribution, shots, seed, setting_index); shots outside
-    [1, MAX_SHOTS] raise DomainError, and probabilities that are not finite,
+    (distribution, shots, seed, setting_index); shots that are not an
+    integer in [1, MAX_SHOTS], or a seed or setting index that is not one in
+    [0, MAX_KEY], raise DomainError, and probabilities that are not finite,
     are negative or do not sum to 1 within 1e-12 raise InvalidObservable.
 
     The counts are one exact draw from Multinomial(shots, p / sum(p)) over
@@ -163,17 +176,18 @@ def sample(distribution: OutcomeDistribution, shots: int, seed: int,
     Above 2**53 shots numpy computes each binomial count in double
     precision, so the counts still sum to shots but are rounded.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise DomainError(f"shots must be in [1, {MAX_SHOTS}], got {shots!r}")
+    shots = _integer("shots", shots, 1, MAX_SHOTS)
+    key = [_integer("seed", seed, 0, MAX_KEY),
+           _integer("setting_index", setting_index, 0, MAX_KEY)]
     p = distribution.probabilities
     if not (p.min() >= 0.0 and abs(float(p.sum()) - 1.0) <= _TOTAL_PROBABILITY_TOL):
         raise InvalidObservable(f"probabilities {p.tolist()} are not finite, non-negative "
                                 f"and summing to 1 within {_TOTAL_PROBABILITY_TOL:g}")
     support = np.flatnonzero(p)
-    generator = Generator(Philox(key=np.array([seed, setting_index], dtype=np.uint64)))
+    generator = Generator(Philox(key=np.array(key, dtype=np.uint64)))
     counts = np.zeros(p.size, dtype=np.int64)
     counts[support] = generator.multinomial(shots, p[support] / p[support].sum())
-    return ShotRecord(label, counts, shots)
+    return ShotRecord(counts, shots)
 
 
 def estimate_bell(records, signs) -> tuple[float, float]:

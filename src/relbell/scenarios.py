@@ -221,7 +221,7 @@ def sweep(settings: Settings, betas, peak=None):
     from one expectation call and, without a peak, their operator norms as
     the square roots of one square_peak_from_directions call, each row's
     operator_norm bit for bit."""
-    require_unit_interval(np.asarray(betas, dtype=float))
+    require_unit_interval(betas)
     family = settings.family
     state = family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):

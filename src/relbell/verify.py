@@ -385,7 +385,7 @@ def _com_directions(*keys):
     """The boost map's center-of-mass effective directions over BETA_GRID,
     (R, D, 3), and the closed-form candidates under keys, (R, K, 3)."""
     effective = effective_directions_grid(mermin_com_settings(0.0), BETA_GRID)
-    closed = com_closed_form_directions(np.array(BETA_GRID))
+    closed = com_closed_form_directions(BETA_GRID)
     return effective, np.stack([closed[key] for key in keys], axis=1)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,13 @@ def test_eigensystem_empty_stack(shape):
     w, v = hermitian_eigensystem(np.zeros(shape, dtype=complex))
     assert w.shape == shape[:-1] and v.shape == shape
     assert w.dtype == np.float64 and v.dtype == np.complex128
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 2, 3), (0, 0), (3, 0, 0)])
+def test_eigensystem_refuses_matrices_that_are_not_square(shape):
+    # A stack may hold no matrix, but a matrix needs a dimension of 1 or more.
+    with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+        hermitian_eigensystem(np.zeros(shape))
 
 
 _NUMPY_EIGENSOLVERS = ("eig", "eigh", "eigvals", "eigvalsh")

@@ -22,6 +22,7 @@ from relbell.observables import (
     direction_matrix,
     inverse_boost_map,
     normalized3,
+    require_unit_interval,
     require_xy_plane,
     unit3,
     unit3_stack,
@@ -218,10 +219,13 @@ def test_unit3_and_normalized3_reject_non_finite(bad):
 @given(data=st.data())
 def test_stacked_validation_accepts_what_the_lone_path_accepts(data):
     # unit3_stack and boost_speeds test a whole (S, D) stack in one pass and
-    # pass exactly what unit3 and Boost pass, row by row.
+    # pass exactly what unit3 and Boost pass, row by row; the speed checks
+    # take nested lists and tuples as the array they spell.
     directions, axes, speeds = _stack(data, (data.draw(st.integers(1, 4)), 2))
     assert same_bits(unit3_stack(directions), directions)
-    assert same_bits(boost_speeds(speeds), speeds)
+    for given_speeds in (speeds, speeds.tolist(), tuple(map(tuple, speeds.tolist()))):
+        assert same_bits(boost_speeds(given_speeds), speeds)
+        require_unit_interval(given_speeds)
     in_plane = directions * [1.0, 1.0, 0.0]
     assert same_bits(require_xy_plane(in_plane), in_plane)
     for direction, axis, beta in zip(directions.reshape(-1, 3), axes.reshape(-1, 3),
@@ -241,8 +245,11 @@ def test_stacked_validation_names_the_first_bad_row(shape):
     with pytest.raises(ValueError, match=r"\|v\|\^2 = 1\.2100000000000002$"):
         unit3_stack(directions)
     speeds.reshape(-1)[2], speeds.reshape(-1)[4] = 1.0, 2.0
-    with pytest.raises(DomainError, match="got 1.0$"):
-        boost_speeds(speeds)
+    for given_speeds in (speeds, speeds.tolist(), tuple(speeds.reshape(-1))):
+        with pytest.raises(DomainError, match="got 1.0$"):
+            boost_speeds(given_speeds)
+        with pytest.raises(DomainError, match="got 2.0$"):
+            require_unit_interval(given_speeds)
     for component in range(3):
         directions = np.tile(X, shape + (1,))
         directions.reshape(-1, 3)[3, component] = math.nan

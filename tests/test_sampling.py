@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from helpers import basis_state, marginal
+from helpers import basis_state, marginal, same_bits
 from relbell import sampling
 from relbell.bell import bell_terms
 from relbell.errors import (
@@ -418,6 +418,18 @@ def test_sample_rejects_zero_shots():
     dist = joint_distribution(phi_plus(), [SIGMA_Z, SIGMA_Z])
     with pytest.raises(DomainError):
         sample(dist, 0, seed=0)
+    # Shots that are not integral, and a seed or setting index outside the
+    # Philox key's [0, 2**64), are refused by name; numpy integers pass.
+    for shots, seed, index, named in [(2.5, 0, 0, "shots"), (10.0, 0, 0, "shots"),
+                                      (10, -1, 0, "seed"), (10, 2 ** 64, 0, "seed"),
+                                      (10, 0.0, 0, "seed"), (10, 0, -1, "setting_index"),
+                                      (10, 0, 2 ** 64, "setting_index")]:
+        with pytest.raises(DomainError, match=f"^{named} must be .*, got "):
+            sample(dist, shots, seed, setting_index=index)
+    want = sample(dist, 10, 2 ** 64 - 1, setting_index=2 ** 64 - 1).counts
+    got = sample(dist, np.int64(10), np.uint64(2 ** 64 - 1),
+                 setting_index=np.uint64(2 ** 64 - 1)).counts
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("shots", [2 ** 63, 10 ** 19])
@@ -457,10 +469,9 @@ def test_estimate_bell_statistical_gate():
     state = phi_plus()
     records = []
     signs = []
-    for index, (label, sign, observables) in enumerate(terms):
+    for index, (_, sign, observables) in enumerate(terms):
         dist = joint_distribution(state, observables)
-        records.append(sample(dist, 10 ** 5, seed=31415, setting_index=index,
-                              label=label))
+        records.append(sample(dist, 10 ** 5, seed=31415, setting_index=index))
         signs.append(sign)
     estimate, standard_error = estimate_bell(records, signs)
     assert standard_error > 0.0
@@ -512,10 +523,9 @@ def test_mermin_swapped_sampling_is_deterministic_minus_four():
     state = ghz_plus()
     records = []
     signs = []
-    for index, (label, sign, observables) in enumerate(terms):
+    for index, (_, sign, observables) in enumerate(terms):
         dist = joint_distribution(state, observables)
-        records.append(sample(dist, 20000, seed=8, setting_index=index,
-                              label=label))
+        records.append(sample(dist, 20000, seed=8, setting_index=index))
         signs.append(sign)
     estimate, standard_error = estimate_bell(records, signs)
     assert estimate == -4.0
@@ -524,6 +534,6 @@ def test_mermin_swapped_sampling_is_deterministic_minus_four():
 
 def test_shot_record_validation():
     with pytest.raises(ValueError):
-        ShotRecord("x", np.array([1, 2, 3, 4]), 11)
+        ShotRecord(np.array([1, 2, 3, 4]), 11)
     with pytest.raises(ValueError):
-        ShotRecord("x", np.array([6, -1, 3, 2]), 10)
+        ShotRecord(np.array([6, -1, 3, 2]), 10)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, DomainRestriction
-from .linalg import IDENTITY_2, hermitian_eigensystem, kron
+from .linalg import IDENTITY_2, hermitian_eigensystem, kron, lone
 from .observables import (
     XY_PLANE_TOL,
     Boost,
@@ -268,8 +268,7 @@ def max_violation(matrices):
     over all states.  A float for one matrix; for a stack (..., n, n), an
     array (...) of one value per matrix from a single eigensolve."""
     eigenvalues, _ = hermitian_eigensystem(matrices)
-    peaks = np.max(np.abs(eigenvalues), axis=-1)
-    return float(peaks) if peaks.ndim == 0 else peaks
+    return lone(np.max(np.abs(eigenvalues), axis=-1))
 
 
 def operator_norm(settings: Settings) -> float:

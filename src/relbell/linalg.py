@@ -17,7 +17,8 @@ non-finite entry, not Hermitian, an overflowing norm, no convergence) fails
 the whole call.  Kronecker products are one broadcast multiplication per
 factor, bit-identical to ``np.kron`` but without its generic axis handling;
 every Kronecker product in the package goes through kron, which takes any
-number of factors, so no caller branches on the particle count.
+number of factors, so no caller branches on the particle count.  lone turns
+the value of a lone input to a stacked function into a Python scalar.
 
 All operations are pure functions of their inputs and never mutate their
 arguments, so values can be shared freely between concurrent tasks.
@@ -262,5 +263,10 @@ def expectation(state, matrices):
             raise NotHermitian(f"<s|M|s> overflows to {first!r} from finite entries")
         raise NotHermitian(
             f"<s|M|s> has imaginary residue {first.imag:g}; matrix is not Hermitian")
-    values = raw.real
-    return float(values[0]) if m.ndim == 2 else values.reshape(m.shape[:-2])
+    return lone(raw.real.reshape(m.shape[:-2]))
+
+
+def lone(values, kind=float):
+    """values as a Python scalar of kind (float or complex) when they are not
+    a stack: the lone input's value of a function that also takes stacks."""
+    return kind(values) if np.ndim(values) == 0 else values

@@ -13,9 +13,10 @@ few ulps up to the fastest boost, and no Bell value passes 2 sqrt(2) or 4.
 
 Each input is validated once, where it enters: Boost checks its direction
 and speed, and bell.Settings checks each measurement direction with unit3.
-A stack of samples is checked whole, once: unit3_stack and boost_speeds
-apply unit3's and Boost's tests in one pass, and their errors carry the
-first failing row; require_xy_plane is the closed forms' xy-plane test.
+Directions and speeds, lone or stacked, are checked once, as arrays:
+unit3_stack and boost_speeds apply unit3's and Boost's tests in one pass,
+require_unit_interval and require_xy_plane the closed forms' speed and
+xy-plane tests, and each error carries the first failing row.
 boost_map, inverse_boost_map and direction_matrix trust their input;
 bell.Settings builds its observables through them.
 effective_direction and observable_matrix, the same map and matrix for one
@@ -113,36 +114,31 @@ class Boost:
         object.__setattr__(self, "beta", beta)
 
 
-def _speeds(beta):
-    """A lone float as it is, so Boost's path stays scalar; anything else, a
-    list or tuple included, as a float array."""
-    return beta if isinstance(beta, float) else np.asarray(beta, dtype=float)
-
-
-def _require(ok, values, message: str) -> None:
+def _require(ok, values: np.ndarray, message: str) -> None:
     """Raise DomainError(message) with the element of values at the first
-    False of ok in row-major order.  ok is a bool for a lone float, so that
-    path stays scalar."""
-    if ok is not True and not np.all(ok):
-        first = np.asarray(values, dtype=float).flat[np.argmax(~np.asarray(ok))]
-        raise DomainError(f"{message}, got {float(first)!r}")
+    False of ok in row-major order."""
+    if not np.all(ok):
+        raise DomainError(f"{message}, got {float(values.flat[np.argmax(~ok)])!r}")
 
 
-def boost_speeds(beta):
+def boost_speeds(beta) -> np.ndarray:
     """Validate boost speeds, a float or an array (or sequence) of them, with
-    Boost's range 0 <= beta < 1 in one test, which NaN fails.  The
-    DomainError carries the first failing speed in row-major order."""
-    beta = _speeds(beta)
+    Boost's range 0 <= beta < 1 in one test, which NaN fails, and return them
+    as a float array.  The DomainError carries the first failing speed in
+    row-major order."""
+    beta = np.asarray(beta, dtype=float)
     _require((0.0 <= beta) & (beta < 1.0), beta, "boost speed must satisfy 0 <= beta < 1")
     return beta
 
 
-def require_unit_interval(beta) -> None:
+def require_unit_interval(beta) -> np.ndarray:
     """Reject a speed outside [0, 1], a float or an array (or sequence) of
-    them, in one test, which NaN fails; the DomainError carries the first
-    such speed in row-major order.  Closed forms admit the beta = 1 endpoint."""
-    beta = _speeds(beta)
+    them, in one test, which NaN fails, and return them as a float array; the
+    DomainError carries the first such speed in row-major order.  Closed forms
+    admit the beta = 1 endpoint."""
+    beta = np.asarray(beta, dtype=float)
     _require((0.0 <= beta) & (beta <= 1.0), beta, "beta must lie in [0, 1]")
+    return beta
 
 
 def boost_denominator_sq(along, beta):

@@ -8,13 +8,15 @@ geometry the three boost directions lie in the xy-plane at mutual angles
 of 2 pi / 3.
 
 SCENARIOS maps each named kind to its settings builder and closed-form
-peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; the
-matrix-backed fields of a sweep sample (ScenarioResult), and the
-operator_norm that checks settings without a named peak, exist for beta < 1
-only.  sweep builds a block of rows' directions and operators at once and
-takes their spectra and their expectations in one stacked call each; the
-verify battery reads its two curve rows from it, so it checks the path the
-sweep command prints.
+peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; each
+takes a speed or an array of speeds, elementwise with the bits of the scalar
+formula, and returns a lone speed's value as a float.  The matrix-backed
+fields of a sweep sample (ScenarioResult), and the operator_norm that checks
+settings without a named peak, exist for beta < 1 only.  sweep builds a
+block of rows' directions, operators and closed forms at once and takes
+their spectra and their expectations in one stacked call each; the verify
+battery reads its two curve rows from it, so it checks the path the sweep
+command prints.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .bell import Settings, effective_directions_grid, max_violation, square_peak_from_directions
 from .errors import DomainError
-from .linalg import expectation
+from .linalg import expectation, lone
 from .observables import Boost, require_unit_interval
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -45,7 +47,14 @@ BETA_GRID_STEP = 0.01
 SWEEP_BLOCK_ROWS = 64
 
 
-def epsilon2(beta: float) -> float:
+def _curve_speeds(beta) -> tuple[np.ndarray, np.ndarray]:
+    """The curves' speeds, checked by require_unit_interval, as a float
+    array, and g = sqrt(max(1 - beta^2, 0)) of each."""
+    beta = require_unit_interval(beta)
+    return beta, np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+
+
+def epsilon2(beta):
     """Peak two-qubit Bell value under collinear boosts:
 
         2 (1 + sqrt(1 - beta^2)) / sqrt(2 - beta^2),
@@ -53,35 +62,32 @@ def epsilon2(beta: float) -> float:
     continuous and strictly decreasing from 2 sqrt(2) at beta = 0 to the
     classical bound 2 at beta = 1.
     """
-    require_unit_interval(beta)
-    g = math.sqrt(max(1.0 - beta * beta, 0.0))
-    return 2.0 * (1.0 + g) / math.sqrt(2.0 - beta * beta)
+    beta, g = _curve_speeds(beta)
+    return lone(2.0 * (1.0 + g) / np.sqrt(2.0 - beta * beta))
 
 
-def lambda_com(beta: float) -> float:
+def lambda_com(beta):
     """Largest eigenvalue of the squared three-qubit operator in the
     center-of-mass frame:
 
         4 (1 + 8 g / sqrt(d) + 16 (1 - beta^2) / d),
         g = sqrt(1 - beta^2),  d = (4 - beta^2)(4 - 3 beta^2).
     """
-    require_unit_interval(beta)
-    g = math.sqrt(max(1.0 - beta * beta, 0.0))
+    beta, g = _curve_speeds(beta)
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
-    return 4.0 * (1.0 + 8.0 * g / math.sqrt(d) + 16.0 * (1.0 - beta * beta) / d)
+    return lone(4.0 * (1.0 + 8.0 * g / np.sqrt(d) + 16.0 * (1.0 - beta * beta) / d))
 
 
-def epsilon3_com(beta: float) -> float:
+def epsilon3_com(beta):
     """Peak three-qubit Bell value in the center-of-mass frame:
 
         2 (1 + 4 sqrt(1 - beta^2) / sqrt((4 - beta^2)(4 - 3 beta^2))),
 
     the square root of lambda_com; 4 at beta = 0 and 2 at beta = 1.
     """
-    require_unit_interval(beta)
-    g = math.sqrt(max(1.0 - beta * beta, 0.0))
+    beta, g = _curve_speeds(beta)
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
-    return 2.0 * (1.0 + 4.0 * g / math.sqrt(d))
+    return lone(2.0 * (1.0 + 4.0 * g / np.sqrt(d)))
 
 
 def com_boosts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,9 +137,7 @@ def com_closed_form_directions(beta) -> dict[str, np.ndarray]:
     alternative 3 + g, whose norm drifts from 1 for beta > 0.  The verify
     command reports which candidate matches.
     """
-    require_unit_interval(beta)
-    beta = np.asarray(beta, dtype=float)
-    g = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+    beta, g = _curve_speeds(beta)
     unprimed_denom = 2.0 * np.sqrt(4.0 - beta * beta)
     primed_denom = 2.0 * np.sqrt(4.0 - 3.0 * beta * beta)
     root3 = math.sqrt(3.0)
@@ -156,15 +160,15 @@ def com_closed_form_directions(beta) -> dict[str, np.ndarray]:
     }
 
 
-def _mermin_collinear_peak(beta: float) -> float:
+def _mermin_collinear_peak(beta):
     # The coplanar peak is 4 (1 + k1 k2 + k1 k3 + k2 k3) with every
     # kappa equal to 1 for the y/x settings, independent of beta.
-    require_unit_interval(beta)
-    return 4.0
+    beta, _ = _curve_speeds(beta)
+    return lone(np.full_like(beta, 4.0))
 
 
 #: Scenario kind, as the command line names it -> (settings builder,
-#: closed-form peak at speed beta).
+#: closed-form peak at a speed or an array of speeds).
 SCENARIOS = {
     "chsh-collinear": (chsh_collinear_settings, epsilon2),
     "mermin-collinear": (mermin_collinear_settings, _mermin_collinear_peak),
@@ -212,28 +216,26 @@ def scenario_curve(scenario: Scenario) -> ScenarioResult:
 
 def sweep(settings: Settings, betas, peak=None):
     """Yield the ScenarioResult of each speed of betas, every particle boosted
-    at that speed; peak(beta) is the closed form, by default each row's
-    operator_norm below beta = 1 and None at 1.  The whole grid is checked
-    first, with or without a peak: a speed that is NaN or outside [0, 1]
-    raises DomainError naming the first such speed.  Each SWEEP_BLOCK_ROWS rows
-    get their effective directions from one effective_directions_grid call,
-    their spectra from one max_violation call, their state expectations
-    from one expectation call and, without a peak, their operator norms as
-    the square roots of one square_peak_from_directions call, each row's
-    operator_norm bit for bit."""
-    require_unit_interval(betas)
+    at that speed; peak is the closed form over an array of speeds, by
+    default each row's operator_norm below beta = 1 and None at 1.  The whole
+    grid is checked first, with or without a peak: a speed that is NaN or
+    outside [0, 1] raises DomainError naming the first such speed.  Each
+    SWEEP_BLOCK_ROWS rows below beta = 1 get their effective directions, their
+    spectra, their state expectations and their closed forms from one call
+    each: without a peak, the square roots of one square_peak_from_directions
+    call, each row's operator_norm bit for bit.  A beta = 1 row calls peak(1.0)."""
+    betas = require_unit_interval(betas)
     family = settings.family
     state = family.state()
     for start in range(0, len(betas), SWEEP_BLOCK_ROWS):
         block = betas[start:start + SWEEP_BLOCK_ROWS]
-        below = [beta for beta in block if beta < 1.0]
+        below = block[block < 1.0]
         directions = effective_directions_grid(settings, below)
         operators = family.operators(directions)
-        closed = (np.sqrt(square_peak_from_directions(directions)).tolist()
-                  if peak is None else [peak(beta) for beta in below])
-        rows = zip(closed, max_violation(operators).tolist(),
+        closed = np.sqrt(square_peak_from_directions(directions)) if peak is None else peak(below)
+        rows = zip(closed.tolist(), max_violation(operators).tolist(),
                    expectation(state, operators).tolist())
-        for beta in block:
+        for beta in block.tolist():
             if beta >= 1.0:
                 yield ScenarioResult(None if peak is None else peak(beta), None, None, None)
                 continue

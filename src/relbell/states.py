@@ -8,7 +8,7 @@ observables.require_xy_plane gates every closed form here to the plane.
 Each closed form takes lone directions (3,) and a float speed, or stacks
 (..., 3) and (...) that broadcast: it checks the whole stack once, each
 test in one pass whose error carries the first failing row, and gives each
-element the bits of its own lone call.
+element the bits of its own lone call, a Python scalar by linalg.lone.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .linalg import lone
 from .observables import (
     boost_denominator_sq,
     require_unit_interval,
@@ -46,15 +47,9 @@ def _xy_directions(beta, *vectors) -> tuple[np.ndarray, np.ndarray]:
     error carrying its first failing row in row-major order.  Returns the
     directions stacked as (..., k, 3) and the speeds broadcast to (...)."""
     v = require_xy_plane(unit3_stack(np.stack(np.broadcast_arrays(*vectors), axis=-2)))
-    require_unit_interval(beta)
-    shape = np.broadcast_shapes(v.shape[:-2], np.shape(beta))
-    return (np.broadcast_to(v, shape + v.shape[-2:]),
-            np.broadcast_to(np.asarray(beta, dtype=float), shape))
-
-
-def _lone(values, kind=float):
-    """values as a Python scalar of kind when they are not a stack."""
-    return kind(values) if np.ndim(values) == 0 else values
+    beta = require_unit_interval(beta)
+    shape = np.broadcast_shapes(v.shape[:-2], beta.shape)
+    return np.broadcast_to(v, shape + v.shape[-2:]), np.broadcast_to(beta, shape)
 
 
 def phi_plus_correlator_closed_form(a, b, beta):
@@ -73,7 +68,7 @@ def phi_plus_correlator_closed_form(a, b, beta):
     (ax, bx), (ay, by) = np.moveaxis(v[..., :2], (-2, -1), (1, 0))
     numerator = ax * bx - (1.0 - beta * beta) * ay * by
     denom = boost_denominator_sq(v[..., 0], beta[..., None])
-    return _lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1]))
+    return lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1]))
 
 
 def ghz_offdiagonal_closed_form(a, b, c, beta):
@@ -98,7 +93,7 @@ def ghz_offdiagonal_closed_form(a, b, c, beta):
                               out_real * imag[..., k] + out_imag * real[..., k])
     out = np.empty(beta.shape, dtype=complex)
     out.real, out.imag = out_real, out_imag
-    return _lone(out, complex)
+    return lone(out, complex)
 
 
 def ghz_correlator_closed_form(a, b, c, beta):
@@ -116,4 +111,4 @@ def ghz_correlator_closed_form(a, b, c, beta):
     g = 1.0 - beta * beta
     numerator = ax * bx * cx - g * (ay * bx * cy + ay * by * cx + ax * by * cy)
     denom = boost_denominator_sq(v[..., 0], beta[..., None])
-    return _lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1] * denom[..., 2]))
+    return lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1] * denom[..., 2]))

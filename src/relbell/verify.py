@@ -370,13 +370,14 @@ def _check_com_curve(seed):
     settings = mermin_com_settings(0.0)
     operators = settings.family.operators(effective_directions_grid(settings, BETA_GRID))
     tops = hermitian_eigensystem(operators @ operators)[0][:, -1]
-    return ([abs(math.sqrt(top) - epsilon3_com(beta)) for beta, top in zip(BETA_GRID, tops)],
+    return (np.abs(np.sqrt(tops) - epsilon3_com(BETA_GRID)),
             "closed-form center-of-mass peak value vs the numeric square root "
             "of the largest squared-operator eigenvalue")
 
 
 def _check_com_square_consistency(seed):
-    return ([abs(epsilon3_com(beta) ** 2 - lambda_com(beta)) for beta in BETA_GRID + (1.0,)],
+    grid = BETA_GRID + (1.0,)
+    return (np.abs(epsilon3_com(grid) ** 2 - lambda_com(grid)),
             "the squared peak value equals the closed-form largest eigenvalue "
             "across the grid including beta = 1")
 
@@ -402,7 +403,7 @@ def _check_com_primed_coefficient(seed):
     primed = effective[:, [3, 5]]
     worst_derived = np.max(np.abs(primed - closed[:, :2]))
     worst_alt = np.max(np.abs(primed - closed[:, 2:]))
-    worst_alt_norm = np.max(np.abs([np.linalg.norm(v) - 1.0 for v in closed[:, 2]]))
+    worst_alt_norm = np.max(np.abs(np.linalg.norm(closed[:, 2], axis=-1) - 1.0))
     return (worst_alt,
             "the x-numerator 3 + sqrt(1-beta^2) for the primed directions is not "
             f"unit norm for beta > 0 (worst norm deviation {worst_alt_norm:.3f}) "

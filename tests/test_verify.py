@@ -72,7 +72,7 @@ def test_verify_builds_the_com_candidates_in_one_call_per_row(monkeypatch):
 
 
 def _nan_at_half(function):
-    return lambda beta: math.nan if beta == 0.5 else function(beta)
+    return lambda beta: np.where(np.asarray(beta) == 0.5, math.nan, function(beta))
 
 
 def _nan_at_row(function, at=7):

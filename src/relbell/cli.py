@@ -141,7 +141,9 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
 
 def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Settings:
     """Read the Settings of an n_particles settings file, every boost at speed
-    beta (None keeps the file's speeds, which are checked either way)."""
+    beta (None keeps the file's speeds, which are checked either way).  JSON
+    nested too deep to decode, and an integer too large for a float, are
+    refused like any other bad file."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -153,7 +155,8 @@ def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Sett
         boost_dirs = [normalized3(entry["direction"]) for entry in boosts]
         boost_betas = [float(entry["beta"]) for entry in boosts]
         boost_speeds(boost_betas)
-    except (OSError, KeyError, TypeError, ValueError, DomainError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, DomainError, OverflowError,
+            RecursionError) as exc:
         raise UsageError(f"invalid settings file {path}: {exc}") from exc
     speeds = boost_betas if beta is None else [beta] * n_particles
     return Settings(directions, [Boost(d, b) for d, b in zip(boost_dirs, speeds)])

@@ -185,28 +185,31 @@ def test_degenerate_observable_stays_usage_error(monkeypatch, capsys):
 @pytest.mark.parametrize("scenario", ["chsh-collinear", "mermin-com"])
 def test_sweep_builds_operators_per_block(monkeypatch, scenario):
     # A sweep builds its effective directions, and from them its operators, a
-    # block of rows at a time and solves each block's spectra in one stacked
-    # eigensolve; a per-row operator build would call bell_operator once per
-    # row, and a per-row eigensolve would call hermitian_eigensystem once per
-    # row.
+    # block of rows at a time, solves each block's spectra in one stacked
+    # eigensolve and takes its named peaks in one call; a per-row operator
+    # build would call bell_operator once per row, and a per-row eigensolve
+    # would call hermitian_eigensystem once per row.  The beta = 1 row takes
+    # its named peak alone.
     calls = Counter()
 
-    def counted(module, name):
-        original = getattr(module, name)
-
+    def wrap(name, original):
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
+        return wrapper
 
     for name in ("bell_operator", "hermitian_eigensystem"):
-        counted(relbell.bell, name)
-    counted(relbell.scenarios, "effective_directions_grid")
+        monkeypatch.setattr(relbell.bell, name, wrap(name, getattr(relbell.bell, name)))
+    monkeypatch.setattr(relbell.scenarios, "effective_directions_grid", wrap(
+        "effective_directions_grid", relbell.scenarios.effective_directions_grid))
+    build_settings, peak = relbell.scenarios.SCENARIOS[scenario]
+    monkeypatch.setitem(relbell.scenarios.SCENARIOS, scenario,
+                        (build_settings, wrap("peak", peak)))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--scenario", scenario, "--beta-step", "0.001"]) == 0
     blocks = math.ceil(1001 / relbell.scenarios.SWEEP_BLOCK_ROWS)
-    assert calls == {"hermitian_eigensystem": blocks, "effective_directions_grid": blocks}
+    assert calls == {"hermitian_eigensystem": blocks, "effective_directions_grid": blocks,
+                     "peak": blocks + 1}
 
 
 def test_unwritable_output_is_io_error(tmp_path):
@@ -566,7 +569,8 @@ def test_non_finite_settings_file_is_usage_error(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("case", ["missing-key", "malformed-json", "missing-path",
                                   "three-boosts", "nan-direction", "nan-speed",
-                                  "overflow-direction"])
+                                  "overflow-direction", "deep-nesting", "huge-integer",
+                                  "huge-integer-speed"])
 def test_bad_settings_file_is_one_usage_error_under_every_command(tmp_path, capsys,
                                                                   case):
     # sweep and sample read a settings file through one path, so each bad
@@ -582,9 +586,16 @@ def test_bad_settings_file_is_one_usage_error_under_every_command(tmp_path, caps
         config["boosts"][1]["beta"] = math.nan
     elif case == "overflow-direction":
         config["b"] = [1e308, 1e308, 0.0]
+    elif case == "huge-integer":
+        # valid JSON whose integer no float holds
+        config["a"] = [10 ** 400, 0, 0]
+    elif case == "huge-integer-speed":
+        config["boosts"][0]["beta"] = 10 ** 400
     settings_path = tmp_path / "settings.json"
     if case == "malformed-json":
         settings_path.write_text("{not json", encoding="utf-8")
+    elif case == "deep-nesting":
+        settings_path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     elif case != "missing-path":
         settings_path.write_text(json.dumps(config), encoding="utf-8")
     errors = []

@@ -136,6 +136,26 @@ def same_bits(got, want) -> bool:
             and got.tobytes() == want.tobytes())
 
 
+# The scenario curves one speed at a time, in scalar math: the oracle each
+# element of an array call must match bit for bit.
+
+def scalar_epsilon2(beta: float) -> float:
+    g = math.sqrt(max(1.0 - beta * beta, 0.0))
+    return 2.0 * (1.0 + g) / math.sqrt(2.0 - beta * beta)
+
+
+def scalar_lambda_com(beta: float) -> float:
+    g = math.sqrt(max(1.0 - beta * beta, 0.0))
+    d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
+    return 4.0 * (1.0 + 8.0 * g / math.sqrt(d) + 16.0 * (1.0 - beta * beta) / d)
+
+
+def scalar_epsilon3_com(beta: float) -> float:
+    g = math.sqrt(max(1.0 - beta * beta, 0.0))
+    d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
+    return 2.0 * (1.0 + 4.0 * g / math.sqrt(d))
+
+
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T

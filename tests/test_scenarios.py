@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_abs, same_bits, unit_vectors
+from helpers import (
+    max_abs,
+    same_bits,
+    scalar_epsilon2,
+    scalar_epsilon3_com,
+    scalar_lambda_com,
+    unit_vectors,
+)
 from relbell import scenarios
 from relbell.errors import DomainError
 from relbell.linalg import expectation, hermitian_eigensystem
@@ -40,11 +47,43 @@ def test_epsilon2_value():
     assert abs(epsilon2(0.6) - 3.6 / math.sqrt(1.64)) < 1e-15
 
 
+#: Each named peak with its scalar reference, one speed at a time.
+CURVES = [pytest.param(epsilon2, scalar_epsilon2, id="epsilon2"),
+          pytest.param(lambda_com, scalar_lambda_com, id="lambda_com"),
+          pytest.param(epsilon3_com, scalar_epsilon3_com, id="epsilon3_com"),
+          pytest.param(SCENARIOS["mermin-collinear"][1], lambda beta: 4.0,
+                       id="mermin-collinear")]
+#: The arithmetic's edges, then the 10,001 rows of a sweep at step 0.0001.
+EDGE_SPEEDS = [0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0]
+CURVE_SPEEDS = EDGE_SPEEDS + [min(i * 1e-4, 1.0) for i in range(10001)]
+
+
+@pytest.mark.parametrize("curve, scalar", CURVES)
+def test_curve_arrays_keep_the_scalar_bits(curve, scalar):
+    # An array of speeds (...) gives (...), each element the bits of the
+    # scalar formula; a lone speed returns a Python float.
+    want = np.array([scalar(beta) for beta in CURVE_SPEEDS])
+    assert same_bits(curve(np.array(CURVE_SPEEDS)), want)
+    assert same_bits(curve(np.reshape(EDGE_SPEEDS, (1, 5))), want[None, :5])
+    for beta in EDGE_SPEEDS:
+        lone = curve(beta)
+        assert type(lone) is float
+        assert same_bits(lone, scalar(beta))
+
+
 def test_epsilon2_domain():
     with pytest.raises(DomainError):
         epsilon2(-0.01)
     with pytest.raises(DomainError):
         epsilon2(1.01)
+
+
+@pytest.mark.parametrize("curve, scalar", CURVES)
+def test_curve_arrays_name_their_first_bad_speed(curve, scalar):
+    # An array is checked whole, in one pass that NaN fails.
+    with pytest.raises(DomainError) as raised:
+        curve(np.array([0.2, math.nan, 1.5]))
+    assert str(raised.value) == "beta must lie in [0, 1], got nan"
 
 
 def test_epsilon3_endpoints():
@@ -59,16 +98,13 @@ def test_epsilon3_value():
 
 def test_curves_strictly_decreasing():
     grid = np.arange(0.001, 1.0, 0.001)
-    eps2 = np.array([epsilon2(b) for b in grid])
-    eps3 = np.array([epsilon3_com(b) for b in grid])
-    assert np.all(np.diff(eps2) < 0.0)
-    assert np.all(np.diff(eps3) < 0.0)
+    assert np.all(np.diff(epsilon2(grid)) < 0.0)
+    assert np.all(np.diff(epsilon3_com(grid)) < 0.0)
 
 
 def test_epsilon3_squared_equals_lambda():
-    for beta in np.arange(0.0, 1.0001, 0.001):
-        beta = min(float(beta), 1.0)
-        assert abs(epsilon3_com(beta) ** 2 - lambda_com(beta)) < 1e-12
+    betas = np.minimum(np.arange(0.0, 1.0001, 0.001), 1.0)
+    assert np.all(np.abs(epsilon3_com(betas) ** 2 - lambda_com(betas)) < 1e-12)
 
 
 def test_com_boosts_geometry():
@@ -236,6 +272,19 @@ def test_sweep_takes_one_expectation_per_block(monkeypatch):
     for beta, row in zip(betas[:-1], rows):
         want = expectation(phi_plus(), bell_operator(chsh_collinear_settings(beta)))
         assert row.state_expectation == want
+
+
+@pytest.mark.parametrize("kind", SCENARIOS)
+def test_sweep_whose_last_block_holds_only_beta_one(kind):
+    # 65 rows: a full block below beta = 1, then a block of the beta = 1 row
+    # alone, whose peak call over the block's empty array yields no row.
+    betas = [i / SWEEP_BLOCK_ROWS for i in range(SWEEP_BLOCK_ROWS + 1)]
+    build_settings, peak = SCENARIOS[kind]
+    rows = list(sweep(build_settings(0.0), betas, peak))
+    assert len(rows) == SWEEP_BLOCK_ROWS + 1
+    for beta, row in zip(betas, rows):
+        assert row == _row(kind, beta)
+    assert rows[-1] == (peak(1.0), None, None, None)
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])

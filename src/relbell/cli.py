@@ -141,9 +141,7 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
 
 def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Settings:
     """Read the Settings of an n_particles settings file, every boost at speed
-    beta (None keeps the file's speeds, which are checked either way).  JSON
-    nested too deep to decode, and an integer too large for a float, are
-    refused like any other bad file."""
+    beta (None keeps the file's speeds, which are checked either way)."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)

@@ -8,6 +8,8 @@ deleting them once the harness drops them touches no program code."""
 import ast
 import importlib
 import itertools
+import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +158,28 @@ def _scenario_curve(rng):
     return [(scenario_curve(Scenario(kind, beta)),
              next(sweep(build(0.0), [beta], peak)))
             for (kind, (build, peak)), beta in itertools.product(SCENARIOS.items(), betas)]
+
+
+def test_scenario_is_read_only_and_keeps_its_refusals():
+    # test_records.py's guard, for the one record class kept for the harness.
+    scenario = Scenario("mermin-com", 0.25)
+    for field in ("kind", "beta", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(scenario, field, None)
+        with pytest.raises(AttributeError):
+            delattr(scenario, field)
+    assert (scenario.kind, scenario.beta) == ("mermin-com", 0.25)
+    assert repr(scenario) == "Scenario(kind='mermin-com', beta=0.25)"
+    assert repr(pickle.loads(pickle.dumps(scenario))) == repr(scenario)
+    # It checks its speed but keeps it as given.
+    assert type(Scenario("chsh-collinear", 1).beta) is int
+    refusals = {("nonsense", 0.5): "unknown scenario kind 'nonsense'",
+                ("chsh-collinear", 1.5): "beta must lie in [0, 1], got 1.5",
+                ("chsh-collinear", math.nan): "beta must lie in [0, 1], got nan"}
+    for (kind, beta), text in refusals.items():
+        with pytest.raises(DomainError) as refused:
+            Scenario(kind, beta)
+        assert type(refused.value) is DomainError and str(refused.value) == text
 
 
 def _boosted(old, new):

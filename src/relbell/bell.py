@@ -27,12 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, DomainRestriction
+from .errors import DomainError, DomainRestriction, Frozen
 from .linalg import IDENTITY_2, hermitian_eigensystem, kron, lone
 from .observables import (
     XY_PLANE_TOL,
@@ -50,23 +49,20 @@ from .states import ghz_plus, phi_plus
 DIRECTION_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
 
 
-@dataclass(frozen=True, eq=False)
-class Settings:
+class Settings(Frozen):
     """Two measurement directions and one boost per particle, for 2 or 3
     particles: directions runs a, a', b, b' (then c, c').  Each direction is
     validated by unit3 once, here."""
 
-    directions: tuple
-    boosts: tuple
+    __slots__ = ("directions", "boosts")
 
-    def __post_init__(self):
-        boosts = tuple(self.boosts)
-        if len(boosts) not in FAMILIES or len(self.directions) != 2 * len(boosts):
+    def __init__(self, directions, boosts):
+        boosts = tuple(boosts)
+        if len(boosts) not in FAMILIES or len(directions) != 2 * len(boosts):
             raise DomainError(
                 "settings need 2 or 3 boosts and two directions per particle, "
-                f"got {len(self.directions)} directions and {len(boosts)} boosts")
-        object.__setattr__(self, "directions",
-                           tuple([unit3(d) for d in self.directions]))
+                f"got {len(directions)} directions and {len(boosts)} boosts")
+        object.__setattr__(self, "directions", tuple([unit3(d) for d in directions]))
         object.__setattr__(self, "boosts", boosts)
 
     @property
@@ -304,8 +300,7 @@ def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
     return boost_map(np.array(settings.directions), axes, betas[:, None])
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What the particle count fixes: the operator's name, its sign table of
     (label, sign, observable indices) terms (first sign +1), the matched
     maximally entangled state, and the operator's assembly from the (stacked)

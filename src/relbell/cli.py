@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -85,6 +83,8 @@ def _render_csv(columns, rows) -> str:
 
 
 def _render_json(columns, rows, meta) -> str:
+    import json
+
     payload = {"meta": meta,
                "rows": [{col: row.get(col) for col in columns} for row in rows]}
     return json.dumps(payload, indent=2) + "\n"
@@ -142,6 +142,8 @@ def _beta_grid(lo: float, hi: float, step: float) -> list[float]:
 def _load_settings_file(path: str, n_particles: int, beta: float | None) -> Settings:
     """Read the Settings of an n_particles settings file, every boost at speed
     beta (None keeps the file's speeds, which are checked either way)."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -198,7 +200,7 @@ def _cmd_verify(args) -> int:
     if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
         raise UsageError("tolerance must be finite and > 0")
     checks = run_all_checks(tolerance=args.tolerance, seed=args.seed)
-    rows = [dataclasses.asdict(c) for c in checks]
+    rows = [c._asdict() for c in checks]
     meta = _meta(args, "verify", {"tolerance": args.tolerance})
     code = _emit(args, VERIFY_COLUMNS, rows, meta)
     if code != EXIT_OK:

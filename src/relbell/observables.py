@@ -27,11 +27,10 @@ they stay only because the perfbench harness times and traces them by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateObservable, DomainError, DomainRestriction
+from .errors import DegenerateObservable, DomainError, DomainRestriction, Frozen
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 UNIT_NORM_TOL = 1e-12
@@ -95,8 +94,7 @@ def normalized3(vector) -> np.ndarray:
     return v / norm
 
 
-@dataclass(frozen=True)
-class Boost:
+class Boost(Frozen):
     """A particle boost: unit direction and speed beta in [0, 1).
 
     beta = 1 is rejected here because matrix construction degenerates in
@@ -104,12 +102,11 @@ class Boost:
     closed-form curve evaluators, which never build matrices.
     """
 
-    direction: np.ndarray
-    beta: float
+    __slots__ = ("direction", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "direction", unit3(self.direction))
-        beta = float(self.beta)
+    def __init__(self, direction, beta):
+        object.__setattr__(self, "direction", unit3(direction))
+        beta = float(beta)
         boost_speeds(beta)
         object.__setattr__(self, "beta", beta)
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DimensionMismatch, DomainError, InvalidObservable, MissingSetting
+from .errors import DimensionMismatch, DomainError, Frozen, InvalidObservable, MissingSetting
 from .linalg import (
     IDENTITY_2,
     expectation,
@@ -55,8 +55,7 @@ def outcome_labels(n_particles: int) -> list[str]:
             for row in _outcome_signs(n_particles).tolist()]
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
+class OutcomeDistribution(NamedTuple):
     """Joint outcome probabilities for one setting combination."""
 
     n_particles: int
@@ -71,18 +70,18 @@ class OutcomeDistribution:
         return float(np.dot(self.probabilities, products))
 
 
-@dataclass(frozen=True, eq=False)
-class ShotRecord:
+class ShotRecord(Frozen):
     """Counts per outcome tuple for one setting combination."""
 
-    counts: np.ndarray
-    shots: int
+    __slots__ = ("counts", "shots")
 
-    def __post_init__(self):
-        if int(self.counts.sum()) != self.shots:
+    def __init__(self, counts: np.ndarray, shots: int):
+        if int(counts.sum()) != shots:
             raise ValueError("counts do not sum to the number of shots")
-        if self.counts.min() < 0:
+        if counts.min() < 0:
             raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", shots)
 
     @property
     def n_particles(self) -> int:

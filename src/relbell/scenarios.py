@@ -22,13 +22,12 @@ command prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bell import Settings, effective_directions_grid, max_violation, square_peak_from_directions
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .linalg import expectation, lone
 from .observables import Boost, require_unit_interval
 
@@ -177,18 +176,18 @@ SCENARIOS = {
 SCENARIO_KINDS = tuple(SCENARIOS)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """A named configuration at one boost speed.  Only scenario_curve takes
     it, and only the perfbench harness calls that."""
 
-    kind: str
-    beta: float
+    __slots__ = ("kind", "beta")
 
-    def __post_init__(self):
-        if self.kind not in SCENARIOS:
-            raise DomainError(f"unknown scenario kind {self.kind!r}")
-        require_unit_interval(self.beta)
+    def __init__(self, kind: str, beta: float):
+        if kind not in SCENARIOS:
+            raise DomainError(f"unknown scenario kind {kind!r}")
+        require_unit_interval(beta)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "beta", beta)
 
 
 class ScenarioResult(NamedTuple):

@@ -35,7 +35,7 @@ from np.abs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ SWAPPED_LEGS = ((0, 1, None), (None, 0, 2), (1, None, 2))
 TAU = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     status: str
     residual: float

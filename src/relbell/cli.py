@@ -22,7 +22,10 @@ via --no-meta-time).
 
 The verify, search and sampling modules are imported inside the one
 handler that runs them, so a command pays the start-up cost of its own
-layers only.
+layers only.  json is imported the same way, by the JSON renderer and the
+settings-file reader alone: the default CSV commands never use it.
+tests/test_startup.py fails if importing this module loads json,
+dataclasses or numpy.random.
 """
 
 from __future__ import annotations

@@ -703,6 +703,33 @@ def test_chsh_zeta_stack_rows_are_lone_calls(angles, data):
             assert same_bits(term[i], want)
 
 
+def _signed_kron_sum(terms):
+    """The signed sum of the Kronecker products of bell_terms' observables,
+    taken term by term in table order."""
+    total = None
+    for _, sign, observables in terms:
+        product = kron(*observables) if sign > 0 else -kron(*observables)
+        total = product if total is None else total + product
+    return total
+
+
+@pytest.mark.parametrize("n_particles", [3])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sign_table_defines_the_operator(n_particles, data):
+    # The sign table is the one definition of each operator: every row of
+    # Family.operators, lone or stacked, is the signed Kronecker sum of its
+    # terms in table order, compared as uint64 so signed zeros count.
+    samples = [_draw_free(data, n_particles) for _ in range(data.draw(st.integers(1, 4)))]
+    family = samples[0].family
+    stacked = family.operators(observables.boost_map(*settings_arrays(samples)))
+    for row, sample in zip(stacked, samples):
+        want = _signed_kron_sum(bell_terms(sample)).view(np.uint64)
+        assert np.array_equal(row.view(np.uint64), want)
+        lone_ = family.operators(sample.effective_directions())
+        assert np.array_equal(lone_.view(np.uint64), want)
+
+
 @pytest.mark.parametrize("n_particles", [2, 3])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

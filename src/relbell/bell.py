@@ -3,8 +3,10 @@
 One Settings class holds two directions and a boost per particle; what the
 particle count fixes (operator, sign table, matched state) lives in the
 FAMILIES table at the end of this module.  The two-qubit operator is
-A(B + B') + A'(B - B'); the three-qubit operator is the four-term
-combination A B'C' + A'B C' + A'B'C - A B C.  The paper's closed forms for
+A(B + B') + A'(B - B'), that is AB + AB' + A'B - A'B'; the three-qubit
+operator is A B'C' + A'B C' + A'B'C - A B C.  Each is built in one place,
+Family.signed_sum: the Kronecker products of its sign table's terms, summed
+in table order, with no particle-count branch.  The paper's closed forms for
 the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
 provided on the restricted measurement geometries where they were derived,
 and refuse other inputs instead of extrapolating: observables.require_xy_plane
@@ -141,33 +143,22 @@ def chsh_in_plane_terms(directions, beta):
     the terms of chsh_zeta, for xy-plane directions of shape (..., 4, 3) in
     Settings order with both particles boosted along x at speed beta (...):
     four arrays (...), each element the bits of a lone Settings' terms.
-    Trusts its input, which chsh_zeta checks; the angles are math.atan2's
-    per element, since np.arctan2 rounds differently."""
+    Trusts its input, which chsh_zeta checks.  No angle is taken: for unit
+    directions d = (cos phi_d, sin phi_d, 0), sin(phi_d - phi_d') is the
+    cross product d_y d'_x - d_x d'_y, in real arithmetic that rounds alike
+    at every SIMD level."""
     directions = np.asarray(directions, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    # atan2's branch, (-pi, pi], cannot leak: only sines of differences are used.
-    angles = np.array([math.atan2(v[1], v[0]) for v in directions.reshape(-1, 3)])
-    sines = np.sin(np.subtract(*angles.reshape(-1, 2, 2).T))
+    d, d_prime = directions[..., 0::2, :], directions[..., 1::2, :]
+    sines = d[..., 1] * d_prime[..., 0] - d[..., 0] * d_prime[..., 1]
     denom = boost_denominator_sq(directions[..., 0], beta[..., None])
-    shape = directions.shape[:-2]
-    return (1.0 - beta * beta, sines[0].reshape(shape), sines[1].reshape(shape),
+    return (1.0 - beta * beta, sines[..., 0], sines[..., 1],
             denom[..., 0] * denom[..., 1] * denom[..., 2] * denom[..., 3])
 
 
-def _chsh(a, ap, b, bp) -> np.ndarray:
-    # Factored form: the signed sum of the four terms rounds differently and
-    # would change the last bits of sweep output.
-    return kron(a, b + bp) + kron(ap, b - bp)
-
-
 def chsh_operator(settings) -> np.ndarray:
-    """The 4x4 two-qubit Bell operator A(B + B') + A'(B - B')."""
-    return _chsh(*effective_observables(settings))
-
-
-def _mermin(a, ap, b, bp, c, cp) -> np.ndarray:
-    # The sign table's terms, summed term by term in table order.
-    return kron(a, bp, cp) + kron(ap, b, cp) + kron(ap, bp, c) - kron(a, b, c)
+    """bell_operator of two-particle settings."""
+    return bell_operator(settings)
 
 
 def bell_terms(settings: Settings):
@@ -211,9 +202,8 @@ def chsh_zeta_from_terms(shrink_sq, sin_a, sin_b, denom):
 
 
 def mermin_operator(settings) -> np.ndarray:
-    """The 8x8 three-qubit Bell operator A B'C' + A'B C' + A'B'C - A B C,
-    summed term by term in sign-table order."""
-    return _mermin(*effective_observables(settings))
+    """bell_operator of three-particle settings."""
+    return bell_operator(settings)
 
 
 def cross_norms(n) -> np.ndarray:
@@ -302,21 +292,29 @@ def effective_directions_grid(settings: Settings, betas) -> np.ndarray:
 
 class Family(NamedTuple):
     """What the particle count fixes: the operator's name, its sign table of
-    (label, sign, observable indices) terms (first sign +1), the matched
-    maximally entangled state, and the operator's assembly from the (stacked)
-    observables."""
+    (label, sign, observable indices) terms (first sign +1), which is the
+    operator's one definition, and the matched maximally entangled state."""
 
     name: str
     terms: tuple
     state: Callable[[], np.ndarray]
-    assemble: Callable[..., np.ndarray]
 
     def operators(self, n) -> np.ndarray:
         """The Bell operators (..., d, d) of effective directions n of shape
         (..., D, 3) in Settings order, from one direction_matrix call: each
         the bits of its own lone build."""
-        observables = direction_matrix(np.moveaxis(n, -2, 0))
-        return self.assemble(*observables)
+        return self.signed_sum(direction_matrix(np.moveaxis(n, -2, 0)))
+
+    def signed_sum(self, observables) -> np.ndarray:
+        """The Bell operators (..., d, d) of observables (D, ..., 2, 2) in
+        Settings order: the Kronecker product of each term's observables,
+        added or subtracted by its sign, term by term in table order."""
+        (_, _, first), *rest = self.terms
+        operator = kron(*[observables[i] for i in first])
+        for _, sign, picks in rest:
+            product = kron(*[observables[i] for i in picks])
+            operator = operator + product if sign > 0 else operator - product
+        return operator
 
 
 def _sign_table(*terms):
@@ -331,8 +329,8 @@ def _sign_table(*terms):
 FAMILIES = {
     2: Family("chsh",
               _sign_table(("ab", 1), ("ab'", 1), ("a'b", 1), ("a'b'", -1)),
-              phi_plus, _chsh),
+              phi_plus),
     3: Family("mermin",
               _sign_table(("ab'c'", 1), ("a'bc'", 1), ("a'b'c", 1), ("abc", -1)),
-              ghz_plus, _mermin),
+              ghz_plus),
 }

@@ -28,8 +28,8 @@ boost_map over (S, D, 3) directions with each sample's own boost axes and
 speeds, then stacked observables, Kronecker products and matmuls.  Each
 element keeps the bits of its one-sample computation, and a float maximum
 is exact in any order, so the report does not depend on the batching.  For
-that, complex differences keep the scalar abs, which rounds differently
-from np.abs.
+that, complex differences take their magnitudes as np.hypot of their parts,
+which rounds as the scalar abs does and np.abs does not.
 """
 
 from __future__ import annotations
@@ -180,13 +180,19 @@ def _draw_roundtrip(rng):
     return units[:, 0], units[:, 1], boost_speeds(0.99 * speeds)
 
 
+def _magnitude(z):
+    """|z| of each element of a complex array, bit for bit Python's abs of
+    each complex scalar, which np.abs is not."""
+    return np.hypot(z.real, z.imag)
+
+
 def _brute_force(directions, axes, speeds):
     """The (S, D, 3) effective directions of drawn samples from one
     boost_map, their (D, S, 2, 2) observables, and the (S, d, d)
     brute-force square B @ B of each sample's Bell operator."""
     n = boost_map(directions, axes, speeds)
     observables = direction_matrix(np.moveaxis(n, -2, 0))
-    operators = FAMILIES[len(observables) // 2].assemble(*observables)
+    operators = FAMILIES[len(observables) // 2].signed_sum(observables)
     return n, observables, operators @ operators
 
 
@@ -282,8 +288,8 @@ def _check_phi_correlator_z_term(seed):
 def _check_ghz_offdiagonal(seed):
     arguments, operators = _xy_rows(seed, 8, 3)
     elements = operators[:, 7, 0]
-    return ([list(map(abs, ghz_offdiagonal_closed_form(*arguments) - elements)),
-             list(map(abs, operators[:, 0, 7].conj() - elements))],
+    return ([_magnitude(ghz_offdiagonal_closed_form(*arguments) - elements),
+             _magnitude(operators[:, 0, 7].conj() - elements)],
             "closed-form <111|A(x)B(x)C|000> element vs the matrix element and "
             "its Hermitian pairing")
 
@@ -422,10 +428,10 @@ def _check_com_ghz_expectation(seed):
 def _check_observable_contracts(seed):
     boosted, rest = _draw_contracts(_rng(seed, 20))
     matrices = direction_matrix(boost_map(*boosted))
-    traces = np.trace(matrices, axis1=-2, axis2=-1).tolist()
+    traces = np.trace(matrices, axis1=-2, axis2=-1)
     zero_beta = boost_map(*rest) - rest[0]
     return (np.concatenate([np.abs(matrices - matrices.conj().swapaxes(-1, -2)).ravel(),
-                            list(map(abs, traces)),
+                            _magnitude(traces),
                             np.abs(matrices @ matrices - np.eye(2)).ravel(),
                             np.abs(zero_beta).ravel()]),
             "boosted observables are Hermitian, traceless and square to the "

@@ -676,7 +676,7 @@ def test_settings_sequence_rows_are_bit_identical(n_particles, data):
                for legs in [None] + [SWAPPED_LEGS] * (n_particles == 3)}
     for i, sample in enumerate(samples):
         assert same_bits(family.operators(n)[i], bell_operator(sample))
-        assert same_bits(family.assemble(*stacked)[i], bell_operator(sample))
+        assert same_bits(family.signed_sum(stacked)[i], bell_operator(sample))
         for legs, square in squares.items():
             assert same_bits(square[i], square_closed_form(effective_observables(sample), legs))
 
@@ -713,7 +713,7 @@ def _signed_kron_sum(terms):
     return total
 
 
-@pytest.mark.parametrize("n_particles", [3])
+@pytest.mark.parametrize("n_particles", [2, 3])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_sign_table_defines_the_operator(n_particles, data):

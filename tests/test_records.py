@@ -25,7 +25,7 @@ Y = np.array([0.0, 1.0, 0.0])
 
 #: Per class: a builder of one valid instance, and the names of its fields.
 RECORDS = {
-    "Family": (lambda: FAMILIES[2], ("name", "terms", "state", "assemble")),
+    "Family": (lambda: FAMILIES[2], ("name", "terms", "state")),
     "CheckResult": (lambda: CheckResult("row", PASS, 0.0, 1e-9, ""),
                     ("check", "status", "residual", "tolerance", "detail")),
     "OutcomeDistribution": (lambda: OutcomeDistribution(2, np.full(4, 0.25)),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -62,6 +63,7 @@ Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 ROOT8 = 2.0 * math.sqrt(2.0)
+EPS = sys.float_info.epsilon
 
 
 def _random_chsh_xy(rng, beta):
@@ -701,6 +703,42 @@ def test_chsh_zeta_stack_rows_are_lone_calls(angles, data):
         assert same_bits(zetas[i], chsh_zeta(lone))
         for term, want in zip(terms, chsh_in_plane_terms(lone.directions, beta)):
             assert same_bits(term[i], want)
+
+
+def _angle_sine(d, d_prime):
+    """math.sin(phi_d - phi_d') from the math.atan2 angles of two xy-plane
+    directions, and its slack: 2 eps, plus half an ulp of each angle and of
+    their difference, which the angle formula rounds away before its sine."""
+    phi, phi_prime = math.atan2(d[1], d[0]), math.atan2(d_prime[1], d_prime[0])
+    rounding = (math.ulp(phi) + math.ulp(phi_prime) + math.ulp(phi - phi_prime)) / 2.0
+    return math.sin(phi - phi_prime), 2.0 * EPS + rounding
+
+
+#: Angle gaps within a pair: parallel, perpendicular, antiparallel, nearly
+#: parallel, and any.
+_gaps = st.one_of(st.sampled_from([0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, -math.pi]),
+                  st.floats(-1e-6, 1e-6), st.floats(-2.0 * math.pi, 2.0 * math.pi))
+_angle_pairs = st.tuples(st.floats(-2.0 * math.pi, 2.0 * math.pi), _gaps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(_angle_pairs, min_size=2, max_size=2), beta=st.floats(0.0, 0.999))
+def test_cross_product_sines_match_the_angle_formula(pairs, beta):
+    # chsh_in_plane_terms takes each sine as d_y d'_x - d_x d'_y; the angle
+    # formula sin(atan2 - atan2) is the reference, within its own rounding.
+    # chsh_zeta then matches the angle formula's zeta within 4 ulps, beyond
+    # those sines' slack carried through the formula.
+    directions = np.array([[math.cos(angle), math.sin(angle), 0.0]
+                           for base, gap in pairs for angle in (base, base - gap)])
+    shrink_sq, sin_a, sin_b, denom = chsh_in_plane_terms(directions, beta)
+    (want_a, slack_a), (want_b, slack_b) = (_angle_sine(*directions[i:i + 2]) for i in (0, 2))
+    assert abs(sin_a - want_a) <= slack_a
+    assert abs(sin_b - want_b) <= slack_b
+    boost = Boost(X, beta)
+    ratio = shrink_sq / math.sqrt(denom)
+    want = 4.0 * (1.0 + ratio * abs(want_a * want_b))
+    slack = 4.0 * ratio * (abs(want_b) * slack_a + abs(want_a) * slack_b + slack_a * slack_b)
+    assert abs(chsh_zeta(Settings(directions, (boost, boost))) - want) <= 4 * math.ulp(want) + slack
 
 
 def _signed_kron_sum(terms):

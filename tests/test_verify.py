@@ -3,6 +3,7 @@ against the sample-by-sample stream, its per-row budgets, and the
 benchmark's constants that count its rows."""
 
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -242,3 +243,28 @@ def test_gated_rows_stay_within_their_budgets():
     over = {name: worst[name] / EPS for name, (k, scale) in BUDGETS.items()
             if worst[name] > k * EPS * scale}
     assert over == {}
+
+
+#: Real and imaginary parts at the edges of complex abs: signed zeros,
+#: subnormals, the smallest normal, 1e+-300, infinities and NaN.
+_EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, 1e-300, -1e-300,
+               1.0, -2.5, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                      max_size=16))
+def test_magnitudes_have_the_bits_of_pythons_abs(drawn):
+    # The ghz-offdiagonal-closed-form and observable-contracts rows take
+    # complex magnitudes as np.hypot of the parts, on whole arrays, with the
+    # bits of Python's abs of each complex scalar.  Only a NaN's sign bit may
+    # differ: np.hypot's NaN carries it here, and the row reports nan and
+    # FAILs either way.
+    pairs = list(itertools.product(_EDGE_PARTS, repeat=2)) + drawn
+    got = verify._magnitude(np.array([complex(x, y) for x, y in pairs]))
+    for value, (x, y) in zip(got, pairs):
+        want = abs(complex(x, y))
+        if math.isnan(want):
+            assert math.isnan(value), (x, y)
+        else:
+            assert value.view(np.uint64) == np.float64(want).view(np.uint64), (x, y)

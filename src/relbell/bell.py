@@ -1,17 +1,16 @@
 """Two- and three-qubit Bell operators built from boosted spin observables.
 
 One Settings class holds two directions and a boost per particle; what the
-particle count fixes (operator, sign table, matched state) lives in the
-FAMILIES table at the end of this module.  The two-qubit operator is
-A(B + B') + A'(B - B'), that is AB + AB' + A'B - A'B'; the three-qubit
-operator is A B'C' + A'B C' + A'B'C - A B C.  Each is built in one place,
-Family.signed_sum: the Kronecker products of its sign table's terms, summed
-in table order, with no particle-count branch.  The paper's closed forms for
-the largest eigenvalue of the square, chsh_zeta and mermin_lambda3, are
-provided on the restricted measurement geometries where they were derived,
-and refuse other inputs instead of extrapolating: observables.require_xy_plane
-decides the plane for both.  chsh_in_plane_terms and chsh_zeta_from_terms
-are chsh_zeta's core on stacked in-plane directions.
+particle count fixes (sign table, matched state) lives in the FAMILIES
+table at the end of this module.  The sign table defines the operator:
+AB + AB' + A'B - A'B' for two qubits, AB'C' + A'BC' + A'B'C - ABC for
+three, built by Family.signed_sum term by term in table order.  The
+paper's closed forms for the largest eigenvalue of the square, chsh_zeta
+and mermin_lambda3, are provided on the restricted measurement geometries
+where they were derived, and refuse other inputs instead of extrapolating:
+observables.require_xy_plane decides the plane for both.
+chsh_in_plane_terms and chsh_zeta_from_terms are chsh_zeta's core on
+stacked in-plane directions.
 operator_norm holds for every setting and needs no matrix at all.
 Effective directions n, lone (D, 3) or stacked (..., D, 3), become Bell
 values in one place: the closed forms through square_peak_from_directions,

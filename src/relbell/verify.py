@@ -27,9 +27,9 @@ the closed forms under test and the brute force on the whole stack: one
 boost_map over (S, D, 3) directions with each sample's own boost axes and
 speeds, then stacked observables, Kronecker products and matmuls.  Each
 element keeps the bits of its one-sample computation, and a float maximum
-is exact in any order, so the report does not depend on the batching.  For
-that, complex differences take their magnitudes as np.hypot of their parts,
-which rounds as the scalar abs does and np.abs does not.
+is exact in any order, so the report does not depend on the batching.
+Complex differences take their magnitudes as np.hypot of their parts, with
+the bits of Python's abs of each complex scalar, which np.abs does not give.
 """
 
 from __future__ import annotations
@@ -180,12 +180,6 @@ def _draw_roundtrip(rng):
     return units[:, 0], units[:, 1], boost_speeds(0.99 * speeds)
 
 
-def _magnitude(z):
-    """|z| of each element of a complex array, bit for bit Python's abs of
-    each complex scalar, which np.abs is not."""
-    return np.hypot(z.real, z.imag)
-
-
 def _brute_force(directions, axes, speeds):
     """The (S, D, 3) effective directions of drawn samples from one
     boost_map, their (D, S, 2, 2) observables, and the (S, d, d)
@@ -288,8 +282,9 @@ def _check_phi_correlator_z_term(seed):
 def _check_ghz_offdiagonal(seed):
     arguments, operators = _xy_rows(seed, 8, 3)
     elements = operators[:, 7, 0]
-    return ([_magnitude(ghz_offdiagonal_closed_form(*arguments) - elements),
-             _magnitude(operators[:, 0, 7].conj() - elements)],
+    closed = ghz_offdiagonal_closed_form(*arguments) - elements
+    pairing = operators[:, 0, 7].conj() - elements
+    return ([np.hypot(closed.real, closed.imag), np.hypot(pairing.real, pairing.imag)],
             "closed-form <111|A(x)B(x)C|000> element vs the matrix element and "
             "its Hermitian pairing")
 
@@ -431,7 +426,7 @@ def _check_observable_contracts(seed):
     traces = np.trace(matrices, axis1=-2, axis2=-1)
     zero_beta = boost_map(*rest) - rest[0]
     return (np.concatenate([np.abs(matrices - matrices.conj().swapaxes(-1, -2)).ravel(),
-                            _magnitude(traces),
+                            np.hypot(traces.real, traces.imag),
                             np.abs(matrices @ matrices - np.eye(2)).ravel(),
                             np.abs(zero_beta).ravel()]),
             "boosted observables are Hermitian, traceless and square to the "

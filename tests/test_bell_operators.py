@@ -764,8 +764,8 @@ def test_sign_table_defines_the_operator(n_particles, data):
     for row, sample in zip(stacked, samples):
         want = _signed_kron_sum(bell_terms(sample)).view(np.uint64)
         assert np.array_equal(row.view(np.uint64), want)
-        lone_ = family.operators(sample.effective_directions())
-        assert np.array_equal(lone_.view(np.uint64), want)
+        alone = family.operators(sample.effective_directions())
+        assert np.array_equal(alone.view(np.uint64), want)
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])

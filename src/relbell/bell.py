@@ -42,6 +42,7 @@ from .observables import (
     boost_speeds,
     direction_matrix,
     require_xy_plane,
+    shrink_sq,
     unit3,
 )
 from .states import ghz_plus, phi_plus
@@ -151,7 +152,7 @@ def chsh_in_plane_terms(directions, beta):
     d, d_prime = directions[..., 0::2, :], directions[..., 1::2, :]
     sines = d[..., 1] * d_prime[..., 0] - d[..., 0] * d_prime[..., 1]
     denom = boost_denominator_sq(directions[..., 0], beta[..., None])
-    return (1.0 - beta * beta, sines[..., 0], sines[..., 1],
+    return (shrink_sq(beta), sines[..., 0], sines[..., 1],
             denom[..., 0] * denom[..., 1] * denom[..., 2] * denom[..., 3])
 
 

@@ -138,14 +138,19 @@ def require_unit_interval(beta) -> np.ndarray:
     return beta
 
 
+def shrink_sq(beta):
+    """1 - beta^2, elementwise, as 1.0 - beta * beta: the package's one
+    spelling of the squared Lorentz contraction factor."""
+    return 1.0 - beta * beta
+
+
 def boost_denominator_sq(along, beta):
     """(1 - beta^2) + beta^2 along^2, elementwise: the squared normalization
     of the boost map for unit directions with component ``along`` on the
     boost axis, summed without cancellation.  Raises DegenerateObservable at
     or below DENOMINATOR_FLOOR squared, naming the first such element in
     row-major order."""
-    beta_sq = beta * beta
-    denom_sq = (1.0 - beta_sq) + beta_sq * (along * along)
+    denom_sq = shrink_sq(beta) + beta * beta * (along * along)
     degenerate = np.asarray(denom_sq <= DENOMINATOR_FLOOR * DENOMINATOR_FLOOR)
     if degenerate.any():
         first = float(np.asarray(denom_sq).flat[degenerate.argmax()])
@@ -183,7 +188,7 @@ def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     along = (e * a).sum(axis=-1, keepdims=True)
     denom_sq = boost_denominator_sq(along, beta)
     parallel = along * e
-    n = (np.sqrt(1.0 - beta * beta) * (a - parallel) + parallel) / np.sqrt(denom_sq)
+    n = (np.sqrt(shrink_sq(beta)) * (a - parallel) + parallel) / np.sqrt(denom_sq)
     return np.where(beta == 0.0, a, n)
 
 
@@ -203,7 +208,7 @@ def inverse_boost_map(t: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     """
     beta = np.asarray(beta, dtype=float)[..., None]
     parallel = (e[..., None, :] @ t[..., None])[..., 0] * e
-    rest = parallel + (t - parallel) / np.sqrt(1.0 - beta * beta)
+    rest = parallel + (t - parallel) / np.sqrt(shrink_sq(beta))
     norm = np.sqrt((rest[..., None, :] @ rest[..., None])[..., 0])
     return np.where(beta == 0.0, t, rest / norm)
 

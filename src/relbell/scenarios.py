@@ -29,7 +29,7 @@ import numpy as np
 from .bell import Settings, effective_directions_grid, max_violation, square_peak_from_directions
 from .errors import DomainError, Frozen
 from .linalg import expectation, lone
-from .observables import Boost, require_unit_interval
+from .observables import Boost, require_unit_interval, shrink_sq
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -48,9 +48,10 @@ SWEEP_BLOCK_ROWS = 64
 
 def _curve_speeds(beta) -> tuple[np.ndarray, np.ndarray]:
     """The curves' speeds, checked by require_unit_interval, as a float
-    array, and g = sqrt(max(1 - beta^2, 0)) of each."""
+    array, and g = sqrt(1 - beta^2) of each: no clamp, since a speed in
+    [0, 1] has 1.0 - beta * beta at least +0."""
     beta = require_unit_interval(beta)
-    return beta, np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+    return beta, np.sqrt(shrink_sq(beta))
 
 
 def epsilon2(beta):
@@ -74,7 +75,7 @@ def lambda_com(beta):
     """
     beta, g = _curve_speeds(beta)
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
-    return lone(4.0 * (1.0 + 8.0 * g / np.sqrt(d) + 16.0 * (1.0 - beta * beta) / d))
+    return lone(4.0 * (1.0 + 8.0 * g / np.sqrt(d) + 16.0 * shrink_sq(beta) / d))
 
 
 def epsilon3_com(beta):

@@ -22,6 +22,7 @@ from .observables import (
     boost_denominator_sq,
     require_unit_interval,
     require_xy_plane,
+    shrink_sq,
     unit3_stack,
 )
 
@@ -66,7 +67,7 @@ def phi_plus_correlator_closed_form(a, b, beta):
     """
     v, beta = _xy_directions(beta, a, b)
     (ax, bx), (ay, by) = np.moveaxis(v[..., :2], (-2, -1), (1, 0))
-    numerator = ax * bx - (1.0 - beta * beta) * ay * by
+    numerator = ax * bx - shrink_sq(beta) * ay * by
     denom = boost_denominator_sq(v[..., 0], beta[..., None])
     return lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1]))
 
@@ -84,7 +85,7 @@ def ghz_offdiagonal_closed_form(a, b, c, beta):
     numpy's complex array arithmetic rounds differently.
     """
     v, beta = _xy_directions(beta, a, b, c)
-    shrink = np.sqrt(np.maximum(1.0 - beta * beta, 0.0))
+    shrink = np.sqrt(shrink_sq(beta))
     scale = 1.0 / np.sqrt(boost_denominator_sq(v[..., 0], beta[..., None]))
     real, imag = v[..., 0] * scale, shrink[..., None] * v[..., 1] * scale
     out_real, out_imag = np.ones(beta.shape), np.zeros(beta.shape)
@@ -108,7 +109,7 @@ def ghz_correlator_closed_form(a, b, c, beta):
     """
     v, beta = _xy_directions(beta, a, b, c)
     (ax, bx, cx), (ay, by, cy) = np.moveaxis(v[..., :2], (-2, -1), (1, 0))
-    g = 1.0 - beta * beta
+    g = shrink_sq(beta)
     numerator = ax * bx * cx - g * (ay * bx * cy + ay * by * cx + ax * by * cy)
     denom = boost_denominator_sq(v[..., 0], beta[..., None])
     return lone(numerator / np.sqrt(denom[..., 0] * denom[..., 1] * denom[..., 2]))

@@ -57,6 +57,7 @@ from .observables import (
     boost_speeds,
     direction_matrix,
     inverse_boost_map,
+    shrink_sq,
     unit3_stack,
 )
 from .scenarios import (
@@ -271,7 +272,7 @@ def _check_phi_correlator_z_term(seed):
     matrix = expectation(phi_plus(), kron(observable, observable))
     factor = boost_denominator_sq(a[0], beta)
     unit_coefficient = (a[2] * a[2]) / factor
-    shrunk_coefficient = (1.0 - beta * beta) * (a[2] * a[2]) / factor
+    shrunk_coefficient = shrink_sq(beta) * (a[2] * a[2]) / factor
     return (abs(unit_coefficient - matrix),
             "general-direction variant with a plain a_z b_z term gives "
             f"{unit_coefficient:.6f} for z measurements at beta = {beta}, while the "
@@ -304,7 +305,7 @@ def _check_ghz_diagonal(seed):
     dirs = np.array([X_AXIS, X_AXIS, X_AXIS])
     operator = kron(*direction_matrix(boost_map(dirs, X_AXIS, beta)))
     matrix = float(operator[0, 0].real)
-    claimed = (1.0 - beta * beta) ** 1.5  # x settings: every boost factor is 1
+    claimed = shrink_sq(beta) ** 1.5  # x settings: every boost factor is 1
     return (abs(claimed - matrix),
             "the diagonal <000|A(x)B(x)C|000> element vanishes for xy-plane "
             "settings under x boosts (effective directions have no z component); "

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, DomainRestriction, Frozen
-from .linalg import IDENTITY_2, hermitian_eigensystem, kron, lone
+from .linalg import IDENTITY_2, hermitian_eigensystem, kron, lone, mm
 from .observables import (
     XY_PLANE_TOL,
     Boost,
@@ -111,7 +111,7 @@ def effective_observables(settings: Settings) -> np.ndarray:
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
+    return mm(x, y) - mm(y, x)
 
 
 def square_closed_form(observables, legs=None) -> np.ndarray:

@@ -26,6 +26,7 @@ arguments, so values can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -232,19 +233,34 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
     return w.reshape(m.shape[:-1]), v.reshape(m.shape)
 
 
+_in_order = functools.partial(functools.reduce, np.add)  # ((t0 + t1) + t2) + ...
+
+
+def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of a (..., n, k) and b (..., k, m), broadcast over
+    the leading axes as a @ b is, each entry's k products added in order
+    from the first, with no BLAS.  Complex products are (ar br - ai bi) + i
+    (ar bi + ai br) in real ufuncs, unfused whatever loop or CPU runs them."""
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
+    a, b, ks = a[..., :, :, None], b[..., None, :, :], range(a.shape[-1])
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return _in_order(a[..., k, :] * b[..., k, :] for k in ks)
+    ar, ai, br, bi = a.real, np.imag(a), b.real, np.imag(b)
+    real = _in_order(ar[..., k, :] * br[..., k, :] - ai[..., k, :] * bi[..., k, :] for k in ks)
+    out = real.astype(complex)
+    out.imag = _in_order(ar[..., k, :] * bi[..., k, :] + ai[..., k, :] * br[..., k, :] for k in ks)
+    return out
+
+
 def expectation(state, matrices):
     """Expectation value <state|M|state> of a Hermitian matrix M: a float for
     one matrix; for a stack (..., n, n), an array (...) of one value per
-    matrix.
-
-    The products M s of a stack are one stacked matmul, and the inner
-    products s^dag (M s) another, each the bits of np.vdot on its own matrix
-    (an einsum contraction over the stack sums in another order and changes
-    last bits).  A state or matrix entry that is not finite raises
-    NotHermitian before any product is taken.  Each raw inner product must
-    be real up to a 1e-12 residue; a larger or NaN imaginary part means the
-    matrix was not Hermitian, and raises; so does a value that overflows.
-    The error names the first such value in row-major order.
+    matrix, each s^dag (M s) by mm.  A state or matrix entry that is not
+    finite raises NotHermitian before any product is taken.  Each raw inner
+    product must be real up to a 1e-12 residue; a larger or NaN imaginary
+    part means the matrix was not Hermitian, and raises; so does a value
+    that overflows.  The error names the first such value in row-major order.
     """
     s = np.asarray(state, dtype=complex).reshape(-1)
     m = _as_operators(matrices)
@@ -254,8 +270,7 @@ def expectation(state, matrices):
     if not (np.isfinite(s).all() and np.isfinite(m).all()):
         raise NotHermitian("<s|M|s> of a state or matrix with an entry that is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        products = (m @ s).reshape(-1, s.size)
-        raw = (s.conj() @ products[..., None])[:, 0]
+        raw = mm(s.conj()[None], mm(m, s[:, None])).reshape(-1)
     bad = ~(np.isfinite(raw.real) & (np.abs(raw.imag) < _IMAG_RESIDUE_TOL))
     if bad.any():
         first = complex(raw[bad.argmax()])

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateObservable, DomainError, DomainRestriction, Frozen
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, mm
 
 UNIT_NORM_TOL = 1e-12
 XY_PLANE_TOL = 1e-12
@@ -60,7 +60,7 @@ def unit3_stack(vectors) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components, got shape {v.shape}")
-    norms_sq = np.asarray((v[..., None, :] @ v[..., None])[..., 0, 0])
+    norms_sq = np.asarray(mm(v[..., None, :], v[..., None])[..., 0, 0])
     bad = ~(np.abs(norms_sq - 1.0) <= UNIT_NORM_TOL)
     if bad.any():
         raise ValueError(f"not a unit vector: |v|^2 = {float(norms_sq.flat[bad.argmax()])!r}")
@@ -86,7 +86,7 @@ def normalized3(vector) -> np.ndarray:
     if v.size != 3:
         raise ValueError(f"expected 3 components, got {v.size}")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(mm(v[None], v[:, None])[0, 0])
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     if not math.isfinite(norm):
@@ -139,8 +139,7 @@ def require_unit_interval(beta) -> np.ndarray:
 
 
 def shrink_sq(beta):
-    """1 - beta^2, elementwise, as 1.0 - beta * beta: the package's one
-    spelling of the squared Lorentz contraction factor."""
+    """1 - beta^2, elementwise: the package's one spelling of 1.0 - beta * beta."""
     return 1.0 - beta * beta
 
 
@@ -202,14 +201,13 @@ def inverse_boost_map(t: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
     For beta < 1 the boost map is a bijection of the sphere, so every unit
     ``t`` has this preimage, and one with zero z when ``t`` and ``e`` lie in
     the xy-plane.  Broadcasts as boost_map does and trusts its input the
-    same way; beta = 0 copies ``t`` exactly.  ``along`` and the norm are
-    taken by matmul, which gives the bits of ``e @ t`` and np.linalg.norm
-    on one vector.
+    same way; beta = 0 copies ``t`` exactly.  ``along`` and the squared
+    norm are taken by mm.
     """
     beta = np.asarray(beta, dtype=float)[..., None]
-    parallel = (e[..., None, :] @ t[..., None])[..., 0] * e
+    parallel = mm(e[..., None, :], t[..., None])[..., 0] * e
     rest = parallel + (t - parallel) / np.sqrt(shrink_sq(beta))
-    norm = np.sqrt((rest[..., None, :] @ rest[..., None])[..., 0])
+    norm = np.sqrt(mm(rest[..., None, :], rest[..., None])[..., 0])
     return np.where(beta == 0.0, t, rest / norm)
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     hermitian_eigensystem,
     is_hermitian,
     kron,
+    mm,
     state_vector,
 )
 
@@ -67,7 +68,7 @@ class OutcomeDistribution(NamedTuple):
     def correlator(self) -> float:
         """Expectation of the product of the +/-1 outcomes."""
         products = self.outcome_signs().prod(axis=1)
-        return float(np.dot(self.probabilities, products))
+        return float(mm(self.probabilities[None], products[:, None])[0, 0])
 
 
 class ShotRecord(Frozen):
@@ -90,7 +91,7 @@ class ShotRecord(Frozen):
     def correlator(self) -> float:
         """Empirical expectation of the product of the +/-1 outcomes."""
         products = _outcome_signs(self.n_particles).prod(axis=1)
-        return float(np.dot(self.counts, products)) / self.shots
+        return float(mm(self.counts[None], products[:, None])[0, 0]) / self.shots
 
     def correlator_variance(self) -> float:
         """Plug-in binomial variance of the empirical correlator (no

@@ -48,8 +48,7 @@ SWEEP_BLOCK_ROWS = 64
 
 def _curve_speeds(beta) -> tuple[np.ndarray, np.ndarray]:
     """The curves' speeds, checked by require_unit_interval, as a float
-    array, and g = sqrt(1 - beta^2) of each: no clamp, since a speed in
-    [0, 1] has 1.0 - beta * beta at least +0."""
+    array, and g = sqrt(1 - beta^2) of each, real for every speed in [0, 1]."""
     beta = require_unit_interval(beta)
     return beta, np.sqrt(shrink_sq(beta))
 

@@ -25,7 +25,7 @@ number of words.  It validates each drawn stack once (unit3_stack,
 boost_speeds), each error carrying its first failing row, then evaluates
 the closed forms under test and the brute force on the whole stack: one
 boost_map over (S, D, 3) directions with each sample's own boost axes and
-speeds, then stacked observables, Kronecker products and matmuls.  Each
+speeds, then stacked observables, Kronecker products and mm products.  Each
 element keeps the bits of its one-sample computation, and a float maximum
 is exact in any order, so the report does not depend on the batching.
 Complex magnitudes are np.hypot of the parts: np.abs rounds differently,
@@ -49,7 +49,7 @@ from .bell import (
     square_closed_form,
     square_peak_from_directions,
 )
-from .linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron
+from .linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron, mm
 from .observables import (
     Boost,
     boost_denominator_sq,
@@ -112,9 +112,8 @@ def _rng(seed: int, index: int) -> np.random.Generator:
 # of directions and the boost axes and speeds acting on them.
 
 def _unit(normals: np.ndarray) -> np.ndarray:
-    """Each row of normals (..., 3) over its norm, the norm taken by matmul:
-    the bits of v / np.linalg.norm(v) per row."""
-    return unit3_stack(normals / np.sqrt(normals[..., None, :] @ normals[..., None])[..., 0])
+    """Each row of normals (..., 3) over its norm, its squared norm by mm."""
+    return unit3_stack(normals / np.sqrt(mm(normals[..., None, :], normals[..., None]))[..., 0])
 
 
 def _xy(angles: np.ndarray) -> np.ndarray:
@@ -188,7 +187,7 @@ def _brute_force(directions, axes, speeds):
     n = boost_map(directions, axes, speeds)
     observables = direction_matrix(np.moveaxis(n, -2, 0))
     operators = FAMILIES[len(observables) // 2].signed_sum(observables)
-    return n, observables, operators @ operators
+    return n, observables, mm(operators, operators)
 
 
 def _check_chsh_square_generic(seed):
@@ -232,7 +231,7 @@ def _check_chsh_zeta_eigenstates(seed):
     (_, sin_a, sin_b, _), peaks, squares = _chsh_xy_grid(_rng(seed, 4))
     indices = np.where((sin_a * sin_b >= 0.0)[:, None], (0, 3), (1, 2))
     basis = np.eye(4, dtype=complex)[indices]
-    images = (squares[:, None] @ basis[..., None])[..., 0]
+    images = mm(squares[:, None], basis[..., None])[..., 0]
     return (np.abs(images - peaks[:, None, None] * basis),
             "|00>,|11> (same-sign angle gaps) or |01>,|10> (opposite sign) are "
             "eigenvectors of the squared operator at its peak eigenvalue")
@@ -353,9 +352,8 @@ def _check_mermin_zero_eigenvector(seed):
     bases = np.repeat((0.3, 1.1, 2.4), 2)  # arbitrary base angles; gaps are pi/2
     settings = Settings(_xy(bases - np.tile((0.0, math.pi / 2.0), 3)), (boost, boost, boost))
     operator = bell_operator(settings)
-    basis = np.zeros(8, dtype=complex)
-    basis[1] = 1.0  # |001>
-    return (np.abs(operator @ (operator @ basis)),
+    basis = np.eye(8, dtype=complex)[:, [1]]  # |001>
+    return (np.abs(mm(operator, mm(operator, basis))),
             "|001> is annihilated by the squared operator when every "
             "primed/unprimed angle gap is pi/2 at beta = 0")
 
@@ -370,7 +368,7 @@ def _check_mermin_collinear_invariance(seed):
 def _check_com_curve(seed):
     settings = mermin_com_settings(0.0)
     operators = settings.family.operators(effective_directions_grid(settings, BETA_GRID))
-    tops = hermitian_eigensystem(operators @ operators)[0][:, -1]
+    tops = hermitian_eigensystem(mm(operators, operators))[0][:, -1]
     return (np.abs(np.sqrt(tops) - epsilon3_com(BETA_GRID)),
             "closed-form center-of-mass peak value vs the numeric square root "
             "of the largest squared-operator eigenvalue")
@@ -404,7 +402,7 @@ def _check_com_primed_coefficient(seed):
     primed = effective[:, [3, 5]]
     worst_derived = np.max(np.abs(primed - closed[:, :2]))
     worst_alt = np.max(np.abs(primed - closed[:, 2:]))
-    worst_alt_norm = np.max(np.abs(np.linalg.norm(closed[:, 2], axis=-1) - 1.0))
+    worst_alt_norm = np.max(np.abs(np.sqrt(mm(closed[:, 2, None], closed[:, 2, :, None])) - 1.0))
     return (worst_alt,
             "the x-numerator 3 + sqrt(1-beta^2) for the primed directions is not "
             f"unit norm for beta > 0 (worst norm deviation {worst_alt_norm:.3f}) "
@@ -428,7 +426,7 @@ def _check_observable_contracts(seed):
     zero_beta = boost_map(*rest) - rest[0]
     return (np.concatenate([np.abs(matrices - matrices.conj().swapaxes(-1, -2)).ravel(),
                             np.hypot(traces.real, traces.imag),
-                            np.abs(matrices @ matrices - np.eye(2)).ravel(),
+                            np.abs(mm(matrices, matrices) - np.eye(2)).ravel(),
                             np.abs(zero_beta).ravel()]),
             "boosted observables are Hermitian, traceless and square to the "
             "identity; the beta = 0 map is exact")

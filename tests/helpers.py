@@ -48,7 +48,7 @@ def run_python(*args) -> subprocess.CompletedProcess:
 
 def random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(ordered_sum(v * v))
 
 
 def random_xy(rng) -> np.ndarray:
@@ -127,6 +127,41 @@ def random_roundtrip(rng):
         boost = Boost(random_unit(rng), rng.uniform(0.0, 0.99))
         axes[i], speeds[i] = boost.direction, boost.beta
     return targets, axes, speeds
+
+
+# The fixed-order sum of linalg.mm, one entry at a time: the oracle of every
+# matrix and inner product on an output path.
+
+def ordered_sum(terms):
+    """terms added in order from the first: ((t0 + t1) + t2) + ..."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def textbook_product(x, y):
+    """x * y for Python floats, or (x.re y.re - x.im y.im) + i (x.re y.im +
+    x.im y.re) when either is complex, each operation rounded on its own."""
+    if not (isinstance(x, complex) or isinstance(y, complex)):
+        return x * y
+    x, y = complex(x), complex(y)
+    return complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+
+
+def ordered_mm(a, b) -> np.ndarray:
+    """The matrix product of a (..., n, k) and b (..., k, m), broadcast over
+    the leading axes, one entry at a time in Python scalars: the k
+    textbook_products of a row and a column, added by ordered_sum."""
+    a, b = np.asarray(a), np.asarray(b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.empty(lead + (a.shape[-2], b.shape[-1]), np.result_type(a, b))
+    for *index, i, j in np.ndindex(out.shape):
+        row, column = a[(*index, i)].tolist(), b[(*index, slice(None), j)].tolist()
+        out[(*index, i, j)] = ordered_sum([textbook_product(x, y) for x, y in zip(row, column)])
+    return out
 
 
 def same_bits(got, want) -> bool:

@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbell.linalg as linalg
-from helpers import max_abs, random_hermitian, random_unit, same_bits, scalar_eigensystem
+from helpers import (
+    max_abs,
+    ordered_mm,
+    random_hermitian,
+    random_unit,
+    same_bits,
+    scalar_eigensystem,
+)
 from relbell.errors import DimensionMismatch, NoConvergence, NotHermitian
 from relbell.linalg import (
     IDENTITY_2,
@@ -111,6 +118,124 @@ def test_only_linalg_calls_numpy_kron():
     offenders = {path.name: _numpy_kron_calls(path)
                  for path in sorted(package.glob("*.py")) if path.name != "linalg.py"}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+#: Attribute names of numpy's contractions, each summing in an order of its
+#: own or BLAS's choosing.
+_CONTRACTIONS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
+_BETA_SQUARED = ast.dump(ast.parse("beta * beta", mode="eval").body)
+
+
+def _numpy_imports(node) -> list[str]:
+    """The dotted names an import statement takes from numpy."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module.split(".")[0] != "numpy":
+            return []
+        return [f"{module}.{alias.name}" for alias in node.names]
+    return [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
+
+
+def _unowned_products(source: str) -> list[int]:
+    """Line numbers, in order, of every product not left to its owner: @ and
+    @=, a contraction attribute (np.dot, x.dot, np.linalg, ...) or numpy
+    import, all of which linalg.mm replaces, and 1 - beta * beta outside a
+    function named shrink_sq."""
+    tree = ast.parse(source)
+    owned = {id(node) for function in ast.walk(tree)
+             if isinstance(function, ast.FunctionDef) and function.name == "shrink_sq"
+             for node in ast.walk(function)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _CONTRACTIONS:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                part in _CONTRACTIONS for name in _numpy_imports(node) for part in name.split(".")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+              and isinstance(node.left, ast.Constant) and node.left.value == 1
+              and ast.dump(node.right) == _BETA_SQUARED
+              and id(node) not in owned):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_product_guard_sees_a_planted_product():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nimport numpy.linalg\n"
+              "from .linalg import mm\nfrom numpy import einsum\n"
+              "def f(a, b, beta):\n    c = a @ b\n    c @= b\n    np.dot(a, b)\n"
+              "    a.dot(b)\n    np.linalg.norm(a)\n    np.einsum('ij,jk', a, b)\n"
+              "    return 1.0 - beta * beta, 4.0 - beta * beta, 1.0 - r * r\n"
+              "def shrink_sq(beta):\n    return 1.0 - beta * beta\n")
+    assert _unowned_products(source) == [2, 3, 5, 7, 8, 9, 10, 11, 12, 13]
+
+
+def test_every_product_has_one_owner():
+    # linalg.mm sums every matrix and inner product in a fixed order, so no
+    # BLAS kernel picked for the CPU decides an output's bits, and shrink_sq
+    # is the one spelling of 1 - beta^2.
+    package = Path(linalg.__file__).parent
+    offenders = {path.name: _unowned_products(path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+#: mm's entries: signed zeros, infinities, and magnitudes from 1e-30 to 1e30,
+#: so no sum of eight finite products overflows or leaves the normal range.
+_mm_entries = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                        st.builds(lambda m, e: m * 10.0 ** e,
+                                  st.floats(-1.0, 1.0), st.integers(-30, 30)))
+
+
+@st.composite
+def _mm_operands(draw):
+    """a (..., n, k) and b (..., k, m) with broadcasting leading axes, each
+    real or complex, k from 1 to 8."""
+    n, k, m = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    lead_a, lead_b = draw(st.sampled_from([((), ()), ((2,), ()), ((), (3,)), ((2, 1), (3,)),
+                                           ((1,), (2,))]))
+
+    def operand(shape):
+        size = math.prod(shape)
+        parts = [np.reshape(draw(st.lists(_mm_entries, min_size=size, max_size=size)), shape)
+                 for _ in range(1 + draw(st.booleans()))]
+        if len(parts) == 1:
+            return parts[0]
+        out = np.empty(shape, dtype=complex)
+        out.real, out.imag = parts
+        return out
+
+    return operand(lead_a + (n, k)), operand(lead_b + (k, m))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(operands=_mm_operands())
+def test_mm_sums_each_entry_in_order_from_the_first_term(operands):
+    a, b = operands
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = linalg.mm(a, b)
+        reference = np.matmul(a, b)
+        scale = np.matmul(np.abs(a), np.abs(b))
+    assert got.shape == reference.shape and got.dtype == reference.dtype
+    # Bit for bit against the scalar loop, signed zeros and NaNs included.
+    assert same_bits(got, ordered_mm(a, b))
+    # np.matmul, an independent oracle that may sum in another order: where
+    # it is finite, within (k + 2) eps of the sum of the products'
+    # magnitudes; for real operands, the same infinities and NaNs too.  (A
+    # complex BLAS kernel arranges its real products otherwise, and can turn
+    # an infinite part into NaN: [[0, 1+1j]] times [[0], [inf]] gives nan+infj.)
+    finite = np.isfinite(reference)
+    bound = (a.shape[-1] + 2) * np.finfo(float).eps * scale[finite]
+    assert np.all(np.abs(got[finite] - reference[finite]) <= bound)
+    if not np.iscomplexobj(reference):
+        assert np.array_equal(got[~finite], reference[~finite], equal_nan=True)
+
+
+def test_mm_refuses_mismatched_inner_sizes():
+    with pytest.raises(DimensionMismatch, match="cannot multiply"):
+        linalg.mm(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_eigensystem_sigma_z():
@@ -467,14 +592,15 @@ def test_expectation_of_a_stack_is_each_matrix_expectation():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(dim=st.sampled_from([2, 4, 8]), shape=st.sampled_from([(), (1,), (3,), (2, 5)]),
        seed=st.integers(0, 2 ** 64 - 1))
-def test_expectation_is_each_matrix_vdot_bit_for_bit(dim, shape, seed):
-    # The stacked inner products s^dag (M s) against one np.vdot per matrix.
+def test_expectation_is_each_matrix_fixed_order_sum_bit_for_bit(dim, shape, seed):
+    # The stacked inner products s^dag (M s) against each matrix's products
+    # summed in order from the first term, one entry at a time.
     rng = np.random.default_rng(seed)
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state /= np.linalg.norm(state)
     stack = np.reshape([random_hermitian(rng, dim) for _ in range(math.prod(shape))],
                        shape + (dim, dim))
-    want = np.reshape([complex(np.vdot(state, matrix @ state)).real
+    want = np.reshape([ordered_mm(state.conj()[None], ordered_mm(matrix, state[:, None]))[0, 0].real
                        for matrix in stack.reshape(-1, dim, dim)], shape)
     values = np.asarray(expectation(state, stack), dtype=float)
     assert values.shape == shape

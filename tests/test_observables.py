@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import BETA_MAX, max_abs, random_unit, same_bits, unit_vectors
+from helpers import BETA_MAX, max_abs, ordered_sum, random_unit, same_bits, unit_vectors
 from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
@@ -106,17 +106,16 @@ def test_effective_direction_is_unit_and_invertible(a, e, beta):
                         min_size=1, max_size=8))
 def test_inverse_boost_map_rows_are_their_scalar_preimages(samples):
     # Each row of a stacked call has the bits of the scalar formula, with
-    # along = e @ t and the norm of np.linalg.norm, as verify's round-trip
-    # row took them before the inverse map was shared.
+    # along = e.t and the squared norm summed in order from the first term.
     targets, axes, speeds = (np.array(column) for column in zip(*samples))
     stacked = inverse_boost_map(targets, axes, speeds)
     for row, (t, e, beta) in zip(stacked, samples):
         if beta == 0.0:
             want = t
         else:
-            along = float(e @ t)
+            along = ordered_sum(e * t)
             rest = along * e + (t - along * e) / math.sqrt(1.0 - beta * beta)
-            want = rest / np.linalg.norm(rest)
+            want = rest / math.sqrt(ordered_sum(rest * rest))
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(inverse_boost_map(t, e, beta).view(np.uint64),
                               want.view(np.uint64))

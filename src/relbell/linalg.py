@@ -233,24 +233,43 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
     return w.reshape(m.shape[:-1]), v.reshape(m.shape)
 
 
+def cmul(a, b) -> np.ndarray:
+    """The broadcast complex product (ar br - ai bi) + i (ar bi + ai br), each
+    real operation rounded on its own, so no loop numpy picks for the CPU
+    fuses a multiply into an add.  A complex array, 0-d for scalar operands."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    real, imag = out.real, out.imag
+    np.multiply(a.real, b.real, out=real)
+    real -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=imag)
+    imag += a.imag * b.real
+    return out
+
+
+def magnitude(z) -> np.ndarray:
+    """|z| elementwise as np.hypot of the parts: the bits of Python's abs of
+    each complex entry, at every SIMD level, where np.abs's are not."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
 _in_order = functools.partial(functools.reduce, np.add)  # ((t0 + t1) + t2) + ...
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matrix product of a (..., n, k) and b (..., k, m), broadcast over
     the leading axes as a @ b is, each entry's k products added in order
-    from the first, with no BLAS.  Complex products are (ar br - ai bi) + i
-    (ar bi + ai br) in real ufuncs, unfused whatever loop or CPU runs them."""
+    from the first, with no BLAS; complex products are cmul's.  An empty
+    inner size gives the zero product."""
     if a.shape[-1] != b.shape[-2]:
         raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
     a, b, ks = a[..., :, :, None], b[..., None, :, :], range(a.shape[-1])
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        return _in_order(a[..., k, :] * b[..., k, :] for k in ks)
-    ar, ai, br, bi = a.real, np.imag(a), b.real, np.imag(b)
-    real = _in_order(ar[..., k, :] * br[..., k, :] - ai[..., k, :] * bi[..., k, :] for k in ks)
-    out = real.astype(complex)
-    out.imag = _in_order(ar[..., k, :] * bi[..., k, :] + ai[..., k, :] * br[..., k, :] for k in ks)
-    return out
+    if not ks:
+        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+        return np.zeros(lead + (a.shape[-3], b.shape[-1]), np.result_type(a, b))
+    product = cmul if np.iscomplexobj(a) or np.iscomplexobj(b) else np.multiply
+    return _in_order(product(a[..., k, :], b[..., k, :]) for k in ks)
 
 
 def expectation(state, matrices):

@@ -131,11 +131,9 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     for o in observables:
         _check_observable(o)
 
-    # Particle i's projector per outcome; the first times 1.0, as a chain of
-    # Kronecker products started from [[1]] gave it, to keep its signed zeros.
+    # Particle i's projector per outcome.
     signs = _outcome_signs(n)[:, :, None, None]
     projectors = [0.5 * (IDENTITY_2 + signs[:, i] * o) for i, o in enumerate(observables)]
-    projectors[0] = 1.0 * projectors[0]
     probabilities = expectation(vec, kron(*projectors))
 
     if probabilities.min() < _NEGATIVE_PROBABILITY_TOL:

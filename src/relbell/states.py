@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import lone
+from .linalg import cmul, lone
 from .observables import (
     boost_denominator_sq,
     require_unit_interval,
@@ -79,21 +79,17 @@ def ghz_offdiagonal_closed_form(a, b, c, beta):
         (v_x + i sqrt(1 - beta^2) v_y) / sqrt((1 - beta^2) + beta^2 v_x^2).
 
     Broadcasts as phi_plus_correlator_closed_form does; a lone call returns
-    a complex.  The product is taken in real arithmetic as numpy's scalar
-    complex operations take it: each factor scaled by the reciprocal of its
-    denominator, and multiplied into 1 by the textbook complex product.
-    numpy's complex array arithmetic rounds differently.
+    a complex.  Each factor is scaled by the reciprocal of its denominator
+    and multiplied into 1 by linalg.cmul.
     """
     v, beta = _xy_directions(beta, a, b, c)
     shrink = np.sqrt(shrink_sq(beta))
     scale = 1.0 / np.sqrt(boost_denominator_sq(v[..., 0], beta[..., None]))
-    real, imag = v[..., 0] * scale, shrink[..., None] * v[..., 1] * scale
-    out_real, out_imag = np.ones(beta.shape), np.zeros(beta.shape)
+    factors = np.empty(scale.shape, dtype=complex)
+    factors.real, factors.imag = v[..., 0] * scale, shrink[..., None] * v[..., 1] * scale
+    out = np.ones(beta.shape, dtype=complex)
     for k in range(3):
-        out_real, out_imag = (out_real * real[..., k] - out_imag * imag[..., k],
-                              out_real * imag[..., k] + out_imag * real[..., k])
-    out = np.empty(beta.shape, dtype=complex)
-    out.real, out.imag = out_real, out_imag
+        out = cmul(out, factors[..., k])
     return lone(out, complex)
 
 

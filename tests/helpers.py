@@ -133,8 +133,9 @@ def random_roundtrip(rng):
 # matrix and inner product on an output path.
 
 def ordered_sum(terms):
-    """terms added in order from the first: ((t0 + t1) + t2) + ..."""
-    total = terms[0]
+    """terms added in order from the first: ((t0 + t1) + t2) + ...; 0.0 for
+    no terms."""
+    total = terms[0] if len(terms) else 0.0
     for term in terms[1:]:
         total = total + term
     return total

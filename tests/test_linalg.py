@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     random_unit,
     same_bits,
     scalar_eigensystem,
+    textbook_product,
 )
 from relbell.errors import DimensionMismatch, NoConvergence, NotHermitian
 from relbell.linalg import (
@@ -189,25 +191,29 @@ _mm_entries = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
                                   st.floats(-1.0, 1.0), st.integers(-30, 30)))
 
 
+def _operand(draw, shape):
+    """A real or complex array of shape, its parts drawn from _mm_entries."""
+    size = math.prod(shape)
+    parts = [np.reshape(draw(st.lists(_mm_entries, min_size=size, max_size=size)), shape)
+             for _ in range(1 + draw(st.booleans()))]
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+#: Leading shapes that broadcast against each other, 0-d ones included.
+_BROADCASTING = [((), ()), ((2,), ()), ((), (3,)), ((2, 1), (3,)), ((1,), (2,))]
+
+
 @st.composite
 def _mm_operands(draw):
     """a (..., n, k) and b (..., k, m) with broadcasting leading axes, each
-    real or complex, k from 1 to 8."""
-    n, k, m = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
-    lead_a, lead_b = draw(st.sampled_from([((), ()), ((2,), ()), ((), (3,)), ((2, 1), (3,)),
-                                           ((1,), (2,))]))
-
-    def operand(shape):
-        size = math.prod(shape)
-        parts = [np.reshape(draw(st.lists(_mm_entries, min_size=size, max_size=size)), shape)
-                 for _ in range(1 + draw(st.booleans()))]
-        if len(parts) == 1:
-            return parts[0]
-        out = np.empty(shape, dtype=complex)
-        out.real, out.imag = parts
-        return out
-
-    return operand(lead_a + (n, k)), operand(lead_b + (k, m))
+    real or complex, k from 0 to 8."""
+    n, k, m = draw(st.integers(1, 3)), draw(st.integers(0, 8)), draw(st.integers(1, 3))
+    lead_a, lead_b = draw(st.sampled_from(_BROADCASTING))
+    return _operand(draw, lead_a + (n, k)), _operand(draw, lead_b + (k, m))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -236,6 +242,46 @@ def test_mm_sums_each_entry_in_order_from_the_first_term(operands):
 def test_mm_refuses_mismatched_inner_sizes():
     with pytest.raises(DimensionMismatch, match="cannot multiply"):
         linalg.mm(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@st.composite
+def _cmul_operands(draw):
+    """Two real or complex arrays of broadcasting shapes, 0-d ones included."""
+    shape_a, shape_b = draw(st.sampled_from(_BROADCASTING + [((2, 3), (2, 3))]))
+    return _operand(draw, shape_a), _operand(draw, shape_b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(operands=_cmul_operands())
+def test_cmul_is_the_textbook_product_of_each_entry(operands):
+    # Every complex product on an output path is cmul's, so its bits are
+    # those of four real products and two real sums, signed zeros, infinities
+    # and NaNs included, whatever SIMD loop numpy runs.
+    a, b = operands
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = linalg.cmul(a, b)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    want = np.empty(shape, dtype=complex)
+    for index in np.ndindex(shape):
+        want[index] = textbook_product(complex(np.broadcast_to(a, shape)[index]),
+                                       complex(np.broadcast_to(b, shape)[index]))
+    assert same_bits(got, want)
+
+
+#: Finite parts at the edges of complex abs: signed zeros, subnormals, the
+#: smallest normal and 1e+-300.
+_EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, 1e-300, -1e300, 2.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(st.tuples(*[st.one_of(st.sampled_from(_EDGE_PARTS),
+                                             st.floats(-1e300, 1e300))] * 2),
+                      min_size=1, max_size=16))
+def test_magnitude_has_the_bits_of_pythons_abs(parts):
+    z = np.array([complex(x, y) for x, y in parts])
+    want = np.array([abs(complex(x, y)) for x, y in parts])
+    assert same_bits(linalg.magnitude(z), want)
+    assert same_bits(linalg.magnitude(z[0]), want[0])
 
 
 def test_eigensystem_sigma_z():

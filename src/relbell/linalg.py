@@ -14,11 +14,15 @@ stack at once, as sqrt(add.reduce(re*re + im*im)); that may differ from
 np.linalg.norm in the last bit, so only an off-diagonal norm that ties its
 threshold to the ulp could stop a sweep earlier or later.  One bad matrix (a
 non-finite entry, not Hermitian, an overflowing norm, no convergence) fails
-the whole call.  Kronecker products are one broadcast multiplication per
-factor, bit-identical to ``np.kron`` but without its generic axis handling;
+the whole call.  Kronecker products are one broadcast cmul per factor;
 every Kronecker product in the package goes through kron, which takes any
 number of factors, so no caller branches on the particle count.  lone turns
 the value of a lone input to a stacked function into a Python scalar.
+
+Complex arithmetic has two owners: cmul takes every complex-by-complex
+product and magnitude every complex magnitude whose bits reach an output,
+both in real ufuncs, which round alike at every SIMD level numpy may pick;
+numpy's own complex multiply and abs do not.
 
 All operations are pure functions of their inputs and never mutate their
 arguments, so values can be shared freely between concurrent tasks.
@@ -75,21 +79,42 @@ def is_hermitian(matrices) -> bool:
     return bool(skew <= HERMITICITY_TOL)
 
 
+def cmul(a, b) -> np.ndarray:
+    """The broadcast complex product (ar br - ai bi) + i (ar bi + ai br), each
+    real operation rounded on its own, so no loop numpy picks for the CPU
+    fuses a multiply into an add.  A complex array, 0-d for scalar operands."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    real, imag = out.real, out.imag
+    np.multiply(a.real, b.real, out=real)
+    real -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=imag)
+    imag += a.imag * b.real
+    return out
+
+
+def magnitude(z) -> np.ndarray:
+    """|z| elementwise as np.hypot of the parts: the bits of Python's abs of
+    each complex entry at every SIMD level."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The broadcast np.kron itself evaluates, without its generic axis
-    # bookkeeping: each entry is one product a[..., i, k] * b[..., j, l], so
-    # the bits are np.kron's, row by row of a stack.
+    # One broadcast cmul: each entry is the product a[..., i, k] b[..., j, l],
+    # row by row of a stack.
     n, m = a.shape[-1], b.shape[-1]
-    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    product = cmul(a[..., :, None, :, None], b[..., None, :, None, :])
     return product.reshape(product.shape[:-4] + (n * m, n * m))
 
 
 def kron(first, *rest) -> np.ndarray:
     """Kronecker product of square matrices, associating left to right; the
     result dimension is the product of the factors'.  Each factor is one
-    broadcast product, bit-identical to np.kron of the product so far and
-    that factor.  Stacks of matrices along leading axes multiply row by row;
-    a lone factor comes back as a complex array."""
+    broadcast cmul, so each entry is the textbook product of one entry of
+    the product so far and one of that factor.  Stacks of matrices along
+    leading axes multiply row by row; a lone factor comes back as a complex
+    array."""
     product = _as_operators(first)
     for factor in rest:
         product = _kron(product, _as_operators(factor))
@@ -133,9 +158,7 @@ def _sweep(av: np.ndarray, n: int) -> None:
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = av[:, p, q]
-            # np.hypot, not np.abs: the array abs rounds differently from
-            # the scalar one on complex input.
-            mag = np.hypot(apq.real, apq.imag)
+            mag = magnitude(apq)
             rotating = mag >= _SMALLEST_NORMAL
             count = np.count_nonzero(rotating)
             if not count:
@@ -144,29 +167,28 @@ def _sweep(av: np.ndarray, n: int) -> None:
             if count < len(rotating):
                 sel = np.flatnonzero(rotating)
                 apq, mag = apq[sel], mag[sel]
-            phase = apq / mag
+            phase = np.empty_like(apq)
+            phase.real, phase.imag = apq.real / mag, apq.imag / mag
             tau = (av[sel, q, q].real - av[sel, p, p].real) / (2.0 * mag)
-            # math.hypot per element: np.hypot rounds differently from it.
-            root = np.array([math.hypot(1.0, x) for x in tau.tolist()])
-            # |tau| + root overflows when |a[p,q]| nears the smallest normal: t = 0.
+            # |tau| + hypot(1, tau) overflows when |a[p,q]| nears the smallest
+            # normal: t = 0.
             with np.errstate(over="ignore"):
-                t = np.copysign(1.0, tau) / (np.abs(tau) + root)
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             s_minus = (s * np.conj(phase))[:, None]
             s_plus = (s * phase)[:, None]
-            # c + 0j is what multiplying by the real c casts it to anyway.
-            c = c.astype(complex)[:, None]
+            c = c[:, None]
 
             col_p, col_q = av[sel, :, p], av[sel, :, q]
-            new_p = c * col_p - s_minus * col_q
-            new_q = s_plus * col_p + c * col_q
+            new_p = c * col_p - cmul(s_minus, col_q)
+            new_q = cmul(s_plus, col_p) + c * col_q
             av[sel, :, p] = new_p
             av[sel, :, q] = new_q
 
             row_p, row_q = av[sel, p, :], av[sel, q, :]
-            new_p = c * row_p - s_plus * row_q
-            new_q = s_minus * row_p + c * row_q
+            new_p = c * row_p - cmul(s_plus, row_q)
+            new_q = cmul(s_minus, row_p) + c * row_q
             new_p[:, q] = 0.0
             new_q[:, p] = 0.0
             new_p.imag[:, p] = 0.0
@@ -231,27 +253,6 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
     w = w[rows, order]
     v = av[rows[:, None], n + diagonal[:, None], order[:, None, :]]
     return w.reshape(m.shape[:-1]), v.reshape(m.shape)
-
-
-def cmul(a, b) -> np.ndarray:
-    """The broadcast complex product (ar br - ai bi) + i (ar bi + ai br), each
-    real operation rounded on its own, so no loop numpy picks for the CPU
-    fuses a multiply into an add.  A complex array, 0-d for scalar operands."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    real, imag = out.real, out.imag
-    np.multiply(a.real, b.real, out=real)
-    real -= a.imag * b.imag
-    np.multiply(a.real, b.imag, out=imag)
-    imag += a.imag * b.real
-    return out
-
-
-def magnitude(z) -> np.ndarray:
-    """|z| elementwise as np.hypot of the parts: the bits of Python's abs of
-    each complex entry, at every SIMD level, where np.abs's are not."""
-    z = np.asarray(z)
-    return np.hypot(z.real, z.imag)
 
 
 _in_order = functools.partial(functools.reduce, np.add)  # ((t0 + t1) + t2) + ...

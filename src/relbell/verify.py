@@ -28,8 +28,7 @@ boost_map over (S, D, 3) directions with each sample's own boost axes and
 speeds, then stacked observables, Kronecker products and mm products.  Each
 element keeps the bits of its one-sample computation, and a float maximum
 is exact in any order, so the report does not depend on the batching.
-Complex magnitudes are np.hypot of the parts: np.abs rounds differently,
-and np.hypot has the bits of Python's abs, but for a NaN's sign.
+Complex magnitudes are linalg.magnitude's; real ones np.abs's, which is exact.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .bell import (
     square_closed_form,
     square_peak_from_directions,
 )
-from .linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron, mm
+from .linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron, magnitude, mm
 from .observables import (
     Boost,
     boost_denominator_sq,
@@ -192,7 +191,7 @@ def _brute_force(directions, axes, speeds):
 
 def _check_chsh_square_generic(seed):
     _, observables, squares = _brute_force(*_draw_free(_rng(seed, 1), 150, 2))
-    return (np.abs(squares - square_closed_form(observables)),
+    return (magnitude(squares - square_closed_form(observables)),
             "squared two-qubit operator vs 4I - [A,A'](x)[B,B'] on random "
             "directions and boosts")
 
@@ -207,7 +206,7 @@ def _check_chsh_square_in_plane(seed):
     _, observables, squares = _brute_force(*draws)
     coeff = shrink_sq * sin_a * sin_b / np.sqrt(denom)
     reduced = 4.0 * (np.eye(4, dtype=complex) + coeff[:, None, None] * kron(SIGMA_Z, SIGMA_Z))
-    return ([np.abs(squares - square_closed_form(observables)), np.abs(squares - reduced)],
+    return ([magnitude(squares - square_closed_form(observables)), magnitude(squares - reduced)],
             "squared two-qubit operator vs the sigma_z (x) sigma_z reduced form "
             "for xy-plane settings under collinear x boosts")
 
@@ -232,7 +231,7 @@ def _check_chsh_zeta_eigenstates(seed):
     indices = np.where((sin_a * sin_b >= 0.0)[:, None], (0, 3), (1, 2))
     basis = np.eye(4, dtype=complex)[indices]
     images = mm(squares[:, None], basis[..., None])[..., 0]
-    return (np.abs(images - peaks[:, None, None] * basis),
+    return (magnitude(images - peaks[:, None, None] * basis),
             "|00>,|11> (same-sign angle gaps) or |01>,|10> (opposite sign) are "
             "eigenvectors of the squared operator at its peak eigenvalue")
 
@@ -284,7 +283,7 @@ def _check_ghz_offdiagonal(seed):
     elements = operators[:, 7, 0]
     closed = ghz_offdiagonal_closed_form(*arguments) - elements
     pairing = operators[:, 0, 7].conj() - elements
-    return ([np.hypot(closed.real, closed.imag), np.hypot(pairing.real, pairing.imag)],
+    return ([magnitude(closed), magnitude(pairing)],
             "closed-form <111|A(x)B(x)C|000> element vs the matrix element and "
             "its Hermitian pairing")
 
@@ -325,15 +324,15 @@ def _check_ghz_collinear_expectation(seed):
 
 def _check_mermin_square(seed):
     _, observables, squares = _brute_force(*_draw_free(_rng(seed, 12), 150, 3))
-    return (np.abs(squares - square_closed_form(observables)),
+    return (magnitude(squares - square_closed_form(observables)),
             "squared three-qubit operator vs the commutator closed form with "
             "pairs on qubit legs (1,2), (1,3), (2,3)")
 
 
 def _check_mermin_square_leg_swap(seed):
     _, observables, squares = _brute_force(*_draw_mermin_in_plane(_rng(seed, 13), 50))
-    worst = np.max(np.abs(squares - square_closed_form(observables, SWAPPED_LEGS)))
-    derived = np.max(np.abs(squares - square_closed_form(observables)))
+    worst = np.max(magnitude(squares - square_closed_form(observables, SWAPPED_LEGS)))
+    derived = np.max(magnitude(squares - square_closed_form(observables)))
     return (worst,
             "placing the (A,C) commutator pair on qubits (2,3) and the (B,C) "
             f"pair on (1,3) misses the brute-force square by up to {worst:.3f}; "
@@ -353,7 +352,7 @@ def _check_mermin_zero_eigenvector(seed):
     settings = Settings(_xy(bases - np.tile((0.0, math.pi / 2.0), 3)), (boost, boost, boost))
     operator = bell_operator(settings)
     basis = np.eye(8, dtype=complex)[:, [1]]  # |001>
-    return (np.abs(mm(operator, mm(operator, basis))),
+    return (magnitude(mm(operator, mm(operator, basis))),
             "|001> is annihilated by the squared operator when every "
             "primed/unprimed angle gap is pi/2 at beta = 0")
 
@@ -424,9 +423,9 @@ def _check_observable_contracts(seed):
     matrices = direction_matrix(boost_map(*boosted))
     traces = np.trace(matrices, axis1=-2, axis2=-1)
     zero_beta = boost_map(*rest) - rest[0]
-    return (np.concatenate([np.abs(matrices - matrices.conj().swapaxes(-1, -2)).ravel(),
-                            np.hypot(traces.real, traces.imag),
-                            np.abs(mm(matrices, matrices) - np.eye(2)).ravel(),
+    return (np.concatenate([magnitude(matrices - matrices.conj().swapaxes(-1, -2)).ravel(),
+                            magnitude(traces),
+                            magnitude(mm(matrices, matrices) - np.eye(2)).ravel(),
                             np.abs(zero_beta).ravel()]),
             "boosted observables are Hermitian, traceless and square to the "
             "identity; the beta = 0 map is exact")

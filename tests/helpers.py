@@ -284,6 +284,11 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
+def _times(z: complex, vector: np.ndarray) -> np.ndarray:
+    """z times each entry of vector, by textbook_product."""
+    return np.array([textbook_product(z, x) for x in vector.tolist()])
+
+
 def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int,
             c: float, s: float, phase: complex) -> None:
     # Unitary R differs from the identity only in rows/columns p, q:
@@ -294,13 +299,13 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int,
 
     col_p = a[:, p].copy()
     col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s_minus * col_q
-    a[:, q] = s_plus * col_p + c * col_q
+    a[:, p] = c * col_p - _times(s_minus, col_q)
+    a[:, q] = _times(s_plus, col_p) + c * col_q
 
     row_p = a[p, :].copy()
     row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s_plus * row_q
-    a[q, :] = s_minus * row_p + c * row_q
+    a[p, :] = c * row_p - _times(s_plus, row_q)
+    a[q, :] = _times(s_minus, row_p) + c * row_q
 
     a[p, q] = 0.0
     a[q, p] = 0.0
@@ -309,8 +314,8 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int,
 
     vec_p = v[:, p].copy()
     vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s_minus * vec_q
-    v[:, q] = s_plus * vec_p + c * vec_q
+    v[:, p] = c * vec_p - _times(s_minus, vec_q)
+    v[:, q] = _times(s_plus, vec_p) + c * vec_q
 
 
 def scalar_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -335,12 +340,12 @@ def scalar_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
                 mag = abs(apq)
                 if mag < _SMALLEST_NORMAL:
                     continue
-                phase = apq / mag
+                phase = complex(apq.real / mag, apq.imag / mag)
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
                 # |tau| + hypot(1, tau) overflows when |a[p,q]| nears the
                 # smallest normal: t = 0, as in the package's kernel.
                 with np.errstate(over="ignore"):
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                    t = math.copysign(1.0, tau) / (abs(tau) + float(np.hypot(1.0, tau)))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 _rotate(a, v, p, q, c, t * c, phase)
     else:

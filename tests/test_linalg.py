@@ -1,6 +1,7 @@
 """Kernel tests: Kronecker products, the Jacobi eigensolver, expectations."""
 
 import ast
+import itertools
 import math
 import re
 import sys
@@ -70,33 +71,54 @@ def _hermitian_2x2(draw):
     return np.array([[d0, complex(re, im)], [complex(re, -im), d1]])
 
 
+def _textbook_kron(a, b):
+    """The Kronecker product of two square matrices in np.kron's layout, each
+    entry the textbook_product of one entry of a and one of b."""
+    n, m = len(a), len(b)
+    out = np.empty((n * m, n * m), dtype=complex)
+    for i, k, j, l in itertools.product(range(n), range(n), range(m), range(m)):
+        out[i * m + j, k * m + l] = textbook_product(complex(a[i, k]), complex(b[j, l]))
+    return out
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=_hermitian_2x2(), b=_hermitian_2x2(), c=_hermitian_2x2())
-def test_kron_is_bit_identical_to_numpy(a, b, c):
+def test_kron_is_the_textbook_product_of_each_entry_pair(a, b, c):
     # Bit identity, not closeness: every operator, and with it every golden
     # output, is assembled by kron, for any number of factors.
-    ab = np.kron(a, b)
+    ab = _textbook_kron(a, b)
     assert same_bits(kron(a, b), ab)
-    assert same_bits(kron(a, b, c), np.kron(ab, c))
+    assert same_bits(kron(a, b, c), _textbook_kron(ab, c))
     assert same_bits(kron(a), a)
-    assert same_bits(kron(ab, c), np.kron(ab, c))
-    assert same_bits(kron(c, ab), np.kron(c, ab))
-    # joint_distribution starts its projector product from a 1x1 identity.
+    assert same_bits(kron(ab, c), _textbook_kron(ab, c))
+    assert same_bits(kron(c, ab), _textbook_kron(c, ab))
+    # joint_distribution's test oracle starts its projector product from a
+    # 1x1 identity.
     one = np.array([[1.0]], dtype=complex)
-    assert same_bits(kron(one, a), np.kron(one, a))
-    assert same_bits(kron(kron(one, a), b), np.kron(np.kron(one, a), b))
+    assert same_bits(kron(one, a), _textbook_kron(one, a))
+    assert same_bits(kron(kron(one, a), b), _textbook_kron(_textbook_kron(one, a), b))
     # Stacks along a leading axis, as a sweep grid builds its operators:
-    # every row carries np.kron's bits of its own factors, and a single
-    # matrix broadcasts against a stack.
+    # every row carries the bits of its own factors, and a single matrix
+    # broadcasts against a stack.
     x, y, z = np.stack([a, b, c]), np.stack([b, c, a]), np.stack([c, a, b])
     stacked2, stacked3 = kron(x, y), kron(x, y, z)
     assert stacked2.shape == (3, 4, 4) and stacked3.shape == (3, 8, 8)
     for r in range(3):
-        assert same_bits(stacked2[r], np.kron(x[r], y[r]))
-        assert same_bits(stacked3[r], np.kron(np.kron(x[r], y[r]), z[r]))
-        assert same_bits(kron(a, y)[r], np.kron(a, y[r]))
-        assert same_bits(kron(a, y, c)[r], np.kron(np.kron(a, y[r]), c))
+        assert same_bits(stacked2[r], _textbook_kron(x[r], y[r]))
+        assert same_bits(stacked3[r], _textbook_kron(_textbook_kron(x[r], y[r]), z[r]))
+        assert same_bits(kron(a, y)[r], _textbook_kron(a, y[r]))
+        assert same_bits(kron(a, y, c)[r], _textbook_kron(_textbook_kron(a, y[r]), c))
     assert kron(x[:0], y[:0]).shape == (0, 4, 4)
+    # np.kron, an independent oracle whose complex multiply may fuse: each
+    # part within a few eps of the sum of its two products' magnitudes, or a
+    # few subnormal steps where they underflow.
+    finfo = np.finfo(float)
+    for left, right in ((a, b), (ab, c), (c, ab)):
+        scale = np.kron(np.abs(left.real) + np.abs(left.imag),
+                        np.abs(right.real) + np.abs(right.imag))
+        bound = 4.0 * finfo.eps * scale + 4.0 * finfo.smallest_subnormal
+        diff = kron(left, right) - np.kron(left, right)
+        assert np.all(np.abs(diff.real) <= bound) and np.all(np.abs(diff.imag) <= bound)
 
 
 def _numpy_kron_calls(path):

@@ -18,11 +18,9 @@ the whole call.  Kronecker products are one broadcast cmul per factor;
 every Kronecker product in the package goes through kron, which takes any
 number of factors, so no caller branches on the particle count.  lone turns
 the value of a lone input to a stacked function into a Python scalar.
-
-Complex arithmetic has two owners: cmul takes every complex-by-complex
-product and magnitude every complex magnitude whose bits reach an output,
-both in real ufuncs, which round alike at every SIMD level numpy may pick;
-numpy's own complex multiply and abs do not.
+cmul takes every complex-by-complex product and magnitude every complex
+magnitude that reaches an output, in real ufuncs, which round alike at every
+SIMD level, as numpy's own complex multiply and abs do not.
 
 All operations are pure functions of their inputs and never mutate their
 arguments, so values can be shared freely between concurrent tasks.
@@ -81,28 +79,22 @@ def is_hermitian(matrices) -> bool:
 
 def cmul(a, b) -> np.ndarray:
     """The broadcast complex product (ar br - ai bi) + i (ar bi + ai br), each
-    real operation rounded on its own, so no loop numpy picks for the CPU
-    fuses a multiply into an add.  A complex array, 0-d for scalar operands."""
+    real operation rounded on its own, so no SIMD loop fuses a multiply into
+    an add.  A complex array, 0-d for scalar operands."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    real, imag = out.real, out.imag
-    np.multiply(a.real, b.real, out=real)
-    real -= a.imag * b.imag
-    np.multiply(a.real, b.imag, out=imag)
-    imag += a.imag * b.real
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    real = ar * br - ai * bi
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, ar * bi + ai * br
     return out
 
 
 def magnitude(z) -> np.ndarray:
-    """|z| elementwise as np.hypot of the parts: the bits of Python's abs of
-    each complex entry at every SIMD level."""
-    z = np.asarray(z)
-    return np.hypot(z.real, z.imag)
+    """|z| elementwise as np.hypot of the parts: Python's abs at every SIMD level."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # One broadcast cmul: each entry is the product a[..., i, k] b[..., j, l],
-    # row by row of a stack.
     n, m = a.shape[-1], b.shape[-1]
     product = cmul(a[..., :, None, :, None], b[..., None, :, None, :])
     return product.reshape(product.shape[:-4] + (n * m, n * m))
@@ -111,10 +103,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kron(first, *rest) -> np.ndarray:
     """Kronecker product of square matrices, associating left to right; the
     result dimension is the product of the factors'.  Each factor is one
-    broadcast cmul, so each entry is the textbook product of one entry of
-    the product so far and one of that factor.  Stacks of matrices along
-    leading axes multiply row by row; a lone factor comes back as a complex
-    array."""
+    broadcast cmul.  Stacks of matrices along leading axes multiply row by
+    row; a lone factor comes back as a complex array."""
     product = _as_operators(first)
     for factor in rest:
         product = _kron(product, _as_operators(factor))
@@ -170,8 +160,7 @@ def _sweep(av: np.ndarray, n: int) -> None:
             phase = np.empty_like(apq)
             phase.real, phase.imag = apq.real / mag, apq.imag / mag
             tau = (av[sel, q, q].real - av[sel, p, p].real) / (2.0 * mag)
-            # |tau| + hypot(1, tau) overflows when |a[p,q]| nears the smallest
-            # normal: t = 0.
+            # |tau| + hypot(1, tau) overflows when |a[p,q]| nears the smallest normal: t = 0.
             with np.errstate(over="ignore"):
                 t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
@@ -266,10 +255,9 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
     a, b, ks = a[..., :, :, None], b[..., None, :, :], range(a.shape[-1])
-    if not ks:
-        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-        return np.zeros(lead + (a.shape[-3], b.shape[-1]), np.result_type(a, b))
     product = cmul if np.iscomplexobj(a) or np.iscomplexobj(b) else np.multiply
+    if not ks:  # the sum of no terms
+        return product(a, b).sum(axis=-2)
     return _in_order(product(a[..., k, :], b[..., k, :]) for k in ks)
 
 

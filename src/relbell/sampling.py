@@ -131,7 +131,6 @@ def joint_distribution(state, observables) -> OutcomeDistribution:
     for o in observables:
         _check_observable(o)
 
-    # Particle i's projector per outcome.
     signs = _outcome_signs(n)[:, :, None, None]
     projectors = [0.5 * (IDENTITY_2 + signs[:, i] * o) for i, o in enumerate(observables)]
     probabilities = expectation(vec, kron(*projectors))

@@ -33,13 +33,14 @@ from relbell.search import _value
 from relbell.verify import BETA_SAMPLES
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
+def run_python(*args, env=None) -> subprocess.CompletedProcess:
     """Run a child interpreter on args, with relbell importable from the same
-    sources as in this process; stdout and stderr are captured as bytes."""
+    sources as in this process and the variables of env added to this
+    process's environment; stdout and stderr are captured as bytes."""
     src = str(Path(relbell.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path}, timeout=300)
 
 
 # The verify battery's random samples, built one Settings or Boost at a time

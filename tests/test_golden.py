@@ -3,9 +3,10 @@
 Each case runs ``relbell.cli.main`` in this process with ``--no-meta-time``
 and compares its stdout, its stderr and its exit code with the files under
 ``tests/golden/``; one case of each command also runs as
-``python -m relbell.cli`` in a child process.  The corpus pins the exact bits of the current numerics on
-this platform and numpy build, so a refactor that claims unchanged behaviour
-is checked byte for byte.
+``python -m relbell.cli`` in a child process, and one again at numpy's
+baseline SIMD level.  The corpus pins the exact bits of the current numerics
+for this numpy build, so a refactor that claims unchanged behaviour is
+checked byte for byte.
 
 To write the corpus afresh, for a change that alters output on purpose::
 
@@ -162,6 +163,22 @@ def test_golden_entry_point(name):
     assert child.returncode == _expected_codes()[name]
     assert child.stdout == (GOLDEN / name).read_bytes()
     assert child.stderr == b""
+
+
+#: numpy's baseline SIMD level on x86-64, X86_V2: no AVX2 and no fused
+#: multiply-add.  numpy skips a name the CPU lacks with an ImportWarning,
+#: which the default warning filters hide, so this runs on any machine.
+BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
+@pytest.mark.parametrize("name", ["verify.csv", "sweep-settings3_free.csv",
+                                  "sample-settings3_inplane.csv", "optimize-3-com.csv"])
+def test_golden_at_numpy_baseline_simd(name):
+    # The corpus is written at whatever SIMD level numpy picks for the CPU;
+    # complex arithmetic in real ufuncs gives the same bytes without FMA.
+    child = run_python("-m", "relbell.cli", *CASES[name], env=BASELINE_SIMD)
+    assert child.returncode == _expected_codes()[name]
+    assert child.stdout == (GOLDEN / name).read_bytes()
 
 
 def _write_corpus() -> None:

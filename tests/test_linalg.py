@@ -266,6 +266,13 @@ def test_mm_refuses_mismatched_inner_sizes():
         linalg.mm(np.ones((2, 3)), np.ones((2, 3)))
 
 
+def test_mm_of_an_empty_inner_size_is_the_zero_product():
+    # As a @ b gives it: the broadcast shape and dtype, every entry +0.
+    assert same_bits(linalg.mm(np.zeros((2, 0)), np.zeros((0, 3))), np.zeros((2, 3)))
+    assert same_bits(linalg.mm(np.ones((4, 2, 0)), np.ones((0, 3), dtype=complex)),
+                     np.zeros((4, 2, 3), dtype=complex))
+
+
 @st.composite
 def _cmul_operands(draw):
     """Two real or complex arrays of broadcasting shapes, 0-d ones included."""

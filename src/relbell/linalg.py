@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -82,15 +83,15 @@ def cmul(a, b) -> np.ndarray:
     real operation rounded on its own, so no SIMD loop fuses a multiply into
     an add.  A complex array, 0-d for scalar operands."""
     a, b = np.asarray(a), np.asarray(b)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    real = ar * br - ai * bi
-    out = np.empty(real.shape, dtype=complex)
-    out.real, out.imag = real, ar * bi + ai * br
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    real, imag = out.real, out.imag
+    np.subtract(np.multiply(a.real, b.real, out=real), a.imag * b.imag, out=real)
+    np.add(np.multiply(a.real, b.imag, out=imag), a.imag * b.real, out=imag)
     return out
 
 
 def magnitude(z) -> np.ndarray:
-    """|z| elementwise as np.hypot of the parts: Python's abs at every SIMD level."""
+    """|z| elementwise, np.hypot of the parts: Python's abs but for a NaN's sign bit."""
     return np.hypot(np.real(z), np.imag(z))
 
 
@@ -136,6 +137,15 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
         return np.sqrt(np.add.reduce(flat.real * flat.real + flat.imag * flat.imag, axis=-1))
 
 
+def _rotate(pairs: np.ndarray, c: np.ndarray, s_pair: np.ndarray) -> np.ndarray:
+    # (c x_p - s_pair[1] x_q, c x_q + s_pair[0] x_p) for (m, 2, L) pairs (x_p, x_q).
+    products = cmul(s_pair, pairs)
+    rotated = c[:, None, None] * pairs
+    rotated[:, 0] -= products[:, 1]
+    rotated[:, 1] += products[:, 0]
+    return rotated
+
+
 def _sweep(av: np.ndarray, n: int) -> None:
     # One cyclic sweep over the (k, 2n, n) stack av: rows :n hold each
     # matrix a, rows n: its accumulated rotations v, so one column update
@@ -145,6 +155,7 @@ def _sweep(av: np.ndarray, n: int) -> None:
     # a <- R^dag a R, v <- v R to the matrices whose |a[p,q]| is at least the
     # smallest normal double, entry by entry as one matrix at a time would,
     # so every matrix gets the same bits as when solved alone.
+    columns = av.swapaxes(1, 2)
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = av[:, p, q]
@@ -165,25 +176,14 @@ def _sweep(av: np.ndarray, n: int) -> None:
                 t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            s_minus = (s * np.conj(phase))[:, None]
-            s_plus = (s * phase)[:, None]
-            c = c[:, None]
-
-            col_p, col_q = av[sel, :, p], av[sel, :, q]
-            new_p = c * col_p - cmul(s_minus, col_q)
-            new_q = cmul(s_plus, col_p) + c * col_q
-            av[sel, :, p] = new_p
-            av[sel, :, q] = new_q
-
-            row_p, row_q = av[sel, p, :], av[sel, q, :]
-            new_p = c * row_p - cmul(s_plus, row_q)
-            new_q = cmul(s_minus, row_p) + c * row_q
-            new_p[:, q] = 0.0
-            new_q[:, p] = 0.0
-            new_p.imag[:, p] = 0.0
-            new_q.imag[:, q] = 0.0
-            av[sel, p, :] = new_p
-            av[sel, q, :] = new_q
+            # (s phase, s conj(phase)) turns the columns; reversed, the rows.
+            s_pair = (s * np.array((phase, phase.conj()))).T[:, :, None]
+            pq = slice(p, q + 1, q - p)  # rows, or columns, p and q
+            columns[sel, pq] = _rotate(np.ascontiguousarray(columns[sel, pq]), c, s_pair)
+            rows = _rotate(av[sel, pq], c, s_pair[:, ::-1])
+            rows[:, 0, q] = rows[:, 1, p] = 0.0
+            rows.imag[:, 0, p] = rows.imag[:, 1, q] = 0.0
+            av[sel, pq] = rows
 
 
 def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +244,7 @@ def hermitian_eigensystem(matrices) -> tuple[np.ndarray, np.ndarray]:
     return w.reshape(m.shape[:-1]), v.reshape(m.shape)
 
 
-_in_order = functools.partial(functools.reduce, np.add)  # ((t0 + t1) + t2) + ...
+_in_order = functools.partial(functools.reduce, operator.iadd)  # ((t0 + t1) + t2) + ..., into t0
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

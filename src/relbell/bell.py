@@ -5,22 +5,14 @@ particle count fixes (sign table, matched state) lives in the FAMILIES
 table at the end of this module.  The sign table defines the operator:
 AB + AB' + A'B - A'B' for two qubits, AB'C' + A'BC' + A'B'C - ABC for
 three, built by Family.signed_sum term by term in table order.  The
-paper's closed forms for the largest eigenvalue of the square, chsh_zeta
-and mermin_lambda3, are provided on the restricted measurement geometries
-where they were derived, and refuse other inputs instead of extrapolating:
-observables.require_xy_plane decides the plane for both.
-chsh_in_plane_terms and chsh_zeta_from_terms are chsh_zeta's core on
-stacked in-plane directions.
-operator_norm holds for every setting and needs no matrix at all.
-Effective directions n, lone (D, 3) or stacked (..., D, 3), become Bell
-values in one place: the closed forms through square_peak_from_directions,
-the operators through Family.operators.  square_closed_form takes the
-observables of either.  Brute-force matrix algebra is the ground truth
-every closed form is checked against, in the verify battery.
-ChshSettings, MerminSettings, chsh_operator, mermin_operator and
-mermin_terms are Settings, bell_operator and bell_terms under their
-two-/three-qubit names; no code in the package calls them, and they stay
-only because the perfbench harness uses them by name.
+paper's closed forms chsh_zeta and mermin_lambda3 hold on the geometries
+where they were derived (observables.require_xy_plane decides the plane)
+and refuse other inputs; operator_norm holds for every setting and needs no
+matrix.  Effective directions n, (D, 3) or (..., D, 3), become Bell values
+through square_peak_from_directions or Family.operators.  ChshSettings,
+MerminSettings, chsh_operator, mermin_operator and mermin_terms (Settings,
+bell_operator and bell_terms by particle count) stay only because the
+perfbench harness uses them by name.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, DomainRestriction, Frozen
-from .linalg import IDENTITY_2, hermitian_eigensystem, kron, lone, mm
+from .linalg import IDENTITY_2, Planes, hermitian_eigenvalues, kron, lone, mm, planes
 from .observables import (
     XY_PLANE_TOL,
     Boost,
@@ -41,6 +33,7 @@ from .observables import (
     boost_map,
     boost_speeds,
     direction_matrix,
+    direction_planes,
     require_xy_plane,
     shrink_sq,
     unit3,
@@ -123,8 +116,7 @@ def square_closed_form(observables, legs=None) -> np.ndarray:
     The default terms put each pair i < j on qubits i and j, in the order 12,
     13, 23: 4 I - [A,A'](x)[B,B'] for two qubits (Landau, Phys. Lett. A 120,
     54, 1987), 4 I - [A,A'](x)[B,B'](x)I - [A,A'](x)I(x)[C,C'] - I(x)[B,B'](x)[C,C']
-    for three.  That placement follows from direct expansion and matches
-    brute-force squaring; the verify command also scores one that does not.
+    for three, as direct expansion gives; verify also scores one that does not.
     """
     coms = [commutator(observables[i], observables[i + 1])
             for i in range(0, len(observables), 2)]
@@ -143,10 +135,8 @@ def chsh_in_plane_terms(directions, beta):
     the terms of chsh_zeta, for xy-plane directions of shape (..., 4, 3) in
     Settings order with both particles boosted along x at speed beta (...):
     four arrays (...), each element the bits of a lone Settings' terms.
-    Trusts its input, which chsh_zeta checks.  No angle is taken: for unit
-    directions d = (cos phi_d, sin phi_d, 0), sin(phi_d - phi_d') is the
-    cross product d_y d'_x - d_x d'_y, in real arithmetic that rounds alike
-    at every SIMD level."""
+    Trusts its input, which chsh_zeta checks.  No angle is taken:
+    sin(phi_d - phi_d') is the cross product d_y d'_x - d_x d'_y."""
     directions = np.asarray(directions, dtype=float)
     beta = np.asarray(beta, dtype=float)
     d, d_prime = directions[..., 0::2, :], directions[..., 1::2, :]
@@ -162,11 +152,8 @@ def chsh_operator(settings) -> np.ndarray:
 
 
 def bell_terms(settings: Settings):
-    """Per-setting decomposition of the Bell operator.
-
-    Returns (label, sign, observables) for each term of the sign table; the
-    signed Kronecker sum reproduces the operator.
-    """
+    """(label, sign, observables) of each term of the sign table, whose
+    signed Kronecker sum is the Bell operator."""
     obs = effective_observables(settings)
     return [(label, sign, tuple([obs[i] for i in picks]))
             for label, sign, picks in settings.family.terms]
@@ -178,12 +165,10 @@ def mermin_terms(settings: Settings):
 
 
 def chsh_zeta(settings: Settings) -> float:
-    """Largest eigenvalue of the squared two-qubit operator, in closed form.
-
-    Valid only for two particles, with xy-plane directions and both boosted
-    along x at a common speed: other settings raise DomainError, other
-    geometry DomainRestriction.  The value always lies in [4, 8].
-    """
+    """Largest eigenvalue of the squared two-qubit operator, in [4, 8], in
+    closed form for two particles with xy-plane directions boosted along x at
+    a common speed: other settings raise DomainError, other geometry
+    DomainRestriction."""
     if settings.n_particles != 2:
         raise DomainError(f"closed form requires two particles, got {settings.n_particles}")
     require_xy_plane(settings.directions)
@@ -220,15 +205,11 @@ def cross_norms(n) -> np.ndarray:
 
 
 def mermin_lambda3(settings: Settings) -> float:
-    """Largest eigenvalue of the squared three-qubit operator for coplanar
-    geometry: 4 (1 + k1 k2 + k1 k3 + k2 k3), where k_i is the magnitude of
-    the cross product of particle i's two effective directions.
-
-    The three commutator terms of square_closed_form commute for every
-    setting, so the formula itself holds everywhere (see
-    operator_norm).  This validator still requires every measurement
-    direction and every boost direction to lie in the xy-plane, the
-    geometry it was derived on.
+    """Largest eigenvalue of the squared three-qubit operator,
+    4 (1 + k1 k2 + k1 k3 + k2 k3), k_i the magnitude of the cross product of
+    particle i's two effective directions.  The formula holds for every
+    setting (see operator_norm), but this validator keeps to the geometry it
+    was derived on: every measurement and boost direction in the xy-plane.
     """
     require_xy_plane(settings.directions)
     require_xy_plane([boost.direction for boost in settings.boosts])
@@ -237,11 +218,9 @@ def mermin_lambda3(settings: Settings) -> float:
 
 def square_peak_from_directions(n):
     """4 (1 + sum_{i<j} k_i k_j), the largest eigenvalue of the squared Bell
-    operator, from effective directions n of shape (..., D, 3) in Settings
-    order, with the k_i of cross_norms and the pairs summed in the order 12,
-    13, 23: an array (...), each element the bits of its own lone call.
-    mermin_lambda3 without its domain check, and the square of
-    operator_norm."""
+    operator, from effective directions n (..., D, 3) in Settings order, the
+    pairs summed in the order 12, 13, 23: an array (...), each element the
+    bits of its own lone call; mermin_lambda3 without its domain check."""
     kappas = cross_norms(n)
     total = 1.0
     for i, j in itertools.combinations(range(kappas.shape[-1]), 2):
@@ -251,10 +230,9 @@ def square_peak_from_directions(n):
 
 def max_violation(matrices):
     """Largest |eigenvalue| of a Hermitian operator: the attainable |<B>|
-    over all states.  A float for one matrix; for a stack (..., n, n), an
-    array (...) of one value per matrix from a single eigensolve."""
-    eigenvalues, _ = hermitian_eigensystem(matrices)
-    return lone(np.max(np.abs(eigenvalues), axis=-1))
+    over all states.  A float for one matrix; for a stack (..., n, n) or its
+    Planes, an array (...) of one value per matrix from a single eigensolve."""
+    return lone(np.max(np.abs(hermitian_eigenvalues(matrices)), axis=-1))
 
 
 def operator_norm(settings: Settings) -> float:
@@ -262,12 +240,10 @@ def operator_norm(settings: Settings) -> float:
     2 sqrt(1 + sum_{i<j} k_i k_j) with k_i the cross-product magnitude of
     particle i's two effective directions.
 
-    With u_i that cross product, [D_i, D_i'] = 2i u_i.sigma, so the square
-    is 4 I plus 4 (u_i.sigma)(u_j.sigma) on every particle pair i < j.
-    Those terms commute and u_i.sigma has eigenvalues +/-k_i, so the largest
-    eigenvalue of B^2 takes all signs equal: 4 (1 + |u||v|) for two qubits
-    (Landau, Phys. Lett. A 120, 54, 1987) and 4 (1 + k1 k2 + k1 k3 + k2 k3)
-    for three.  Equals max_violation(bell_operator(settings)).  Taken as the
+    With u_i that cross product, [D_i, D_i'] = 2i u_i.sigma, so B^2 is 4 I
+    plus 4 (u_i.sigma)(u_j.sigma) on every pair i < j; those terms commute
+    and u_i.sigma has eigenvalues +/-k_i, so the top eigenvalue takes all
+    signs equal (Landau, Phys. Lett. A 120, 54, 1987, for two qubits).  The
     square root of square_peak_from_directions: scaling by 4 is exact, so
     that is 2 sqrt(1 + ...) bit for bit.
     """
@@ -300,21 +276,27 @@ class Family(NamedTuple):
     state: Callable[[], np.ndarray]
 
     def operators(self, n) -> np.ndarray:
-        """The Bell operators (..., d, d) of effective directions n of shape
-        (..., D, 3) in Settings order, from one direction_matrix call: each
-        the bits of its own lone build."""
-        return self.signed_sum(direction_matrix(np.moveaxis(n, -2, 0)))
+        """operator_planes(n) as a complex (..., d, d) array."""
+        return self.operator_planes(n).matrices()
 
-    def signed_sum(self, observables) -> np.ndarray:
-        """The Bell operators (..., d, d) of observables (D, ..., 2, 2) in
-        Settings order: the Kronecker product of each term's observables,
-        added or subtracted by its sign, term by term in table order."""
+    def operator_planes(self, n) -> Planes:
+        """The Bell operators of effective directions n (..., D, 3) in Settings
+        order, as Planes from one direction_planes call, each the bits of its
+        own lone build."""
+        return self.signed_sum(direction_planes(np.moveaxis(n, -2, 0)))
+
+    def signed_sum(self, observables):
+        """The Bell operators (..., d, d) of observables (D, ..., 2, 2), or
+        Planes (2, 2, D, ...), in Settings order: the Kronecker product of
+        each term's observables, added or subtracted by its sign, term by
+        term in table order; Planes for Planes."""
         (_, _, first), *rest = self.terms
-        operator = kron(*[observables[i] for i in first])
+        each = planes(observables)
+        operator = kron(*[each[i] for i in first])
         for _, sign, picks in rest:
-            product = kron(*[observables[i] for i in picks])
+            product = kron(*[each[i] for i in picks])
             operator = operator + product if sign > 0 else operator - product
-        return operator
+        return operator if isinstance(observables, Planes) else operator.matrices()
 
 
 def _sign_table(*terms):

@@ -1,27 +1,22 @@
 """Boosted spin observables.
 
-A spin measurement along the unit direction ``a``, performed on a particle
-moving with speed ``beta`` (in units of c) along the unit direction ``e``,
-is equivalent to an ordinary spin measurement along an effective direction:
-the component of ``a`` parallel to ``e`` is kept, the perpendicular
-component is scaled by sqrt(1 - beta^2), and the result is renormalized.
-At beta = 0 the map is the identity, and directions parallel or
-perpendicular to ``e`` are fixed points at every speed below 1.  The
-squared norm before renormalizing, (1 - beta^2) + beta^2 (e.a)^2, is a sum
-of nonnegative terms, so each effective direction is a unit vector to a
-few ulps up to the fastest boost, and no Bell value passes 2 sqrt(2) or 4.
+A spin measurement along the unit direction ``a`` on a particle moving at
+speed ``beta`` (in units of c) along the unit direction ``e`` is an ordinary
+one along an effective direction: the component of ``a`` parallel to ``e``
+is kept, the perpendicular one scaled by sqrt(1 - beta^2), and the result
+renormalized.  At beta = 0 the map is the identity, and directions parallel
+or perpendicular to ``e`` are fixed points.  The squared norm before
+renormalizing, (1 - beta^2) + beta^2 (e.a)^2, is a sum of nonnegative terms,
+so each effective direction is a unit vector to a few ulps, and no Bell
+value passes 2 sqrt(2) or 4.
 
 Each input is validated once, where it enters: Boost checks its direction
-and speed, and bell.Settings checks each measurement direction with unit3.
-Directions and speeds, lone or stacked, are checked once, as arrays:
-unit3_stack and boost_speeds apply unit3's and Boost's tests in one pass,
-require_unit_interval and require_xy_plane the closed forms' speed and
-xy-plane tests, and each error carries the first failing row.
-boost_map, inverse_boost_map and direction_matrix trust their input;
-bell.Settings builds its observables through them.
-effective_direction and observable_matrix, the same map and matrix for one
-unit3-checked direction under one Boost, have no caller in the package;
-they stay only because the perfbench harness times and traces them by name.
+and speed, bell.Settings each measurement direction with unit3.  Stacks are
+checked as arrays by unit3_stack, boost_speeds, require_unit_interval and
+require_xy_plane, each error carrying the first failing row.  boost_map,
+inverse_boost_map, direction_matrix and direction_planes trust their input.
+effective_direction and observable_matrix stay only because the perfbench
+harness times and traces them by name.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateObservable, DomainError, DomainRestriction, Frozen
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, mm
+from .linalg import Planes, mm
 
 UNIT_NORM_TOL = 1e-12
 XY_PLANE_TOL = 1e-12
@@ -95,12 +90,9 @@ def normalized3(vector) -> np.ndarray:
 
 
 class Boost(Frozen):
-    """A particle boost: unit direction and speed beta in [0, 1).
-
-    beta = 1 is rejected here because matrix construction degenerates in
-    that limit; the ultrarelativistic endpoint exists only in the
-    closed-form curve evaluators, which never build matrices.
-    """
+    """A particle boost: unit direction and speed beta in [0, 1).  beta = 1,
+    where matrix construction degenerates, exists only in the closed-form
+    curves, which build no matrix."""
 
     __slots__ = ("direction", "beta")
 
@@ -160,28 +152,20 @@ def boost_denominator_sq(along, beta):
 
 
 def effective_direction(a, boost: Boost) -> np.ndarray:
-    """Unit direction actually measured on the boosted particle.
-
-    Computes (sqrt(1-beta^2) a_perp + a_par) / sqrt((1-beta^2) + beta^2 (e.a)^2)
-    by decomposing ``a`` against the boost direction; no angles are involved,
-    so there are no branch cuts.  At beta = 0 the input is returned exactly.
-    Raises DegenerateObservable when the denominator underflows
-    DENOMINATOR_FLOOR.
-    """
+    """Unit direction measured on the boosted particle: boost_map of the
+    unit3-checked ``a`` under the boost."""
     return boost_map(unit3(a), boost.direction, boost.beta)
 
 
 def boost_map(a: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
-    """effective_direction of ``a``, already checked by unit3, under a boost
-    along ``e`` at speed beta.
+    """(sqrt(1-beta^2) a_perp + a_par) / sqrt((1-beta^2) + beta^2 (e.a)^2) for
+    unit ``a`` under a boost along ``e`` at speed beta, with no angles.
 
-    One broadcast expression serves a lone direction and every stack:
-    ``a`` and ``e`` of shapes (..., 3) and beta of shape (...) broadcast
-    together, as (1, D, 3) against (R, 1) for R grid speeds, or (S, D, 3)
-    against (S, D) for S samples with their own axes and speeds.  The
-    arithmetic is elementwise, so each element gets the bits of its own
-    lone call; beta = 0 copies ``a`` exactly, and boost_denominator_sq
-    names the first degenerate element in row-major order.
+    ``a`` and ``e`` (..., 3) and beta (...) broadcast together, as (1, D, 3)
+    against (R, 1) for R grid speeds, or (S, D, 3) against (S, D) for S
+    samples.  Each element gets the bits of its own lone call; beta = 0
+    copies ``a`` exactly, and boost_denominator_sq names the first
+    degenerate element in row-major order.
     """
     beta = np.asarray(beta, dtype=float)[..., None]
     along = (e * a).sum(axis=-1, keepdims=True)
@@ -198,11 +182,9 @@ def inverse_boost_map(t: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
 
         along e + (t - along e) / sqrt(1 - beta^2),  along = e.t.
 
-    For beta < 1 the boost map is a bijection of the sphere, so every unit
-    ``t`` has this preimage, and one with zero z when ``t`` and ``e`` lie in
-    the xy-plane.  Broadcasts as boost_map does and trusts its input the
-    same way; beta = 0 copies ``t`` exactly.  ``along`` and the squared
-    norm are taken by mm.
+    For beta < 1 the map is a bijection of the sphere, so every unit ``t``
+    has this preimage, in the xy-plane when ``t`` and ``e`` are.  Broadcasts
+    as boost_map does; beta = 0 copies ``t`` exactly; the dot products are mm's.
     """
     beta = np.asarray(beta, dtype=float)[..., None]
     parallel = mm(e[..., None, :], t[..., None])[..., 0] * e
@@ -214,15 +196,26 @@ def inverse_boost_map(t: np.ndarray, e: np.ndarray, beta) -> np.ndarray:
 def direction_matrix(n: np.ndarray) -> np.ndarray:
     """The 2x2 observable measuring spin along ``n``, a unit 3-vector array
     that boost_map has already produced, or a stack (..., 3) of them."""
-    return (n[..., 0, None, None] * SIGMA_X + n[..., 1, None, None] * SIGMA_Y
-            + n[..., 2, None, None] * SIGMA_Z)
+    return direction_planes(n).matrices()
+
+
+def direction_planes(n: np.ndarray) -> Planes:
+    """direction_matrix(n) as Planes (2, 2, ...), built entry by entry with
+    the bits of x SIGMA_X + y SIGMA_Y + z SIGMA_Z for finite n: numpy's
+    real-by-complex product v (er + i ei) is (v er - 0 ei) + i (v ei + 0 er),
+    and of those terms only the signed zeros below stay."""
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    x0, y0 = x * 0.0, y * 0.0
+    re, im = np.empty((2, 2) + x.shape), np.zeros((2, 2) + x.shape)
+    re[1, 1] = x0 + y0
+    re[0, 0] = re[1, 1] + z
+    re[1, 1] -= z
+    re[0, 1], re[1, 0] = x + 0.0, (x + y0) + z * 0.0
+    im[0, 1], im[1, 0] = 0.0 - y, y + 0.0
+    return Planes(re, im)
 
 
 def observable_matrix(a, boost: Boost) -> np.ndarray:
-    """2x2 boosted spin observable: Hermitian, traceless, squares to I.
-
-    The validating entry for a single direction: effective_direction checks
-    ``a`` with unit3, then direction_matrix builds the matrix.  At beta = 0
-    it reduces to the ordinary spin observable along ``a``.
-    """
+    """The 2x2 boosted spin observable of the unit3-checked ``a``: Hermitian,
+    traceless, squaring to I."""
     return direction_matrix(effective_direction(a, boost))

@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, DomainError, Frozen, InvalidObservable, M
 from .linalg import (
     IDENTITY_2,
     expectation,
-    hermitian_eigensystem,
+    hermitian_eigenvalues,
     is_hermitian,
     kron,
     mm,
@@ -105,21 +105,18 @@ def _check_observable(o: np.ndarray) -> None:
         raise InvalidObservable(f"per-particle observables must be 2x2, got {o.shape}")
     if not is_hermitian(o):
         raise InvalidObservable("observable is not Hermitian")
-    eigenvalues, _ = hermitian_eigensystem(o)
+    eigenvalues = hermitian_eigenvalues(o)
     if abs(eigenvalues[0] + 1.0) > _SPECTRUM_TOL or abs(eigenvalues[1] - 1.0) > _SPECTRUM_TOL:
         raise InvalidObservable(
             f"observable spectrum {eigenvalues} is not {{-1, +1}} within {_SPECTRUM_TOL:g}")
 
 
 def joint_distribution(state, observables) -> OutcomeDistribution:
-    """Joint outcome distribution of one +/-1 observable per particle.
-
-    The probability of an outcome tuple is the expectation of the product
-    of per-particle projectors (I + s_i O_i)/2; the distribution's
-    correlator therefore equals the expectation of the tensor product of
-    the observables.  One kron call over each particle's stack of
-    projectors and one expectation call give every outcome's probability.
-    """
+    """Joint outcome distribution of one +/-1 observable per particle: each
+    outcome's probability is the expectation of the product of projectors
+    (I + s_i O_i)/2, from one kron call over each particle's stack of
+    projectors and one expectation call, so the correlator equals the
+    expectation of the observables' tensor product."""
     observables = [np.asarray(o, dtype=complex) for o in observables]
     n = len(observables)
     if n not in (2, 3):
@@ -164,14 +161,11 @@ def sample(distribution: OutcomeDistribution, shots: int, seed: int,
     are negative or do not sum to 1 within 1e-12 raise InvalidObservable.
 
     The counts are one exact draw from Multinomial(shots, p / sum(p)) over
-    the outcomes with p > 0: numpy's ``multinomial``, a chain of exact
-    binomial draws, on a Philox generator keyed by (seed, setting_index).
-    Outcomes with p = 0 stay out of the draw, where the rounding of numpy's
-    running remainder could hand them shots at large shot counts, and
-    dividing by the sum keeps every probability at most 1 when the sum lies
-    a few ulps above it.  The cost does not grow with the number of shots.
-    Above 2**53 shots numpy computes each binomial count in double
-    precision, so the counts still sum to shots but are rounded.
+    the outcomes with p > 0 (numpy's ``multinomial`` on a Philox generator
+    keyed by (seed, setting_index)), at a cost that does not grow with the
+    shots.  Outcomes with p = 0 stay out of the draw, where numpy's running
+    remainder could hand them shots, and dividing by the sum keeps every
+    probability at most 1.  Above 2**53 shots the counts are rounded.
     """
     shots = _integer("shots", shots, 1, MAX_SHOTS)
     key = [_integer("seed", seed, 0, MAX_KEY),

@@ -11,12 +11,10 @@ SCENARIOS maps each named kind to its settings builder and closed-form
 peak.  Closed-form peaks are continuous on [0, 1] including beta = 1; each
 takes a speed or an array of speeds, elementwise with the bits of the scalar
 formula, and returns a lone speed's value as a float.  The matrix-backed
-fields of a sweep sample (ScenarioResult), and the operator_norm that checks
-settings without a named peak, exist for beta < 1 only.  sweep builds a
-block of rows' directions, operators and closed forms at once and takes
-their spectra and their expectations in one stacked call each; the verify
-battery reads its two curve rows from it, so it checks the path the sweep
-command prints.
+fields of a sweep sample, and operator_norm for settings without a named
+peak, exist for beta < 1 only.  sweep takes a block of rows at a time, one
+call each for its directions, operator Planes, spectra, expectations and
+closed forms; the verify battery checks the paths it prints.
 """
 
 from __future__ import annotations
@@ -54,47 +52,34 @@ def _curve_speeds(beta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def epsilon2(beta):
-    """Peak two-qubit Bell value under collinear boosts:
-
-        2 (1 + sqrt(1 - beta^2)) / sqrt(2 - beta^2),
-
-    continuous and strictly decreasing from 2 sqrt(2) at beta = 0 to the
-    classical bound 2 at beta = 1.
-    """
+    """Peak two-qubit Bell value under collinear boosts,
+    2 (1 + sqrt(1 - beta^2)) / sqrt(2 - beta^2): strictly decreasing from
+    2 sqrt(2) at beta = 0 to the classical bound 2 at beta = 1."""
     beta, g = _curve_speeds(beta)
     return lone(2.0 * (1.0 + g) / np.sqrt(2.0 - beta * beta))
 
 
 def lambda_com(beta):
     """Largest eigenvalue of the squared three-qubit operator in the
-    center-of-mass frame:
-
-        4 (1 + 8 g / sqrt(d) + 16 (1 - beta^2) / d),
-        g = sqrt(1 - beta^2),  d = (4 - beta^2)(4 - 3 beta^2).
-    """
+    center-of-mass frame, 4 (1 + 8 g / sqrt(d) + 16 (1 - beta^2) / d) with
+    g = sqrt(1 - beta^2) and d = (4 - beta^2)(4 - 3 beta^2)."""
     beta, g = _curve_speeds(beta)
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
     return lone(4.0 * (1.0 + 8.0 * g / np.sqrt(d) + 16.0 * shrink_sq(beta) / d))
 
 
 def epsilon3_com(beta):
-    """Peak three-qubit Bell value in the center-of-mass frame:
-
-        2 (1 + 4 sqrt(1 - beta^2) / sqrt((4 - beta^2)(4 - 3 beta^2))),
-
-    the square root of lambda_com; 4 at beta = 0 and 2 at beta = 1.
-    """
+    """Peak three-qubit Bell value in the center-of-mass frame,
+    2 (1 + 4 sqrt(1 - beta^2) / sqrt((4 - beta^2)(4 - 3 beta^2))): the square
+    root of lambda_com, 4 at beta = 0 and 2 at beta = 1."""
     beta, g = _curve_speeds(beta)
     d = (4.0 - beta * beta) * (4.0 - 3.0 * beta * beta)
     return lone(2.0 * (1.0 + 4.0 * g / np.sqrt(d)))
 
 
 def com_boosts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three unit boost directions at mutual angles 2 pi / 3 in the xy-plane.
-
-    They sum to zero (momentum balance in the center-of-mass frame) and
-    every pairwise dot product equals -1/2.
-    """
+    """Three unit boost directions at mutual angles 2 pi / 3 in the xy-plane,
+    summing to zero (momentum balance in the center-of-mass frame)."""
     e1 = np.array([-1.0, 0.0, 0.0])
     e2 = np.array([0.5, math.sqrt(3.0) / 2.0, 0.0])
     e3 = np.array([0.5, -math.sqrt(3.0) / 2.0, 0.0])
@@ -107,12 +92,9 @@ def chsh_collinear_settings(beta: float) -> Settings:
 
 
 def mermin_collinear_settings(beta: float) -> Settings:
-    """y/x settings on every particle, all boosted along x.
-
-    Their prime swap (Settings.prime_swapped) measures x unprimed and y
-    primed; both assignments are first class because only the swapped one
-    gives a nonzero expectation on the GHZ state (see the verify command).
-    """
+    """y/x settings on every particle, all boosted along x.  Only their prime
+    swap, x unprimed and y primed, gives a nonzero GHZ expectation (a verify
+    row), so both assignments are first class."""
     return Settings((Y_AXIS, X_AXIS) * 3, (Boost(X_AXIS, beta),) * 3)
 
 
@@ -122,19 +104,13 @@ def mermin_com_settings(beta: float) -> Settings:
 
 
 def com_closed_form_directions(beta) -> dict[str, np.ndarray]:
-    """Closed-form candidates for the center-of-mass effective directions,
-    at a speed beta or at each of an array of speeds (...): each candidate
-    is (..., 3), each row the bits of its lone call.
-
-    For particles 2 and 3 the unprimed (y-setting) direction is
-
-        (sqrt(3)(1 - g) x +/- (3 + g) y) / (2 sqrt(4 - beta^2)),  g = sqrt(1 - beta^2),
-
-    which matches the boost map exactly.  For the primed (x-setting)
-    direction two numerator coefficients are listed: the derived
-    1 + 3 g, which is unit norm and reproduces the boost map, and the
-    alternative 3 + g, whose norm drifts from 1 for beta > 0.  The verify
-    command reports which candidate matches.
+    """Closed-form candidates for the center-of-mass effective directions at a
+    speed or an array of speeds (...): each (..., 3), each row the bits of
+    its lone call.  For particles 2 and 3 the unprimed (y-setting) direction
+    (sqrt(3)(1 - g) x +/- (3 + g) y) / (2 sqrt(4 - beta^2)), g = sqrt(1 - beta^2),
+    matches the boost map exactly.  Of the primed (x-setting) numerators, the
+    derived 1 + 3 g is unit norm and reproduces the boost map; the
+    alternative 3 + g drifts from unit norm for beta > 0 (a verify row).
     """
     beta, g = _curve_speeds(beta)
     unprimed_denom = 2.0 * np.sqrt(4.0 - beta * beta)
@@ -191,12 +167,9 @@ class Scenario(Frozen):
 
 
 class ScenarioResult(NamedTuple):
-    """One sweep sample: closed form versus numeric spectrum versus state
-    expectation, with |closed_form - numeric_max|.
-
-    Numeric fields and the residual are None at beta = 1, where no matrix
-    exists, and so is the closed form there of settings without a named peak.
-    """
+    """One sweep sample: closed form, numeric spectrum and state expectation,
+    with |closed_form - numeric_max|.  The numeric fields are None at beta =
+    1, where no matrix exists; so is a closed form without a named peak."""
 
     closed_form: float | None
     numeric_max: float | None
@@ -205,10 +178,8 @@ class ScenarioResult(NamedTuple):
 
 
 def scenario_curve(scenario: Scenario) -> ScenarioResult:
-    """Evaluate one sweep sample: closed form, numeric operator norm, and
-    the expectation on the matched entangled state; the one-row sweep of the
-    scenario's settings.  No code in the package calls it; it stays only
-    because the perfbench harness times and traces it by name."""
+    """The one-row sweep of the scenario's settings.  No code in the package
+    calls it; it stays only because the perfbench harness times it by name."""
     build_settings, peak = SCENARIOS[scenario.kind]
     return next(sweep(build_settings(0.0), [scenario.beta], peak))
 
@@ -219,10 +190,10 @@ def sweep(settings: Settings, betas, peak=None):
     default each row's operator_norm below beta = 1 and None at 1.  The whole
     grid is checked first, with or without a peak: a speed that is NaN or
     outside [0, 1] raises DomainError naming the first such speed.  Each
-    SWEEP_BLOCK_ROWS rows below beta = 1 get their effective directions, their
-    spectra, their state expectations and their closed forms from one call
-    each: without a peak, the square roots of one square_peak_from_directions
-    call, each row's operator_norm bit for bit.  A beta = 1 row calls peak(1.0)."""
+    SWEEP_BLOCK_ROWS rows below beta = 1 get their directions, operator
+    Planes, eigenvalues, expectations and closed forms from one call each
+    (without a peak, each row's operator_norm bit for bit, from one
+    square_peak_from_directions call).  A beta = 1 row calls peak(1.0)."""
     betas = require_unit_interval(betas)
     family = settings.family
     state = family.state()
@@ -230,7 +201,7 @@ def sweep(settings: Settings, betas, peak=None):
         block = betas[start:start + SWEEP_BLOCK_ROWS]
         below = block[block < 1.0]
         directions = effective_directions_grid(settings, below)
-        operators = family.operators(directions)
+        operators = family.operator_planes(directions)
         closed = np.sqrt(square_peak_from_directions(directions)) if peak is None else peak(below)
         rows = zip(closed.tolist(), max_violation(operators).tolist(),
                    expectation(state, operators).tolist())

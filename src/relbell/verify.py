@@ -3,32 +3,23 @@
 Every check compares a closed form against exact matrix computation.  The
 rows come from one table, CHECKS, of (name, gated, check) in report order.
 A check takes the run's seed, draws from its own generator _rng(seed,
-index), and returns its residuals unreduced, with the row's detail;
-run_all_checks reduces them with one np.max, so a row's residual is the
-largest of its residuals, and NaN if any of them is NaN.  Gated rows
-PASS or FAIL on the tolerance and set the verify command's exit code; a NaN
-residual FAILs.  ERRATUM rows document formula variants that demonstrably
-disagree with brute force; they are reported with their measured
-disagreement and never gated, because the disagreement is the finding.
-
-The curve rows check the library paths the commands run: the two-qubit and
-center-of-mass GHZ curves read their rows from scenarios.sweep, and the
-center-of-mass rows take their effective directions from
-effective_directions_grid and their closed-form candidates from one
-com_closed_form_directions call over the whole grid.
+index), and returns its residuals unreduced, with the row's detail, for
+run_all_checks to reduce.  ERRATUM rows document formula variants that
+demonstrably disagree with brute force; they are never gated, because the
+disagreement is the finding.  The curve rows check the paths the commands
+run: the two-qubit curve reads its rows from scenarios.sweep, the
+center-of-mass rows take the grid's directions from effective_directions_grid
+and, for the GHZ row, its operators from Family.operator_planes.
 
 A randomized or grid check draws its raw numbers in a fixed stream order:
-only uniforms in one rng.random((S, k)) call, scaled by each draw's upper
-bound, and normals mixed with uniforms in a loop over the samples of raw
-rng.normal and rng.random calls, since the ziggurat takes a data-dependent
-number of words.  It validates each drawn stack once (unit3_stack,
-boost_speeds), each error carrying its first failing row, then evaluates
-the closed forms under test and the brute force on the whole stack: one
-boost_map over (S, D, 3) directions with each sample's own boost axes and
-speeds, then stacked observables, Kronecker products and mm products.  Each
-element keeps the bits of its one-sample computation, and a float maximum
-is exact in any order, so the report does not depend on the batching.
-Complex magnitudes are linalg.magnitude's; real ones np.abs's, which is exact.
+uniforms in one rng.random((S, k)) call, scaled by each draw's upper bound,
+and normals mixed with uniforms in a loop over the samples, since the
+ziggurat takes a data-dependent number of words.  It validates each drawn
+stack once, each error carrying its first failing row, then evaluates the
+closed forms and the brute force on the whole stack.  Each element keeps
+the bits of its one-sample computation, and a float maximum is exact in
+any order, so the report does not depend on the batching.  Complex
+magnitudes are linalg.magnitude's; real ones np.abs's, which is exact.
 """
 
 from __future__ import annotations
@@ -48,7 +39,7 @@ from .bell import (
     square_closed_form,
     square_peak_from_directions,
 )
-from .linalg import SIGMA_Z, expectation, hermitian_eigensystem, kron, magnitude, mm
+from .linalg import SIGMA_Z, expectation, hermitian_eigenvalues, kron, magnitude, mm
 from .observables import (
     Boost,
     boost_denominator_sq,
@@ -221,7 +212,7 @@ def _chsh_xy_grid(rng):
 
 def _check_chsh_zeta_spectral(seed):
     _, peaks, squares = _chsh_xy_grid(_rng(seed, 3))
-    return (np.abs(hermitian_eigensystem(squares)[0][:, -1] - peaks),
+    return (np.abs(hermitian_eigenvalues(squares)[:, -1] - peaks),
             "closed-form largest eigenvalue of the squared operator vs the "
             "numeric spectrum")
 
@@ -341,7 +332,7 @@ def _check_mermin_square_leg_swap(seed):
 
 def _check_mermin_lambda_spectral(seed):
     n, _, squares = _brute_force(*_draw_mermin_in_plane(_rng(seed, 14), 60))
-    return (np.abs(hermitian_eigensystem(squares)[0][:, -1] - square_peak_from_directions(n)),
+    return (np.abs(hermitian_eigenvalues(squares)[:, -1] - square_peak_from_directions(n)),
             "coplanar closed-form largest eigenvalue 4(1 + k1k2 + k1k3 + k2k3) "
             "vs the numeric spectrum of the brute-force square")
 
@@ -367,7 +358,7 @@ def _check_mermin_collinear_invariance(seed):
 def _check_com_curve(seed):
     settings = mermin_com_settings(0.0)
     operators = settings.family.operators(effective_directions_grid(settings, BETA_GRID))
-    tops = hermitian_eigensystem(mm(operators, operators))[0][:, -1]
+    tops = hermitian_eigenvalues(mm(operators, operators))[:, -1]
     return (np.abs(np.sqrt(tops) - epsilon3_com(BETA_GRID)),
             "closed-form center-of-mass peak value vs the numeric square root "
             "of the largest squared-operator eigenvalue")
@@ -410,9 +401,11 @@ def _check_com_primed_coefficient(seed):
 
 
 def _check_com_ghz_expectation(seed):
-    rows = sweep(mermin_com_settings(0.0).prime_swapped(), BETA_GRID, epsilon3_com)
+    settings = mermin_com_settings(0.0).prime_swapped()
+    grid = effective_directions_grid(settings, BETA_GRID)
+    values = expectation(ghz_plus(), settings.family.operator_planes(grid))
     as_given = expectation(ghz_plus(), bell_operator(mermin_com_settings(0.5)))
-    return ([abs(abs(row.state_expectation) - row.closed_form) for row in rows],
+    return (np.abs(np.abs(values) - epsilon3_com(BETA_GRID)),
             "|GHZ expectation| of the prime-swapped operator equals the "
             f"closed-form peak across the grid (the unswapped assignment gives "
             f"{as_given:.2e})")

@@ -136,7 +136,7 @@ def test_eigensolver_failure_is_internal_error(monkeypatch, capsys):
     def no_convergence(matrix):
         raise NoConvergence("sweep budget exhausted")
 
-    monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", no_convergence)
+    monkeypatch.setattr(relbell.bell, "hermitian_eigenvalues", no_convergence)
     assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 4
     assert "sweep budget exhausted" in capsys.readouterr().err
 
@@ -149,7 +149,7 @@ def test_non_hermitian_operator_is_internal_error(monkeypatch, capsys, error):
     def fail(matrix):
         raise error(message)
 
-    monkeypatch.setattr(relbell.bell, "hermitian_eigensystem", fail)
+    monkeypatch.setattr(relbell.bell, "hermitian_eigenvalues", fail)
     assert main(["sweep", "--scenario", "chsh-collinear", "--beta-step", "0.5"]) == 4
     assert capsys.readouterr().err == f"internal error: {message}\n"
 
@@ -188,7 +188,7 @@ def test_sweep_builds_operators_per_block(monkeypatch, scenario):
     # block of rows at a time, solves each block's spectra in one stacked
     # eigensolve and takes its named peaks in one call; a per-row operator
     # build would call bell_operator once per row, and a per-row eigensolve
-    # would call hermitian_eigensystem once per row.  The beta = 1 row takes
+    # would call hermitian_eigenvalues once per row.  The beta = 1 row takes
     # its named peak alone.
     calls = Counter()
 
@@ -198,7 +198,7 @@ def test_sweep_builds_operators_per_block(monkeypatch, scenario):
             return original(*args)
         return wrapper
 
-    for name in ("bell_operator", "hermitian_eigensystem"):
+    for name in ("bell_operator", "hermitian_eigenvalues"):
         monkeypatch.setattr(relbell.bell, name, wrap(name, getattr(relbell.bell, name)))
     monkeypatch.setattr(relbell.scenarios, "effective_directions_grid", wrap(
         "effective_directions_grid", relbell.scenarios.effective_directions_grid))
@@ -208,7 +208,7 @@ def test_sweep_builds_operators_per_block(monkeypatch, scenario):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--scenario", scenario, "--beta-step", "0.001"]) == 0
     blocks = math.ceil(1001 / relbell.scenarios.SWEEP_BLOCK_ROWS)
-    assert calls == {"hermitian_eigensystem": blocks, "effective_directions_grid": blocks,
+    assert calls == {"hermitian_eigenvalues": blocks, "effective_directions_grid": blocks,
                      "peak": blocks + 1}
 
 

@@ -22,6 +22,8 @@ from relbell.errors import DomainError, DomainRestriction, NoConvergence, NotHer
 from relbell.linalg import (
     HERMITICITY_TOL,
     OFF_DIAGONAL_TARGET,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     SWEEP_BUDGET,
     is_hermitian,
@@ -164,6 +166,15 @@ def ordered_mm(a, b) -> np.ndarray:
         row, column = a[(*index, i)].tolist(), b[(*index, slice(None), j)].tolist()
         out[(*index, i, j)] = ordered_sum([textbook_product(x, y) for x, y in zip(row, column)])
     return out
+
+
+def pauli_sum(n) -> np.ndarray:
+    """x SIGMA_X + y SIGMA_Y + z SIGMA_Z for n (..., 3), in numpy's
+    real-by-complex products and complex sums: the formula
+    observables.direction_matrix replaced, kept as its bit-for-bit
+    reference."""
+    return (n[..., 0, None, None] * SIGMA_X + n[..., 1, None, None] * SIGMA_Y
+            + n[..., 2, None, None] * SIGMA_Z)
 
 
 def same_bits(got, want) -> bool:

@@ -30,8 +30,10 @@ from relbell.linalg import (
     SIGMA_Z,
     expectation,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     is_hermitian,
     kron,
+    planes,
     state_vector,
 )
 from relbell.states import phi_plus
@@ -501,6 +503,62 @@ def test_eigensystem_stop_rule_matches_scalar_oracle_near_threshold(stack):
             continue
         want_w, want_v = scalar_eigensystem(matrix)
         assert same_bits(w, want_w) and same_bits(v, want_v)
+
+
+@st.composite
+def _stacks_of_every_dimension(draw):
+    """A (k, d, d) Hermitian stack, d = 1, 2, 4 or 8, each member of one of
+    _MEMBER_KINDS or all zero, so members stop at different sweeps."""
+    dim = draw(st.sampled_from((1, 2, 4, 8)))
+    kinds = draw(st.lists(st.sampled_from(_MEMBER_KINDS + ("zero",)), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.stack([np.zeros((dim, dim), dtype=complex) if kind == "zero"
+                     else _stack_member(rng, dim, kind) for kind in kinds])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(stack=_stacks_of_every_dimension())
+@example(stack=np.stack([_near_underflow_pivot(), np.eye(4, dtype=complex)]))
+def test_eigenvalues_are_the_eigensystems_bit_for_bit(stack):
+    # The eigenvalue-only entry leaves out the eigenvectors' half of each
+    # column update; the matrices' half, and every eigenvalue, keeps its
+    # bits, stacked, alone, and from Planes.
+    values = hermitian_eigenvalues(stack)
+    assert same_bits(values, hermitian_eigensystem(stack)[0])
+    assert same_bits(hermitian_eigenvalues(planes(stack)), values)
+    for matrix, want in zip(stack, values):
+        assert same_bits(hermitian_eigenvalues(matrix), want)
+
+
+def test_eigenvalues_raise_the_eigensystems_errors(monkeypatch):
+    failures = [(NotHermitian, np.array([[0.0, 1.0], [0.0, 0.0]])),
+                (NotHermitian, np.stack([SIGMA_Z, np.array([[1.0, math.nan], [math.nan, 2.0]])])),
+                (NoConvergence, np.array([[1e308, 1e308], [1e308, -1e308]])),
+                (DimensionMismatch, np.zeros((2, 3)))]
+    for error, matrices in failures:
+        for solve in (hermitian_eigensystem, hermitian_eigenvalues):
+            with pytest.raises(error):
+                solve(matrices)
+    monkeypatch.setattr(linalg, "SWEEP_BUDGET", 0)
+    with pytest.raises(NoConvergence):
+        hermitian_eigenvalues(SIGMA_X)
+
+
+def test_planes_give_the_bits_of_their_matrices():
+    # Every entry that takes Planes returns what it returns for the complex
+    # stack, and kron of Planes converts to kron of the matrices.
+    rng = np.random.default_rng(35)
+    a, b = (np.stack([random_hermitian(rng, 2) for _ in range(5)]) for _ in range(2))
+    m = kron(a, b)
+    assert same_bits(kron(planes(a), planes(b)).matrices(), m)
+    assert same_bits(kron(planes(a), b, a).matrices(), kron(a, b, a))
+    assert same_bits(planes(m).matrices(), m) and len(planes(m)) == 5
+    state = phi_plus()
+    assert same_bits(expectation(state, planes(m)), expectation(state, m))
+    assert expectation(state, planes(m[0])) == expectation(state, m[0])
+    for got, want in zip(hermitian_eigensystem(planes(m)), hermitian_eigensystem(m)):
+        assert same_bits(got, want)
+    assert is_hermitian(planes(m)) and not is_hermitian(planes(m + np.triu(m, 1)))
 
 
 def test_eigensystem_stack_rejects_one_non_hermitian_member():

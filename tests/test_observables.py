@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import relbell.observables as observables
-from helpers import BETA_MAX, max_abs, ordered_sum, random_unit, same_bits, unit_vectors
+from helpers import BETA_MAX, max_abs, ordered_sum, pauli_sum, random_unit, same_bits, unit_vectors
 from relbell.errors import DegenerateObservable, DomainError, DomainRestriction
 from relbell.linalg import SIGMA_X, SIGMA_Y
 from relbell.observables import (
@@ -20,6 +20,7 @@ from relbell.observables import (
     boost_map,
     boost_speeds,
     direction_matrix,
+    direction_planes,
     inverse_boost_map,
     normalized3,
     require_unit_interval,
@@ -343,3 +344,21 @@ def test_boost_map_stack_raises_at_first_degenerate_element(data):
     assert str(stacked.value) == str(scalar.value)
     named = math.sqrt(0.19) if first < second else math.sqrt(0.178725)
     assert f"{named:g}" in str(stacked.value)
+
+
+#: Components at the edges of the Pauli sum's signed zeros: both zeros, the
+#: smallest subnormals, 1 and 1e300 of either sign.
+_PAULI_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300]),
+                              st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(), (5,), (2, 3)]), data=st.data())
+def test_direction_matrix_keeps_the_bits_of_the_pauli_sum(shape, data):
+    # Entry by entry, with every signed zero of numpy's real-by-complex
+    # products, for any finite components, lone or stacked.
+    size = 3 * math.prod(shape)
+    n = np.reshape(data.draw(st.lists(_PAULI_COMPONENTS, min_size=size, max_size=size)),
+                   shape + (3,))
+    assert same_bits(direction_matrix(n), pauli_sum(n))
+    assert same_bits(direction_planes(n).matrices(), pauli_sum(n))
